@@ -5,7 +5,7 @@ GO ?= go
 # One ~10s native-fuzz burst per target; see fuzz-smoke.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet lint lint-fast lint-deep race bench bench-json bench-json-smoke bench-gate tier1 fuzz-smoke chaos-smoke replica-chaos-smoke obs-smoke loadgen-smoke ci
+.PHONY: all build test vet lint lint-fast lint-deep race bench bench-json bench-json-smoke bench-gate perfbench-check tier1 fuzz-smoke chaos-smoke replica-chaos-smoke obs-smoke loadgen-smoke ci
 
 # Committed perf baseline the bench gate compares against (see bench-gate).
 BENCH_BASELINE ?= BENCH_2026-08-07.json
@@ -71,6 +71,13 @@ bench-json-smoke:
 # gate applies there.
 bench-gate:
 	$(GO) run ./cmd/benchall -gate $(BENCH_BASELINE) -json $${TMPDIR:-/tmp}/bench-gate.json
+
+# The repository benchmark (_perfbench/) is a module of its own, so the root
+# build never compiles it, yet it links the bitset, core and service packages
+# from this checkout. Vet and test it so an internal API change that breaks it
+# fails here rather than in a benchmark run.
+perfbench-check:
+	cd _perfbench && GOTOOLCHAIN=local $(GO) vet . && GOTOOLCHAIN=local $(GO) test .
 
 # End-to-end observability smoke: build cceserver, boot it with tracing and a
 # separate ops listener, drive observe/explain traffic through the retrying

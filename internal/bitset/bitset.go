@@ -1,18 +1,24 @@
-// Package bitset provides a dense fixed-capacity bit set used as the
-// posting-list representation for relative-key computation. All hot loops in
-// SRK operate on AndCard/AndNotCard, so those are written over raw words.
+// Package bitset provides a dense, growable bit set used as the posting-list
+// representation for relative-key computation. All hot loops in SRK operate
+// on AndCard/AndNotCard, so those are written over raw words.
+//
+// Every kernel scans a set's NumWords() = ⌈Len/64⌉ words and nothing past
+// them. Grow lengthens a set into the spare capacity of its backing array,
+// reallocating geometrically when that runs out, so a set grown a word at a
+// time costs amortized O(1) per step and still scans only the words it has
+// exposed, never its reserve.
 package bitset
 
 import "math/bits"
 
 // Set is a dense bit set over [0, n). The zero value is an empty set of
-// capacity 0; use New for a set of a given capacity.
+// length 0; use New for a set of a given length.
 type Set struct {
 	words []uint64
 	n     int
 }
 
-// New returns an empty set with capacity for n bits.
+// New returns an empty set of length n bits.
 func New(n int) *Set {
 	if n < 0 {
 		n = 0
@@ -20,7 +26,17 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Len returns the capacity of the set in bits.
+// NewReserved returns an empty set of length 0 whose backing array already
+// holds n bits, so growing it up to n bits never reallocates. The reserve is
+// storage only: the kernels scan NumWords(), which starts at 0.
+func NewReserved(n int) *Set {
+	if n < 0 {
+		n = 0
+	}
+	return &Set{words: make([]uint64, 0, (n+63)/64)}
+}
+
+// Len returns the length of the set in bits: members lie in [0, Len).
 func (s *Set) Len() int { return s.n }
 
 // Add sets bit i. It panics if i is out of range, mirroring slice indexing.
@@ -34,6 +50,7 @@ func (s *Set) Remove(i int) {
 }
 
 // Contains reports whether bit i is set.
+//
 //rkvet:noalloc
 func (s *Set) Contains(i int) bool {
 	if i < 0 || i >= s.n {
@@ -43,6 +60,7 @@ func (s *Set) Contains(i int) bool {
 }
 
 // Count returns the number of set bits.
+//
 //rkvet:noalloc
 func (s *Set) Count() int {
 	c := 0
@@ -52,16 +70,19 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Grow extends the capacity to at least n bits, preserving contents.
+// Grow extends the length to at least n bits, preserving contents; the new
+// bits are clear. It reuses the backing array's spare capacity and otherwise
+// reallocates with append's geometric growth. Words it re-exposes are zeroed:
+// a shrinking CopyFrom leaves stale words past the length, inside capacity.
 func (s *Set) Grow(n int) {
 	if n <= s.n {
 		return
 	}
-	need := (n + 63) / 64
-	if need > len(s.words) {
-		w := make([]uint64, need)
-		copy(w, s.words)
-		s.words = w
+	if need := (n + 63) / 64; need > len(s.words) {
+		// The append(x, make(...)...) form extends in place when capacity
+		// allows and clears the extension either way, without allocating
+		// the temporary.
+		s.words = append(s.words, make([]uint64, need-len(s.words))...)
 	}
 	s.n = n
 }
@@ -80,22 +101,24 @@ func (s *Set) CopyFrom(t *Set) {
 	if cap(s.words) < len(t.words) {
 		s.words = make([]uint64, len(t.words))
 	} else {
+		// Words beyond t's length stay in the backing array, unscanned
+		// until a Grow re-exposes (and zeroes) them; the retained prefix
+		// is overwritten by the copy below.
 		s.words = s.words[:len(t.words)]
-		// Words beyond t's length were truncated; the retained prefix is
-		// overwritten by the copy below.
 	}
 	copy(s.words, t.words)
 	s.n = t.n
 }
 
-// Clear removes all elements, keeping capacity.
+// Clear removes all elements, keeping the length.
 func (s *Set) Clear() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
 }
 
-// And replaces s with s ∩ t. The sets must have the same capacity.
+// And replaces s with s ∩ t. t must be at least as long as s.
+//
 //rkvet:noalloc
 func (s *Set) And(t *Set) {
 	for i := range s.words {
@@ -104,6 +127,7 @@ func (s *Set) And(t *Set) {
 }
 
 // AndNot replaces s with s \ t.
+//
 //rkvet:noalloc
 func (s *Set) AndNot(t *Set) {
 	for i := range s.words {
@@ -112,6 +136,7 @@ func (s *Set) AndNot(t *Set) {
 }
 
 // Or replaces s with s ∪ t.
+//
 //rkvet:noalloc
 func (s *Set) Or(t *Set) {
 	for i := range s.words {
@@ -120,6 +145,7 @@ func (s *Set) Or(t *Set) {
 }
 
 // AndCard returns |s ∩ t| without modifying either set.
+//
 //rkvet:noalloc
 func (s *Set) AndCard(t *Set) int {
 	c := 0
@@ -139,6 +165,7 @@ func (s *Set) AndCard(t *Set) int {
 // so the truncated scan refines the CELF heap instead of wasting a full pass.
 // A negative limit behaves like limit 0. Callers distinguish "exact" from
 // "truncated" by comparing the result against limit.
+//
 //rkvet:noalloc
 func (s *Set) AndCardUpTo(t *Set, limit int) int {
 	c := 0
@@ -152,6 +179,7 @@ func (s *Set) AndCardUpTo(t *Set, limit int) int {
 }
 
 // AndNotCard returns |s \ t| without modifying either set.
+//
 //rkvet:noalloc
 func (s *Set) AndNotCard(t *Set) int {
 	c := 0
@@ -161,10 +189,16 @@ func (s *Set) AndNotCard(t *Set) int {
 	return c
 }
 
-// NumWords returns the number of 64-bit words backing the set — the unit the
-// striped kernels below partition. Stripe boundaries are word indices, never
-// bit indices, so a stripe split can never tear a word in half.
+// NumWords returns ⌈Len/64⌉, the number of 64-bit words every kernel scans
+// — the unit the striped kernels below partition. Stripe boundaries are word
+// indices, never bit indices, so a stripe split can never tear a word in half.
 func (s *Set) NumWords() int { return len(s.words) }
+
+// Words returns the set's NumWords() words: bit i of the set is bit i%64 of
+// word i/64. It is the read-only view for multi-set kernels that fuse several
+// operations into one pass; callers must not mutate it or hold it across a
+// Grow.
+func (s *Set) Words() []uint64 { return s.words }
 
 // clampRange clips a word range to the backing array so the striped kernels
 // accept arbitrary (including empty or oversized) stripe boundaries: callers
@@ -188,6 +222,7 @@ func (s *Set) clampRange(lo, hi int) (int, int) {
 
 // CountRange returns the number of set bits whose word index lies in
 // [lo, hi). Summing over a partition of [0, NumWords()) equals Count.
+//
 //rkvet:noalloc
 func (s *Set) CountRange(lo, hi int) int {
 	lo, hi = s.clampRange(lo, hi)
@@ -202,6 +237,7 @@ func (s *Set) CountRange(lo, hi int) int {
 // without modifying either. It is the striped partial reduction behind the
 // parallel solver: summing AndCardRange over a partition of [0, NumWords())
 // equals AndCard exactly (integer partial sums, no reassociation error).
+//
 //rkvet:noalloc
 func (s *Set) AndCardRange(t *Set, lo, hi int) int {
 	lo, hi = s.clampRange(lo, hi)
@@ -214,6 +250,7 @@ func (s *Set) AndCardRange(t *Set, lo, hi int) int {
 
 // AndNotCardRange returns |s \ t| restricted to words [lo, hi); the striped
 // counterpart of AndNotCard.
+//
 //rkvet:noalloc
 func (s *Set) AndNotCardRange(t *Set, lo, hi int) int {
 	lo, hi = s.clampRange(lo, hi)
@@ -227,6 +264,7 @@ func (s *Set) AndNotCardRange(t *Set, lo, hi int) int {
 // AndRange replaces words [lo, hi) of s with s ∩ t, leaving the rest of s
 // untouched. Disjoint word ranges touch disjoint memory, so stripe workers
 // may apply AndRange to a shared set concurrently without synchronization.
+//
 //rkvet:noalloc
 func (s *Set) AndRange(t *Set, lo, hi int) {
 	lo, hi = s.clampRange(lo, hi)
@@ -237,6 +275,7 @@ func (s *Set) AndRange(t *Set, lo, hi int) {
 
 // AndNotRange replaces words [lo, hi) of s with s \ t; see AndRange for the
 // concurrent-stripes contract.
+//
 //rkvet:noalloc
 func (s *Set) AndNotRange(t *Set, lo, hi int) {
 	lo, hi = s.clampRange(lo, hi)

@@ -53,6 +53,53 @@ func TestGrowPreserves(t *testing.T) {
 	}
 }
 
+// TestGrowAmortizes: a set grown one word at a time reallocates
+// geometrically, not on every step, and its kernels scan only the words it
+// has exposed, never the spare capacity.
+func TestGrowAmortizes(t *testing.T) {
+	const words = 1000
+	var s Set
+	reallocs := 0
+	for w := 1; w <= words; w++ {
+		before := cap(s.words)
+		s.Grow(64 * w)
+		if cap(s.words) != before {
+			reallocs++
+		}
+		if s.NumWords() != w || s.Len() != 64*w {
+			t.Fatalf("after Grow(%d): NumWords=%d Len=%d, want %d words", 64*w, s.NumWords(), s.Len(), w)
+		}
+		s.Add(64*(w-1) + w%64)
+	}
+	if reallocs > 32 {
+		t.Fatalf("growing to %d words one word at a time reallocated %d times, want O(log n)", words, reallocs)
+	}
+	// Every bit survived every reallocation.
+	if s.Count() != words {
+		t.Fatalf("Count = %d after growth, want %d", s.Count(), words)
+	}
+	for w := 1; w <= words; w++ {
+		if !s.Contains(64*(w-1) + w%64) {
+			t.Fatalf("bit of word %d lost across reallocations", w-1)
+		}
+	}
+}
+
+// TestNewReserved: a reserved set starts empty and zero words long, and
+// grows within its reserve without reallocating.
+func TestNewReserved(t *testing.T) {
+	s := NewReserved(1 << 16)
+	if s.Len() != 0 || s.NumWords() != 0 || s.Count() != 0 {
+		t.Fatalf("NewReserved: Len=%d NumWords=%d Count=%d, want an empty 0-word set", s.Len(), s.NumWords(), s.Count())
+	}
+	backing := cap(s.words)
+	s.Grow(1000)
+	s.Add(999)
+	if s.NumWords() != 16 || cap(s.words) != backing || !s.Contains(999) {
+		t.Fatalf("Grow(1000) in a 2^16-bit reserve: NumWords=%d cap %d→%d", s.NumWords(), backing, cap(s.words))
+	}
+}
+
 func TestSetOps(t *testing.T) {
 	a, b := New(100), New(100)
 	for i := 0; i < 100; i += 2 {
@@ -149,6 +196,12 @@ func TestCopyFrom(t *testing.T) {
 	big.CopyFrom(src)
 	if !big.Equal(src) {
 		t.Fatal("CopyFrom into larger set left stale state")
+	}
+	// The truncated words stay in big's backing array; growing it back
+	// must expose them as zero words, never as its old members.
+	big.Grow(5000)
+	if big.NumWords() != 79 || big.Count() != src.Count() {
+		t.Fatalf("Grow after a shrinking CopyFrom: NumWords=%d Count=%d, want 79 words holding %v", big.NumWords(), big.Count(), src.Slice())
 	}
 	// Into a smaller set: storage regrows.
 	small := New(1)

@@ -24,17 +24,21 @@ func (m model) slice() []int {
 // FuzzSetOps drives two Sets and two naive map models through the same
 // operation sequence decoded from the input bytes, then checks that every
 // query — Count, Contains, Slice, Equal, AndCard, AndNotCard — agrees with
-// the model. The posting lists of core.Context are these Sets; a divergence
-// here is a wrong key downstream.
+// the model. The Grow op truncates a and grows it back, through both a
+// shrinking CopyFrom (stale words past the length that Grow must zero) and a
+// freshly sized set (a reallocating Grow that must keep every bit). The
+// posting lists of core.Context are these Sets; a divergence here is a wrong
+// key downstream.
 func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{0, 63, 0, 64, 2, 129, 4, 0, 6, 0})
 	f.Add([]byte{0, 0, 2, 0, 5, 0, 8, 0, 9, 0, 7, 0})
+	f.Add([]byte{0, 5, 0, 100, 10, 3, 0, 100, 0, 129, 10, 70, 9, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := New(fuzzCap), New(fuzzCap)
 		ma, mb := model{}, model{}
 		for i := 0; i+1 < len(data); i += 2 {
-			op, idx := data[i]%10, int(data[i+1])%fuzzCap
+			op, idx := data[i]%11, int(data[i+1])%fuzzCap
 			switch op {
 			case 0:
 				a.Add(idx)
@@ -83,6 +87,21 @@ func FuzzSetOps(f *testing.F) {
 				if !a.Contains(idx) && a.Equal(c) {
 					t.Fatal("Clone shares storage with source")
 				}
+			case 10:
+				short := New(idx)
+				for k := range ma {
+					if k < idx {
+						short.Add(k)
+					} else {
+						delete(ma, k)
+					}
+				}
+				if idx%2 == 0 {
+					a.CopyFrom(short)
+				} else {
+					a = short
+				}
+				a.Grow(fuzzCap)
 			}
 		}
 		checkAgainstModel(t, "a", a, ma)

@@ -18,6 +18,11 @@ import (
 // with per-(attribute,value) posting lists so that the intersection counts in
 // SRK's greedy step cost O(|I|/64) words each.
 //
+// Every bitset of the index — the posting lists, the label sets and the live
+// mask — has the same length, ⌈NumSlots/64⌉ words: the slot high-water mark,
+// not the allocated storage, so a context grown row by row scans no more
+// words than one built at its final size.
+//
 // Rows live in slots. A context built by NewContext and grown only with Add
 // is append-only: slot i holds the i-th arrival and Len == NumSlots. Remove
 // retires a slot — its bits are cleared from every posting list and from the
@@ -42,7 +47,6 @@ type Context struct {
 	liveCount int
 	// free holds retired slots awaiting reuse (LIFO).
 	free []int
-	cap  int // current bitset capacity
 	// version counts content mutations (AddSlot and Remove each bump it once),
 	// so two reads of the same context with equal versions are guaranteed to
 	// see identical rows — the invalidation stamp the service-level explanation
@@ -56,9 +60,10 @@ func NewContext(schema *feature.Schema, items []feature.Labeled) (*Context, erro
 	return NewContextSized(schema, items, len(items))
 }
 
-// NewContextSized builds an indexed context with bitset capacity pre-sized
-// for at least capacity rows, avoiding growth reallocations when the eventual
-// occupancy is known up front (e.g. a sliding window of fixed size).
+// NewContextSized builds an indexed context whose bitsets reserve storage for
+// at least capacity rows, avoiding growth reallocations when the eventual
+// occupancy is known up front (e.g. a sliding window of fixed size). The
+// reserve is storage only: the kernels still scan just the occupied slots.
 func NewContextSized(schema *feature.Schema, items []feature.Labeled, capacity int) (*Context, error) {
 	if capacity < len(items) {
 		capacity = len(items)
@@ -74,24 +79,20 @@ func NewContextSized(schema *feature.Schema, items []feature.Labeled, capacity i
 }
 
 func (c *Context) initIndex(capacity int) {
-	if capacity < 16 {
-		capacity = 16
-	}
-	c.cap = capacity
 	c.post = make([][]*bitset.Set, c.Schema.NumFeatures())
 	c.postCount = make([][]int, c.Schema.NumFeatures())
 	for a := range c.post {
 		c.post[a] = make([]*bitset.Set, c.Schema.Attrs[a].Cardinality())
 		c.postCount[a] = make([]int, c.Schema.Attrs[a].Cardinality())
 		for v := range c.post[a] {
-			c.post[a][v] = bitset.New(capacity)
+			c.post[a][v] = bitset.NewReserved(capacity)
 		}
 	}
 	c.byLabel = make([]*bitset.Set, len(c.Schema.Labels))
 	for y := range c.byLabel {
-		c.byLabel[y] = bitset.New(capacity)
+		c.byLabel[y] = bitset.NewReserved(capacity)
 	}
-	c.live = bitset.New(capacity)
+	c.live = bitset.NewReserved(capacity)
 }
 
 // Add appends one labeled instance to the context (the online growth path).
@@ -117,8 +118,8 @@ func (c *Context) AddSlot(li feature.Labeled) (int, error) {
 		c.items[i] = li
 	} else {
 		i = len(c.items)
-		if i >= c.cap {
-			c.grow(2*c.cap + 1)
+		if i >= c.live.Len() {
+			c.grow(i + 64)
 		}
 		c.items = append(c.items, li)
 	}
@@ -153,8 +154,10 @@ func (c *Context) Remove(slot int) error {
 	return nil
 }
 
+// grow lengthens every bitset of the index to n bits. AddSlot calls it once
+// per 64 new slots, so the index grows in whole words and Set.Grow amortizes
+// the reallocations.
 func (c *Context) grow(n int) {
-	c.cap = n
 	for a := range c.post {
 		for v := range c.post[a] {
 			c.post[a][v].Grow(n)
@@ -204,7 +207,7 @@ func (c *Context) LiveItems() []feature.Labeled {
 func (c *Context) Live() *bitset.Set { return c.live }
 
 // Posting returns the posting list for attr==value; callers must not mutate
-// it. Capacity may exceed Len.
+// it. Like every bitset of the context it is ⌈NumSlots/64⌉ words long.
 func (c *Context) Posting(attr int, v feature.Value) *bitset.Set { return c.post[attr][v] }
 
 // PostingCount returns |Posting(attr, v)| in O(1): the count is maintained
@@ -217,8 +220,8 @@ func (c *Context) PostingCount(attr int, v feature.Value) int { return c.postCou
 func (c *Context) LabelSet(y feature.Label) *bitset.Set { return c.byLabel[y] }
 
 // Disagreeing returns a fresh bitset of live rows whose prediction differs
-// from y, derived as the masked complement live \ byLabel[y] — O(cap/64)
-// words instead of an O(|I|) item scan.
+// from y, derived as the masked complement live \ byLabel[y] —
+// O(NumSlots/64) words instead of an O(|I|) item scan.
 func (c *Context) Disagreeing(y feature.Label) *bitset.Set {
 	return c.DisagreeingInto(c.live.Clone(), y)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -142,6 +143,44 @@ func Coverage(c *Context, x feature.Instance, y feature.Label, E Key) int {
 	return d.Count()
 }
 
+// agreeBlock is the word count of ViolationsCoverage's stack buffer: 4 KiB,
+// small enough to stay in L1 while every posting list of the key streams
+// through it.
+const agreeBlock = 512
+
+// ViolationsCoverage returns Violations and Coverage of E in one sequential
+// pass. It builds agree = live ∧ postings(E) a block of words at a time in a
+// stack buffer and counts each block twice, whole and under y's label set,
+// before moving on, so every input word is read once and nothing is
+// allocated. Every live row agreeing with x on E either is predicted y
+// (covered) or violates, so violations = |agree| − coverage. y must be a
+// label of the context's schema.
+//
+//rkvet:noalloc
+func ViolationsCoverage(c *Context, x feature.Instance, y feature.Label, E Key) (violations, coverage int) {
+	live := c.live.Words()
+	label := c.byLabel[y].Words()
+	var buf [agreeBlock]uint64
+	agree := 0
+	for lo := 0; lo < len(live); lo += agreeBlock {
+		blk := buf[:copy(buf[:], live[lo:])]
+		// Reslicing each operand to len(blk) lets the compiler drop the
+		// per-word bounds checks in the loops below.
+		for _, f := range E {
+			post := c.post[f][x[f]].Words()[lo:][:len(blk)]
+			for i := range blk {
+				blk[i] &= post[i]
+			}
+		}
+		lab := label[lo:][:len(blk)]
+		for i, w := range blk {
+			agree += bits.OnesCount64(w)
+			coverage += bits.OnesCount64(w & lab[i])
+		}
+	}
+	return agree - coverage, coverage
+}
+
 // CoveredSet returns the row indices counted by Coverage.
 func CoveredSet(c *Context, x feature.Instance, y feature.Label, E Key) []int {
 	d := c.LabelSet(y).Clone()
@@ -154,11 +193,18 @@ func CoveredSet(c *Context, x feature.Instance, y feature.Label, E Key) []int {
 // Precision returns the maximum α such that E is α-conformant relative to c:
 // 1 − violations/|I| (§7.1 measure (b)).
 func Precision(c *Context, x feature.Instance, y feature.Label, E Key) float64 {
-	n := c.Len()
+	return PrecisionOf(Violations(c, x, y, E), c.Len())
+}
+
+// PrecisionOf is the precision of a key with the given violator count over a
+// context of n live rows: 1 − violations/n, or 1 for an empty context. Every
+// precision in the package is this expression, so a count from any pass
+// renders to the same float.
+func PrecisionOf(violations, n int) float64 {
 	if n == 0 {
 		return 1
 	}
-	return 1 - float64(Violations(c, x, y, E))/float64(n)
+	return 1 - float64(violations)/float64(n)
 }
 
 // IsMinimal reports whether no single feature can be removed from E while

@@ -148,3 +148,69 @@ func TestIsMinimalRejectsNonKeys(t *testing.T) {
 		t.Fatal("non-conformant key reported minimal")
 	}
 }
+
+// TestViolationsCoverageMatchesReference: the fused pass returns exactly
+// Violations and Coverage on contexts with retired slots, sized on both sides
+// of a word and of the fused pass's block, for the empty key, random keys and
+// the full key, and for a label with no live rows.
+func TestViolationsCoverageMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(331))
+	for _, n := range []int{0, 1, 63, 64, 65, 700, agreeBlock*64 - 1, agreeBlock*64 + 77} {
+		c := randomContext(t, rng, n, 2+rng.Intn(4), 2+rng.Intn(2), 3)
+		// Retire every row of label 2 and a random tenth of the rest.
+		for slot := 0; slot < n; slot++ {
+			if c.Item(slot).Y == 2 || rng.Intn(10) == 0 {
+				if err := c.Remove(slot); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for q := 0; q < 12; q++ {
+			x := randomRows(rng, c.Schema, 1)[0].X
+			if c.Len() > 0 && q%2 == 0 {
+				x = c.LiveItems()[rng.Intn(c.Len())].X
+			}
+			var E Key
+			switch q % 3 {
+			case 1:
+				var feats []int
+				for a := 0; a < c.Schema.NumFeatures(); a++ {
+					if rng.Intn(2) == 0 {
+						feats = append(feats, a)
+					}
+				}
+				E = NewKey(feats...)
+			case 2:
+				for a := 0; a < c.Schema.NumFeatures(); a++ {
+					E = append(E, a)
+				}
+			}
+			for y := feature.Label(0); y < 3; y++ {
+				v, cov := ViolationsCoverage(c, x, y, E)
+				if want := Violations(c, x, y, E); v != want {
+					t.Fatalf("n=%d query %d y=%d E=%v: violations %d, Violations %d", n, q, y, E, v, want)
+				}
+				if want := Coverage(c, x, y, E); cov != want {
+					t.Fatalf("n=%d query %d y=%d E=%v: coverage %d, Coverage %d", n, q, y, E, cov, want)
+				}
+				if got, want := PrecisionOf(v, c.Len()), Precision(c, x, y, E); got != want { //rkvet:ignore floateq both sides are 1 - int/int over identical ints, bit-equal by construction
+					t.Fatalf("n=%d query %d y=%d: PrecisionOf %v, Precision %v", n, q, y, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestViolationsCoverageAllocFree: the /explain post-solve pass allocates
+// nothing, pooled or not.
+func TestViolationsCoverageAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(337))
+	c := randomContext(t, rng, agreeBlock*64+500, 6, 3, 2)
+	li := c.Item(0)
+	E := NewKey(0, 2, 3)
+	if allocs := testing.AllocsPerRun(100, func() {
+		ViolationsCoverage(c, li.X, li.Y, E)
+	}); allocs != 0 {
+		t.Fatalf("ViolationsCoverage allocates %v times per call, want 0", allocs)
+	}
+}

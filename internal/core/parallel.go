@@ -56,6 +56,7 @@ func solverWorkers(par, rows int) int {
 // word-aligned by construction) and tile [0, words) exactly; when words <
 // stripes the tail stripes are empty, which the range kernels treat as
 // zero-contribution.
+//
 //rkvet:noalloc
 func stripeBounds(words, stripes, s int) (int, int) {
 	return s * words / stripes, (s + 1) * words / stripes
@@ -198,6 +199,7 @@ func (rs *roundScorer) scan(d *bitset.Set, cands []int) {
 
 // runUnits claims (candidate, stripe) units off the shared counter until the
 // scan is exhausted.
+//
 //rkvet:noalloc
 func (rs *roundScorer) runUnits() {
 	for {
@@ -211,44 +213,6 @@ func (rs *roundScorer) runUnits() {
 			atomic.AddInt64(&rs.counts[a], int64(cnt))
 		}
 	}
-}
-
-// DisagreeingIntoPar is DisagreeingInto with the masked complement computed
-// as striped partial operations across par workers. Stripe workers write
-// disjoint word ranges of dst, so the shared destination needs no locking;
-// the result is bit-identical to DisagreeingInto.
-func (c *Context) DisagreeingIntoPar(dst *bitset.Set, y feature.Label, par int) *bitset.Set {
-	workers := solverWorkers(par, c.Len())
-	if workers <= 1 {
-		return c.DisagreeingInto(dst, y)
-	}
-	dst.CopyFrom(c.live)
-	if y < 0 || int(y) >= len(c.byLabel) {
-		return dst
-	}
-	label := c.byLabel[y]
-	runStripes(workers, dst.NumWords(), func(lo, hi int) {
-		dst.AndNotRange(label, lo, hi)
-	})
-	return dst
-}
-
-// runStripes partitions [0, words) into `workers` word-aligned stripes and
-// runs fn on each from its own goroutine, joining before returning.
-func runStripes(workers, words int, fn func(lo, hi int)) {
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		lo, hi := stripeBounds(words, workers, s)
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}()
-	}
-	wg.Wait()
 }
 
 // ViolationsPar is Violations as a parallel partial reduction: each stripe
@@ -289,11 +253,7 @@ func CoveragePar(c *Context, x feature.Instance, y feature.Label, E Key, par int
 
 // PrecisionPar is Precision computed with ViolationsPar.
 func PrecisionPar(c *Context, x feature.Instance, y feature.Label, E Key, par int) float64 {
-	n := c.Len()
-	if n == 0 {
-		return 1
-	}
-	return 1 - float64(ViolationsPar(c, x, y, E, par))/float64(n)
+	return PrecisionOf(ViolationsPar(c, x, y, E, par), c.Len())
 }
 
 // stripedMaskCount intersects d (already loaded with the base mask) with

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/xai-db/relativekeys/internal/bitset"
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
@@ -109,7 +108,7 @@ func TestDifferentialExactParallel(t *testing.T) {
 }
 
 // TestDifferentialCountersParallel: the striped partial reductions behind
-// Violations/Coverage/Precision/DisagreeingInto must agree with the
+// Violations/Coverage/Precision must agree with the
 // sequential primitives for arbitrary keys and stripe counts.
 func TestDifferentialCountersParallel(t *testing.T) {
 	forceParallel(t)
@@ -133,10 +132,6 @@ func TestDifferentialCountersParallel(t *testing.T) {
 			}
 			if got, want := PrecisionPar(c, row.X, row.Y, E, p), Precision(c, row.X, row.Y, E); got != want { //rkvet:ignore floateq both sides are 1 - int/int over identical ints, bit-equal by construction
 				t.Fatalf("trial %d P=%d: PrecisionPar %v, sequential %v", trial, p, got, want)
-			}
-			gotD := c.DisagreeingIntoPar(bitset.New(0), row.Y, p)
-			if !gotD.Equal(c.Disagreeing(row.Y)) {
-				t.Fatalf("trial %d P=%d: DisagreeingIntoPar differs", trial, p)
 			}
 		}
 	}

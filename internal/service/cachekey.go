@@ -107,8 +107,11 @@ func DecodeCacheKey(s string) (CacheKey, error) {
 	}
 	b = b[n:]
 	xlen, n := minUvarint(b)
-	if n <= 0 {
-		return k, fmt.Errorf("service: cache key: truncated instance length")
+	// Every value takes at least one byte, so a length past the remaining
+	// input cannot decode; rejecting it here keeps a forged length from
+	// sizing the allocation below.
+	if n <= 0 || uint64(len(b)-n) < xlen {
+		return k, fmt.Errorf("service: cache key: truncated instance")
 	}
 	b = b[n:]
 	x := make(feature.Instance, 0, xlen)

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -161,8 +162,11 @@ func (j *job) complete(body json.RawMessage) {
 }
 
 // snapshot returns the status plus the channel that closes on the next
-// change, so a streamer can wait without polling.
-func (j *job) snapshot(withResults bool) (JobStatus, chan struct{}) {
+// change, so a streamer can wait without polling. Results holds copies of
+// the completed entries from index from on: 0 for a full poll, the count
+// already written for a streamer's wake, so tailing n items copies each entry
+// once instead of the whole completed prefix on every wake.
+func (j *job) snapshot(from int) (JobStatus, chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
@@ -172,8 +176,8 @@ func (j *job) snapshot(withResults bool) (JobStatus, chan struct{}) {
 		Done:  len(j.results),
 		Error: j.errMsg,
 	}
-	if withResults {
-		st.Results = append([]json.RawMessage(nil), j.results...)
+	if from < len(j.results) {
+		st.Results = append([]json.RawMessage(nil), j.results[from:]...)
 	}
 	return st, j.progress
 }
@@ -546,7 +550,7 @@ func (st *jobStore) list() []JobProgress {
 	st.mu.Unlock()
 	out := make([]JobProgress, 0, len(jobs))
 	for _, j := range jobs {
-		s, _ := j.snapshot(false)
+		s, _ := j.snapshot(math.MaxInt) // progress only: no results
 		out = append(out, JobProgress{ID: s.ID, State: s.State, Done: s.Done, Total: s.Total})
 	}
 	return out
@@ -602,7 +606,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "unknown job "+id, http.StatusNotFound)
 			return
 		}
-		status, _ := j.snapshot(true)
+		status, _ := j.snapshot(0)
 		writeJSON(w, status)
 	default:
 		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
@@ -683,18 +687,19 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	sent := 0
 	for {
-		status, change := j.snapshot(true)
-		for ; sent < len(status.Results); sent++ {
-			// Two writes, not append(result, '\n'): the RawMessage backing
+		status, change := j.snapshot(sent)
+		for _, res := range status.Results {
+			// Two writes, not append(res, '\n'): the RawMessage backing
 			// array is shared with the stored job results and every other
 			// streamer, and an in-place append would race on the byte past len.
-			if _, err := w.Write(status.Results[sent]); err != nil {
+			if _, err := w.Write(res); err != nil {
 				return
 			}
 			if _, err := io.WriteString(w, "\n"); err != nil {
 				return
 			}
 		}
+		sent += len(status.Results)
 		if flusher != nil {
 			flusher.Flush()
 		}

@@ -3,9 +3,12 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/xai-db/relativekeys/internal/core"
 	"github.com/xai-db/relativekeys/internal/feature"
 	"github.com/xai-db/relativekeys/internal/persist"
 )
@@ -156,6 +160,96 @@ func TestJobStream(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	if len(lines) != len(status.Results) {
+		t.Fatalf("stream returned %d lines, poll %d results", len(lines), len(status.Results))
+	}
+	for i := range lines {
+		if !bytes.Equal(lines[i], status.Results[i]) {
+			t.Fatalf("stream line %d differs from poll result:\n%s\nvs\n%s", i, lines[i], status.Results[i])
+		}
+	}
+}
+
+// TestJobSnapshotCopiesOnlyNewResults: a streamer's wake after k new items
+// copies those k entries, not the whole completed prefix.
+func TestJobSnapshotCopiesOnlyNewResults(t *testing.T) {
+	j := &job{id: "j", items: make([]feature.Labeled, 8), state: jobRunning, progress: make(chan struct{})}
+	sent := 0
+	for _, k := range []int{1, 3, 0, 4} {
+		for i := 0; i < k; i++ {
+			j.complete(json.RawMessage(fmt.Sprintf(`{"index":%d}`, sent+i)))
+		}
+		st, _ := j.snapshot(sent)
+		if len(st.Results) != k || st.Done != sent+k {
+			t.Fatalf("wake after %d new of %d done: copied %d entries, Done=%d", k, sent+k, len(st.Results), st.Done)
+		}
+		for i, r := range st.Results {
+			if want := fmt.Sprintf(`{"index":%d}`, sent+i); string(r) != want {
+				t.Fatalf("entry %d = %s, want %s", i, r, want)
+			}
+		}
+		sent += k
+	}
+	if st, _ := j.snapshot(0); len(st.Results) != sent {
+		t.Fatalf("full poll copied %d entries, want %d", len(st.Results), sent)
+	}
+	if st, _ := j.snapshot(math.MaxInt); st.Results != nil || st.Done != sent {
+		t.Fatalf("progress snapshot: %d results, Done=%d", len(st.Results), st.Done)
+	}
+}
+
+// TestJobStreamTailsRunningJob tails a job while its items complete one at a
+// time, so every line arrives on its own wake (which needs the middleware to
+// pass Flush through), and checks the NDJSON equals the finished job's poll
+// results byte for byte.
+func TestJobStreamTailsRunningJob(t *testing.T) {
+	step := make(chan struct{})
+	solve := func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
+		<-step
+		return core.SRKAnytime(ctx, c, x, y, alpha)
+	}
+	srv, err := NewServer(Config{Schema: robustSchema(t), Alpha: 1.0, Solve: solve, SolverTag: "stepped"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Warm(robustSeed()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	items := []ExplainItem{
+		{Values: map[string]string{"Income": "3-4K", "Credit": "poor", "Area": "Urban"}, Prediction: "Denied"},
+		{Values: map[string]string{"Income": "5-6K", "Credit": "good", "Area": "Rural"}, Prediction: "Approved"},
+		{Values: map[string]string{"Income": "1-2K", "Credit": "poor", "Area": "Urban"}, Prediction: "Denied"},
+		{Values: map[string]string{"Income": "3-4K", "Credit": "good", "Area": "Rural"}, Prediction: "Approved"},
+	}
+	id, code := submitJob(t, ts.URL, JobSubmitRequest{Items: items})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, id)
+	}
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Get(ts.URL + "/jobs/stream?id=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close() //rkvet:ignore dropperr test teardown
+	sc := bufio.NewScanner(resp.Body)
+	var lines [][]byte
+	for range items {
+		select {
+		case step <- struct{}{}:
+		case <-time.After(30 * time.Second):
+			t.Fatal("job runner never reached the next item's solve")
+		}
+		if !sc.Scan() {
+			t.Fatalf("stream ended after %d lines: %v", len(lines), sc.Err())
+		}
+		lines = append(lines, append([]byte(nil), sc.Bytes()...))
+	}
+	if sc.Scan() {
+		t.Fatalf("stream wrote an extra line after the last item: %s", sc.Bytes())
+	}
+	status := pollJob(t, ts.URL, id)
 	if len(lines) != len(status.Results) {
 		t.Fatalf("stream returned %d lines, poll %d results", len(lines), len(status.Results))
 	}

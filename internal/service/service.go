@@ -646,6 +646,14 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// Flush passes through to the wrapped writer. Without it the recorder hides
+// http.Flusher and /jobs/stream buffers every line until the job ends.
+func (r *statusRecorder) Flush() {
+	if f, ok := r.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
 // recoverPanics converts handler panics into 500s so one poisoned request
 // cannot take the service down. http.ErrAbortHandler is the stdlib's own
 // "abort this response" signal and must keep propagating.
@@ -1045,10 +1053,11 @@ func (s *Server) solveEntryLocked(ctx context.Context, li feature.Labeled, alpha
 	if err != nil {
 		return solveOutcome{err: err}
 	}
+	violations, coverage := core.ViolationsCoverage(s.ctx, li.X, li.Y, key)
 	resp := ExplainResponse{
 		Rule:      key.RenderRule(s.schema, li.X, li.Y),
-		Precision: core.PrecisionPar(s.ctx, li.X, li.Y, key, s.parallelism),
-		Coverage:  core.CoveragePar(s.ctx, li.X, li.Y, key, s.parallelism),
+		Precision: core.PrecisionOf(violations, s.ctx.Len()),
+		Coverage:  coverage,
 		Context:   s.ctx.Len(),
 		Degraded:  degraded,
 	}
