@@ -64,7 +64,9 @@ func ExampleSRK() {
 }
 
 // Online monitoring keeps a coherent key as inference instances stream in —
-// the paper's Example 7.
+// the paper's Example 7. The monitor keeps only the rows its key must still
+// exclude, not the stream, so the check against the full stream runs on a
+// context the caller indexes alongside.
 func ExampleOnline() {
 	schema, context := exampleContext()
 	x0, y0 := context[0].X, context[0].Y
@@ -72,13 +74,20 @@ func ExampleOnline() {
 	if err != nil {
 		panic(err)
 	}
+	seen, err := relativekeys.NewContext(schema, nil)
+	if err != nil {
+		panic(err)
+	}
 	for _, li := range context {
 		if _, err := monitor.Observe(li); err != nil {
 			panic(err)
 		}
+		if err := seen.Add(li); err != nil {
+			panic(err)
+		}
 	}
 	key := monitor.Key()
-	fmt.Println("conformant:", relativekeys.IsAlphaKey(monitor.Context(), x0, y0, key, 1.0))
+	fmt.Println("conformant:", relativekeys.IsAlphaKey(seen, x0, y0, key, 1.0))
 	// Output: conformant: true
 }
 

@@ -35,6 +35,7 @@ func Cases() []Case {
 		{Name: "core/srk", Fn: benchSRK(1.0)},
 		{Name: "core/srk_alpha09", Fn: benchSRK(0.9)},
 		{Name: "core/osrk_observe", Fn: benchOSRKObserve},
+		{Name: "cce/drift_observe", Fn: benchDriftObserve},
 		{Name: "cce/window_advance", Fn: benchWindowAdvance},
 		{Name: "persist/wal_append", Fn: benchWALAppend},
 		{Name: "obs/counter_inc", Fn: benchCounterInc},
@@ -94,6 +95,30 @@ func benchOSRKObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := o.Observe(inference[i%len(inference)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchDriftObserve feeds the loan inference stream to a full 10-member drift
+// panel, cceserver's default -panel 10: one op is one arrival across the
+// whole panel, the per-row cost of /observe's monitor stage and of the panel
+// replay at boot.
+func benchDriftObserve(b *testing.B) {
+	_, inference, schema := loanContext(b)
+	d, err := cce.NewDriftMonitor(schema, 1.0, 10, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, li := range inference { // fill the panel
+		if err := d.Observe(li); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Observe(inference[i%len(inference)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -114,12 +114,22 @@ func TestOnlineAndStaticConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := core.NewContext(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, li := range stream {
 		if _, err := o.Observe(li); err != nil {
 			t.Fatal(err)
 		}
+		if err := ref.Add(li); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !core.IsAlphaKey(o.Context(), x0, y0, o.Key(), 1.0) && o.Conflicts() == 0 {
+	if o.Len() != ref.Len() {
+		t.Fatalf("online monitor counted %d arrivals, want %d", o.Len(), ref.Len())
+	}
+	if !core.IsAlphaKey(ref, x0, y0, o.Key(), 1.0) && o.Conflicts() == 0 {
 		t.Fatal("online key not conformant")
 	}
 

@@ -51,8 +51,13 @@ func (d *DriftMonitor) Observe(li feature.Labeled) error {
 // ObserveCtx is Observe under a deadline: each panel OSRK stops its grow loop
 // when ctx expires, keeping its coherent candidate and catching up on later
 // arrivals. The return counts the panel monitors that degraded this arrival.
+//
+// The arrival is validated before it can enroll a panel member, and every
+// member validates it the same way, so an arrival updates all members or
+// none. Once the panel is full the per-arrival path allocates nothing but the
+// amortized history append.
 func (d *DriftMonitor) ObserveCtx(ctx context.Context, li feature.Labeled) (int, error) {
-	if err := d.schema.Validate(li.X); err != nil {
+	if err := core.ValidateLabeled(d.schema, li); err != nil {
 		return 0, err
 	}
 	d.mu.Lock()
@@ -66,7 +71,7 @@ func (d *DriftMonitor) ObserveCtx(ctx context.Context, li feature.Labeled) (int,
 	}
 	numDegraded := 0
 	for _, m := range d.monitors {
-		_, degraded, err := m.ObserveCtx(ctx, li)
+		degraded, err := m.ObserveCtx(ctx, li)
 		if err != nil {
 			return numDegraded, err
 		}
@@ -97,7 +102,7 @@ func (d *DriftMonitor) avgSuccinctnessLocked() float64 {
 	}
 	sum := 0
 	for _, m := range d.monitors {
-		sum += m.Key().Succinctness()
+		sum += m.Succinctness()
 	}
 	return float64(sum) / float64(len(d.monitors))
 }

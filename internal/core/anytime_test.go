@@ -139,6 +139,10 @@ func TestOSRKObserveCtxDegradesAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := NewContext(schema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	expired := expiredCtx(t)
 	rng := rand.New(rand.NewSource(77))
 	numDegraded := 0
@@ -153,30 +157,37 @@ func TestOSRKObserveCtxDegradesAndHeals(t *testing.T) {
 		}
 		arrivals = append(arrivals, li)
 		prev := o.Key()
-		key, degraded, err := o.ObserveCtx(expired, li)
+		degraded, err := o.ObserveCtx(expired, li)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !prev.IsSubset(key) {
+		if err := ref.Add(li); err != nil {
+			t.Fatal(err)
+		}
+		if key := o.Key(); !prev.IsSubset(key) {
 			t.Fatalf("arrival %d: coherence broken: %v ⊄ %v", i, prev, key)
 		}
 		if degraded {
 			numDegraded++
 		}
 	}
-	if o.Context().Len() != len(arrivals) {
-		t.Fatalf("context %d, want %d: degraded observes must still admit", o.Context().Len(), len(arrivals))
+	if o.Len() != len(arrivals) {
+		t.Fatalf("monitor counted %d arrivals, want %d: degraded observes must still admit", o.Len(), len(arrivals))
 	}
 	// One undeadlined arrival lets the monitor catch up to the budget.
 	li := feature.Labeled{X: feature.Instance{1, 1, 1, 1}, Y: 1}
-	key, degraded, err := o.ObserveCtx(context.Background(), li)
+	degraded, err := o.ObserveCtx(context.Background(), li)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Add(li); err != nil {
 		t.Fatal(err)
 	}
 	if degraded {
 		t.Fatal("undeadlined observe reported degraded")
 	}
-	if v := Violations(o.Context(), x0, 0, key); v > Budget(1.0, o.Context().Len())+o.Conflicts() {
+	key := o.Key()
+	if v := Violations(ref, x0, 0, key); v > Budget(1.0, ref.Len())+o.Conflicts() {
 		t.Fatalf("healed key %v leaves %d violators beyond budget+conflicts", key, v)
 	}
 }

@@ -105,11 +105,8 @@ func (c *Context) Add(li feature.Labeled) error {
 // later Remove rows (sliding windows, rollbacks) can address them in O(1).
 // Retired slots are reused before the context grows.
 func (c *Context) AddSlot(li feature.Labeled) (int, error) {
-	if err := c.Schema.Validate(li.X); err != nil {
+	if err := ValidateLabeled(c.Schema, li); err != nil {
 		return -1, err
-	}
-	if li.Y < 0 || int(li.Y) >= len(c.Schema.Labels) {
-		return -1, fmt.Errorf("core: prediction %d outside label space of size %d", li.Y, len(c.Schema.Labels))
 	}
 	var i int
 	if n := len(c.free); n > 0 {
@@ -246,6 +243,20 @@ var ErrNoKey = errors.New("core: no α-conformant relative key exists for this c
 func ValidateAlpha(alpha float64) error {
 	if !(alpha > 0 && alpha <= 1) {
 		return fmt.Errorf("core: conformity bound α=%v outside (0,1]", alpha)
+	}
+	return nil
+}
+
+// ValidateLabeled checks that an arrival fits the schema: its instance inside
+// the feature space and its prediction inside the label space. Every path
+// that admits a row — Context.AddSlot, OSRK and the drift panel — validates
+// with it, so they accept and reject exactly the same arrivals.
+func ValidateLabeled(schema *feature.Schema, li feature.Labeled) error {
+	if err := schema.Validate(li.X); err != nil {
+		return err
+	}
+	if li.Y < 0 || int(li.Y) >= len(schema.Labels) {
+		return fmt.Errorf("core: prediction %d outside label space of size %d", li.Y, len(schema.Labels))
 	}
 	return nil
 }

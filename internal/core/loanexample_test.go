@@ -130,17 +130,24 @@ func TestExample7Stream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := NewContext(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prev := Key{}
 	for _, li := range append(items, extra...) {
 		key, err := o.Observe(li)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := ref.Add(li); err != nil {
+			t.Fatal(err)
+		}
 		if !prev.IsSubset(key) {
 			t.Fatalf("coherence violated: %v ⊄ %v", prev, key)
 		}
-		if !IsAlphaKey(o.Context(), x0, y0, key, 1.0) {
-			t.Fatalf("key %v not conformant after %d arrivals", key, o.Context().Len())
+		if !IsAlphaKey(ref, x0, y0, key, 1.0) {
+			t.Fatalf("key %v not conformant after %d arrivals", key, o.Len())
 		}
 		prev = key
 	}

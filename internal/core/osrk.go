@@ -16,19 +16,27 @@ import (
 // in expectation (Theorem 5). Per-arrival work is O(n log n), independent of
 // the context size, except for the coherent shrink of the maintained violator
 // list, which is amortized O(1) per instance.
+//
+// The monitor keeps only the state Algorithm 2 reads: |I_t|, p_t and the
+// violator set V_t, so it holds O(n + |V_t|) memory and no index of the
+// stream. Callers that need the context itself (to check a key against it)
+// keep their own.
 type OSRK struct {
-	c     *Context
-	x0    feature.Instance
-	y0    feature.Label
-	alpha float64
+	schema *feature.Schema
+	x0     feature.Instance
+	y0     feature.Label
+	alpha  float64
 
 	weights []float64
 	inE     []bool
 	key     Key
 
-	// violators holds indices of context rows that agree with x₀ on E and
-	// predict differently; maintained incrementally.
-	violators []int
+	// n counts the arrivals so far, |I_t|; the budget is Budget(α, n).
+	n int
+	// violators holds V_t, the feature vectors of arrivals that agree with x₀
+	// on E and predict differently, maintained incrementally. They alias the
+	// caller's instances, as Context.Add does.
+	violators []feature.Instance
 	// p counts online instances whose prediction differs from x₀'s (the p_t
 	// of Algorithm 2).
 	p int
@@ -46,11 +54,7 @@ func NewOSRK(schema *feature.Schema, x0 feature.Instance, y0 feature.Label, alph
 	if err := ValidateAlpha(alpha); err != nil {
 		return nil, err
 	}
-	if err := schema.Validate(x0); err != nil {
-		return nil, err
-	}
-	c, err := NewContext(schema, nil)
-	if err != nil {
+	if err := ValidateLabeled(schema, feature.Labeled{X: x0, Y: y0}); err != nil {
 		return nil, err
 	}
 	n := schema.NumFeatures()
@@ -61,7 +65,7 @@ func NewOSRK(schema *feature.Schema, x0 feature.Instance, y0 feature.Label, alph
 		weights[i] = w
 	}
 	return &OSRK{
-		c:       c,
+		schema:  schema,
 		x0:      x0.Clone(),
 		y0:      y0,
 		alpha:   alpha,
@@ -87,8 +91,11 @@ func initialWeight(n int) float64 {
 // Key returns the current key E_t (a copy).
 func (o *OSRK) Key() Key { return o.key.Clone() }
 
-// Context returns the context accumulated so far.
-func (o *OSRK) Context() *Context { return o.c }
+// Succinctness returns |E_t| without copying the key.
+func (o *OSRK) Succinctness() int { return len(o.key) }
+
+// Len returns |I_t|, the number of arrivals accepted so far.
+func (o *OSRK) Len() int { return o.n }
 
 // Conflicts returns the number of arrivals that no key can exclude (identical
 // to x₀ with a different prediction).
@@ -97,45 +104,63 @@ func (o *OSRK) Conflicts() int { return o.conflicts }
 // Observe processes the arrival of x_t with prediction y_t and returns the
 // updated key.
 func (o *OSRK) Observe(li feature.Labeled) (Key, error) {
-	key, _, err := o.ObserveCtx(context.Background(), li) //rkvet:ignore ctxflow Observe is the sanctioned never-cancelled specialization; per-arrival maintenance must run to completion to keep the key valid
-	return key, err
+	if _, err := o.ObserveCtx(context.Background(), li); err != nil { //rkvet:ignore ctxflow Observe is the sanctioned never-cancelled specialization; per-arrival maintenance must run to completion to keep the key valid
+		return nil, err
+	}
+	return o.Key(), nil
 }
 
-// ObserveCtx is Observe with cooperative cancellation: the grow loop of
-// Algorithm 2 checks ctx once per augmentation round. OSRK is naturally
-// anytime — E_t only ever grows, and the violator list is maintained
-// regardless of where growth stops — so expiring mid-grow returns the
-// current coherent candidate with degraded=true instead of an error. The
-// monitor self-heals: the arrival is already in the context and its
+// ObserveCtx is Observe with cooperative cancellation. It returns whether the
+// grow loop stopped early, not the key; read that with Key, or its size with
+// Succinctness. The loop checks ctx once per augmentation round. OSRK is
+// naturally anytime — E_t only ever grows, and the violator list is
+// maintained regardless of where growth stops — so expiring mid-grow keeps
+// the current coherent candidate and reports degraded=true instead of an
+// error. The monitor self-heals: the arrival is already counted and its
 // violators are tracked, so the next ObserveCtx resumes growing toward the
 // budget exactly where this one stopped.
-func (o *OSRK) ObserveCtx(ctx context.Context, li feature.Labeled) (Key, bool, error) {
+//
+// An arrival predicting y₀ ends at line 2 before the stage timer starts, so
+// the osrk_observe histogram and the osrk.observe span cover only arrivals
+// that reach line 3.
+func (o *OSRK) ObserveCtx(ctx context.Context, li feature.Labeled) (degraded bool, err error) {
+	differs, err := o.admit(li)
+	if !differs {
+		return false, err
+	}
 	start := time.Now()
 	sp := obs.StartSpan(ctx, "osrk.observe")
-	key, degraded, err := o.observeCtx(ctx, li)
+	degraded = o.grow(ctx, li.X)
 	sp.End()
 	osrkObserveSeconds.ObserveSince(start)
 	if degraded {
 		osrkDegraded.Inc()
 	}
-	return key, degraded, err
+	return degraded, nil
 }
 
-// observeCtx is the uninstrumented grow loop; ObserveCtx wraps it with the
-// stage timer, span, and degradation counter.
-func (o *OSRK) observeCtx(ctx context.Context, li feature.Labeled) (Key, bool, error) {
-	if err := o.c.Add(li); err != nil {
-		return nil, false, err
+// admit validates an arrival and counts it into |I_t|. For an arrival whose
+// prediction differs from x₀'s it also counts p_t and enrolls x_t in V_t when
+// it agrees with x₀ on E, then reports true: the caller continues at line 3.
+// A rejected arrival changes nothing.
+func (o *OSRK) admit(li feature.Labeled) (bool, error) {
+	if err := ValidateLabeled(o.schema, li); err != nil {
+		return false, err
 	}
+	o.n++
 	if li.Y == o.y0 {
-		return o.Key(), false, nil // line 2: nothing to do
+		return false, nil // line 2: nothing to do
 	}
 	o.p++
-	// Track the new arrival as a violator if it matches x₀ on E.
 	if li.X.AgreesOn(o.x0, o.key) {
-		o.violators = append(o.violators, o.c.Len()-1)
+		o.violators = append(o.violators, li.X)
 	}
+	return true, nil
+}
 
+// grow runs lines 3-15 for an admitted arrival x_t that predicts differently
+// from x₀, reporting whether ctx expired before V_t fit the budget.
+func (o *OSRK) grow(ctx context.Context, x feature.Instance) (degraded bool) {
 	// Lines 3-6: first differing instance seeds E randomly.
 	if !o.seeded && len(o.key) == 0 {
 		o.seeded = true
@@ -146,15 +171,13 @@ func (o *OSRK) observeCtx(ctx context.Context, li feature.Labeled) (Key, bool, e
 		}
 	}
 
-	budget := Budget(o.alpha, o.c.Len())
-	degraded := false
+	budget := Budget(o.alpha, o.n)
 	// Lines 8-15: grow E until the violators fit the budget.
 	for len(o.violators) > budget {
 		if ctx.Err() != nil {
-			degraded = true
-			break
+			return true
 		}
-		st := o.differingOutsideE(li.X)
+		st := o.differingOutsideE(x)
 		if len(st) == 0 {
 			// x_t (or an earlier twin) is an inherent conflict; no feature
 			// can help, tolerate it and stop.
@@ -182,7 +205,7 @@ func (o *OSRK) observeCtx(ctx context.Context, li feature.Labeled) (Key, bool, e
 			}
 		}
 	}
-	return o.Key(), degraded, nil
+	return false
 }
 
 // differingOutsideE returns S_t = {i ∉ E | x_t[A_i] ≠ x₀[A_i]}.
@@ -205,10 +228,11 @@ func (o *OSRK) addFeature(i int) {
 	o.key = o.key.With(i)
 	kept := o.violators[:0]
 	for _, r := range o.violators {
-		if o.c.Item(r).X[i] == o.x0[i] {
+		if r[i] == o.x0[i] {
 			kept = append(kept, r)
 		}
 	}
+	clear(o.violators[len(kept):]) // drop references to excluded rows
 	o.violators = kept
 }
 
@@ -236,17 +260,14 @@ func (a *OSRKFixedProb) Key() Key { return a.inner.Key() }
 // Observe processes one arrival with fixed-probability sampling.
 func (a *OSRKFixedProb) Observe(li feature.Labeled) (Key, error) {
 	o := a.inner
-	if err := o.c.Add(li); err != nil {
+	differs, err := o.admit(li)
+	if err != nil {
 		return nil, err
 	}
-	if li.Y == o.y0 {
+	if !differs {
 		return o.Key(), nil
 	}
-	o.p++
-	if li.X.AgreesOn(o.x0, o.key) {
-		o.violators = append(o.violators, o.c.Len()-1)
-	}
-	budget := Budget(o.alpha, o.c.Len())
+	budget := Budget(o.alpha, o.n)
 	w := initialWeight(len(o.weights))
 	for tries := 0; len(o.violators) > budget; tries++ {
 		st := o.differingOutsideE(li.X)

@@ -8,20 +8,46 @@ import (
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
+// Invalid targets and arrivals are rejected with the checks Context.AddSlot
+// runs — predictions outside the label space included — and a rejected
+// arrival is not counted.
 func TestOSRKValidation(t *testing.T) {
 	s := loanSchema(t)
-	if _, err := NewOSRK(s, feature.Instance{0, 0, 0, 0}, 0, 0, 1); err == nil {
+	x0 := feature.Instance{0, 0, 0, 0}
+	if _, err := NewOSRK(s, x0, 0, 0, 1); err == nil {
 		t.Fatal("α=0 accepted")
 	}
 	if _, err := NewOSRK(s, feature.Instance{0}, 0, 1, 1); err == nil {
 		t.Fatal("bad instance accepted")
 	}
-	o, err := NewOSRK(s, feature.Instance{0, 0, 0, 0}, 0, 1, 1)
+	for _, y := range []feature.Label{-1, feature.Label(len(s.Labels))} {
+		if _, err := NewOSRK(s, x0, y, 1, 1); err == nil {
+			t.Fatalf("target prediction %d accepted", y)
+		}
+		if _, err := NewOSRKFixedProb(s, x0, y, 1, 1); err == nil {
+			t.Fatalf("fixed-prob target prediction %d accepted", y)
+		}
+	}
+	o, err := NewOSRK(s, x0, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Observe(feature.Labeled{X: feature.Instance{9, 0, 0, 0}, Y: 0}); err == nil {
-		t.Fatal("invalid arrival accepted")
+	c, err := NewContext(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []feature.Labeled{
+		{X: feature.Instance{9, 0, 0, 0}, Y: 0},
+		{X: feature.Instance{1, 1, 1, 1}, Y: feature.Label(len(s.Labels))},
+	} {
+		_, oerr := o.Observe(bad)
+		cerr := c.Add(bad)
+		if oerr == nil || cerr == nil || oerr.Error() != cerr.Error() {
+			t.Fatalf("arrival %v: OSRK error %v, context error %v: want the same rejection", bad, oerr, cerr)
+		}
+	}
+	if o.Len() != 0 || o.Succinctness() != 0 {
+		t.Fatalf("rejected arrivals changed the monitor: Len %d, key %v", o.Len(), o.Key())
 	}
 }
 
@@ -54,18 +80,28 @@ func TestOSRKInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref, err := NewContext(c.Schema, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		prev := Key{}
 		for i := 0; i < c.Len(); i++ {
 			key, err := o.Observe(c.Item(i))
 			if err != nil {
 				t.Fatal(err)
 			}
+			if err := ref.Add(c.Item(i)); err != nil {
+				t.Fatal(err)
+			}
 			if !prev.IsSubset(key) {
 				t.Fatalf("trial %d step %d: coherence violated", trial, i)
 			}
 			prev = key
-			v := Violations(o.Context(), x0, y0, key)
-			budget := Budget(alpha, o.Context().Len()) + o.Conflicts()
+			if o.Len() != ref.Len() {
+				t.Fatalf("trial %d step %d: Len = %d, want %d", trial, i, o.Len(), ref.Len())
+			}
+			v := Violations(ref, x0, y0, key)
+			budget := Budget(alpha, ref.Len()) + o.Conflicts()
 			if v > budget {
 				t.Fatalf("trial %d step %d: violations %d > budget %d (conflicts %d)",
 					trial, i, v, budget, o.Conflicts())
@@ -144,12 +180,19 @@ func TestOSRKCompetitiveOnAverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref, err := NewContext(c.Schema, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < c.Len(); i++ {
 			if _, err := o.Observe(c.Item(i)); err != nil {
 				t.Fatal(err)
 			}
+			if err := ref.Add(c.Item(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		opt, err := ExactMinKey(o.Context(), x0, y0, 1, 0)
+		opt, err := ExactMinKey(ref, x0, y0, 1, 0)
 		if err != nil {
 			continue
 		}
@@ -174,10 +217,17 @@ func TestOSRKFixedProbInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := NewContext(c.Schema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prev := Key{}
 	for i := 0; i < c.Len(); i++ {
 		key, err := a.Observe(c.Item(i))
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Add(c.Item(i)); err != nil {
 			t.Fatal(err)
 		}
 		if !prev.IsSubset(key) {
@@ -185,7 +235,10 @@ func TestOSRKFixedProbInvariants(t *testing.T) {
 		}
 		prev = key
 	}
-	v := Violations(a.inner.Context(), x0, y0, a.Key())
+	if a.inner.Len() != ref.Len() {
+		t.Fatalf("Len = %d, want %d", a.inner.Len(), ref.Len())
+	}
+	v := Violations(ref, x0, y0, a.Key())
 	if v > a.inner.Conflicts() {
 		t.Fatalf("fixed-prob variant left %d violations", v)
 	}
@@ -202,6 +255,10 @@ func TestOSRKWeightAndSizeBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := NewContext(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 300; i++ {
 		// Adversarial arrival: differs from x0 on every feature, always a
 		// different prediction.
@@ -213,6 +270,9 @@ func TestOSRKWeightAndSizeBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := ref.Add(li); err != nil {
+			t.Fatal(err)
+		}
 		if len(key) > n {
 			t.Fatalf("key size %d exceeds n=%d", len(key), n)
 		}
@@ -222,7 +282,7 @@ func TestOSRKWeightAndSizeBounds(t *testing.T) {
 			}
 		}
 	}
-	if v := Violations(o.Context(), x0, 0, o.Key()); v > o.Conflicts() {
+	if v := Violations(ref, x0, 0, o.Key()); v > o.Conflicts() {
 		t.Fatalf("adversarial stream left %d violations", v)
 	}
 }

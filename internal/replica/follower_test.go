@@ -72,9 +72,12 @@ func TestFollowerSnapshotCatchupPastCompaction(t *testing.T) {
 
 	f2 := startFollower(t, f.dir, p.URL(), nil)
 	f2.caughtUpTo(24, 10*time.Second)
-	if f2.fol.SnapshotCatchups() == 0 {
-		t.Fatal("follower resumed a compacted tail without a snapshot catch-up")
-	}
+	// The follower counts a snapshot catch-up after installing it, so the
+	// watermark can reach 24 a beat before the counter moves: wait for the
+	// count rather than asserting a point in time. A follower that resumed
+	// the compacted tail without a catch-up never counts one and times out.
+	waitFor(t, 5*time.Second, "the follower to count a snapshot catch-up (a compacted tail must not be resumed without one)",
+		func() bool { return f2.fol.SnapshotCatchups() > 0 })
 	assertConverged(t, p.URL(), serveFollower(t, f2), p.schema, testRows(97, 10, p.schema))
 }
 

@@ -91,12 +91,22 @@ func TestPublicOnlineModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := relativekeys.NewContext(schema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, li := range items {
 		if _, err := online.Observe(li); err != nil {
 			t.Fatal(err)
 		}
+		if err := ref.Add(li); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !relativekeys.IsAlphaKey(online.Context(), x0, y0, online.Key(), 1.0) {
+	if online.Len() != ref.Len() {
+		t.Fatalf("online monitor counted %d arrivals, want %d", online.Len(), ref.Len())
+	}
+	if !relativekeys.IsAlphaKey(ref, x0, y0, online.Key(), 1.0) {
 		t.Fatal("online key not conformant")
 	}
 
