@@ -96,8 +96,8 @@ loadgen-smoke:
 # Short native-fuzz burst per target, on top of the committed seed corpora
 # (testdata/fuzz/): bitset vs naive model, bucketing round-trips, incremental
 # context vs rebuilt, SAT solver vs its own CNF, explanation-cache key
-# canonical form. go test -fuzz accepts one target per invocation, hence the
-# fan-out.
+# canonical form, replication WAL-record decode round trip. go test -fuzz
+# accepts one target per invocation, hence the fan-out.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSetOps          -fuzztime=$(FUZZTIME) ./internal/bitset/
 	$(GO) test -run=NONE -fuzz=FuzzStripedCard     -fuzztime=$(FUZZTIME) ./internal/bitset/
@@ -107,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLazyGreedy      -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzSolver          -fuzztime=$(FUZZTIME) ./internal/sat/
 	$(GO) test -run=NONE -fuzz=FuzzCacheKey        -fuzztime=$(FUZZTIME) ./internal/service/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) ./internal/persist/
 
 # The fault-injection suite under the race detector: deadline degradation,
 # crash recovery from torn logs, load shedding, panic survival, the

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	cceserver [-addr :8080] [-dataset loan] [-alpha 1.0] [-panel 10] [-retain 0] [-warm]
-//	          [-solver lazy] [-solver-parallelism NumCPU]
+//	          [-solver-parallelism NumCPU]
 //	          [-explain-cache on] [-explain-cache-entries 0] [-explain-cache-bytes 0]
 //	          [-deadline 0] [-min-deadline 0] [-max-inflight 0]
 //	          [-state DIR] [-snapshot-every 256] [-wal-sync-every 1] [-compact-wal]
@@ -64,7 +64,6 @@ func main() {
 		retain = flag.Int("retain", 0, "keep only the most recent N observations in the context (0 = unbounded)")
 		warm   = flag.Bool("warm", false, "pre-populate the context with a trained model's inference log")
 
-		solver    = flag.String("solver", "lazy", "explain solver: lazy (CELF lazy greedy, the default) or eager (the reference full-scan loop; byte-identical keys, for A/B and escape hatch)")
 		solverPar = flag.Int("solver-parallelism", runtime.NumCPU(), "workers per explain solve; contexts under the row threshold solve sequentially regardless (1 = always sequential)")
 
 		explainCache = flag.String("explain-cache", "on", "explanation cache + request coalescing: on or off (DESIGN.md §15)")
@@ -115,22 +114,6 @@ func main() {
 		fatal("load dataset", err)
 	}
 
-	// -solver=eager pins the sequential reference engine through the Solve
-	// seam; the default (lazy) leaves it nil so the service uses the lazy
-	// engine at -solver-parallelism workers.
-	var solveFn service.SolveFunc
-	solverTag := ""
-	switch *solver {
-	case "lazy":
-	case "eager":
-		solveFn = core.SRKAnytime
-		// Declare the engine in the cache-key fingerprint: eager and lazy keys
-		// are byte-identical, but two processes sharing persisted state must
-		// still never alias entries across engine configurations.
-		solverTag = "eager"
-	default:
-		fatal("parse flags", errors.New("-solver must be lazy or eager"))
-	}
 	cacheOff := false
 	switch *explainCache {
 	case "on":
@@ -139,19 +122,16 @@ func main() {
 	default:
 		fatal("parse flags", errors.New("-explain-cache must be on or off"))
 	}
+	// The service solves with the lazy engine at -solver-parallelism workers
+	// when Solve is nil; only the -solve-stall drill wraps it.
+	var solveFn service.SolveFunc
+	solverTag := ""
 	if *solveStall > 0 {
 		// The stall honours the request context: when a deadline fires
 		// mid-stall the solver runs immediately on the expired context and
 		// degrades, exactly like real long solves under load. The stall does
 		// not change results, so the cache-key fingerprint stays the engine's.
-		inner, stall := solveFn, *solveStall
-		if inner == nil {
-			par := *solverPar
-			inner = func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
-				return core.SRKAnytimePar(ctx, c, x, y, alpha, par)
-			}
-			solverTag = fmt.Sprintf("lazy/p=%d", par)
-		}
+		stall, par := *solveStall, *solverPar
 		solveFn = func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
 			t := time.NewTimer(stall)
 			select {
@@ -159,8 +139,9 @@ func main() {
 				t.Stop()
 			case <-t.C:
 			}
-			return inner(ctx, c, x, y, alpha)
+			return core.SRKAnytimePar(ctx, c, x, y, alpha, par)
 		}
+		solverTag = fmt.Sprintf("lazy/p=%d", par)
 	}
 
 	follower := *follow != ""

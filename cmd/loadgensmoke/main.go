@@ -18,16 +18,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"sync"
 	"syscall"
 	"time"
+
+	"github.com/xai-db/relativekeys/internal/e2e"
 )
 
 func main() {
@@ -78,7 +77,7 @@ func run(artifact string) error {
 		"-bench-json", artifact)
 	bench.Stdout, bench.Stderr = &out, os.Stderr
 	if err := bench.Run(); err != nil {
-		return fmt.Errorf("ccebench: %w\nserver log:\n%s", err, readLog(logPath))
+		return fmt.Errorf("ccebench: %w\nserver log:\n%s", err, e2e.ReadLog(logPath))
 	}
 	var res struct {
 		Requests  int64            `json:"requests"`
@@ -108,7 +107,7 @@ func run(artifact string) error {
 
 	// The serving counters must be visible on the metrics plane, not just in
 	// /stats.
-	metrics, err := get(base + "/metrics")
+	metrics, err := e2e.Get(base + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -118,7 +117,7 @@ func run(artifact string) error {
 		`rk_jobs_total{event="completed"}`,
 		`rk_job_items_total`,
 	} {
-		v, ok := seriesValue(metrics, series)
+		v, ok := e2e.SeriesValue(metrics, series)
 		if !ok {
 			return fmt.Errorf("/metrics missing series %s", series)
 		}
@@ -139,14 +138,14 @@ func run(artifact string) error {
 	}
 	defer stallStop()
 	if err := forceCoalesce(stallBase); err != nil {
-		return fmt.Errorf("%w\nstalled-server log:\n%s", err, readLog(stallLog))
+		return fmt.Errorf("%w\nstalled-server log:\n%s", err, e2e.ReadLog(stallLog))
 	}
-	stallMetrics, err := get(stallBase + "/metrics")
+	stallMetrics, err := e2e.Get(stallBase + "/metrics")
 	if err != nil {
 		return err
 	}
 	series := `rk_explain_cache_total{outcome="coalesced"}`
-	if v, ok := seriesValue(stallMetrics, series); !ok || v < 1 {
+	if v, ok := e2e.SeriesValue(stallMetrics, series); !ok || v < 1 {
 		return fmt.Errorf("stalled server /metrics series %s = %v (present=%v), want >= 1", series, v, ok)
 	}
 	return nil
@@ -156,7 +155,7 @@ func run(artifact string) error {
 // log file under tmp, waits for it to answer /schema, and returns its base
 // URL plus a teardown func.
 func bootServer(bin, tmp, name string, extra ...string) (base, logPath string, stop func(), err error) {
-	addr, err := freeAddr()
+	addr, err := e2e.FreeAddr()
 	if err != nil {
 		return "", "", nil, err
 	}
@@ -181,9 +180,9 @@ func bootServer(bin, tmp, name string, extra ...string) (base, logPath string, s
 		logFile.Close()                         //rkvet:ignore dropperr write-side close at exit; the log is diagnostic only
 	}
 	base = "http://" + addr
-	if err := waitReady(base+"/schema", 10*time.Second); err != nil {
+	if err := e2e.WaitReady(base+"/schema", 10*time.Second); err != nil {
 		stop()
-		return "", "", nil, fmt.Errorf("%s: %w\nserver log:\n%s", name, err, readLog(logPath))
+		return "", "", nil, fmt.Errorf("%s: %w\nserver log:\n%s", name, err, e2e.ReadLog(logPath))
 	}
 	return base, logPath, stop, nil
 }
@@ -194,7 +193,7 @@ func bootServer(bin, tmp, name string, extra ...string) (base, logPath string, s
 // NB identical requests at once: the first to arrive leads the flight, and
 // any that land during its solve coalesce.
 func forceCoalesce(base string) error {
-	schema, err := get(base + "/schema")
+	schema, err := e2e.Get(base + "/schema")
 	if err != nil {
 		return err
 	}
@@ -221,7 +220,7 @@ func forceCoalesce(base string) error {
 		var stats struct {
 			Coalesced int64 `json:"cache_coalesced"`
 		}
-		raw, err := get(base + "/stats")
+		raw, err := e2e.Get(base + "/stats")
 		if err != nil {
 			return 0, err
 		}
@@ -274,73 +273,4 @@ func forceCoalesce(base string) error {
 		}
 	}
 	return fmt.Errorf("no coalesced requests after %d barrier bursts of %d", rounds, burst)
-}
-
-// freeAddr grabs a loopback port from the kernel and releases it for the
-// server to claim. The tiny claim race is acceptable in a smoke test.
-func freeAddr() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := l.Addr().String()
-	if err := l.Close(); err != nil {
-		return "", err
-	}
-	return addr, nil
-}
-
-// waitReady polls url until it answers 200 or the budget expires.
-func waitReady(url string, budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(url)
-		if err == nil {
-			resp.Body.Close() //rkvet:ignore dropperr read-side body close; nothing to recover
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return fmt.Errorf("server not ready within %v", budget)
-}
-
-func get(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close() //rkvet:ignore dropperr read-side body close; nothing to recover
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET %s: %s: %s", url, resp.Status, b)
-	}
-	return string(b), nil
-}
-
-// seriesValue finds one exposition line by its full series name (with labels)
-// and parses its value.
-func seriesValue(exposition, series string) (float64, bool) {
-	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` (\S+)$`)
-	m := re.FindStringSubmatch(exposition)
-	if m == nil {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(m[1], 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-func readLog(path string) string {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return "(no log: " + err.Error() + ")"
-	}
-	return string(b)
 }

@@ -12,17 +12,13 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"syscall"
 	"time"
 
+	"github.com/xai-db/relativekeys/internal/e2e"
 	"github.com/xai-db/relativekeys/internal/service"
 )
 
@@ -48,11 +44,11 @@ func run() error {
 		return fmt.Errorf("build cceserver: %w", err)
 	}
 
-	addr, err := freeAddr()
+	addr, err := e2e.FreeAddr()
 	if err != nil {
 		return err
 	}
-	opsAddr, err := freeAddr()
+	opsAddr, err := e2e.FreeAddr()
 	if err != nil {
 		return err
 	}
@@ -79,8 +75,8 @@ func run() error {
 	}()
 
 	base := "http://" + addr
-	if err := waitReady(base+"/schema", 10*time.Second); err != nil {
-		return fmt.Errorf("%w\nserver log:\n%s", err, readLog(logPath))
+	if err := e2e.WaitReady(base+"/schema", 10*time.Second); err != nil {
+		return fmt.Errorf("%w\nserver log:\n%s", err, e2e.ReadLog(logPath))
 	}
 
 	// Drive traffic through the retrying client: a row observed a few times,
@@ -100,7 +96,7 @@ func run() error {
 	}
 
 	// Scrape the ops listener and assert the load is visible.
-	metrics, err := get("http://" + opsAddr + "/metrics")
+	metrics, err := e2e.Get("http://" + opsAddr + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -120,7 +116,7 @@ func run() error {
 		{`rk_monitor_observations_total`, 10},
 	}
 	for _, c := range checks {
-		v, ok := seriesValue(metrics, c.series)
+		v, ok := e2e.SeriesValue(metrics, c.series)
 		if !ok {
 			return fmt.Errorf("/metrics missing series %s\n%s", c.series, metrics)
 		}
@@ -130,7 +126,7 @@ func run() error {
 	}
 
 	// /healthz must be ok with zero failure counters.
-	healthBody, err := get("http://" + opsAddr + "/healthz")
+	healthBody, err := e2e.Get("http://" + opsAddr + "/healthz")
 	if err != nil {
 		return err
 	}
@@ -152,7 +148,7 @@ func run() error {
 
 	// With 1-in-1 sampling every request leaves a trace; the explain trace
 	// must carry a solver span.
-	traces, err := get("http://" + opsAddr + "/debug/traces")
+	traces, err := e2e.Get("http://" + opsAddr + "/debug/traces")
 	if err != nil {
 		return err
 	}
@@ -191,11 +187,11 @@ func run() error {
 // role with the primary's epoch and watermark, and a bounded /explain carries
 // the staleness contract fields.
 func replicaSmoke(tmp, bin, primaryBase string, values map[string]string, prediction string) error {
-	addr, err := freeAddr()
+	addr, err := e2e.FreeAddr()
 	if err != nil {
 		return err
 	}
-	opsAddr, err := freeAddr()
+	opsAddr, err := e2e.FreeAddr()
 	if err != nil {
 		return err
 	}
@@ -220,8 +216,8 @@ func replicaSmoke(tmp, bin, primaryBase string, values map[string]string, predic
 	}()
 
 	base := "http://" + addr
-	if err := waitReady(base+"/schema", 10*time.Second); err != nil {
-		return fmt.Errorf("follower: %w\nfollower log:\n%s", err, readLog(logPath))
+	if err := e2e.WaitReady(base+"/schema", 10*time.Second); err != nil {
+		return fmt.Errorf("follower: %w\nfollower log:\n%s", err, e2e.ReadLog(logPath))
 	}
 
 	// Wait for catch-up: the primary holds 10 observations.
@@ -233,7 +229,7 @@ func replicaSmoke(tmp, bin, primaryBase string, values map[string]string, predic
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		healthBody, gerr := get("http://" + opsAddr + "/healthz")
+		healthBody, gerr := e2e.Get("http://" + opsAddr + "/healthz")
 		if gerr == nil {
 			if jerr := json.Unmarshal([]byte(healthBody), &health); jerr != nil {
 				return fmt.Errorf("follower healthz decode: %w (%s)", jerr, healthBody)
@@ -243,7 +239,7 @@ func replicaSmoke(tmp, bin, primaryBase string, values map[string]string, predic
 			}
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("follower never caught up (healthz: %+v)\nfollower log:\n%s", health, readLog(logPath))
+			return fmt.Errorf("follower never caught up (healthz: %+v)\nfollower log:\n%s", health, e2e.ReadLog(logPath))
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -271,7 +267,7 @@ func replicaSmoke(tmp, bin, primaryBase string, values map[string]string, predic
 	// The replication series exist on the follower's ops listener: the lag
 	// gauges are registered only in follower mode, and a caught-up idle
 	// follower reports zero lag entries.
-	metrics, err := get("http://" + opsAddr + "/metrics")
+	metrics, err := e2e.Get("http://" + opsAddr + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -281,50 +277,20 @@ func replicaSmoke(tmp, bin, primaryBase string, values map[string]string, predic
 		"rk_replica_reconnects_total",
 		"rk_replica_snapshot_catchups_total",
 	} {
-		if _, ok := seriesValue(metrics, series); !ok {
+		if _, ok := e2e.SeriesValue(metrics, series); !ok {
 			return fmt.Errorf("follower /metrics missing series %s\n%s", series, metrics)
 		}
 	}
-	if v, _ := seriesValue(metrics, "rk_replica_lag_entries"); v != 0 { //rkvet:ignore floateq the gauge is an integer entry count; a caught-up follower must report exactly zero
+	if v, _ := e2e.SeriesValue(metrics, "rk_replica_lag_entries"); v != 0 { //rkvet:ignore floateq the gauge is an integer entry count; a caught-up follower must report exactly zero
 		return fmt.Errorf("caught-up follower reports lag_entries = %v, want 0", v)
 	}
 	return nil
 }
 
-// freeAddr grabs a loopback port from the kernel and releases it for the
-// server to claim. The tiny claim race is acceptable in a smoke test.
-func freeAddr() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := l.Addr().String()
-	if err := l.Close(); err != nil {
-		return "", err
-	}
-	return addr, nil
-}
-
-// waitReady polls url until it answers 200 or the budget expires.
-func waitReady(url string, budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(url)
-		if err == nil {
-			resp.Body.Close() //rkvet:ignore dropperr read-side body close; nothing to recover
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return fmt.Errorf("server not ready within %v", budget)
-}
-
 // firstInstance builds an instance from the served schema: every attribute's
 // first value, predicted as the first label.
 func firstInstance(base string) (map[string]string, string, error) {
-	body, err := get(base + "/schema")
+	body, err := e2e.Get(base + "/schema")
 	if err != nil {
 		return nil, "", err
 	}
@@ -343,43 +309,4 @@ func firstInstance(base string) (map[string]string, string, error) {
 		values[a.Name] = a.Values[0]
 	}
 	return values, schema.Labels[0], nil
-}
-
-func get(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close() //rkvet:ignore dropperr read-side body close; nothing to recover
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET %s: %s: %s", url, resp.Status, b)
-	}
-	return string(b), nil
-}
-
-// seriesValue finds one exposition line by its full series name (with labels)
-// and parses its value.
-func seriesValue(exposition, series string) (float64, bool) {
-	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + `(?:\{[^}]*\})?` + ` (\S+)$`)
-	m := re.FindStringSubmatch(exposition)
-	if m == nil {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(m[1], 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-func readLog(path string) string {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return "(no log: " + err.Error() + ")"
-	}
-	return string(b)
 }

@@ -17,7 +17,7 @@ import (
 //  1. A function that takes a context.Context must not call a module
 //     function that has a ctx-aware sibling — the variant whose name adds
 //     "Ctx" or "Anytime" (Explain → ExplainCtx, SRK → SRKAnytime,
-//     ExactMinKeyPar → ExactMinKeyCtxPar). Calling the plain variant from
+//     SRKPar → SRKAnytimePar). Calling the plain variant from
 //     ctx-carrying code severs the deadline right where it mattered.
 //
 //  2. context.Background() / context.TODO() manufactures a fresh root
@@ -214,8 +214,8 @@ func recvBaseName(t types.Type) string {
 }
 
 // stripCtxName removes the "Ctx" and "Anytime" name segments that mark the
-// context-aware variant: ExplainCtx → Explain, SRKAnytimeLazy → SRKLazy,
-// ExactMinKeyCtxPar → ExactMinKeyPar.
+// context-aware variant: ExplainCtx → Explain, SRKAnytimePar → SRKPar,
+// ExplainAllCtx → ExplainAll.
 func stripCtxName(name string) string {
 	name = strings.ReplaceAll(name, "Anytime", "")
 	return strings.ReplaceAll(name, "Ctx", "")

@@ -124,17 +124,18 @@ func benchStaircase(n int, lazy bool) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got, err := core.SRKLazy(d.ctx, d.x, d.y, staircaseAlpha); err != nil || !got.Equal(eager) {
+		if got, err := core.SRKPar(d.ctx, d.x, d.y, staircaseAlpha, 1); err != nil || !got.Equal(eager) {
 			b.Fatalf("lazy key %v (err %v) differs from eager %v", got, err, eager)
-		}
-		solve := core.SRK
-		if lazy {
-			solve = core.SRKLazy
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := solve(d.ctx, d.x, d.y, staircaseAlpha); err != nil {
+			if lazy {
+				_, err = core.SRKPar(d.ctx, d.x, d.y, staircaseAlpha, 1)
+			} else {
+				_, err = core.SRK(d.ctx, d.x, d.y, staircaseAlpha)
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -149,7 +150,7 @@ func benchSRKLazyLoan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		li := inference[i%len(inference)]
-		if _, err := core.SRKLazy(ctx, li.X, li.Y, 1.0); err != nil && err != core.ErrNoKey {
+		if _, err := core.SRKPar(ctx, li.X, li.Y, 1.0, 1); err != nil && err != core.ErrNoKey {
 			b.Fatal(err)
 		}
 	}

@@ -2,20 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"github.com/xai-db/relativekeys/internal/bitset"
 	"github.com/xai-db/relativekeys/internal/feature"
 	"github.com/xai-db/relativekeys/internal/obs"
 )
-
-// ErrDeadline is returned by context-aware solvers that were cancelled before
-// producing any valid key (the exact solver, whose search holds no valid
-// intermediate candidate). Callers typically fall back to an anytime solver.
-// The context's own error is joined in, so errors.Is works against both this
-// sentinel and context.DeadlineExceeded / context.Canceled.
-var ErrDeadline = errors.New("core: solver cancelled before a valid key was found")
 
 // SRKAnytime is SRK with cooperative cancellation: it checks ctx once per
 // greedy round (each round is a full feature scan, the natural checkpoint
@@ -38,7 +30,7 @@ func SRKAnytime(ctx context.Context, c *Context, x feature.Instance, y feature.L
 }
 
 // srkAnytimeInstrumented is the shared entry of the whole SRK family —
-// SRK/SRKAnytime (eager) and SRKLazy/SRKPar/SRKAnytimeLazyPar (lazy) — the
+// SRK/SRKAnytime (eager) and SRKPar/SRKAnytimePar (lazy) — the
 // greedy engine wrapped with the stage timer, span, and degradation counter.
 // Both engines return picks in pick order; the key contract (ascending
 // feature index) is restored here with one sort, so the engines stay shareable
@@ -180,7 +172,3 @@ func completeAnytime(c *Context, x feature.Instance, d *bitset.Set, picks []int,
 	}
 	return nil, ErrNoKey
 }
-
-// exactCancelMask sets how many search nodes the exact solver expands between
-// cancellation checks; a power of two so the test is a single AND.
-const exactCancelMask = 255

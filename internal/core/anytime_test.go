@@ -97,39 +97,6 @@ func TestSRKAnytimeDegradedMinimizes(t *testing.T) {
 	}
 }
 
-func TestExactMinKeyCtxCancelled(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	// Large enough that the search expands >256 nodes before finishing.
-	c := randomContext(t, rng, 500, 12, 2, 2)
-	row := c.Item(0)
-	_, err := ExactMinKeyCtx(expiredCtx(t), c, row.X, row.Y, 1.0, 0)
-	if err == nil {
-		t.Skip("search finished before the first checkpoint; nothing to assert")
-	}
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("want ErrDeadline, got %v", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("context cause not joined: %v", err)
-	}
-}
-
-func TestExactMinKeyCtxBackgroundMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		c := randomContext(t, rng, 20+rng.Intn(40), 2+rng.Intn(5), 2, 2)
-		row := c.Item(rng.Intn(c.Len()))
-		want, wantErr := ExactMinKey(c, row.X, row.Y, 1.0, 0)
-		got, gotErr := ExactMinKeyCtx(context.Background(), c, row.X, row.Y, 1.0, 0)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: err mismatch %v vs %v", trial, wantErr, gotErr)
-		}
-		if wantErr == nil && !want.Equal(got) {
-			t.Fatalf("trial %d: key mismatch %v vs %v", trial, want, got)
-		}
-	}
-}
-
 // OSRK with an expired context must still admit the arrival, keep its
 // candidate coherent, and resume growing on the next (undeadlined) arrival.
 func TestOSRKObserveCtxDegradesAndHeals(t *testing.T) {

@@ -2,7 +2,7 @@
 // (§§3–5): the Context abstraction, the greedy batch algorithm SRK
 // (Algorithm 1), the randomized online algorithm OSRK (Algorithm 2), the
 // deterministic static-feature algorithm SSRK (Algorithm 3), an exact
-// branch-and-bound solver used to validate approximation bounds, and the
+// iterative-deepening solver used to validate approximation bounds, and the
 // set-cover reduction behind Theorem 1.
 package core
 

@@ -1,59 +1,25 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/xai-db/relativekeys/internal/feature"
-	"github.com/xai-db/relativekeys/internal/obs"
 )
+
+// exactMaxFeatures caps the schema width the exact solver accepts, keeping
+// runaway inputs out of a search that is exponential in it.
+const exactMaxFeatures = 20
 
 // ExactMinKey computes a most-succinct α-conformant key for x relative to c
 // by iterative-deepening search over feature subsets. MRKP is NP-complete
 // (Theorem 1), so this is exponential in the worst case; it exists to
 // validate SRK's ln(α|I|) bound on small inputs and to solve tiny instances
-// exactly. maxFeatures caps n to keep runaway inputs out (0 means 20).
-func ExactMinKey(c *Context, x feature.Instance, y feature.Label, alpha float64, maxFeatures int) (Key, error) {
-	return ExactMinKeyCtx(context.Background(), c, x, y, alpha, maxFeatures) //rkvet:ignore ctxflow ExactMinKey is the sanctioned run-to-completion specialization used by the bound-validation tests
-}
-
-// ExactMinKeyCtx is ExactMinKey with cooperative cancellation: the search
-// checks ctx every 256 expanded nodes (exactCancelMask). Unlike the greedy
-// solvers, the subset search holds no valid intermediate candidate, so
-// cancellation aborts with an error satisfying errors.Is(err, ErrDeadline)
-// as well as errors.Is against the context's own cause; callers degrade by
-// falling back to SRKAnytime, whose candidate is valid by construction.
-func ExactMinKeyCtx(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64, maxFeatures int) (Key, error) {
-	return ExactMinKeyCtxPar(ctx, c, x, y, alpha, maxFeatures, 1)
-}
-
-// ExactMinKeyPar is ExactMinKey with bounded subtree fan-out across par
-// workers; byte-identical to ExactMinKey on every input (see
-// ExactMinKeyCtxPar for the argument).
-func ExactMinKeyPar(c *Context, x feature.Instance, y feature.Label, alpha float64, maxFeatures, par int) (Key, error) {
-	return ExactMinKeyCtxPar(context.Background(), c, x, y, alpha, maxFeatures, par) //rkvet:ignore ctxflow ExactMinKeyPar is the sanctioned run-to-completion specialization of the parallel exact search
-}
-
-// ExactMinKeyCtxPar is ExactMinKeyCtx with intra-search parallelism: at each
-// iterative-deepening size the workers steal subtrees of the first branching
-// level (root feature a₀) from an atomic cursor and run the usual sequential
-// DFS inside their subtree, sharing the best root found so far through an
-// atomic so subtrees that can only lose are skipped or aborted early. The
-// search stays deterministic: any solution in the subtree rooted at a₀ is
-// lexicographically smaller than any solution rooted at a₀' > a₀, DFS inside
-// one subtree finds that subtree's lex-smallest solution first, and the join
-// picks the smallest root with a solution — exactly the subset the sequential
-// DFS reaches first. The 256-node cancellation checkpoints are kept
-// per-worker.
-func ExactMinKeyCtxPar(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64, maxFeatures, par int) (Key, error) {
+// exactly. It is an offline oracle, not a serving path: the search always
+// runs to completion, and schemas wider than 20 features are rejected.
+func ExactMinKey(c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, error) {
 	start := time.Now()
-	sp := obs.StartSpan(ctx, "exact.dfs")
-	key, err := exactMinKeyCtx(ctx, c, x, y, alpha, maxFeatures, par)
-	sp.End()
+	key, err := exactMinKey(c, x, y, alpha)
 	exactDFSSeconds.ObserveSince(start)
 	if err == ErrNoKey {
 		solverNoKey.Inc()
@@ -61,9 +27,9 @@ func ExactMinKeyCtxPar(ctx context.Context, c *Context, x feature.Instance, y fe
 	return key, err
 }
 
-// exactMinKeyCtx is the uninstrumented search; ExactMinKeyCtxPar wraps it
-// with the stage timer and span.
-func exactMinKeyCtx(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64, maxFeatures, par int) (Key, error) {
+// exactMinKey is the uninstrumented search; ExactMinKey wraps it with the
+// stage timer.
+func exactMinKey(c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, error) {
 	if err := ValidateAlpha(alpha); err != nil {
 		return nil, err
 	}
@@ -71,11 +37,8 @@ func exactMinKeyCtx(ctx context.Context, c *Context, x feature.Instance, y featu
 		return nil, err
 	}
 	n := c.Schema.NumFeatures()
-	if maxFeatures <= 0 {
-		maxFeatures = 20
-	}
-	if n > maxFeatures {
-		return nil, fmt.Errorf("core: exact solver limited to %d features, schema has %d", maxFeatures, n)
+	if n > exactMaxFeatures {
+		return nil, fmt.Errorf("core: exact solver limited to %d features, schema has %d", exactMaxFeatures, n)
 	}
 	budget := Budget(alpha, c.Len())
 
@@ -98,27 +61,10 @@ func exactMinKeyCtx(ctx context.Context, c *Context, x feature.Instance, y featu
 		all[r] = r
 	}
 
-	if workers := solverWorkers(par, c.Len()); workers > 1 {
-		return exactSearchPar(ctx, n, budget, survives, all, workers)
-	}
-	return exactSearchSeq(ctx, n, budget, survives, all)
-}
-
-// exactSearchSeq is the sequential iterative-deepening DFS, unchanged from
-// the pre-parallel solver.
-func exactSearchSeq(ctx context.Context, n, budget int, survives [][]bool, all []int) (Key, error) {
 	choice := make([]int, 0, n)
 	var found Key
-	nodes, cancelled := 0, false
 	var dfs func(start, size int, alive []int) bool
 	dfs = func(start, size int, alive []int) bool {
-		nodes++
-		if nodes&exactCancelMask == 0 && ctx.Err() != nil {
-			cancelled = true
-		}
-		if cancelled {
-			return false
-		}
 		if len(alive) <= budget {
 			found = NewKey(choice...)
 			return true
@@ -148,151 +94,8 @@ func exactSearchSeq(ctx context.Context, n, budget int, survives [][]bool, all [
 		if dfs(0, size, all) {
 			return found, nil
 		}
-		if cancelled {
-			return nil, errors.Join(ErrDeadline, ctx.Err())
-		}
 	}
 	return nil, ErrNoKey
-}
-
-// exactSearchPar runs the iterative deepening with first-level fan-out: per
-// size, the roots a₀ ∈ [0, n−size] are a work queue drained by `workers`
-// goroutines, each exploring its subtree with the sequential DFS. bestRoot
-// carries the smallest root known to hold a solution; a worker skips queued
-// roots that cannot beat it and aborts its subtree at the cancellation
-// checkpoints once it is outbid, which is the parallel analogue of the
-// sequential search stopping at the first solution.
-func exactSearchPar(ctx context.Context, n, budget int, survives [][]bool, all []int, workers int) (Key, error) {
-	var cancelled atomic.Bool
-	for size := 1; size <= n; size++ {
-		roots := n - size + 1
-		w := workers
-		if w > roots {
-			w = roots
-		}
-		results := make([]Key, roots)
-		var bestRoot atomic.Int64
-		bestRoot.Store(int64(roots)) // sentinel: no solution at this size yet
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ew := exactWorker{
-					ctx:       ctx,
-					n:         n,
-					budget:    budget,
-					survives:  survives,
-					cancelled: &cancelled,
-					bestRoot:  &bestRoot,
-					choice:    make([]int, 0, size),
-				}
-				for {
-					r := int(cursor.Add(1)) - 1
-					if r >= roots || cancelled.Load() {
-						return
-					}
-					// A solution at a smaller root already wins; skip.
-					if int64(r) > bestRoot.Load() {
-						continue
-					}
-					solverParallelSubtrees.Inc()
-					ew.myRoot = int64(r)
-					alive := make([]int, 0, len(all))
-					for _, v := range all {
-						if survives[r][v] {
-							alive = append(alive, v)
-						}
-					}
-					ew.choice = append(ew.choice[:0], r)
-					if found := ew.dfs(r+1, size-1, alive); found != nil {
-						results[r] = found
-						casMin(&bestRoot, int64(r))
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if br := bestRoot.Load(); br < int64(roots) {
-			// Uncancelled, every root below br ran to exhaustion without a
-			// solution (claims are ascending and outbidding needs a smaller
-			// solved root), so br is exactly the subset the sequential DFS
-			// finds first. If cancellation interrupted this pass the key is
-			// still a valid minimum-size key — earlier sizes were exhausted —
-			// merely not guaranteed to be the lex-first one, and returning it
-			// beats ErrDeadline.
-			return results[br], nil
-		}
-		if cancelled.Load() {
-			return nil, errors.Join(ErrDeadline, ctx.Err())
-		}
-	}
-	return nil, ErrNoKey
-}
-
-// exactWorker is one parallel searcher's state: its own node counter (so the
-// 256-node cancellation cadence matches the sequential solver per goroutine),
-// its choice stack, and the shared cancellation flag and best-root bound.
-type exactWorker struct {
-	ctx       context.Context
-	n, budget int
-	survives  [][]bool
-	myRoot    int64
-	nodes     int
-	cancelled *atomic.Bool
-	bestRoot  *atomic.Int64
-	choice    []int
-}
-
-// dfs explores subsets extending the worker's current choice stack, smallest
-// feature first, and returns the first (hence lex-smallest) conformant subset
-// of the requested size, or nil when the subtree is exhausted, outbid, or the
-// search was cancelled.
-func (w *exactWorker) dfs(start, size int, alive []int) Key {
-	w.nodes++
-	if w.nodes&exactCancelMask == 0 {
-		if w.ctx.Err() != nil {
-			w.cancelled.Store(true)
-		}
-		// Outbid: a solution at a smaller root makes this subtree garbage.
-		if w.bestRoot.Load() < w.myRoot {
-			return nil
-		}
-	}
-	if w.cancelled.Load() {
-		return nil
-	}
-	if len(alive) <= w.budget {
-		return NewKey(w.choice...)
-	}
-	if size == 0 {
-		return nil
-	}
-	for a := start; a <= w.n-size; a++ {
-		next := make([]int, 0, len(alive))
-		for _, r := range alive {
-			if w.survives[a][r] {
-				next = append(next, r)
-			}
-		}
-		w.choice = append(w.choice, a)
-		if found := w.dfs(a+1, size-1, next); found != nil {
-			return found
-		}
-		w.choice = w.choice[:len(w.choice)-1]
-	}
-	return nil
-}
-
-// casMin lowers a to v unless it already holds something smaller.
-func casMin(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v >= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 func violatorRows(c *Context, x feature.Instance, y feature.Label) []int {

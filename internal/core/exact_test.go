@@ -8,7 +8,7 @@ import (
 
 func TestExactMinKeyOnLoan(t *testing.T) {
 	c, x0, y0 := loanContext(t)
-	opt, err := ExactMinKey(c, x0, y0, 1.0, 0)
+	opt, err := ExactMinKey(c, x0, y0, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestExactMinKeyOnLoan(t *testing.T) {
 		t.Fatal("exact key not conformant")
 	}
 	// α = 6/7 admits the singleton {Credit}.
-	opt, err = ExactMinKey(c, x0, y0, 6.0/7.0, 0)
+	opt, err = ExactMinKey(c, x0, y0, 6.0/7.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestExactMinKeyOnLoan(t *testing.T) {
 func TestExactMinKeyEmptyAndConflict(t *testing.T) {
 	c, x0, y0 := loanContext(t)
 	// α small enough that the empty key suffices (3 violators, |I|=7).
-	opt, err := ExactMinKey(c, x0, y0, 0.5, 0)
+	opt, err := ExactMinKey(c, x0, y0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,18 +49,19 @@ func TestExactMinKeyEmptyAndConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExactMinKey(c2, items[0].X, items[0].Y, 1.0, 0); !errors.Is(err, ErrNoKey) {
+	if _, err := ExactMinKey(c2, items[0].X, items[0].Y, 1.0); !errors.Is(err, ErrNoKey) {
 		t.Fatalf("want ErrNoKey, got %v", err)
 	}
 }
 
 func TestExactMinKeyLimits(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := randomContext(t, rng, 10, 8, 2, 2)
-	if _, err := ExactMinKey(c, c.Item(0).X, c.Item(0).Y, 1.0, 4); err == nil {
+	wide := randomContext(t, rng, 10, exactMaxFeatures+1, 2, 2)
+	if _, err := ExactMinKey(wide, wide.Item(0).X, wide.Item(0).Y, 1.0); err == nil {
 		t.Fatal("maxFeatures cap not enforced")
 	}
-	if _, err := ExactMinKey(c, c.Item(0).X, c.Item(0).Y, 0, 0); err == nil {
+	c := randomContext(t, rng, 10, 8, 2, 2)
+	if _, err := ExactMinKey(c, c.Item(0).X, c.Item(0).Y, 0); err == nil {
 		t.Fatal("α=0 accepted")
 	}
 }
@@ -73,7 +74,7 @@ func TestExactVsGreedy(t *testing.T) {
 		c := randomContext(t, rng, 5+rng.Intn(80), 2+rng.Intn(5), 2+rng.Intn(3), 2)
 		row := c.Item(rng.Intn(c.Len()))
 		alpha := []float64{1.0, 0.9}[rng.Intn(2)]
-		opt, errOpt := ExactMinKey(c, row.X, row.Y, alpha, 0)
+		opt, errOpt := ExactMinKey(c, row.X, row.Y, alpha)
 		greedy, errGreedy := SRK(c, row.X, row.Y, alpha)
 		if errors.Is(errOpt, ErrNoKey) != errors.Is(errGreedy, ErrNoKey) {
 			t.Fatalf("trial %d: solvability mismatch (opt=%v greedy=%v)", trial, errOpt, errGreedy)

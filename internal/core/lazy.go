@@ -29,39 +29,6 @@ import (
 // entries (striped across workers when parallelism is on), bounding any round
 // at ~1.5× the eager round cost.
 
-// SRKLazy is SRK solved by the lazy-greedy engine: byte-identical keys
-// (asserted by the differential suite in lazy_test.go), typically an order of
-// magnitude fewer candidate evaluations on large contexts. It is the default
-// solve path of cce.Batch and the service tier.
-func SRKLazy(c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, error) {
-	key, _, err := SRKAnytimeLazy(context.Background(), c, x, y, alpha) //rkvet:ignore ctxflow SRKLazy is the sanctioned never-cancelled specialization; the background root keeps the checkpoint branch dead
-	return key, err
-}
-
-// SRKAnytimeLazy is SRKAnytime on the lazy-greedy engine: cooperative
-// cancellation is checked once per greedy round and degrades to the same
-// single-pass completion as the eager solver, so deadline behaviour and
-// degraded keys are identical too.
-func SRKAnytimeLazy(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, bool, error) {
-	return srkAnytimeInstrumented(ctx, c, x, y, alpha, 1, true)
-}
-
-// SRKLazyPar is SRKLazy with up to par intra-solve workers: the seed round
-// and any fallback rescans stripe their exact scans across the worker pool
-// (roundScorer in parallel.go); single-candidate re-evaluations stay
-// sequential — they are one early-exiting AndCard and fan-out would cost more
-// than it saves.
-func SRKLazyPar(c *Context, x feature.Instance, y feature.Label, alpha float64, par int) (Key, error) {
-	key, _, err := SRKAnytimeLazyPar(context.Background(), c, x, y, alpha, par) //rkvet:ignore ctxflow SRKLazyPar is the sanctioned never-cancelled specialization of the parallel lazy solver
-	return key, err
-}
-
-// SRKAnytimeLazyPar is the full production entry: lazy greedy, cancellable,
-// par intra-solve workers. cce.Batch and service.Server route here.
-func SRKAnytimeLazyPar(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64, par int) (Key, bool, error) {
-	return srkAnytimeInstrumented(ctx, c, x, y, alpha, par, true)
-}
-
 // lazyCand is one heap entry: a candidate feature with an upper bound on its
 // violators-removed score. gain is exact when round matches the engine's
 // current round; freq and attr are exact throughout (posting cardinality does

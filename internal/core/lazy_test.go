@@ -41,7 +41,7 @@ func TestDifferentialLazyEager(t *testing.T) {
 		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
 		want, wantDeg, wantErr := SRKAnytime(context.Background(), c, row.X, row.Y, alpha)
 		for _, p := range []int{1, 2, 4, 8} {
-			got, gotDeg, gotErr := SRKAnytimeLazyPar(context.Background(), c, row.X, row.Y, alpha, p)
+			got, gotDeg, gotErr := SRKAnytimePar(context.Background(), c, row.X, row.Y, alpha, p)
 			if gotDeg != wantDeg {
 				t.Fatalf("trial %d P=%d α=%v: degraded %v, eager %v", trial, p, alpha, gotDeg, wantDeg)
 			}
@@ -124,16 +124,16 @@ func TestLazyEmptyKeySuccess(t *testing.T) {
 	c := randomContext(t, rand.New(rand.NewSource(331)), 40, 3, 2, 2)
 	row := c.Item(0)
 	// α low enough that the initial disagreeing count fits the budget.
-	key, err := SRKLazy(c, row.X, row.Y, 0.01)
+	key, err := SRKPar(c, row.X, row.Y, 0.01, 1)
 	if err != nil {
-		t.Fatalf("SRKLazy: %v", err)
+		t.Fatalf("SRKPar: %v", err)
 	}
 	if key == nil || len(key) != 0 {
 		t.Fatalf("empty-key success must be non-nil Key{}, got %#v", key)
 	}
-	key, _, err = SRKAnytimeLazyPar(context.Background(), c, row.X, row.Y, 0.01, 4)
+	key, _, err = SRKAnytimePar(context.Background(), c, row.X, row.Y, 0.01, 4)
 	if err != nil || key == nil || len(key) != 0 {
-		t.Fatalf("SRKAnytimeLazyPar empty-key: key %#v err %v", key, err)
+		t.Fatalf("SRKAnytimePar empty-key: key %#v err %v", key, err)
 	}
 }
 
@@ -151,7 +151,7 @@ func TestLazyExpiredContext(t *testing.T) {
 		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
 		want, wantDeg, wantErr := SRKAnytime(expired, c, row.X, row.Y, alpha)
 		for _, p := range []int{1, 4} {
-			got, gotDeg, gotErr := SRKAnytimeLazyPar(expired, c, row.X, row.Y, alpha, p)
+			got, gotDeg, gotErr := SRKAnytimePar(expired, c, row.X, row.Y, alpha, p)
 			if gotDeg != wantDeg || (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("trial %d P=%d: (deg %v, err %v), eager (deg %v, err %v)", trial, p, gotDeg, gotErr, wantDeg, wantErr)
 			}
@@ -193,7 +193,7 @@ func TestLazyFallbackDatasets(t *testing.T) {
 		row := c.Item(0)
 		want, wantErr := SRK(c, row.X, row.Y, alpha)
 		for _, p := range []int{1, 4} {
-			got, gotErr := SRKLazyPar(c, row.X, row.Y, alpha, p)
+			got, gotErr := SRKPar(c, row.X, row.Y, alpha, p)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("α=%v P=%d: err %v, eager %v", alpha, p, gotErr, wantErr)
 			}
@@ -250,13 +250,13 @@ func FuzzLazyGreedy(f *testing.F) {
 
 		// The public entries must agree too (sorted key + empty-key shape).
 		wantKey, _, wantErr2 := SRKAnytime(context.Background(), c, target.X, target.Y, alpha)
-		gotKey, gotErr2 := SRKLazy(c, target.X, target.Y, alpha)
+		gotKey, gotErr2 := SRKPar(c, target.X, target.Y, alpha, 1)
 		if (gotErr2 == nil) != (wantErr2 == nil) {
-			t.Fatalf("α=%v: SRKLazy err %v, SRKAnytime err %v", alpha, gotErr2, wantErr2)
+			t.Fatalf("α=%v: SRKPar err %v, SRKAnytime err %v", alpha, gotErr2, wantErr2)
 		}
 		if gotErr2 == nil {
 			if !gotKey.Equal(wantKey) {
-				t.Fatalf("α=%v: SRKLazy key %v, eager %v", alpha, gotKey, wantKey)
+				t.Fatalf("α=%v: SRKPar key %v, eager %v", alpha, gotKey, wantKey)
 			}
 			if (gotKey == nil) != (wantKey == nil) {
 				t.Fatalf("α=%v: key nilness diverges: lazy %#v, eager %#v", alpha, gotKey, wantKey)

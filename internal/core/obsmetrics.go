@@ -26,14 +26,12 @@ var (
 		"Solves that proved no α-conformant key exists for the instance.")
 
 	// Intra-explanation parallelism (DESIGN.md §11): rounds that took the
-	// striped scoring path, the latency of one such round including the
-	// worker join, and exact-search subtrees claimed by parallel workers.
+	// striped scoring path, and the latency of one such round including the
+	// worker join.
 	solverParallelRounds = obs.NewCounter("rk_solver_parallel_rounds_total",
 		"SRK greedy rounds scored on the parallel (striped) path.")
 	solverStripeSeconds = obs.NewHistogram("rk_solver_stripe_seconds",
 		"Latency of one parallel scoring round across all stripes, including the join.", nil)
-	solverParallelSubtrees = obs.NewCounter("rk_solver_parallel_subtrees_total",
-		"First-level subtrees claimed by exact-solver workers on the parallel path.")
 
 	// Lazy-greedy solver (DESIGN.md §12): greedy rounds resolved on the lazy
 	// path, candidate re-evaluations spent confirming heap tops (the quantity

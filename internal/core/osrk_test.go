@@ -192,7 +192,7 @@ func TestOSRKCompetitiveOnAverage(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		opt, err := ExactMinKey(ref, x0, y0, 1, 0)
+		opt, err := ExactMinKey(ref, x0, y0, 1)
 		if err != nil {
 			continue
 		}

@@ -73,7 +73,8 @@ func SRKPar(c *Context, x feature.Instance, y feature.Label, alpha float64, par 
 }
 
 // SRKAnytimePar is SRKAnytime with intra-solve parallelism on the lazy
-// engine: the seed round and any fallback rescans stripe their exact scans
+// engine, and the production entry that cce.Batch and service.Server route
+// to: the seed round and any fallback rescans stripe their exact scans
 // across par workers; single-candidate re-evaluations stay sequential.
 // Cancellation is still checked once per round, and the degraded completion
 // pass is sequential in both variants, so parallel and sequential runs return

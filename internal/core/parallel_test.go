@@ -85,28 +85,6 @@ func TestDifferentialSRKAnytimeParallel(t *testing.T) {
 	}
 }
 
-// TestDifferentialExactParallel: the fan-out search must return the same
-// (lex-first, minimum-size) subset as the sequential iterative deepening.
-func TestDifferentialExactParallel(t *testing.T) {
-	forceParallel(t)
-	rng := rand.New(rand.NewSource(227))
-	for trial := 0; trial < 40; trial++ {
-		c := randomContext(t, rng, 5+rng.Intn(60), 2+rng.Intn(5), 2, 2)
-		row := c.Item(rng.Intn(c.Len()))
-		alpha := []float64{1.0, 0.9, 0.8}[trial%3]
-		want, wantErr := ExactMinKeyCtx(context.Background(), c, row.X, row.Y, alpha, 0)
-		for _, p := range testedParallelisms {
-			got, gotErr := ExactMinKeyCtxPar(context.Background(), c, row.X, row.Y, alpha, 0, p)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("trial %d P=%d: err %v, sequential %v", trial, p, gotErr, wantErr)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("trial %d P=%d: key %v, sequential %v", trial, p, got, want)
-			}
-		}
-	}
-}
-
 // TestDifferentialCountersParallel: the striped partial reductions behind
 // Violations/Coverage/Precision must agree with the
 // sequential primitives for arbitrary keys and stripe counts.

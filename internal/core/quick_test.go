@@ -105,8 +105,8 @@ func TestQuickExactAlphaMonotone(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		c := randomContext(t, rng, 5+rng.Intn(40), 2+rng.Intn(4), 2, 2)
 		row := c.Item(rng.Intn(c.Len()))
-		tight, err1 := ExactMinKey(c, row.X, row.Y, 1.0, 0)
-		loose, err2 := ExactMinKey(c, row.X, row.Y, 0.85, 0)
+		tight, err1 := ExactMinKey(c, row.X, row.Y, 1.0)
+		loose, err2 := ExactMinKey(c, row.X, row.Y, 0.85)
 		if err1 != nil {
 			continue // conflict at α=1: nothing to compare
 		}

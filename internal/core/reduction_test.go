@@ -64,7 +64,7 @@ func TestReductionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		minKey, err := ExactMinKey(c, x0, y0, 1.0, 0)
+		minKey, err := ExactMinKey(c, x0, y0, 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -115,7 +115,7 @@ func TestSRKApproximationBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := ExactMinKey(c, row.X, row.Y, alpha, 0)
+		opt, err := ExactMinKey(c, row.X, row.Y, alpha)
 		if err != nil {
 			t.Fatal(err)
 		}

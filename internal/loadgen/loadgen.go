@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -269,13 +270,17 @@ func pick(rng *rand.Rand, cfg Config, pool []item) item {
 	return pool[cfg.HotSet+rng.Intn(len(pool)-cfg.HotSet)]
 }
 
-// percentile reads the p-quantile from an ascending slice (nearest-rank).
+// percentile reads the p-quantile from an ascending slice by nearest rank:
+// the sample at 1-based rank ⌈p·n⌉, so p99 of 50 samples is the maximum. The
+// product is nudged down before rounding up so float error (0.07·100 =
+// 7.000000000000001) cannot push it to the next rank.
 func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
+	n := len(sorted)
+	if n == 0 {
 		return 0
 	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
+	rank := int(math.Ceil(p*float64(n) - 1e-9))
+	return sorted[min(max(rank, 1), n)-1]
 }
 
 // buildPool derives the deterministic instance pool from the schema and seed.

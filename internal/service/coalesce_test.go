@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -205,6 +206,11 @@ func explainRawErr(url string, req ExplainRequest) (int, []byte, string) {
 	return resp.StatusCode, body, resp.Header.Get("X-RK-Cache")
 }
 
+// errInjectedSolve is the solver error TestChaosCoalesce injects: an error
+// that is neither ErrNoKey nor a context error, so the server must answer 500
+// and must not cache it.
+var errInjectedSolve = errors.New("faultinject: solver error")
+
 // TestChaosCoalesce floods the cache + flight plane with duplicate-heavy
 // concurrent traffic while the solver panics, errors, and stalls on an
 // injected schedule. The contract: every request completes with a documented
@@ -221,7 +227,7 @@ func TestChaosCoalesce(t *testing.T) {
 				panic("faultinject: solver panic")
 			}
 			if inj.Roll(0.15) {
-				return nil, false, core.ErrDeadline
+				return nil, false, errInjectedSolve
 			}
 			if inj.Roll(0.3) {
 				t := time.NewTimer(5 * time.Millisecond)

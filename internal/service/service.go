@@ -57,8 +57,9 @@ type Config struct {
 	// Solve overrides the explain solver. nil = core.SRKAnytimePar at
 	// Parallelism workers — the lazy-greedy engine (DESIGN.md §12), which
 	// returns byte-identical keys to the eager reference at a fraction of
-	// the candidate evaluations. Set it to core.SRKAnytime to force the
-	// eager path (cceserver's -solver=eager does exactly that).
+	// the candidate evaluations. Tests set it to core.SRKAnytime to run the
+	// eager path, or to a fault-injecting wrapper; cceserver sets it only for
+	// its -solve-stall drill.
 	Solve SolveFunc
 
 	// Parallelism bounds the intra-solve worker count of each explain

@@ -119,7 +119,7 @@ func SRKOrdered(ctx *Context, x Instance, y Label, alpha float64) ([]int, error)
 // ExactMinKey solves the minimum relative key problem exactly (exponential;
 // small feature counts only). It exists to validate SRK's bound.
 func ExactMinKey(ctx *Context, x Instance, y Label, alpha float64) (Key, error) {
-	return core.ExactMinKey(ctx, x, y, alpha, 0)
+	return core.ExactMinKey(ctx, x, y, alpha)
 }
 
 // NewBatch builds CCE's batch mode over a complete inference set.
