@@ -20,8 +20,12 @@ build:
 test:
 	$(GO) test -vet=all ./...
 
+# vet also fails when gofmt would rewrite any file, so CI's Vet step keeps the
+# tree formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 
 # rkvet: the repo-specific static-analysis suite (internal/analysis), ten
 # checkers in two tiers. lint-fast runs the file-local six (maporder,
@@ -45,7 +49,7 @@ race:
 
 # The incremental-window benchmarks: advance cost must stay flat across
 # capacities, Disagreeing must be word-parallel, SRK must not allocate —
-# plus the intra-solve parallelism grid (internal/benchsuite).
+# plus the srk_par solve grid (internal/benchsuite).
 bench:
 	$(GO) test -run=NONE -bench 'WindowAdvance|WindowExplain|Disagreeing|RemoveAdd|BenchmarkSRK$$' -benchmem \
 		./internal/cce/ ./internal/core/
@@ -111,9 +115,9 @@ fuzz-smoke:
 
 # The fault-injection suite under the race detector: deadline degradation,
 # crash recovery from torn logs, load shedding, panic survival, the
-# concurrent rollback invariant, the striped-solver stress/chaos tests
-# (parallel solves racing window advances, injector-timed mid-round
-# cancellation), and the request-plane suites — coalescing under injected
+# concurrent rollback invariant, the concurrent-solve stress/chaos tests
+# (solves racing window advances, injector-timed mid-round cancellation),
+# and the request-plane suites — coalescing under injected
 # solver panics/errors, cache differential + degraded serve rules, and job
 # resume from torn checkpoint logs — all with injected solver/monitor/log
 # faults (internal/faultinject). -short keeps the request volume CI-sized.

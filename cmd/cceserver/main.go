@@ -6,7 +6,6 @@
 // Usage:
 //
 //	cceserver [-addr :8080] [-dataset loan] [-alpha 1.0] [-panel 10] [-retain 0] [-warm]
-//	          [-solver-parallelism NumCPU]
 //	          [-explain-cache on] [-explain-cache-entries 0] [-explain-cache-bytes 0]
 //	          [-deadline 0] [-min-deadline 0] [-max-inflight 0]
 //	          [-state DIR] [-snapshot-every 256] [-wal-sync-every 1] [-compact-wal]
@@ -41,7 +40,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -63,8 +61,6 @@ func main() {
 		panel  = flag.Int("panel", 10, "drift-monitor panel size (0 disables)")
 		retain = flag.Int("retain", 0, "keep only the most recent N observations in the context (0 = unbounded)")
 		warm   = flag.Bool("warm", false, "pre-populate the context with a trained model's inference log")
-
-		solverPar = flag.Int("solver-parallelism", runtime.NumCPU(), "workers per explain solve; contexts under the row threshold solve sequentially regardless (1 = always sequential)")
 
 		explainCache = flag.String("explain-cache", "on", "explanation cache + request coalescing: on or off (DESIGN.md §15)")
 		solveStall   = flag.Duration("solve-stall", 0, "inject this much latency before every solve (chaos/load drills: makes coalescing windows and deadline degradation reproducible on fast contexts; 0 = off)")
@@ -122,8 +118,8 @@ func main() {
 	default:
 		fatal("parse flags", errors.New("-explain-cache must be on or off"))
 	}
-	// The service solves with the lazy engine at -solver-parallelism workers
-	// when Solve is nil; only the -solve-stall drill wraps it.
+	// The service solves with core.SRKAnytimePar when Solve is nil; only the
+	// -solve-stall drill wraps it.
 	var solveFn service.SolveFunc
 	solverTag := ""
 	if *solveStall > 0 {
@@ -131,7 +127,7 @@ func main() {
 		// mid-stall the solver runs immediately on the expired context and
 		// degrades, exactly like real long solves under load. The stall does
 		// not change results, so the cache-key fingerprint stays the engine's.
-		stall, par := *solveStall, *solverPar
+		stall := *solveStall
 		solveFn = func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
 			t := time.NewTimer(stall)
 			select {
@@ -139,9 +135,9 @@ func main() {
 				t.Stop()
 			case <-t.C:
 			}
-			return core.SRKAnytimePar(ctx, c, x, y, alpha, par)
+			return core.SRKAnytimePar(ctx, c, x, y, alpha, 1)
 		}
-		solverTag = fmt.Sprintf("lazy/p=%d", par)
+		solverTag = service.DefaultSolverTag
 	}
 
 	follower := *follow != ""
@@ -202,7 +198,6 @@ func main() {
 		PanelSize:       *panel,
 		Retain:          *retain,
 		Solve:           solveFn,
-		Parallelism:     *solverPar,
 		DefaultDeadline: *deadline,
 		MinDeadline:     *minDeadline,
 		MaxInFlight:     *maxInflight,
@@ -269,7 +264,6 @@ func main() {
 	logger.Info("listening",
 		"addr", *addr, "dataset", ds.Name,
 		"features", ds.Schema.NumFeatures(), "alpha", *alpha,
-		"solver_parallelism", *solverPar,
 		"trace_sample", *traceSample,
 		"role", srv.Role())
 

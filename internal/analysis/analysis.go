@@ -23,8 +23,8 @@
 //     to a plain sibling when a ...Ctx variant exists, and no
 //     context.Background() where it can swallow a caller's deadline;
 //   - atomicfield — a location touched via sync/atomic anywhere must never
-//     be accessed plainly elsewhere, module-wide (the solverIdle credit
-//     protocol and the roundScorer counts);
+//     be accessed plainly elsewhere, module-wide (the exact search's
+//     shared best-root bound);
 //   - gocapture   — `go` closures must not capture variables the spawner
 //     writes after the spawn, nor pooled scratch released without a join;
 //   - hotalloc    — functions marked //rkvet:noalloc (and everything they

@@ -9,8 +9,7 @@ import (
 )
 
 // AtomicField guards the atomic-access protocols of the concurrent solver
-// core (the solverIdle credit protocol and the roundScorer partial counts in
-// core/parallel.go, the best-root bound in core/exact.go): a memory location
+// core (the best-root bound in core/exact.go): a memory location
 // that is touched through sync/atomic anywhere in the module must never be
 // read or written plainly anywhere else in the module, because one plain
 // access next to one atomic access is a data race whether or not the race
@@ -19,8 +18,8 @@ import (
 // Concretely, module-wide:
 //
 //   - A struct field or package-level variable whose address — or the
-//     address of one of its elements, for slice/array fields like
-//     roundScorer.counts — is passed to a sync/atomic function is "atomic".
+//     address of one of its elements, for slice/array fields — is passed
+//     to a sync/atomic function is "atomic".
 //     Every plain (non-sync/atomic) read or write of that location elsewhere
 //     is a finding. Quiescent phases (single-owner setup before workers are
 //     dispatched, reads after a WaitGroup join) are real and sanctioned by a
@@ -257,7 +256,7 @@ func plainTypedUse(parent ast.Node, sel *ast.SelectorExpr) bool {
 }
 
 // partOfSelector reports whether id sits inside a selector: as the X of
-// solverIdle.Add (the sanctioned method-call form for typed package-level
+// v.Add (the sanctioned method-call form for typed package-level
 // atomics) or as the Sel of a qualified pkg.Var reference, which the
 // SelectorExpr case already reports once.
 func partOfSelector(parent ast.Node, id *ast.Ident) bool {

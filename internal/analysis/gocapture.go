@@ -7,8 +7,8 @@ import (
 	"go/types"
 )
 
-// GoCapture guards the spawn-site hygiene of the striped solvers (DESIGN.md
-// §11): a `go func(){...}` closure shares every captured variable with its
+// GoCapture guards the spawn-site hygiene of the striped counters
+// (core/parallel.go): a `go func(){...}` closure shares every captured variable with its
 // spawner, and the two patterns that have bitten concurrent Go code for a
 // decade are (1) the spawner (or the loop it sits in) mutating a captured
 // variable while the goroutine reads it, and (2) pooled scratch captured by a

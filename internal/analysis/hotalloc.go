@@ -9,7 +9,7 @@ import (
 )
 
 // HotAlloc enforces `//rkvet:noalloc` — the annotation the solver's hot paths
-// (the CELF refresh loop, the striped scan unit, the bitset word kernels)
+// (the served SRK engine's round kernels, the bitset word kernels)
 // carry to promise "this runs per candidate per round and must not touch the
 // allocator". The benchmark suite catches allocation regressions after the
 // fact; hotalloc rejects them at lint time, interprocedurally: a function
@@ -24,7 +24,7 @@ import (
 //   - append, unless it targets a reused backing array: the first argument is
 //     a slice expression (append(x[:0], ...)) or the function reslices the
 //     same variable earlier (x = x[:0]; ... x = append(x, ...)), the
-//     amortized-reuse idiom of the lazy solver's rescan;
+//     amortized-reuse idiom of pooled scratch;
 //   - fmt.* calls (interface boxing plus internal buffers);
 //   - passing a non-pointer concrete value to an interface parameter
 //     (implicit boxing);

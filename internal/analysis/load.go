@@ -186,9 +186,9 @@ func importPathFor(mod *Module, dir string) string {
 type loader struct {
 	mod     *Module
 	std     types.Importer
-	done    map[string]*Package        // import path → loaded package (module only)
-	stdPkgs map[string]*types.Package  // import path → stdlib package
-	loading map[string]bool            // cycle guard
+	done    map[string]*Package       // import path → loaded package (module only)
+	stdPkgs map[string]*types.Package // import path → stdlib package
+	loading map[string]bool           // cycle guard
 }
 
 func newLoader(mod *Module) *loader {

@@ -81,10 +81,10 @@ func (c PoolPair) Check(p *Package) []Finding {
 				continue // constructor-style: callers own the Put
 			}
 			var (
-				firstGet   ast.Node
-				puts       int
+				firstGet    ast.Node
+				puts        int
 				deferredPut bool
-				returns    int
+				returns     int
 			)
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch node := n.(type) {

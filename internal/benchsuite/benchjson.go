@@ -226,13 +226,13 @@ func Compare(old, new Doc) (table []string, warnings []string) {
 }
 
 // gatedCase reports whether a case's ns/op is under the timing gate: the
-// lazy-solver cases (the production solve engine) and the service/ serving-path
+// srk_lazy cases (the served solve engine) and the service/ serving-path
 // cases (the request plane the solver sits behind).
 func gatedCase(name string) bool {
 	return strings.Contains(name, "srk_lazy") || strings.HasPrefix(name, "service/")
 }
 
-// GateNsRatio is the regression threshold on the lazy-solver timing gate:
+// GateNsRatio is the regression threshold on the srk_lazy timing gate:
 // new ns/op above old × 1.25 fails. Wide enough to ride out scheduler noise
 // on a busy CI box, tight enough to catch an accidental O(F) → O(F·rounds)
 // slip in the hot loop.

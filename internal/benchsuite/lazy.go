@@ -9,20 +9,19 @@ import (
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
-// Lazy-greedy benchmarks (DESIGN.md §12): eager vs lazy on the same solve,
-// over a dataset shaped like the paper's "keys effect" — a few dominant
-// features explain most violators, with sharply heterogeneous per-feature
-// scores. That is the regime CELF exploits: scores are static across rounds
-// (disjoint violator blocks), so the lazy engine confirms each round's top
-// with one re-evaluation while the eager loop rescans every candidate. The
-// acceptance bar is core/srk_lazy ≥5× faster than core/srk at n=1e5 with
-// byte-identical keys (the identity is asserted in core's differential
-// suite; the first benchmark iteration re-checks it here as a seatbelt).
+// Served-engine benchmarks (DESIGN.md §11): eager vs the served engine on the
+// same solve, over a dataset shaped like the paper's "keys effect" — a few
+// dominant features explain most violators, with sharply heterogeneous
+// per-feature scores. The core/srk_lazy rows keep the name of the lazy (CELF)
+// engine they were written for, whose best case this staircase was; the
+// served engine now runs them. Its acceptance bar is core/srk_lazy ≥5×
+// faster than core/srk at n=1e5 with byte-identical keys (the identity is
+// asserted in core's differential suite; the first benchmark iteration
+// re-checks it here as a seatbelt).
 //
-// The XOR synthetic used by the srk_par grid is deliberately NOT reused: XOR
-// makes every feature equally uninformative, scores cluster, and CELF
-// degenerates into its fallback — a worst case, covered by the fallback
-// tests, not a representative one.
+// The XOR synthetic of the srk_par grid is the other regime: every feature
+// equally uninformative and scores clustered, so the survivor set shrinks
+// slowly and later rounds scan many words.
 
 var (
 	lazyNs = []int{10_000, 100_000}
@@ -33,8 +32,8 @@ var (
 	staircaseAlpha = 0.99
 )
 
-// lazyCases returns eager/lazy pairs over the staircase contexts, plus a
-// lazy run of the Loan case for small-context parity with core/srk.
+// lazyCases returns eager/served pairs over the staircase contexts, plus a
+// served run of the Loan case for small-context parity with core/srk.
 func lazyCases() []Case {
 	cs := []Case{{Name: "core/srk_lazy_loan", Fn: benchSRKLazyLoan}}
 	for _, n := range lazyNs {
@@ -115,7 +114,7 @@ func staircaseContext(b *testing.B, n int) staircaseData {
 }
 
 // benchStaircase measures one full explain of the staircase target, eager or
-// lazy. The first iteration cross-checks the two engines' keys so a silent
+// served. The first iteration cross-checks the two engines' keys so a silent
 // divergence can never produce a flattering number.
 func benchStaircase(n int, lazy bool) func(b *testing.B) {
 	return func(b *testing.B) {
@@ -125,7 +124,7 @@ func benchStaircase(n int, lazy bool) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		if got, err := core.SRKPar(d.ctx, d.x, d.y, staircaseAlpha, 1); err != nil || !got.Equal(eager) {
-			b.Fatalf("lazy key %v (err %v) differs from eager %v", got, err, eager)
+			b.Fatalf("served key %v (err %v) differs from eager %v", got, err, eager)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -142,8 +141,8 @@ func benchStaircase(n int, lazy bool) func(b *testing.B) {
 	}
 }
 
-// benchSRKLazyLoan is benchSRK on the lazy engine: small real-data contexts,
-// where lazy must stay within noise of eager (the seed round dominates).
+// benchSRKLazyLoan is benchSRK on the served engine: small real-data
+// contexts, where it must stay within noise of eager.
 func benchSRKLazyLoan(b *testing.B) {
 	ctx, inference, _ := loanContext(b)
 	b.ReportAllocs()

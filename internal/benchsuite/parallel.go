@@ -10,12 +10,11 @@ import (
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
-// Intra-explanation parallelism benchmarks (DESIGN.md §11): one SRK solve
-// over a large synthetic context at varying intra-solve worker counts. The
-// acceptance bar is p=1 within noise of the pre-parallel sequential solver
-// (it takes the identical code path) and a ≥1.5× speedup at n=1e5, p=4 on a
-// multi-core box — on a single-core runner the p>1 cases measure only the
-// fan-out overhead, so read them alongside the recorded gomaxprocs.
+// The srk_par grid (DESIGN.md §11): one SRKPar solve over a large synthetic
+// context per worker count. The engine ignores the count since the striped
+// scorer was retired, so every p of one n measures the same sequential solve;
+// the rows keep their names so baselines stay comparable, and any spread
+// between them is noise.
 
 // parallelNs and parallelPs are the benchmark grid.
 var (
@@ -52,8 +51,7 @@ var (
 // syntheticContext builds (once per size, then caches) an n-row context over
 // 32 four-valued attributes whose label is a three-attribute XOR with 5%
 // noise: no single feature is decisive, so an α=1 greedy solve runs
-// ~log₄(n/2) full candidate-scan rounds — the striped hot path — before the
-// survivor set empties.
+// ~log₄(n/2) candidate-scan rounds before the survivor set empties.
 func syntheticContext(b *testing.B, n int) synthData {
 	b.Helper()
 	synthMu.Lock()
@@ -95,7 +93,7 @@ func syntheticContext(b *testing.B, n int) synthData {
 }
 
 // benchSRKParallel measures one full explain at the given context size and
-// intra-solve worker count, cycling through 256 query rows.
+// (ignored) worker count, cycling through 256 query rows.
 func benchSRKParallel(n, par int) func(b *testing.B) {
 	return func(b *testing.B) {
 		d := syntheticContext(b, n)

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// BenchmarkSRKParallel is the go-test entry to the §11 parallelism grid:
+// BenchmarkSRKParallel is the go-test entry to the §11 srk_par grid:
 //
 //	go test -run=NONE -bench SRKParallel -benchmem ./internal/benchsuite/
 //

@@ -1,6 +1,7 @@
 // Package bitset provides a dense, growable bit set used as the posting-list
-// representation for relative-key computation. All hot loops in SRK operate
-// on AndCard/AndNotCard, so those are written over raw words.
+// representation for relative-key computation. The eager SRK loop runs on
+// AndCard and the served engine reads Words() directly, so both stay on raw
+// words.
 //
 // Every kernel scans a set's NumWords() = ⌈Len/64⌉ words and nothing past
 // them. Grow lengthens a set into the spare capacity of its backing array,
@@ -155,29 +156,6 @@ func (s *Set) AndCard(t *Set) int {
 	return c
 }
 
-// AndCardUpTo returns |s ∩ t| when that cardinality is at most limit;
-// otherwise it stops counting as soon as the running count exceeds limit and
-// returns the partial count, which is then strictly greater than limit and a
-// lower bound on the true cardinality. It is the early-exit bound kernel of
-// the lazy-greedy SRK solver: a candidate whose intersection already exceeds
-// the card budget implied by the runner-up bound cannot win the round, and
-// |s| − partial is still a valid upper bound on its violators-removed score,
-// so the truncated scan refines the CELF heap instead of wasting a full pass.
-// A negative limit behaves like limit 0. Callers distinguish "exact" from
-// "truncated" by comparing the result against limit.
-//
-//rkvet:noalloc
-func (s *Set) AndCardUpTo(t *Set, limit int) int {
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w & t.words[i])
-		if c > limit {
-			return c
-		}
-	}
-	return c
-}
-
 // AndNotCard returns |s \ t| without modifying either set.
 //
 //rkvet:noalloc
@@ -190,7 +168,7 @@ func (s *Set) AndNotCard(t *Set) int {
 }
 
 // NumWords returns ⌈Len/64⌉, the number of 64-bit words every kernel scans
-// — the unit the striped kernels below partition. Stripe boundaries are word
+// — the unit the range kernels below partition. Range boundaries are word
 // indices, never bit indices, so a stripe split can never tear a word in half.
 func (s *Set) NumWords() int { return len(s.words) }
 
@@ -200,7 +178,7 @@ func (s *Set) NumWords() int { return len(s.words) }
 // Grow.
 func (s *Set) Words() []uint64 { return s.words }
 
-// clampRange clips a word range to the backing array so the striped kernels
+// clampRange clips a word range to the backing array so the range kernels
 // accept arbitrary (including empty or oversized) stripe boundaries: callers
 // partition [0, NumWords()) however they like and out-of-range slack is
 // simply empty.
@@ -229,34 +207,6 @@ func (s *Set) CountRange(lo, hi int) int {
 	c := 0
 	for _, w := range s.words[lo:hi] {
 		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// AndCardRange returns |s ∩ t| restricted to words [lo, hi) of both sets,
-// without modifying either. It is the striped partial reduction behind the
-// parallel solver: summing AndCardRange over a partition of [0, NumWords())
-// equals AndCard exactly (integer partial sums, no reassociation error).
-//
-//rkvet:noalloc
-func (s *Set) AndCardRange(t *Set, lo, hi int) int {
-	lo, hi = s.clampRange(lo, hi)
-	c := 0
-	for i := lo; i < hi; i++ {
-		c += bits.OnesCount64(s.words[i] & t.words[i])
-	}
-	return c
-}
-
-// AndNotCardRange returns |s \ t| restricted to words [lo, hi); the striped
-// counterpart of AndNotCard.
-//
-//rkvet:noalloc
-func (s *Set) AndNotCardRange(t *Set, lo, hi int) int {
-	lo, hi = s.clampRange(lo, hi)
-	c := 0
-	for i := lo; i < hi; i++ {
-		c += bits.OnesCount64(s.words[i] &^ t.words[i])
 	}
 	return c
 }

@@ -22,20 +22,12 @@ import (
 )
 
 // Batch is CCE's batch mode: the complete inference context is available.
-// Explains solve on the lazy-greedy engine (DESIGN.md §12), byte-identical
-// to the eager reference but evaluating only the candidates whose stale
-// bounds could still win each round.
-//
-// Parallelism bounds the intra-solve worker count of each explain (DESIGN.md
-// §11): values above 1 stripe the engine's full candidate scans across that
-// many workers once the context reaches core.MinParallelRows, with
-// byte-identical results. 0 or 1 keeps solves sequential. This is a second
-// axis on top of ExplainAll's request-level fan-out — size the product of
-// the two to the machine, not each factor alone.
+// Explains solve on the served SRK engine (DESIGN.md §11), byte-identical to
+// the eager reference but scanning only the survivors' nonzero words after
+// the first pick. Each solve is sequential; ExplainAll fans requests out.
 type Batch struct {
-	Ctx         *core.Context
-	Alpha       float64
-	Parallelism int
+	Ctx   *core.Context
+	Alpha float64
 }
 
 // NewBatch indexes the inference set as the explanation context.
@@ -53,7 +45,7 @@ func NewBatch(schema *feature.Schema, inference []feature.Labeled, alpha float64
 // Explain computes the α-conformant relative key for an instance whose
 // prediction is known client-side.
 func (b *Batch) Explain(x feature.Instance, y feature.Label) (core.Key, error) {
-	return core.SRKPar(b.Ctx, x, y, b.Alpha, b.Parallelism)
+	return core.SRKPar(b.Ctx, x, y, b.Alpha, 1)
 }
 
 // ExplainCtx is Explain under a deadline: the solve is cancellable, and an
@@ -61,7 +53,7 @@ func (b *Batch) Explain(x feature.Instance, y feature.Label) (core.Key, error) {
 // instead of erroring — the deployment contract of a client-side service that
 // must answer every query within its latency budget.
 func (b *Batch) ExplainCtx(ctx context.Context, x feature.Instance, y feature.Label) (core.Key, bool, error) {
-	return core.SRKAnytimePar(ctx, b.Ctx, x, y, b.Alpha, b.Parallelism)
+	return core.SRKAnytimePar(ctx, b.Ctx, x, y, b.Alpha, 1)
 }
 
 // ExplainAll explains many instances concurrently across workers goroutines

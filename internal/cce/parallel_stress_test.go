@@ -12,38 +12,25 @@ import (
 	"github.com/xai-db/relativekeys/internal/faultinject"
 )
 
-// Stress and chaos coverage for intra-explanation parallelism (DESIGN.md §11)
-// at the cce layer: striped solves racing window advances, and injector-timed
-// cancellation landing mid-round. These tests carry most of their weight under
-// `go test -race` (CI runs them there); the differential checks double as a
-// pool-integrity probe — a stripe worker outliving its round would keep
-// writing a scratch set already returned to the pool, which the race detector
-// reports directly and later solves surface as torn survivor sets.
-
-// forceParallelCCE drops core's row threshold so striped scoring engages on
-// test-sized contexts; restored on cleanup before any other test runs.
-func forceParallelCCE(t *testing.T) {
-	t.Helper()
-	saved := core.MinParallelRows
-	core.MinParallelRows = 0
-	t.Cleanup(func() { core.MinParallelRows = saved })
-}
+// Stress and chaos coverage for concurrent explains at the cce layer: solves
+// racing window advances, and injector-timed cancellation landing mid-round.
+// These tests carry most of their weight under `go test -race` (CI runs them
+// there); the differential checks double as a pool-integrity probe — a solve
+// that kept using its pooled scratch after releasing it would surface in later
+// solves as torn survivor sets.
 
 // TestWindowParallelStressRace is the deployment shape of a streaming client:
-// explainer goroutines fanning out intra-solve workers while the observer
-// goroutine advances the window in place and a third party retunes the
-// parallelism knob. Once the stream drains, the window must answer exactly
-// like a sequential solver over a context rebuilt from its items — any
-// scratch-set corruption from the churn phase would break that equality.
+// explainer goroutines solving in parallel while the observer goroutine
+// advances the window in place. Once the stream drains, the window must
+// answer exactly like the eager solver over a context rebuilt from its items
+// — any scratch corruption from the churn phase would break that equality.
 func TestWindowParallelStressRace(t *testing.T) {
-	forceParallelCCE(t)
 	s := testSchema(t)
 	rng := rand.New(rand.NewSource(41))
 	w, err := NewWindow(s, 400, 25, 1.0, LastWins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetParallelism(4)
 	for _, li := range randomStream(rng, s, 400) {
 		if err := w.Observe(li); err != nil {
 			t.Fatal(err)
@@ -72,22 +59,9 @@ func TestWindowParallelStressRace(t *testing.T) {
 			}
 		}
 	}()
-	wg.Add(1)
-	go func() { // operator: retunes the knob mid-stream
-		defer wg.Done()
-		for p := 0; ; p++ {
-			select {
-			case <-done:
-				w.SetParallelism(4)
-				return
-			default:
-				w.SetParallelism(1 + p%4)
-			}
-		}
-	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) { // explainers: striped solves against the moving window
+		go func(g int) { // explainers: solves against the moving window
 			defer wg.Done()
 			for i := g; ; i += 4 {
 				select {
@@ -120,7 +94,7 @@ func TestWindowParallelStressRace(t *testing.T) {
 	}
 
 	// Quiescent differential: the window's in-place-mutated index must agree
-	// byte-for-byte with a fresh sequential oracle over the same rows.
+	// byte-for-byte with a fresh eager oracle over the same rows.
 	oracle, err := core.NewContext(s, w.Items())
 	if err != nil {
 		t.Fatal(err)
@@ -138,21 +112,18 @@ func TestWindowParallelStressRace(t *testing.T) {
 }
 
 // TestParallelChaosCancelMidRound fires deadlines at injector-chosen moments
-// while striped scoring rounds are in flight, covering every cancellation
-// timing: before the first round, between rounds, and mid-stripe. Invariants:
-// every returned key — degraded or not — is α-conformant against the live
-// context, and after the storm parallel and sequential solves still agree,
-// proving no cancelled round leaked a partially-written scratch set into the
-// pool.
+// while solves are in flight, covering every cancellation timing: before the
+// first round, between rounds, and mid-round. Invariants: every returned key
+// — degraded or not — is α-conformant against the live context, and after
+// the storm the served and eager solvers still agree, proving no cancelled
+// round leaked a partially-written scratch set into the pool.
 func TestParallelChaosCancelMidRound(t *testing.T) {
-	forceParallelCCE(t)
 	s := testSchema(t)
 	rng := rand.New(rand.NewSource(43))
 	b, err := NewBatch(s, randomStream(rng, s, 2000), 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Parallelism = 8
 	inj := faultinject.New(43)
 	queries := randomStream(rng, s, 32)
 	for round := 0; round < 150; round++ {
@@ -180,16 +151,16 @@ func TestParallelChaosCancelMidRound(t *testing.T) {
 		}
 	}
 
-	// Post-storm differential: a scratch set released to the pool while a
-	// stripe worker was still narrowing it would poison these solves.
+	// Post-storm differential: scratch released to the pool mid-solve would
+	// poison these solves.
 	for i, q := range queries {
 		want, wantErr := core.SRK(b.Ctx, q.X, q.Y, 0.95)
 		got, degraded, gotErr := b.ExplainCtx(context.Background(), q.X, q.Y)
 		if degraded || (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("query %d: degraded=%v err=%v, sequential err %v", i, degraded, gotErr, wantErr)
+			t.Fatalf("query %d: degraded=%v err=%v, eager err %v", i, degraded, gotErr, wantErr)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("query %d: key %v, sequential %v", i, got, want)
+			t.Fatalf("query %d: key %v, eager %v", i, got, want)
 		}
 	}
 }

@@ -58,7 +58,6 @@ type Window struct {
 	policy   Policy
 
 	mu   sync.Mutex
-	par  int               // guarded by mu; intra-solve worker bound, see SetParallelism
 	buf  []feature.Labeled // guarded by mu; pending arrivals of the current step
 	ring []int             // guarded by mu; context slots of window rows, oldest first from head
 	head int               // guarded by mu
@@ -207,26 +206,6 @@ func (w *Window) Reset() error {
 	return nil
 }
 
-// SetParallelism bounds the intra-solve worker count of subsequent Explain
-// calls (DESIGN.md §11). Values above 1 stripe each greedy round across that
-// many goroutines once the window holds at least core.MinParallelRows rows;
-// results stay byte-identical to the sequential solve. 0 or 1 disables the
-// fan-out. Explain holds the window lock for the solve, so intra-solve
-// parallelism is the only way a windowed deployment can use more than one
-// core per explanation.
-func (w *Window) SetParallelism(par int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.par = par
-}
-
-// Parallelism reports the current intra-solve worker bound.
-func (w *Window) Parallelism() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.par
-}
-
 // Version counts window advances so far.
 func (w *Window) Version() int {
 	w.mu.Lock()
@@ -291,7 +270,7 @@ func (w *Window) Explain(x feature.Instance, y feature.Label) (core.Key, error) 
 func (w *Window) ExplainCtx(ctx context.Context, x feature.Instance, y feature.Label) (core.Key, bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	fresh, degraded, err := core.SRKAnytimePar(ctx, w.ctx, x, y, w.alpha, w.par)
+	fresh, degraded, err := core.SRKAnytimePar(ctx, w.ctx, x, y, w.alpha, 1)
 	if err != nil {
 		return nil, degraded, err
 	}

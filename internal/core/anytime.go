@@ -26,16 +26,16 @@ import (
 // feature set leaves more than the budget, no key exists and ErrNoKey is
 // returned exactly as in the undeadlined run.
 func SRKAnytime(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, bool, error) {
-	return srkAnytimeInstrumented(ctx, c, x, y, alpha, 1, false)
+	return srkAnytimeInstrumented(ctx, c, x, y, alpha, false)
 }
 
 // srkAnytimeInstrumented is the shared entry of the whole SRK family —
-// SRK/SRKAnytime (eager) and SRKPar/SRKAnytimePar (lazy) — the
+// SRK/SRKAnytime (eager) and SRKPar/SRKAnytimePar (sparse) — the
 // greedy engine wrapped with the stage timer, span, and degradation counter.
 // Both engines return picks in pick order; the key contract (ascending
 // feature index) is restored here with one sort, so the engines stay shareable
 // with SRKOrdered, which needs the pick order itself.
-func srkAnytimeInstrumented(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64, par int, lazy bool) (Key, bool, error) {
+func srkAnytimeInstrumented(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64, sparse bool) (Key, bool, error) {
 	start := time.Now()
 	sp := obs.StartSpan(ctx, "srk.greedy")
 	var (
@@ -43,8 +43,8 @@ func srkAnytimeInstrumented(ctx context.Context, c *Context, x feature.Instance,
 		degraded bool
 		err      error
 	)
-	if lazy {
-		picks, degraded, err = srkAnytimeLazy(ctx, c, x, y, alpha, par)
+	if sparse {
+		picks, degraded, err = srkAnytimeSparse(ctx, c, x, y, alpha)
 	} else {
 		picks, degraded, err = srkAnytime(ctx, c, x, y, alpha)
 	}
@@ -70,9 +70,9 @@ func srkAnytimeInstrumented(ctx context.Context, c *Context, x feature.Instance,
 }
 
 // srkAnytime is the uninstrumented eager greedy loop: every round scans all
-// remaining candidates sequentially. It is the reference implementation the
-// lazy engine (lazy.go) and the parallel entry points are differentially
-// tested against. The returned slice holds the picked features in pick order
+// remaining candidates over the whole survivor bitset. It is the reference
+// implementation the served engine (sparse.go) is differentially tested
+// against. The returned slice holds the picked features in pick order
 // (most violator-discriminating first), not sorted; a successful empty key is
 // a nil slice.
 func srkAnytime(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64) ([]int, bool, error) {

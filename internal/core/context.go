@@ -36,12 +36,15 @@ type Context struct {
 	items []feature.Labeled
 	// post[attr][value] holds the live rows where x[attr] == value.
 	post [][]*bitset.Set
-	// postCount[attr][value] tracks |post[attr][value]| incrementally, so the
-	// greedy tie-break (posting frequency) costs O(1) instead of a popcount
-	// pass — the lazy solver consults it once per heap entry per solve.
-	postCount [][]int
-	// byLabel[y] holds the live rows predicted y.
-	byLabel []*bitset.Set
+	// labelCount[attr][value*L+y] counts the live rows with x[attr] == value
+	// predicted y, for L labels. Summed over y it is the posting frequency
+	// the greedy tie-break reads (PostingCount), and it scores SRK's first
+	// greedy round without a scan: picking attr leaves the posting's rows
+	// not labelled y (DESIGN.md §11).
+	labelCount [][]int
+	// byLabel[y] holds the live rows predicted y; labelLive[y] = |byLabel[y]|.
+	byLabel   []*bitset.Set
+	labelLive []int
 	// live masks the occupied slots; posting lists are always subsets of it.
 	live      *bitset.Set
 	liveCount int
@@ -80,15 +83,16 @@ func NewContextSized(schema *feature.Schema, items []feature.Labeled, capacity i
 
 func (c *Context) initIndex(capacity int) {
 	c.post = make([][]*bitset.Set, c.Schema.NumFeatures())
-	c.postCount = make([][]int, c.Schema.NumFeatures())
+	c.labelCount = make([][]int, c.Schema.NumFeatures())
 	for a := range c.post {
 		c.post[a] = make([]*bitset.Set, c.Schema.Attrs[a].Cardinality())
-		c.postCount[a] = make([]int, c.Schema.Attrs[a].Cardinality())
+		c.labelCount[a] = make([]int, c.Schema.Attrs[a].Cardinality()*len(c.Schema.Labels))
 		for v := range c.post[a] {
 			c.post[a][v] = bitset.NewReserved(capacity)
 		}
 	}
 	c.byLabel = make([]*bitset.Set, len(c.Schema.Labels))
+	c.labelLive = make([]int, len(c.Schema.Labels))
 	for y := range c.byLabel {
 		c.byLabel[y] = bitset.NewReserved(capacity)
 	}
@@ -120,11 +124,13 @@ func (c *Context) AddSlot(li feature.Labeled) (int, error) {
 		}
 		c.items = append(c.items, li)
 	}
+	nl := len(c.byLabel)
 	for a, v := range li.X {
 		c.post[a][v].Add(i)
-		c.postCount[a][v]++
+		c.labelCount[a][int(v)*nl+int(li.Y)]++
 	}
 	c.byLabel[li.Y].Add(i)
+	c.labelLive[li.Y]++
 	c.live.Add(i)
 	c.liveCount++
 	c.version++
@@ -139,11 +145,13 @@ func (c *Context) Remove(slot int) error {
 		return fmt.Errorf("core: remove of dead or out-of-range slot %d", slot)
 	}
 	li := c.items[slot]
+	nl := len(c.byLabel)
 	for a, v := range li.X {
 		c.post[a][v].Remove(slot)
-		c.postCount[a][v]--
+		c.labelCount[a][int(v)*nl+int(li.Y)]--
 	}
 	c.byLabel[li.Y].Remove(slot)
+	c.labelLive[li.Y]--
 	c.live.Remove(slot)
 	c.liveCount--
 	c.free = append(c.free, slot)
@@ -207,11 +215,38 @@ func (c *Context) Live() *bitset.Set { return c.live }
 // it. Like every bitset of the context it is ⌈NumSlots/64⌉ words long.
 func (c *Context) Posting(attr int, v feature.Value) *bitset.Set { return c.post[attr][v] }
 
-// PostingCount returns |Posting(attr, v)| in O(1): the count is maintained
-// incrementally by AddSlot/Remove, so the greedy tie-break and the lazy
-// solver's heap seeding never pay a popcount pass for posting frequency.
-// Equal to Posting(attr, v).Count() at all times (asserted in context_test).
-func (c *Context) PostingCount(attr int, v feature.Value) int { return c.postCount[attr][v] }
+// PostingCount returns |Posting(attr, v)| in O(labels): it sums the
+// incremental count table, so the greedy tie-break never pays a popcount
+// pass for posting frequency. Equal to Posting(attr, v).Count() at all times
+// (asserted in context_test).
+func (c *Context) PostingCount(attr int, v feature.Value) int {
+	nl := len(c.byLabel)
+	n := 0
+	for _, k := range c.labelCount[attr][int(v)*nl : (int(v)+1)*nl] {
+		n += k
+	}
+	return n
+}
+
+// postingLabelCount returns |Posting(attr, v) ∩ LabelSet(y)| in O(1) from the
+// incremental count table; a prediction outside the label space has no rows.
+//
+//rkvet:noalloc
+func (c *Context) postingLabelCount(attr int, v feature.Value, y feature.Label) int {
+	nl := len(c.byLabel)
+	if y < 0 || int(y) >= nl {
+		return 0
+	}
+	return c.labelCount[attr][int(v)*nl+int(y)]
+}
+
+// disagreeingCount returns |Disagreeing(y)| in O(1).
+func (c *Context) disagreeingCount(y feature.Label) int {
+	if y < 0 || int(y) >= len(c.labelLive) {
+		return c.liveCount
+	}
+	return c.liveCount - c.labelLive[y]
+}
 
 // LabelSet returns the posting list of rows predicted y.
 func (c *Context) LabelSet(y feature.Label) *bitset.Set { return c.byLabel[y] }

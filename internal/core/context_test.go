@@ -120,11 +120,13 @@ func TestValidateAlpha(t *testing.T) {
 	}
 }
 
-// TestPostingCountInvariant pins the O(1) PostingCount accessor to its
-// definition: after an arbitrary interleaving of AddSlot and Remove, the
-// incrementally maintained count equals a fresh popcount of the posting list
-// for every (attribute, value) pair. The lazy solver's tie-break reads
-// PostingCount once per heap entry; a drift here silently reorders keys.
+// TestPostingCountInvariant pins the incremental count tables to their
+// definitions: after an arbitrary interleaving of AddSlot and Remove,
+// PostingCount equals a fresh popcount of the posting list for every
+// (attribute, value) pair, and the per-(attribute, value, label) table and
+// the per-label totals equal a recount over the live rows. The greedy
+// tie-break reads PostingCount and the served engine's first round reads the
+// label table; a drift in either silently reorders keys.
 func TestPostingCountInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(353))
 	c := randomContext(t, rng, 150, 5, 3, 2)
@@ -134,11 +136,35 @@ func TestPostingCountInvariant(t *testing.T) {
 	}
 	check := func(step int) {
 		t.Helper()
+		type cell struct {
+			a int
+			v feature.Value
+			y feature.Label
+		}
+		recount := map[cell]int{}
+		perLabel := map[feature.Label]int{}
+		for _, li := range c.LiveItems() {
+			for a, v := range li.X {
+				recount[cell{a, v, li.Y}]++
+			}
+			perLabel[li.Y]++
+		}
 		for a := 0; a < c.Schema.NumFeatures(); a++ {
 			for v := 0; v < c.Schema.Attrs[a].Cardinality(); v++ {
 				if got, want := c.PostingCount(a, feature.Value(v)), c.Posting(a, feature.Value(v)).Count(); got != want {
 					t.Fatalf("step %d: PostingCount(%d,%d) = %d, popcount %d", step, a, v, got, want)
 				}
+				for y := range c.Schema.Labels {
+					k := cell{a, feature.Value(v), feature.Label(y)}
+					if got := c.postingLabelCount(a, k.v, k.y); got != recount[k] {
+						t.Fatalf("step %d: postingLabelCount(%d,%d,%d) = %d, recount %d", step, a, v, y, got, recount[k])
+					}
+				}
+			}
+		}
+		for y := range c.Schema.Labels {
+			if got, want := c.disagreeingCount(feature.Label(y)), c.Len()-perLabel[feature.Label(y)]; got != want {
+				t.Fatalf("step %d: disagreeingCount(%d) = %d, recount %d", step, y, got, want)
 			}
 		}
 	}

@@ -28,10 +28,12 @@ func decodeInstance(b byte) feature.Labeled {
 
 // FuzzContextRemoveAdd is the streaming-determinism oracle: a context
 // mutated by an arbitrary interleaving of AddSlot and Remove must be
-// indistinguishable — SRK key bytes, violation counts, disagreeing-set
-// cardinality — from a context rebuilt from scratch over its live rows. This
-// is the invariant the sliding window (cce.Window) and the service retention
-// path stand on.
+// indistinguishable — SRK and SRKPar key bytes, violation counts,
+// disagreeing-set cardinality — from a context rebuilt from scratch over its
+// live rows. This is the invariant the sliding window (cce.Window) and the
+// service retention path stand on. SRKPar is the check on the count tables:
+// the eager SRK reads neither, so a missed decrement in Remove shows only in
+// the served engine's picks.
 func FuzzContextRemoveAdd(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, byte(0))
 	f.Add([]byte{10, 20, 3, 30, 7, 40, 11}, byte(17))
@@ -77,6 +79,16 @@ func FuzzContextRemoveAdd(f *testing.F) {
 			k2, err2 := SRK(rebuilt, target.X, target.Y, alpha)
 			if errors.Is(err1, ErrNoKey) != errors.Is(err2, ErrNoKey) || (err1 == nil) != (err2 == nil) {
 				t.Fatalf("α=%v: SRK errors diverge: incremental %v, rebuilt %v", alpha, err1, err2)
+			}
+			for i, c := range []*Context{ctx, rebuilt} {
+				name := []string{"incremental", "rebuilt"}[i]
+				k, err := SRKPar(c, target.X, target.Y, alpha, 1)
+				if errors.Is(err, ErrNoKey) != errors.Is(err1, ErrNoKey) || (err == nil) != (err1 == nil) {
+					t.Fatalf("α=%v: SRKPar on %s errs %v, SRK %v", alpha, name, err, err1)
+				}
+				if err == nil && !k.Equal(k1) {
+					t.Fatalf("α=%v: SRKPar on %s = %v, SRK %v", alpha, name, k, k1)
+				}
 			}
 			if err1 != nil {
 				continue

@@ -9,26 +9,27 @@ import (
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
-// Differential harness for DESIGN.md §12: the lazy-greedy engine must be
-// byte-identical to the eager reference on every input — same key bytes, same
-// pick order, same error, same degraded flag — across alphas, worker counts,
-// and adversarial tie structure. The eager loop (srkAnytime) is the oracle;
-// it never takes the lazy path, so a heap bug cannot hide by breaking both
-// sides the same way.
+// Differential harness for DESIGN.md §11: the served engine (sparse.go) must
+// be byte-identical to the eager reference on every input — same key bytes,
+// same pick order, same error, same degraded flag — across alphas, ignored
+// worker counts, and adversarial tie structure. The eager loop (srkAnytime)
+// is the oracle; it reads neither the count tables nor the word list, so a
+// bug in either cannot hide by breaking both sides the same way. The Lazy
+// names date from the CELF engine these suites were written for.
 
 // lazyTestAlphas is the sweep the acceptance matrix calls for: 0.99 makes
-// budgets tight (many rounds, deep heaps), 0.8 makes them loose (one or two
-// rounds, empty-key successes on small contexts).
+// budgets tight (many rounds over the word list), 0.8 makes them loose (one
+// or two rounds, empty-key successes on small contexts).
 var lazyTestAlphas = []float64{0.8, 0.9, 0.95, 0.99}
 
 // TestDifferentialLazyEager sweeps random datasets × α × P ∈ {1,2,4,8},
-// comparing the lazy production entry against the eager oracle. Odd trials
-// use tie-heavy datasets (binary features over few attributes: many rows
-// collide onto the same posting lists, so gains tie constantly and the pick
-// is decided by the freq/index tie-break — the exact code path that breaks
-// if the heap order diverges from the eager scan order).
+// comparing the served entry against the eager oracle. Odd trials use
+// tie-heavy datasets (binary features over few attributes: many rows collide
+// onto the same posting lists, so scores tie constantly and the pick is
+// decided by the freq/index tie-break — the exact code path that breaks if
+// the count-seeded round or the word-list rounds compare differently from
+// the eager scan).
 func TestDifferentialLazyEager(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(311))
 	for trial := 0; trial < 120; trial++ {
 		var c *Context
@@ -56,9 +57,9 @@ func TestDifferentialLazyEager(t *testing.T) {
 }
 
 // TestDifferentialLazyPickOrder compares the raw engines below the
-// instrumented wrapper: the lazy pick sequence must equal the eager pick
-// sequence element by element, not just as a sorted set — the heap tie-break
-// is only correct if every individual round's argmax replays the eager scan.
+// instrumented wrapper: the served pick sequence must equal the eager pick
+// sequence element by element, not just as a sorted set — the tie-break is
+// only correct if every individual round's argmin replays the eager scan.
 func TestDifferentialLazyPickOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(313))
 	for trial := 0; trial < 100; trial++ {
@@ -66,7 +67,7 @@ func TestDifferentialLazyPickOrder(t *testing.T) {
 		row := c.Item(rng.Intn(c.Len()))
 		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
 		want, wantDeg, wantErr := srkAnytime(context.Background(), c, row.X, row.Y, alpha)
-		got, gotDeg, gotErr := srkAnytimeLazy(context.Background(), c, row.X, row.Y, alpha, 1)
+		got, gotDeg, gotErr := srkAnytimeSparse(context.Background(), c, row.X, row.Y, alpha)
 		if gotDeg != wantDeg || (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("trial %d α=%v: (deg %v, err %v), eager (deg %v, err %v)", trial, alpha, gotDeg, gotErr, wantDeg, wantErr)
 		}
@@ -75,14 +76,14 @@ func TestDifferentialLazyPickOrder(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d α=%v: pick %d is %d, eager %d (lazy %v, eager %v)", trial, alpha, i, got[i], want[i], got, want)
+				t.Fatalf("trial %d α=%v: pick %d is %d, eager %d (served %v, eager %v)", trial, alpha, i, got[i], want[i], got, want)
 			}
 		}
 	}
 }
 
 // TestDifferentialSRKOrdered pins the SRKOrdered unification: the public
-// pick-order entry must agree with SRK's key (as a set) and with the lazy
+// pick-order entry must agree with SRK's key (as a set) and with the served
 // engine's pick order (element-wise) on tie-heavy datasets, where the
 // historical duplicated greedy loop could silently drift from the shared one.
 func TestDifferentialSRKOrdered(t *testing.T) {
@@ -102,22 +103,22 @@ func TestDifferentialSRKOrdered(t *testing.T) {
 		if !NewKey(order...).Equal(key) {
 			t.Fatalf("trial %d α=%v: SRKOrdered %v is not a permutation of SRK %v", trial, alpha, order, key)
 		}
-		lazyPicks, _, lazyErr := srkAnytimeLazy(context.Background(), c, row.X, row.Y, alpha, 1)
-		if lazyErr != nil {
-			t.Fatalf("trial %d α=%v: lazy errored %v where SRKOrdered succeeded", trial, alpha, lazyErr)
+		servedPicks, _, servedErr := srkAnytimeSparse(context.Background(), c, row.X, row.Y, alpha)
+		if servedErr != nil {
+			t.Fatalf("trial %d α=%v: served engine errored %v where SRKOrdered succeeded", trial, alpha, servedErr)
 		}
-		if len(lazyPicks) != len(order) {
-			t.Fatalf("trial %d α=%v: lazy picks %v, SRKOrdered %v", trial, alpha, lazyPicks, order)
+		if len(servedPicks) != len(order) {
+			t.Fatalf("trial %d α=%v: served picks %v, SRKOrdered %v", trial, alpha, servedPicks, order)
 		}
 		for i := range order {
-			if lazyPicks[i] != order[i] {
-				t.Fatalf("trial %d α=%v: pick %d lazy %d, SRKOrdered %d", trial, alpha, i, lazyPicks[i], order[i])
+			if servedPicks[i] != order[i] {
+				t.Fatalf("trial %d α=%v: pick %d served %d, SRKOrdered %d", trial, alpha, i, servedPicks[i], order[i])
 			}
 		}
 	}
 }
 
-// TestLazyEmptyKeySuccess: when the empty key already satisfies α, the lazy
+// TestLazyEmptyKeySuccess: when the empty key already satisfies α, the served
 // entries must return a non-nil empty Key — the service JSON layer renders
 // Key{} as [] and Key(nil) as null, and clients key off the difference.
 func TestLazyEmptyKeySuccess(t *testing.T) {
@@ -141,7 +142,6 @@ func TestLazyEmptyKeySuccess(t *testing.T) {
 // same completion pass as the eager solver, from round zero — the only
 // cancellation timing deterministic enough to diff exactly.
 func TestLazyExpiredContext(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(337))
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -162,14 +162,13 @@ func TestLazyExpiredContext(t *testing.T) {
 	}
 }
 
-// TestLazyFallbackDatasets drives the engine through its degenerate regime —
-// datasets engineered so bounds go stale together and the re-evaluation cap
-// trips into the full-rescan fallback — and checks byte-identity survives it.
+// TestLazyFallbackDatasets drives the engine through the all-ties regime
+// that once tripped the CELF engine's full-rescan fallback, and checks
+// byte-identity survives it.
 func TestLazyFallbackDatasets(t *testing.T) {
-	forceParallel(t)
 	// Twelve identical binary columns: every candidate has the same posting
 	// list, so every round is an all-way tie decided purely by (freq, index),
-	// and after the first pick every remaining gain collapses to zero.
+	// and after the first pick no candidate removes another violator.
 	attrs := make([]feature.Attribute, 12)
 	for i := range attrs {
 		attrs[i] = feature.Attribute{Name: string(rune('A' + i)), Values: []string{"0", "1"}}
@@ -204,7 +203,38 @@ func TestLazyFallbackDatasets(t *testing.T) {
 	}
 }
 
-// FuzzLazyGreedy is the lazy-vs-eager oracle under arbitrary datasets,
+// TestLazyOutOfRangeLabel: a prediction outside the label space (the solvers
+// do not validate it) makes every live row a violator in the eager loop. The
+// served engine must read that as "no rows labelled y" from its count table,
+// not index the table out of range, and return the eager answer.
+func TestLazyOutOfRangeLabel(t *testing.T) {
+	rng := rand.New(rand.NewSource(349))
+	for trial := 0; trial < 40; trial++ {
+		c := randomContext(t, rng, 5+rng.Intn(200), 2+rng.Intn(5), 2+rng.Intn(3), 2)
+		if trial%2 == 1 {
+			removeRandomThird(t, rng, c)
+		}
+		x := c.LiveItems()[0].X
+		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
+		for _, y := range []feature.Label{-1, feature.Label(len(c.Schema.Labels)), 99} {
+			want, wantDeg, wantErr := srkAnytime(context.Background(), c, x, y, alpha)
+			got, gotDeg, gotErr := srkAnytimeSparse(context.Background(), c, x, y, alpha)
+			if gotDeg != wantDeg || !errors.Is(gotErr, wantErr) {
+				t.Fatalf("trial %d y=%d: (deg %v, err %v), eager (deg %v, err %v)", trial, y, gotDeg, gotErr, wantDeg, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d y=%d: picks %v, eager %v", trial, y, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d y=%d: picks %v, eager %v", trial, y, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzLazyGreedy is the served-vs-eager oracle under arbitrary datasets,
 // targets, and alphas: any divergence in key bytes, pick order, or error
 // shape is a crash. The committed corpus pins the two regimes the sweep
 // tests found most fragile: an all-ties dataset (identical instances with
@@ -234,17 +264,17 @@ func FuzzLazyGreedy(f *testing.F) {
 		alpha := []float64{1.0, 0.99, 0.9, 0.8}[(tb>>5)&3]
 
 		wantPicks, wantDeg, wantErr := srkAnytime(context.Background(), c, target.X, target.Y, alpha)
-		gotPicks, gotDeg, gotErr := srkAnytimeLazy(context.Background(), c, target.X, target.Y, alpha, 1)
+		gotPicks, gotDeg, gotErr := srkAnytimeSparse(context.Background(), c, target.X, target.Y, alpha)
 		if gotDeg != wantDeg || (gotErr == nil) != (wantErr == nil) ||
 			errors.Is(gotErr, ErrNoKey) != errors.Is(wantErr, ErrNoKey) {
-			t.Fatalf("α=%v: lazy (deg %v, err %v), eager (deg %v, err %v)", alpha, gotDeg, gotErr, wantDeg, wantErr)
+			t.Fatalf("α=%v: served (deg %v, err %v), eager (deg %v, err %v)", alpha, gotDeg, gotErr, wantDeg, wantErr)
 		}
 		if len(gotPicks) != len(wantPicks) {
-			t.Fatalf("α=%v: lazy picks %v, eager %v", alpha, gotPicks, wantPicks)
+			t.Fatalf("α=%v: served picks %v, eager %v", alpha, gotPicks, wantPicks)
 		}
 		for i := range gotPicks {
 			if gotPicks[i] != wantPicks[i] {
-				t.Fatalf("α=%v: pick %d lazy %d, eager %d (lazy %v, eager %v)", alpha, i, gotPicks[i], wantPicks[i], gotPicks, wantPicks)
+				t.Fatalf("α=%v: pick %d served %d, eager %d (served %v, eager %v)", alpha, i, gotPicks[i], wantPicks[i], gotPicks, wantPicks)
 			}
 		}
 
@@ -259,7 +289,7 @@ func FuzzLazyGreedy(f *testing.F) {
 				t.Fatalf("α=%v: SRKPar key %v, eager %v", alpha, gotKey, wantKey)
 			}
 			if (gotKey == nil) != (wantKey == nil) {
-				t.Fatalf("α=%v: key nilness diverges: lazy %#v, eager %#v", alpha, gotKey, wantKey)
+				t.Fatalf("α=%v: key nilness diverges: served %#v, eager %#v", alpha, gotKey, wantKey)
 			}
 		}
 	})

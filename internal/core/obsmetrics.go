@@ -25,22 +25,15 @@ var (
 	solverNoKey = obs.NewCounter("rk_solver_nokey_total",
 		"Solves that proved no α-conformant key exists for the instance.")
 
-	// Intra-explanation parallelism (DESIGN.md §11): rounds that took the
-	// striped scoring path, and the latency of one such round including the
-	// worker join.
-	solverParallelRounds = obs.NewCounter("rk_solver_parallel_rounds_total",
-		"SRK greedy rounds scored on the parallel (striped) path.")
-	solverStripeSeconds = obs.NewHistogram("rk_solver_stripe_seconds",
-		"Latency of one parallel scoring round across all stripes, including the join.", nil)
-
-	// Lazy-greedy solver (DESIGN.md §12): greedy rounds resolved on the lazy
-	// path, candidate re-evaluations spent confirming heap tops (the quantity
-	// CELF saves — compare against rounds × features for the eager cost), and
-	// rounds that degenerated into the eager full-rescan fallback.
+	// The served engine (DESIGN.md §11): greedy picks, and candidates scored
+	// over the survivor word list in the rounds after the first (compare
+	// against picks × features for the eager loop's full scans). The series
+	// keep the names of the lazy (CELF) engine they replaced; the fallback
+	// counter stays registered at 0 because the engine has no fallback.
 	lazyRounds = obs.NewCounter("rk_solver_lazy_rounds_total",
-		"SRK greedy rounds resolved by the lazy-greedy (CELF) engine.")
+		"SRK greedy picks made by the served engine (SRKPar/SRKAnytimePar).")
 	lazyEvals = obs.NewCounter("rk_solver_lazy_evals_total",
-		"Candidate re-evaluations performed by the lazy engine's confirm loop.")
-	lazyFallbacks = obs.NewCounter("rk_solver_lazy_fallbacks_total",
-		"Lazy rounds that exceeded the re-evaluation cap and fell back to an eager full rescan.")
+		"Candidates the served engine scored over the survivor word list, in rounds after the first.")
+	_ = obs.NewCounter("rk_solver_lazy_fallbacks_total",
+		"Always 0: the retired lazy engine's full-rescan fallbacks. The served engine has none.")
 )

@@ -5,19 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
-// The differential harness for DESIGN.md §11: every parallel solver must be
-// byte-identical to its sequential counterpart on every input — same key,
-// same error, same degraded flag — for every worker count, including P far
-// above NumCPU and P above the row count. The tests force the parallel path
-// by dropping MinParallelRows to 0 for their duration; forceParallel
-// restores it so the threshold default stays intact for other tests.
+// The differential harness for the Par entry points: SRKPar/SRKAnytimePar
+// must be byte-identical to SRK/SRKAnytime on every input — same key, same
+// error, same degraded flag — whatever worker count they are passed (it is
+// ignored), and the striped counters must equal their sequential forms for
+// every worker count, including P far above NumCPU and P above the row
+// count. The counter tests force the striped path by dropping
+// MinParallelRows to 0 for their duration; forceParallel restores it so the
+// threshold default stays intact for other tests.
 
 var testedParallelisms = []int{1, 2, 3, 4, 8}
 
@@ -29,14 +30,9 @@ func forceParallel(t *testing.T) {
 }
 
 // TestDifferentialSRKParallel: quick-check style sweep over randomized
-// datasets, alphas, and P ∈ {1,2,3,4,8} (8 > NumCPU on CI runners; contexts
-// as small as 5 rows make P > rows routine).
+// datasets, alphas, and P ∈ {1,2,3,4,8}.
 func TestDifferentialSRKParallel(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(211))
-	if runtime.NumCPU() >= 8 {
-		t.Log("NumCPU >= 8: extend testedParallelisms if the P > NumCPU case matters on this machine")
-	}
 	for trial := 0; trial < 80; trial++ {
 		c := randomContext(t, rng, 5+rng.Intn(300), 2+rng.Intn(7), 2+rng.Intn(3), 2+rng.Intn(2))
 		row := c.Item(rng.Intn(c.Len()))
@@ -59,7 +55,6 @@ func TestDifferentialSRKParallel(t *testing.T) {
 // degraded completion pass from round zero in both variants — the only
 // cancellation timing that is deterministic enough to diff).
 func TestDifferentialSRKAnytimeParallel(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(223))
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -115,27 +110,28 @@ func TestDifferentialCountersParallel(t *testing.T) {
 	}
 }
 
-// TestParallelRespectsRowThreshold: under MinParallelRows the parallel entry
-// points must take the sequential path (observable through identical results
-// and, indirectly, zero goroutine fan-out — asserted here only behaviorally).
+// TestParallelRespectsRowThreshold: under MinParallelRows the striped
+// counters must take the sequential path (observable through identical
+// results and, indirectly, zero goroutine fan-out — asserted here only
+// behaviorally).
 func TestParallelRespectsRowThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(233))
 	c := randomContext(t, rng, 50, 4, 2, 2) // 50 ≪ MinParallelRows
 	row := c.Item(0)
-	want, wantErr := SRK(c, row.X, row.Y, 0.9)
-	got, gotErr := SRKPar(c, row.X, row.Y, 0.9, 8)
-	if (gotErr == nil) != (wantErr == nil) || !got.Equal(want) {
-		t.Fatalf("threshold fallback differs: %v/%v vs %v/%v", got, gotErr, want, wantErr)
+	E := NewKey(0, 2)
+	if got, want := ViolationsPar(c, row.X, row.Y, E, 8), Violations(c, row.X, row.Y, E); got != want {
+		t.Fatalf("threshold fallback: ViolationsPar %d, sequential %d", got, want)
+	}
+	if got, want := CoveragePar(c, row.X, row.Y, E, 8), Coverage(c, row.X, row.Y, E); got != want {
+		t.Fatalf("threshold fallback: CoveragePar %d, sequential %d", got, want)
 	}
 }
 
-// TestParallelSRKConcurrentSolves: many goroutines running parallel solves
-// against one shared read-only context — the deployment shape (request
-// fan-out × intra-solve fan-out) — must all get the sequential answer. Run
-// under -race this also proves the round scorer shares nothing across
-// concurrent solves.
+// TestParallelSRKConcurrentSolves: many goroutines solving against one
+// shared read-only context — the deployment shape of request fan-out — must
+// all get the eager answer. Run under -race this also proves the pooled
+// per-solve state is shared by no two concurrent solves.
 func TestParallelSRKConcurrentSolves(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(239))
 	c := randomContext(t, rng, 500, 6, 3, 2)
 	type q struct {

@@ -32,7 +32,7 @@ func SRK(c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, e
 // It is the eager engine's pick-ordered return surfaced directly — the same
 // srkAnytime loop behind SRK/SRKAnytime, not a second copy of the greedy
 // step — so the ordering can never drift from the key the other entry points
-// compute (asserted against SRK and the lazy engine in srk_test.go and
+// compute (asserted against SRK and the served engine in srk_test.go and
 // lazy_test.go).
 func SRKOrdered(c *Context, x feature.Instance, y feature.Label, alpha float64) ([]int, error) {
 	picks, _, err := srkAnytime(context.Background(), c, x, y, alpha) //rkvet:ignore ctxflow SRKOrdered is a never-cancelled specialization like SRK; the pick order must not depend on a deadline
@@ -67,9 +67,11 @@ func SRKRandomOrder(c *Context, x feature.Instance, y feature.Label, alpha float
 	return nil, ErrNoKey
 }
 
-// SRKNaive mirrors SRK but counts violations by rescanning the context
+// SRKNaive mirrors SRK but counts violations by rescanning the live rows
 // instead of using the bitset index; it exists for the bitset-vs-naive
-// ablation bench and as a differential-testing oracle.
+// ablation bench and as a differential-testing oracle. It walks live slots
+// only, so retired rows count neither as violators nor toward the
+// tie-break frequency.
 func SRKNaive(c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, error) {
 	if err := ValidateAlpha(alpha); err != nil {
 		return nil, err
@@ -83,7 +85,7 @@ func SRKNaive(c *Context, x feature.Instance, y feature.Label, alpha float64) (K
 	// live holds row indices agreeing with x on E with different prediction.
 	var live []int
 	for i, li := range c.Items() {
-		if li.Y != y {
+		if c.Alive(i) && li.Y != y {
 			live = append(live, i)
 		}
 	}
@@ -105,8 +107,8 @@ func SRKNaive(c *Context, x feature.Instance, y feature.Label, alpha float64) (K
 				}
 			}
 			freq := 0
-			for _, li := range c.Items() {
-				if li.X[a] == x[a] {
+			for i, li := range c.Items() {
+				if c.Alive(i) && li.X[a] == x[a] {
 					freq++
 				}
 			}

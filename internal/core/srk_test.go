@@ -82,7 +82,9 @@ func TestSRKAlwaysConformant(t *testing.T) {
 	}
 }
 
-// Property: SRK and SRKNaive produce identical keys (differential oracle).
+// Property: SRK and SRKNaive produce identical keys (differential oracle),
+// also on contexts with retired slots, where the naive rescan must skip dead
+// rows exactly as the index does; the served engine must agree with both.
 func TestSRKMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 50; trial++ {
@@ -96,6 +98,34 @@ func TestSRKMatchesNaive(t *testing.T) {
 		}
 		if err1 == nil && !k1.Equal(k2) {
 			t.Fatalf("trial %d: SRK=%v naive=%v", trial, k1, k2)
+		}
+	}
+	rng = rand.New(rand.NewSource(18))
+	for trial := 0; trial < 200; trial++ {
+		c := randomContext(t, rng, 6+rng.Intn(150), 2+rng.Intn(6), 2+rng.Intn(3), 2)
+		removeRandomThird(t, rng, c)
+		live := c.LiveItems()
+		row := live[rng.Intn(len(live))]
+		alpha := []float64{1.0, 0.95, 0.9}[rng.Intn(3)]
+		k1, err1 := SRK(c, row.X, row.Y, alpha)
+		k2, err2 := SRKNaive(c, row.X, row.Y, alpha)
+		k3, err3 := SRKPar(c, row.X, row.Y, alpha, 1)
+		if (err1 == nil) != (err2 == nil) || (err1 == nil) != (err3 == nil) {
+			t.Fatalf("removal trial %d: err mismatch SRK %v, naive %v, SRKPar %v", trial, err1, err2, err3)
+		}
+		if err1 == nil && (!k1.Equal(k2) || !k1.Equal(k3)) {
+			t.Fatalf("removal trial %d: SRK=%v naive=%v SRKPar=%v", trial, k1, k2, k3)
+		}
+	}
+}
+
+// removeRandomThird retires a random third of c's live rows.
+func removeRandomThird(t testing.TB, rng *rand.Rand, c *Context) {
+	t.Helper()
+	slots := rng.Perm(c.NumSlots())
+	for _, slot := range slots[:c.NumSlots()/3] {
+		if err := c.Remove(slot); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

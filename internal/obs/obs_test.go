@@ -169,10 +169,10 @@ func itoa(n int) string {
 func TestHistogramBucketEdges(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("rk_test_edges_seconds", "edges", []float64{1, 2})
-	h.Observe(1)          // le="1"
-	h.Observe(2)          // le="2"
-	h.Observe(2.000001)   // +Inf
-	h.Observe(-5)         // le="1" (cumulative from below)
+	h.Observe(1)           // le="1"
+	h.Observe(2)           // le="2"
+	h.Observe(2.000001)    // +Inf
+	h.Observe(-5)          // le="1" (cumulative from below)
 	h.Observe(math.Inf(1)) // +Inf
 	var buf bytes.Buffer
 	h.expose(&buf)

@@ -26,7 +26,7 @@ type Tracer struct {
 	seq atomic.Int64 // requests seen, for the sampling decision
 
 	mu     sync.Mutex
-	ring   []*Trace // guarded by mu; completed traces, oldest first
+	ring   []*Trace   // guarded by mu; completed traces, oldest first
 	idSeed *rand.Rand // guarded by mu; trace-ID entropy
 }
 

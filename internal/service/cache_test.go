@@ -47,6 +47,8 @@ func TestExplainCacheDifferential(t *testing.T) {
 		cfg  Config
 	}{
 		{"eager", Config{Schema: schema, Alpha: 1.0, Solve: SolveFunc(core.SRKAnytime), SolverTag: "eager"}},
+		// The default engine; Parallelism is ignored, and the lazy_p* names
+		// date from the retired lazy engine.
 		{"lazy_p1", Config{Schema: schema, Alpha: 1.0, Parallelism: 1}},
 		{"lazy_p2", Config{Schema: schema, Alpha: 1.0, Parallelism: 2}},
 		{"lazy_p4", Config{Schema: schema, Alpha: 1.0, Parallelism: 4}},

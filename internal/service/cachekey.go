@@ -25,7 +25,7 @@ import (
 // CacheKey is the decoded form of one explanation-cache key.
 type CacheKey struct {
 	Version uint64           // context mutation stamp at solve time
-	Config  string           // solver configuration fingerprint (e.g. "lazy/p=4")
+	Config  string           // solver configuration fingerprint (e.g. "srk")
 	Alpha   float64          // conformity bound the solve ran under
 	Y       feature.Label    // predicted label
 	X       feature.Instance // encoded attribute values

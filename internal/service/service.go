@@ -40,6 +40,11 @@ type DriftObserver interface {
 	Arrivals() int
 }
 
+// DefaultSolverTag is the cache-key fingerprint of the default solver,
+// core.SRKAnytimePar. A Solve wrapper that leaves results unchanged, such as
+// a latency drill, passes it as Config.SolverTag.
+const DefaultSolverTag = "srk"
+
 // SolveFunc is the anytime solver seam, matching core.SRKAnytime: it returns
 // the key, whether the deadline degraded it, and an error.
 type SolveFunc func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error)
@@ -54,19 +59,16 @@ type Config struct {
 	Retain    int // max live context rows; 0 = grow forever
 
 	Monitor DriftObserver // overrides PanelSize construction when non-nil
-	// Solve overrides the explain solver. nil = core.SRKAnytimePar at
-	// Parallelism workers — the lazy-greedy engine (DESIGN.md §12), which
-	// returns byte-identical keys to the eager reference at a fraction of
-	// the candidate evaluations. Tests set it to core.SRKAnytime to run the
-	// eager path, or to a fault-injecting wrapper; cceserver sets it only for
-	// its -solve-stall drill.
+	// Solve overrides the explain solver. nil = core.SRKAnytimePar, the
+	// served engine (DESIGN.md §11), which returns byte-identical keys to the
+	// eager reference while scanning only the survivors' nonzero words after
+	// the first pick. Tests set it to core.SRKAnytime to run the eager path,
+	// or to a fault-injecting wrapper; cceserver sets it only for its
+	// -solve-stall drill.
 	Solve SolveFunc
 
-	// Parallelism bounds the intra-solve worker count of each explain
-	// (DESIGN.md §11): above 1, the lazy engine's full candidate scans are
-	// striped across that many workers once the context reaches
-	// core.MinParallelRows rows, with byte-identical keys. 0 or 1 keeps
-	// solves sequential. Ignored when Solve is set.
+	// Parallelism is ignored: the served engine solves each explain
+	// sequentially. It stays until the repository benchmark stops setting it.
 	Parallelism int
 
 	DefaultDeadline time.Duration // per-explain solve budget; 0 = none
@@ -79,8 +81,9 @@ type Config struct {
 	// misses coalesce onto one solve. CacheOff disables both. CacheEntries
 	// and CacheBytes bound the cache (0 = defaults: 8192 entries, 32 MiB).
 	// SolverTag fingerprints the solver configuration inside cache keys; ""
-	// derives one from Solve/Parallelism. Two servers sharing persisted state
-	// but configured with different solvers must carry different tags.
+	// means DefaultSolverTag when Solve is nil and "custom" otherwise. Two
+	// servers sharing persisted state but configured with different solvers
+	// must carry different tags.
 	CacheOff     bool
 	CacheEntries int
 	CacheBytes   int64
@@ -128,7 +131,6 @@ type Server struct {
 	schema          *feature.Schema
 	alpha           float64
 	retain          int // max live context rows; 0 = grow forever
-	parallelism     int // intra-solve workers per explain; ≤1 = sequential
 	solve           SolveFunc
 	defaultDeadline time.Duration
 	minDeadline     time.Duration
@@ -231,7 +233,6 @@ func NewServer(cfg Config) (*Server, error) {
 		schema:          cfg.Schema,
 		alpha:           cfg.Alpha,
 		retain:          cfg.Retain,
-		parallelism:     cfg.Parallelism,
 		solve:           cfg.Solve,
 		defaultDeadline: cfg.DefaultDeadline,
 		minDeadline:     cfg.MinDeadline,
@@ -248,12 +249,11 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.solverTag = cfg.SolverTag
 	if s.solve == nil {
-		par := s.parallelism
 		s.solve = func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
-			return core.SRKAnytimePar(ctx, c, x, y, alpha, par)
+			return core.SRKAnytimePar(ctx, c, x, y, alpha, 1)
 		}
 		if s.solverTag == "" {
-			s.solverTag = fmt.Sprintf("lazy/p=%d", s.parallelism)
+			s.solverTag = DefaultSolverTag
 		}
 	}
 	if s.solverTag == "" {
@@ -726,7 +726,6 @@ type StatsResponse struct {
 	ContextSize      int     `json:"context_size"`
 	Alpha            float64 `json:"alpha"`
 	Retention        int     `json:"retention,omitempty"`
-	SolverParallel   int     `json:"solver_parallelism,omitempty"`
 	AvgSuccinctness  float64 `json:"monitor_avg_succinctness,omitempty"`
 	MonitorArrivals  int     `json:"monitor_arrivals,omitempty"`
 	MonitoringActive bool    `json:"monitoring_active"`
@@ -1085,7 +1084,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ContextSize:      s.ctx.Len(),
 		Alpha:            s.alpha,
 		Retention:        s.retain,
-		SolverParallel:   s.parallelism,
 		DegradedTotal:    s.degradedTotal.Load(),
 		ShedTotal:        s.shedTotal.Load(),
 		PanicsRecovered:  s.panicsRecovered.Load(),
