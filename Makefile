@@ -92,15 +92,19 @@ obs-smoke:
 # End-to-end load-generator gate: build cceserver and ccebench, boot the
 # server with the explanation cache on, run a duplicate-heavy ccebench pass
 # plus forced coalescing bursts, and assert the cache-hit and coalesced
-# counters moved in /stats and /metrics. The ccebench JSON artifact lands in
-# $TMPDIR for CI to upload.
+# counters moved in /stats and /metrics. The ccebench JSON artifact lands at
+# LOADGEN_ARTIFACT ($TMPDIR by default; CI points it into the checkout and
+# uploads it).
+LOADGEN_ARTIFACT ?= $${TMPDIR:-/tmp}/ccebench-smoke.json
+
 loadgen-smoke:
-	$(GO) run ./cmd/loadgensmoke -artifact $${TMPDIR:-/tmp}/ccebench-smoke.json
+	$(GO) run ./cmd/loadgensmoke -artifact $(LOADGEN_ARTIFACT)
 
 # Short native-fuzz burst per target, on top of the committed seed corpora
 # (testdata/fuzz/): bitset vs naive model, bucketing round-trips, incremental
-# context vs rebuilt, SAT solver vs its own CNF, explanation-cache key
-# canonical form, replication WAL-record decode round trip. go test -fuzz
+# context vs rebuilt, retained context vs a last-N model, SAT solver vs its
+# own CNF, explanation-cache key canonical form, replication WAL-record
+# decode round trip. go test -fuzz
 # accepts one target per invocation, hence the fan-out.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSetOps          -fuzztime=$(FUZZTIME) ./internal/bitset/
@@ -108,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBucketer        -fuzztime=$(FUZZTIME) ./internal/feature/
 	$(GO) test -run=NONE -fuzz=FuzzBucketByCuts    -fuzztime=$(FUZZTIME) ./internal/feature/
 	$(GO) test -run=NONE -fuzz=FuzzContextRemoveAdd -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzRetained        -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzLazyGreedy      -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzSolver          -fuzztime=$(FUZZTIME) ./internal/sat/
 	$(GO) test -run=NONE -fuzz=FuzzCacheKey        -fuzztime=$(FUZZTIME) ./internal/service/
@@ -115,7 +120,7 @@ fuzz-smoke:
 
 # The fault-injection suite under the race detector: deadline degradation,
 # crash recovery from torn logs, load shedding, panic survival, the
-# concurrent rollback invariant, the concurrent-solve stress/chaos tests
+# concurrent refusal invariant, the concurrent-solve stress/chaos tests
 # (solves racing window advances, injector-timed mid-round cancellation),
 # and the request-plane suites — coalescing under injected
 # solver panics/errors, cache differential + degraded serve rules, and job

@@ -23,8 +23,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sync"
-	"syscall"
-	"time"
 
 	"github.com/xai-db/relativekeys/internal/e2e"
 )
@@ -56,11 +54,12 @@ func run(artifact string) error {
 		}
 	}
 
-	base, logPath, stop, err := bootServer(serverBin, tmp, "serving")
+	srv, err := bootServer(serverBin, tmp, "serving")
 	if err != nil {
 		return err
 	}
-	defer stop()
+	defer srv.Stop()
+	base := srv.Base
 
 	// The ccebench pass: duplicate-heavy interactive traffic plus one small
 	// async batch, merged into the JSON artifact.
@@ -77,7 +76,7 @@ func run(artifact string) error {
 		"-bench-json", artifact)
 	bench.Stdout, bench.Stderr = &out, os.Stderr
 	if err := bench.Run(); err != nil {
-		return fmt.Errorf("ccebench: %w\nserver log:\n%s", err, e2e.ReadLog(logPath))
+		return fmt.Errorf("ccebench: %w\nserver log:\n%s", err, srv.Log())
 	}
 	var res struct {
 		Requests  int64            `json:"requests"`
@@ -132,15 +131,15 @@ func run(artifact string) error {
 	// Boot a second instance with -solve-stall so every solve genuinely
 	// blocks, then fire barrier bursts of one identical request at a fresh
 	// context version: the first burst member leads, the rest coalesce.
-	stallBase, stallLog, stallStop, err := bootServer(serverBin, tmp, "stalled", "-solve-stall", "50ms")
+	stalled, err := bootServer(serverBin, tmp, "stalled", "-solve-stall", "50ms")
 	if err != nil {
 		return err
 	}
-	defer stallStop()
-	if err := forceCoalesce(stallBase); err != nil {
-		return fmt.Errorf("%w\nstalled-server log:\n%s", err, e2e.ReadLog(stallLog))
+	defer stalled.Stop()
+	if err := forceCoalesce(stalled.Base); err != nil {
+		return fmt.Errorf("%w\nstalled-server log:\n%s", err, stalled.Log())
 	}
-	stallMetrics, err := e2e.Get(stallBase + "/metrics")
+	stallMetrics, err := e2e.Get(stalled.Base + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -152,39 +151,11 @@ func run(artifact string) error {
 }
 
 // bootServer starts one cceserver instance with its own state directory and
-// log file under tmp, waits for it to answer /schema, and returns its base
-// URL plus a teardown func.
-func bootServer(bin, tmp, name string, extra ...string) (base, logPath string, stop func(), err error) {
-	addr, err := e2e.FreeAddr()
-	if err != nil {
-		return "", "", nil, err
-	}
-	logPath = filepath.Join(tmp, name+".log")
-	logFile, err := os.Create(logPath)
-	if err != nil {
-		return "", "", nil, err
-	}
-	args := append([]string{
-		"-addr", addr,
+// log file under tmp, with the drift monitor off.
+func bootServer(bin, tmp, name string, extra ...string) (*e2e.Server, error) {
+	return e2e.Boot(bin, tmp, name, append([]string{
 		"-state", filepath.Join(tmp, "state-"+name),
-		"-panel", "0"}, extra...)
-	srv := exec.Command(bin, args...)
-	srv.Stdout, srv.Stderr = logFile, logFile
-	if err := srv.Start(); err != nil {
-		logFile.Close() //rkvet:ignore dropperr nothing was written; the start error is the one to report
-		return "", "", nil, fmt.Errorf("start cceserver (%s): %w", name, err)
-	}
-	stop = func() {
-		_ = srv.Process.Signal(syscall.SIGTERM) //rkvet:ignore dropperr teardown signal; Wait below reports the real outcome
-		_ = srv.Wait()                          //rkvet:ignore dropperr SIGTERM exit status is expected nonzero
-		logFile.Close()                         //rkvet:ignore dropperr write-side close at exit; the log is diagnostic only
-	}
-	base = "http://" + addr
-	if err := e2e.WaitReady(base+"/schema", 10*time.Second); err != nil {
-		stop()
-		return "", "", nil, fmt.Errorf("%s: %w\nserver log:\n%s", name, err, e2e.ReadLog(logPath))
-	}
-	return base, logPath, stop, nil
+		"-panel", "0"}, extra...)...)
 }
 
 // forceCoalesce fires barrier bursts of identical explains at fresh context
@@ -193,25 +164,11 @@ func bootServer(bin, tmp, name string, extra ...string) (base, logPath string, s
 // NB identical requests at once: the first to arrive leads the flight, and
 // any that land during its solve coalesce.
 func forceCoalesce(base string) error {
-	schema, err := e2e.Get(base + "/schema")
+	values, prediction, err := e2e.FirstInstance(base)
 	if err != nil {
 		return err
 	}
-	var doc struct {
-		Attributes []struct {
-			Name   string   `json:"name"`
-			Values []string `json:"values"`
-		} `json:"attributes"`
-		Labels []string `json:"labels"`
-	}
-	if err := json.Unmarshal([]byte(schema), &doc); err != nil {
-		return err
-	}
-	values := make(map[string]string, len(doc.Attributes))
-	for _, a := range doc.Attributes {
-		values[a.Name] = a.Values[0]
-	}
-	body, err := json.Marshal(map[string]any{"values": values, "prediction": doc.Labels[0]})
+	body, err := json.Marshal(map[string]any{"values": values, "prediction": prediction})
 	if err != nil {
 		return err
 	}

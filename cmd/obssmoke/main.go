@@ -15,7 +15,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"github.com/xai-db/relativekeys/internal/e2e"
@@ -44,45 +43,25 @@ func run() error {
 		return fmt.Errorf("build cceserver: %w", err)
 	}
 
-	addr, err := e2e.FreeAddr()
-	if err != nil {
-		return err
-	}
 	opsAddr, err := e2e.FreeAddr()
 	if err != nil {
 		return err
 	}
-
-	logPath := filepath.Join(tmp, "server.log")
-	logFile, err := os.Create(logPath)
-	if err != nil {
-		return err
-	}
-	defer logFile.Close() //rkvet:ignore dropperr write-side close at exit; the log is diagnostic only
-	srv := exec.Command(bin,
-		"-addr", addr,
+	srv, err := e2e.Boot(bin, tmp, "server",
 		"-metrics-addr", opsAddr,
 		"-trace-sample", "1",
 		"-state", filepath.Join(tmp, "state"),
 		"-warm")
-	srv.Stdout, srv.Stderr = logFile, logFile
-	if err := srv.Start(); err != nil {
-		return fmt.Errorf("start cceserver: %w", err)
+	if err != nil {
+		return err
 	}
-	defer func() {
-		_ = srv.Process.Signal(syscall.SIGTERM) //rkvet:ignore dropperr teardown signal; Wait below reports the real outcome
-		_ = srv.Wait()                          //rkvet:ignore dropperr SIGTERM exit status is expected nonzero
-	}()
-
-	base := "http://" + addr
-	if err := e2e.WaitReady(base+"/schema", 10*time.Second); err != nil {
-		return fmt.Errorf("%w\nserver log:\n%s", err, e2e.ReadLog(logPath))
-	}
+	defer srv.Stop()
+	base := srv.Base
 
 	// Drive traffic through the retrying client: a row observed a few times,
 	// then explained, so solver, WAL, monitor and middleware series all move.
 	client := service.NewClient(base)
-	values, prediction, err := firstInstance(base)
+	values, prediction, err := e2e.FirstInstance(base)
 	if err != nil {
 		return err
 	}
@@ -187,38 +166,19 @@ func run() error {
 // role with the primary's epoch and watermark, and a bounded /explain carries
 // the staleness contract fields.
 func replicaSmoke(tmp, bin, primaryBase string, values map[string]string, prediction string) error {
-	addr, err := e2e.FreeAddr()
-	if err != nil {
-		return err
-	}
 	opsAddr, err := e2e.FreeAddr()
 	if err != nil {
 		return err
 	}
-	logPath := filepath.Join(tmp, "follower.log")
-	logFile, err := os.Create(logPath)
-	if err != nil {
-		return err
-	}
-	defer logFile.Close() //rkvet:ignore dropperr write-side close at exit; the log is diagnostic only
-	fol := exec.Command(bin,
-		"-addr", addr,
+	fol, err := e2e.Boot(bin, tmp, "follower",
 		"-metrics-addr", opsAddr,
 		"-state", filepath.Join(tmp, "fstate"),
 		"-follow", primaryBase)
-	fol.Stdout, fol.Stderr = logFile, logFile
-	if err := fol.Start(); err != nil {
-		return fmt.Errorf("start follower: %w", err)
+	if err != nil {
+		return err
 	}
-	defer func() {
-		_ = fol.Process.Signal(syscall.SIGTERM) //rkvet:ignore dropperr teardown signal; Wait below reports the real outcome
-		_ = fol.Wait()                          //rkvet:ignore dropperr SIGTERM exit status is expected nonzero
-	}()
-
-	base := "http://" + addr
-	if err := e2e.WaitReady(base+"/schema", 10*time.Second); err != nil {
-		return fmt.Errorf("follower: %w\nfollower log:\n%s", err, e2e.ReadLog(logPath))
-	}
+	defer fol.Stop()
+	base := fol.Base
 
 	// Wait for catch-up: the primary holds 10 observations.
 	var health struct {
@@ -239,7 +199,7 @@ func replicaSmoke(tmp, bin, primaryBase string, values map[string]string, predic
 			}
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("follower never caught up (healthz: %+v)\nfollower log:\n%s", health, e2e.ReadLog(logPath))
+			return fmt.Errorf("follower never caught up (healthz: %+v)\nfollower log:\n%s", health, fol.Log())
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -285,28 +245,4 @@ func replicaSmoke(tmp, bin, primaryBase string, values map[string]string, predic
 		return fmt.Errorf("caught-up follower reports lag_entries = %v, want 0", v)
 	}
 	return nil
-}
-
-// firstInstance builds an instance from the served schema: every attribute's
-// first value, predicted as the first label.
-func firstInstance(base string) (map[string]string, string, error) {
-	body, err := e2e.Get(base + "/schema")
-	if err != nil {
-		return nil, "", err
-	}
-	var schema struct {
-		Attributes []struct {
-			Name   string   `json:"name"`
-			Values []string `json:"values"`
-		} `json:"attributes"`
-		Labels []string `json:"labels"`
-	}
-	if err := json.Unmarshal([]byte(body), &schema); err != nil {
-		return nil, "", err
-	}
-	values := make(map[string]string, len(schema.Attributes))
-	for _, a := range schema.Attributes {
-		values[a.Name] = a.Values[0]
-	}
-	return values, schema.Labels[0], nil
 }

@@ -192,7 +192,7 @@ func TestWindowPolicies(t *testing.T) {
 			}
 		case LastWins:
 			// The resolved key equals the freshest computation.
-			fresh, err := core.SRK(w.Context(), x0, y0, 1.0)
+			fresh, err := core.SRK(w.ctx.Context(), x0, y0, 1.0)
 			if err == nil && !last.Equal(fresh) {
 				t.Fatal("last-wins must track the latest context")
 			}
@@ -226,6 +226,39 @@ func TestWindowValidation(t *testing.T) {
 	}
 }
 
+// TestWindowRefusesBadPrediction: an arrival whose prediction lies outside
+// the label space is refused by Observe itself. Buffering it let the next
+// advance retire a good row before the context refused the bad one, and the
+// uncleared buffer then re-added its good rows on every later Observe.
+func TestWindowRefusesBadPrediction(t *testing.T) {
+	s := testSchema(t)
+	stream := randomStream(rand.New(rand.NewSource(31)), s, 12)
+	w, err := NewWindow(s, 4, 2, 1.0, LastWins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, li := range stream {
+		if i == 5 {
+			if err := w.Observe(feature.Labeled{X: li.X, Y: 7}); err == nil {
+				t.Fatal("prediction outside the label space accepted")
+			}
+		}
+		if err := w.Observe(li); err != nil {
+			t.Fatalf("observe %d: %v", i, err)
+		}
+	}
+	want := stream[len(stream)-4:]
+	items := w.Items()
+	if len(items) != len(want) {
+		t.Fatalf("window holds %d rows, want %d", len(items), len(want))
+	}
+	for i := range want {
+		if !items[i].X.Equal(want[i].X) || items[i].Y != want[i].Y {
+			t.Fatalf("Items[%d] = %v, want %v", i, items[i], want[i])
+		}
+	}
+}
+
 func TestWindowEviction(t *testing.T) {
 	s := testSchema(t)
 	rng := rand.New(rand.NewSource(5))
@@ -245,8 +278,8 @@ func TestWindowEviction(t *testing.T) {
 	if w.Version() != 30 {
 		t.Fatalf("Version = %d, want 30", w.Version())
 	}
-	if w.Context().Len() != 50 {
-		t.Fatalf("context size %d, want 50", w.Context().Len())
+	if w.ctx.Context().Len() != 50 {
+		t.Fatalf("context size %d, want 50", w.ctx.Context().Len())
 	}
 }
 
@@ -345,7 +378,7 @@ func TestWindowReset(t *testing.T) {
 	if err := w.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != 0 || w.Context().Len() != 0 {
+	if w.Size() != 0 || w.ctx.Context().Len() != 0 {
 		t.Fatal("Reset did not clear the window")
 	}
 	// After reset the cache is gone: first-wins recomputes from scratch.

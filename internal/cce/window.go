@@ -57,17 +57,11 @@ type Window struct {
 	alpha    float64
 	policy   Policy
 
-	mu   sync.Mutex
-	buf  []feature.Labeled // guarded by mu; pending arrivals of the current step
-	ring []int             // guarded by mu; context slots of window rows, oldest first from head
-	head int               // guarded by mu
-	size int               // guarded by mu
+	mu  sync.Mutex
+	buf []feature.Labeled // guarded by mu; pending arrivals of the current step
 
-	ctx     *core.Context // guarded by mu; one index, updated in place by advance
-	version int           // guarded by mu
-	// ctxVersionBase keeps ContextVersion monotonic across Reset, which swaps
-	// in a fresh context whose own stamp restarts at zero.
-	ctxVersionBase uint64 // guarded by mu
+	ctx     *core.Retained // guarded by mu; the newest capacity rows, updated in place by advance
+	version int            // guarded by mu
 
 	// cache holds per-instance resolved keys across overlapping contexts for
 	// FirstWins/UnionKey (LastWins never reads earlier keys, so it bypasses
@@ -94,7 +88,7 @@ func NewWindow(schema *feature.Schema, capacity, step int, alpha float64, policy
 	if step <= 0 || step > capacity {
 		return nil, fmt.Errorf("cce: window step %d must be in [1,%d]", step, capacity)
 	}
-	ctx, err := core.NewContextSized(schema, nil, capacity)
+	ctx, err := core.NewRetained(schema, capacity)
 	if err != nil {
 		return nil, err
 	}
@@ -104,16 +98,16 @@ func NewWindow(schema *feature.Schema, capacity, step int, alpha float64, policy
 		step:     step,
 		alpha:    alpha,
 		policy:   policy,
-		ring:     make([]int, capacity),
 		ctx:      ctx,
 		cache:    map[string]cacheEntry{},
 		touched:  map[int][]string{},
 	}, nil
 }
 
-// Observe appends one arrival; the window advances every ΔI arrivals.
+// Observe appends one arrival; the window advances every ΔI arrivals. An
+// arrival the context would refuse is refused here, before it is buffered.
 func (w *Window) Observe(li feature.Labeled) error {
-	if err := w.schema.Validate(li.X); err != nil {
+	if err := core.ValidateLabeled(w.schema, li); err != nil {
 		return err
 	}
 	w.mu.Lock()
@@ -126,27 +120,17 @@ func (w *Window) Observe(li feature.Labeled) error {
 }
 
 // advanceLocked shifts the window by one step, updating the single shared
-// index in place: each of the ΔI arrivals first retires the oldest row when
-// the window is full (clearing its posting-list bits and freeing its slot)
-// and then claims a slot for itself. Total cost O(ΔI × attrs) regardless of
-// capacity — the rebuild this replaced re-indexed all |I| rows per step.
-// Callers hold w.mu.
+// index in place: core.Retained.Add retires the oldest row when the window
+// is full and gives its slot to the arrival. Total cost O(ΔI × attrs)
+// regardless of capacity — the rebuild this replaced re-indexed all |I| rows
+// per step. Observe validated every buffered arrival, so Add accepts them
+// all. Callers hold w.mu.
 func (w *Window) advanceLocked() error {
 	defer windowAdvanceSeconds.ObserveSince(time.Now())
 	for _, li := range w.buf {
-		if w.size == w.capacity {
-			if err := w.ctx.Remove(w.ring[w.head]); err != nil {
-				return err
-			}
-			w.head = (w.head + 1) % w.capacity
-			w.size--
-		}
-		slot, err := w.ctx.AddSlot(li)
-		if err != nil {
+		if err := w.ctx.Add(li); err != nil {
 			return err
 		}
-		w.ring[(w.head+w.size)%w.capacity] = slot
-		w.size++
 	}
 	w.buf = w.buf[:0]
 	w.version++
@@ -189,16 +173,12 @@ func (w *Window) evictStaleLocked() {
 // and switches to inference instances and predictions collected from the
 // updated model" — this is that switch.
 func (w *Window) Reset() error {
-	ctx, err := core.NewContextSized(w.schema, nil, w.capacity)
-	if err != nil {
-		return err
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.ctx.Replace(nil); err != nil {
+		return err
+	}
 	w.buf = w.buf[:0]
-	w.head, w.size = 0, 0
-	w.ctxVersionBase += w.ctx.Version() + 1
-	w.ctx = ctx
 	w.cache = map[string]cacheEntry{}
 	w.touched = map[int][]string{}
 	w.swept = w.version + 1
@@ -213,31 +193,24 @@ func (w *Window) Version() int {
 	return w.version
 }
 
-// ContextVersion exposes the underlying context's mutation stamp (see
-// core.Context.Version): it advances with every row the sliding window adds
-// or retires, a finer grain than Version, which ticks once per ΔI-step. Equal
-// stamps guarantee identical context content, which is what lets a service
-// tier cache explanations keyed on (stamp, instance, solver config) and have
-// window movement invalidate them for free (DESIGN.md §15).
+// ContextVersion exposes the window context's stamp (see
+// core.Retained.Version): it advances with every row the sliding window adds
+// or retires and with every Reset, a finer grain than Version, which ticks
+// once per ΔI-step. Equal stamps guarantee identical context content, which
+// is what lets a service tier cache explanations keyed on (stamp, instance,
+// solver config) and have window movement invalidate them for free
+// (DESIGN.md §15).
 func (w *Window) ContextVersion() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.ctxVersionBase + w.ctx.Version()
+	return w.ctx.Version()
 }
 
 // Size returns the current window occupancy.
 func (w *Window) Size() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.size
-}
-
-// Context exposes the current window context. The context is mutated in
-// place by Observe, so callers must not use it concurrently with the
-// observer goroutine; it exists for single-threaded inspection (tests,
-// oracles, offline analysis).
-func (w *Window) Context() *core.Context {
-	return w.ctx //rkvet:ignore lockcheck deliberate unsynchronized escape hatch, documented above
+	return w.ctx.Len()
 }
 
 // Items returns the window contents oldest-first (excluding arrivals still
@@ -245,11 +218,7 @@ func (w *Window) Context() *core.Context {
 func (w *Window) Items() []feature.Labeled {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]feature.Labeled, 0, w.size)
-	for i := 0; i < w.size; i++ {
-		out = append(out, w.ctx.Item(w.ring[(w.head+i)%w.capacity]))
-	}
-	return out
+	return w.ctx.Items()
 }
 
 // Explain computes the key for x (predicted y) relative to the current
@@ -270,7 +239,7 @@ func (w *Window) Explain(x feature.Instance, y feature.Label) (core.Key, error) 
 func (w *Window) ExplainCtx(ctx context.Context, x feature.Instance, y feature.Label) (core.Key, bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	fresh, degraded, err := core.SRKAnytimePar(ctx, w.ctx, x, y, w.alpha, 1)
+	fresh, degraded, err := core.SRKAnytimePar(ctx, w.ctx.Context(), x, y, w.alpha, 1)
 	if err != nil {
 		return nil, degraded, err
 	}

@@ -48,9 +48,9 @@ func TestWindowDifferentialOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w.Context().Len() != fresh.Len() {
+			if w.ctx.Context().Len() != fresh.Len() {
 				t.Fatalf("cap=%d step=%d after %d arrivals: |I| %d vs %d",
-					cse.capacity, cse.step, processed, w.Context().Len(), fresh.Len())
+					cse.capacity, cse.step, processed, w.ctx.Context().Len(), fresh.Len())
 			}
 			// Window contents come back oldest-first and intact.
 			items := w.Items()
@@ -65,7 +65,7 @@ func TestWindowDifferentialOracle(t *testing.T) {
 			// Probe several instances: identical keys, violations, coverage.
 			for probe := 0; probe < 5; probe++ {
 				q := expected[rng.Intn(len(expected))]
-				kInc, errInc := core.SRK(w.Context(), q.X, q.Y, cse.alpha)
+				kInc, errInc := core.SRK(w.ctx.Context(), q.X, q.Y, cse.alpha)
 				kFresh, errFresh := core.SRK(fresh, q.X, q.Y, cse.alpha)
 				if (errInc == nil) != (errFresh == nil) {
 					t.Fatalf("cap=%d step=%d: SRK errors diverge: %v vs %v",
@@ -78,10 +78,10 @@ func TestWindowDifferentialOracle(t *testing.T) {
 					t.Fatalf("cap=%d step=%d after %d arrivals: key %v vs rebuilt %v",
 						cse.capacity, cse.step, processed, kInc, kFresh)
 				}
-				if core.Violations(w.Context(), q.X, q.Y, kInc) != core.Violations(fresh, q.X, q.Y, kFresh) {
+				if core.Violations(w.ctx.Context(), q.X, q.Y, kInc) != core.Violations(fresh, q.X, q.Y, kFresh) {
 					t.Fatal("violations diverge between incremental and rebuilt context")
 				}
-				if core.Coverage(w.Context(), q.X, q.Y, kInc) != core.Coverage(fresh, q.X, q.Y, kFresh) {
+				if core.Coverage(w.ctx.Context(), q.X, q.Y, kInc) != core.Coverage(fresh, q.X, q.Y, kFresh) {
 					t.Fatal("coverage diverges between incremental and rebuilt context")
 				}
 			}
@@ -103,11 +103,11 @@ func TestWindowSlotsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.Context().NumSlots(); got > 50 {
+	if got := w.ctx.Context().NumSlots(); got > 50 {
 		t.Fatalf("NumSlots = %d after 2000 arrivals, want ≤ 50 (slots must recycle)", got)
 	}
-	if w.Context().Len() != 50 {
-		t.Fatalf("Len = %d, want 50", w.Context().Len())
+	if w.ctx.Context().Len() != 50 {
+		t.Fatalf("Len = %d, want 50", w.ctx.Context().Len())
 	}
 }
 

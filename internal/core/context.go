@@ -27,9 +27,9 @@ import (
 // is append-only: slot i holds the i-th arrival and Len == NumSlots. Remove
 // retires a slot — its bits are cleared from every posting list and from the
 // live mask, and the slot is recycled by the next Add — which is what lets
-// cce.Window slide without rebuilding the index. While holes exist, Item and
-// Items still expose retired rows; iterate live rows with LiveItems or guard
-// with Alive.
+// Retained (cce.Window, service retention) slide without rebuilding the
+// index. While holes exist, Item and Items still expose retired rows;
+// iterate live rows with LiveItems or guard with Alive.
 type Context struct {
 	Schema *feature.Schema
 
@@ -106,7 +106,7 @@ func (c *Context) Add(li feature.Labeled) error {
 }
 
 // AddSlot is Add returning the slot the instance landed in, so callers that
-// later Remove rows (sliding windows, rollbacks) can address them in O(1).
+// later Remove rows (Retained's eviction ring) can address them in O(1).
 // Retired slots are reused before the context grows.
 func (c *Context) AddSlot(li feature.Labeled) (int, error) {
 	if err := ValidateLabeled(c.Schema, li); err != nil {

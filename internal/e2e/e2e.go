@@ -1,19 +1,91 @@
 // Package e2e holds the helpers the end-to-end gates (cmd/obssmoke,
-// cmd/loadgensmoke) share: claiming a loopback port, waiting for a booted
-// binary to answer, fetching a page, reading one Prometheus series, and
+// cmd/loadgensmoke) share: booting a server binary on a free loopback port
+// and stopping it, waiting for it to answer, fetching a page, building an
+// instance from the served schema, reading one Prometheus series, and
 // dumping a server log into a failure message.
 package e2e
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strconv"
+	"syscall"
 	"time"
 )
+
+// Server is one booted server process.
+type Server struct {
+	Base    string // http://host:port
+	logPath string // the process's combined stdout and stderr
+	cmd     *exec.Cmd
+	log     *os.File
+}
+
+// Boot starts bin with -addr on a free loopback port followed by args,
+// logging to <dir>/<name>.log, and waits up to 10s for /schema to answer.
+// On error nothing is left running; the error carries the log.
+func Boot(bin, dir, name string, args ...string) (*Server, error) {
+	addr, err := FreeAddr()
+	if err != nil {
+		return nil, err
+	}
+	s := &Server{Base: "http://" + addr, logPath: filepath.Join(dir, name+".log")}
+	if s.log, err = os.Create(s.logPath); err != nil {
+		return nil, err
+	}
+	s.cmd = exec.Command(bin, append([]string{"-addr", addr}, args...)...)
+	s.cmd.Stdout, s.cmd.Stderr = s.log, s.log
+	if err := s.cmd.Start(); err != nil {
+		s.log.Close() //rkvet:ignore dropperr nothing was written; the start error is the one to report
+		return nil, fmt.Errorf("start %s: %w", name, err)
+	}
+	if err := WaitReady(s.Base+"/schema", 10*time.Second); err != nil {
+		s.Stop()
+		return nil, fmt.Errorf("%s: %w\n%s log:\n%s", name, err, name, s.Log())
+	}
+	return s, nil
+}
+
+// Stop sends SIGTERM, waits for the process to exit and closes its log.
+func (s *Server) Stop() {
+	_ = s.cmd.Process.Signal(syscall.SIGTERM) //rkvet:ignore dropperr teardown signal; Wait below reports the real outcome
+	_ = s.cmd.Wait()                          //rkvet:ignore dropperr SIGTERM exit status is expected nonzero
+	s.log.Close()                             //rkvet:ignore dropperr write-side close at exit; the log is diagnostic only
+}
+
+// Log returns the server's log so far, for a failure message.
+func (s *Server) Log() string { return ReadLog(s.logPath) }
+
+// FirstInstance builds an instance from the schema served at base: every
+// attribute's first value, predicted as the first label.
+func FirstInstance(base string) (map[string]string, string, error) {
+	body, err := Get(base + "/schema")
+	if err != nil {
+		return nil, "", err
+	}
+	var schema struct {
+		Attributes []struct {
+			Name   string   `json:"name"`
+			Values []string `json:"values"`
+		} `json:"attributes"`
+		Labels []string `json:"labels"`
+	}
+	if err := json.Unmarshal([]byte(body), &schema); err != nil {
+		return nil, "", fmt.Errorf("schema decode: %w (%s)", err, body)
+	}
+	values := make(map[string]string, len(schema.Attributes))
+	for _, a := range schema.Attributes {
+		values[a.Name] = a.Values[0]
+	}
+	return values, schema.Labels[0], nil
+}
 
 // FreeAddr grabs a loopback port from the kernel and releases it for the
 // server to claim. The tiny claim race is acceptable in a smoke test.

@@ -1,6 +1,68 @@
 package e2e
 
-import "testing"
+import (
+	"flag"
+	"fmt"
+	"net/http"
+	"os"
+	"strings"
+	"testing"
+)
+
+// The test binary doubles as the server Boot starts: with fakeServerEnv set
+// it serves a small /schema on its -addr until terminated.
+const fakeServerEnv = "E2E_FAKE_SERVER"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(fakeServerEnv) == "1" {
+		fakeServer()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+func fakeServer() {
+	fs := flag.NewFlagSet("fake", flag.ExitOnError)
+	addr := fs.String("addr", "", "listen address")
+	greeting := fs.String("greeting", "", "line to log at startup")
+	fs.Parse(os.Args[1:]) //rkvet:ignore dropperr ExitOnError exits on a parse failure
+	http.HandleFunc("/schema", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"attributes":[{"name":"Income","values":["low","high"]},{"name":"Area","values":["Urban","Rural"]}],"labels":["Denied","Approved"]}`)
+	})
+	fmt.Println(*greeting)
+	fmt.Println(http.ListenAndServe(*addr, nil))
+	os.Exit(1)
+}
+
+func TestBootFirstInstanceStop(t *testing.T) {
+	t.Setenv(fakeServerEnv, "1")
+	srv, err := Boot(os.Args[0], t.TempDir(), "fake", "-greeting", "fake server up")
+	if err != nil {
+		t.Fatal(err)
+	}
+	values, prediction, err := FirstInstance(srv.Base)
+	if err != nil {
+		srv.Stop()
+		t.Fatal(err)
+	}
+	if len(values) != 2 || values["Income"] != "low" || values["Area"] != "Urban" || prediction != "Denied" {
+		srv.Stop()
+		t.Fatalf("FirstInstance = %v, %q", values, prediction)
+	}
+	srv.Stop()
+	if _, err := Get(srv.Base + "/schema"); err == nil {
+		t.Fatal("server still answering after Stop")
+	}
+	if log := srv.Log(); !strings.Contains(log, "fake server up") {
+		t.Fatalf("log %q lacks the startup line", log)
+	}
+}
+
+func TestBootReportsStartFailure(t *testing.T) {
+	if _, err := Boot("/nonexistent/server", t.TempDir(), "ghost"); err == nil {
+		t.Fatal("booting a missing binary succeeded")
+	}
+}
 
 func TestSeriesValue(t *testing.T) {
 	const exposition = `# TYPE rk_job_items_total counter

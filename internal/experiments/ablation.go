@@ -237,12 +237,18 @@ func ablationWindowPolicy(e *Env) (*Table, error) {
 			return nil, err
 		}
 		var explained []metrics.Explained
-		var ctxs []*core.Context
+		ok := 0
 		for _, ph := range setup.phases {
 			for _, li := range ph.inference {
 				if err := w.Observe(li); err != nil {
 					return nil, err
 				}
+			}
+			// Conformity is judged against the window context each key was
+			// resolved under: stale (first-wins) and bloated (union) keys pay.
+			window, err := core.NewContext(setup.schema, w.Items())
+			if err != nil {
+				return nil, err
 			}
 			for _, li := range panel {
 				key, err := w.Explain(li.X, li.Y)
@@ -252,15 +258,9 @@ func ablationWindowPolicy(e *Env) (*Table, error) {
 					return nil, err
 				}
 				explained = append(explained, metrics.Explained{X: li.X, Y: li.Y, Key: key})
-				ctxs = append(ctxs, w.Context())
-			}
-		}
-		// Conformity is judged against the window context each key was
-		// resolved under: stale (first-wins) and bloated (union) keys pay.
-		ok := 0
-		for i, ex := range explained {
-			if core.Violations(ctxs[i], ex.X, ex.Y, ex.Key) == 0 {
-				ok++
+				if core.Violations(window, li.X, li.Y, key) == 0 {
+					ok++
+				}
 			}
 		}
 		t.Rows = append(t.Rows, []string{

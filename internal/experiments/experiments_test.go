@@ -198,6 +198,21 @@ func TestDriftShape(t *testing.T) {
 	}
 }
 
+// TestWindowPolicyShape: each key is judged against the window it was
+// resolved under, so last-wins and union-key are always conformant and only
+// first-wins goes stale.
+func TestWindowPolicyShape(t *testing.T) {
+	tab, err := Run(quickEnv, "AB-WINDOW-POLICY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range tab.Rows {
+		if row[0] != "first-wins" && parsePct(t, row[1]) < 100 {
+			t.Errorf("%s conformity %s, want 100%%", row[0], row[1])
+		}
+	}
+}
+
 // TestTable4Shape checks the efficiency ordering: CCE fastest, Xreason
 // slowest.
 func TestTable4Shape(t *testing.T) {

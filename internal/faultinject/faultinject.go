@@ -96,8 +96,7 @@ type Observer interface {
 }
 
 // FlakyObserver fails a fraction of monitor observations, exercising the
-// /observe rollback path (context add must be undone when the monitor
-// rejects).
+// /observe refusal path (a rejected row must never reach the context).
 type FlakyObserver struct {
 	Inner    Observer
 	Inj      *Injector
@@ -174,7 +173,8 @@ func (t *TornWriter) Sync() error {
 }
 
 // FaultyWriteSyncer fails a fraction of writes and syncs, for exercising the
-// service's WAL-append error path (observe must roll back and 503).
+// service's WAL-append error path (observe must leave the context untouched
+// and 503).
 type FaultyWriteSyncer struct {
 	Inner         WriteSyncer
 	Inj           *Injector

@@ -219,9 +219,9 @@ func TestChaosObserveRollbackConcurrent(t *testing.T) {
 	if got := srv.ctx.Len(); got != int(acked.Load()) {
 		t.Fatalf("context %d rows after concurrent rollbacks, want %d acked", got, acked.Load())
 	}
-	// Rolled-back slots must recycle: the physical index stays within one
-	// transient slot of the live count.
-	if slots := srv.ctx.NumSlots(); slots > int(acked.Load())+1 {
-		t.Fatalf("NumSlots %d leaks rolled-back slots (acked %d)", slots, acked.Load())
+	// A refused observe never takes a slot: the physical index holds exactly
+	// the acknowledged rows.
+	if slots := srv.ctx.Context().NumSlots(); slots != int(acked.Load()) {
+		t.Fatalf("NumSlots %d, want exactly the %d acked rows", slots, acked.Load())
 	}
 }

@@ -112,8 +112,9 @@ func (c *Client) do(send func() (*http.Response, error), out any) error {
 		resp, err := send()
 		if err != nil {
 			// Transport-level failure: connection refused, reset mid-response,
-			// and friends. Retryable — the server rolls back half-applied
-			// observes, so a retry cannot duplicate state it rejected.
+			// and friends. Retryable — the server adds an observe to its
+			// context only after every stage that can refuse it, so a retry
+			// cannot duplicate state it rejected.
 			if attempt >= c.MaxRetries {
 				return err
 			}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -116,11 +117,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content-type %q", ct)
 	}
-	var sb strings.Builder
-	if err := obs.Default.WriteProm(&sb); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	body := sb.String()
+	body := string(raw)
 	for _, want := range []string{
 		`rk_http_requests_total{endpoint="explain",code="200"}`,
 		`rk_http_requests_total{endpoint="observe",code="200"}`,

@@ -29,7 +29,7 @@ var (
 		"Explains answered with a deadline-degraded (valid but less succinct) key.")
 
 	observeRollbacks = obs.NewCounterVec("rk_observe_rollbacks_total",
-		"Observations rolled back after the context add, by cause: monitor rejection or WAL append failure.",
+		"Observations refused before the context add, by cause: monitor rejection or WAL append failure.",
 		"cause")
 	rollbackMonitor = observeRollbacks.With("monitor")
 	rollbackWAL     = observeRollbacks.With("wal")

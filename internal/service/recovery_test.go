@@ -117,7 +117,7 @@ func TestCrashRecoveryTornWAL(t *testing.T) {
 	if _, err := ref.Warm(acked); err != nil {
 		t.Fatal(err)
 	}
-	assertSameKeys(t, srvB.ctx, ref.ctx, randomRows(12, 40, schema), 1.0)
+	assertSameKeys(t, srvB.ctx.Context(), ref.ctx.Context(), randomRows(12, 40, schema), 1.0)
 }
 
 // Snapshot + WAL replay compose: recovery re-admits the snapshot rows in
@@ -146,14 +146,14 @@ func TestRecoverySnapshotPlusWALWithRetention(t *testing.T) {
 	if srvB.Seq() != 10 || srvB.ctx.Len() != 6 {
 		t.Fatalf("recovered seq=%d len=%d, want 10/6", srvB.Seq(), srvB.ctx.Len())
 	}
-	ref, err := NewWithRetention(schema, 1.0, 0, 6)
+	ref, err := NewServer(Config{Schema: schema, Alpha: 1.0, Retain: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ref.Warm(rows); err != nil {
 		t.Fatal(err)
 	}
-	assertSameKeys(t, srvB.ctx, ref.ctx, randomRows(22, 40, schema), 1.0)
+	assertSameKeys(t, srvB.ctx.Context(), ref.ctx.Context(), randomRows(22, 40, schema), 1.0)
 	// Retention stays arrival-ordered post-recovery: further observations
 	// evict the same rows on both servers.
 	more := randomRows(23, 4, schema)
@@ -163,7 +163,7 @@ func TestRecoverySnapshotPlusWALWithRetention(t *testing.T) {
 	if _, err := ref.Warm(more); err != nil {
 		t.Fatal(err)
 	}
-	assertSameKeys(t, srvB.ctx, ref.ctx, randomRows(24, 40, schema), 1.0)
+	assertSameKeys(t, srvB.ctx.Context(), ref.ctx.Context(), randomRows(24, 40, schema), 1.0)
 }
 
 // A damaged snapshot must refuse to start, not silently serve a wrong

@@ -7,7 +7,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/xai-db/relativekeys/internal/core"
 	"github.com/xai-db/relativekeys/internal/feature"
 	"github.com/xai-db/relativekeys/internal/persist"
 )
@@ -48,12 +47,10 @@ func (s *Server) ApplyReplicated(ctx context.Context, seq uint64, li feature.Lab
 	if seq != s.seq+1 {
 		return fmt.Errorf("%w: got seq %d with watermark %d", ErrReplicaGap, seq, s.seq)
 	}
-	slot, err := s.admitLocked(ctx, li)
-	if err != nil {
+	if err := s.admitLocked(ctx, li); err != nil {
 		return err
 	}
 	s.seq = seq
-	s.commitLocked(slot)
 	s.markSyncedLocked()
 	s.sinceSnapshot++
 	if s.snapPath != "" && s.sinceSnapshot >= s.snapshotEvery {
@@ -71,8 +68,10 @@ func (s *Server) ApplyReplicated(ctx context.Context, seq uint64, li feature.Lab
 // InstallSnapshot replaces the follower's entire context with a snapshot
 // fetched from the primary — the catch-up path when the WAL tail is gone
 // (primary restarted, or the follower lagged past compaction). The swap is
-// atomic: nothing is mutated until every row has been admitted into a fresh
-// context, so a mid-install failure leaves the previous state serving.
+// atomic (core.Retained.Replace): nothing changes unless every row is
+// accepted, so a failed install leaves the previous state serving, and the
+// context version climbs past every earlier value, so no pre-snapshot cache
+// entry can answer for post-snapshot content.
 func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, items []feature.Labeled, seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -85,17 +84,8 @@ func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, it
 	if schema.NumFeatures() != s.schema.NumFeatures() || len(schema.Labels) != len(s.schema.Labels) {
 		return fmt.Errorf("service: snapshot schema (%d attrs, %d labels) does not match the replica schema", schema.NumFeatures(), len(schema.Labels))
 	}
-	nctx, err := core.NewContextSized(s.schema, nil, s.retain)
-	if err != nil {
-		return err
-	}
-	order := make([]int, 0, len(items))
-	for _, li := range items {
-		slot, aerr := nctx.AddSlot(li)
-		if aerr != nil {
-			return fmt.Errorf("service: snapshot install: %w", aerr)
-		}
-		order = append(order, slot)
+	if err := s.ctx.Replace(items); err != nil {
+		return fmt.Errorf("service: snapshot install: %w", err)
 	}
 	if s.monitor != nil {
 		// The drift panel is a statistic of the stream, not ground truth:
@@ -106,21 +96,6 @@ func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, it
 				s.logger.Warn("monitor skipped a snapshot row during catch-up", "err", merr)
 				break
 			}
-		}
-	}
-	// The fresh context's Version() restarts at zero; advance the base past
-	// every version the old context used so cache keys stay monotonic and a
-	// pre-snapshot entry can never be served for post-snapshot content
-	// (mirrors cce.Window.Reset's ctxVersionBase bump).
-	s.ctxVersionBase += s.ctx.Version() + 1
-	s.ctx = nctx
-	s.order, s.orderHead = order, 0
-	if s.retain > 0 {
-		for s.ctx.Len() > s.retain {
-			if rerr := s.ctx.Remove(s.order[s.orderHead]); rerr != nil {
-				panic(fmt.Sprintf("service: retention eviction: %v", rerr))
-			}
-			s.orderHead++
 		}
 	}
 	s.seq = seq
@@ -247,5 +222,5 @@ func (s *Server) WALPath() string { return s.walPath }
 func (s *Server) WriteSnapshotTo(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return persist.EncodeSnapshot(w, s.schema, s.itemsLocked(), s.seq)
+	return persist.EncodeSnapshot(w, s.schema, s.ctx.Items(), s.seq)
 }

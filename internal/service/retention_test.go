@@ -1,15 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/xai-db/relativekeys/internal/feature"
+	"github.com/xai-db/relativekeys/internal/persist"
 )
 
 func retentionServer(t *testing.T, panel, retain int) (*Server, *Client) {
@@ -19,7 +22,7 @@ func retentionServer(t *testing.T, panel, retain int) (*Server, *Client) {
 		{Name: "Credit", Values: []string{"poor", "good"}},
 		{Name: "Area", Values: []string{"Urban", "Rural"}},
 	}, []string{"Denied", "Approved"})
-	srv, err := NewWithRetention(schema, 1.0, panel, retain)
+	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0, PanelSize: panel, Retain: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +57,10 @@ func TestRetentionBoundsContext(t *testing.T) {
 			t.Fatalf("after %d observes: context %d, want %d", i+1, got, want)
 		}
 	}
-	// The physical index must not outgrow the retention bound: admission
-	// precedes eviction (so a monitor failure can roll back cleanly), which
-	// allows at most one transient extra slot.
-	if got := srv.ctx.NumSlots(); got > 6 {
-		t.Fatalf("NumSlots = %d, want ≤ retain+1 (slots must recycle)", got)
+	// The physical index must not outgrow the retention bound: each observe
+	// past the bound retires the oldest row before it takes a slot.
+	if got := srv.ctx.Context().NumSlots(); got > 5 {
+		t.Fatalf("NumSlots = %d, want ≤ retain (slots must recycle)", got)
 	}
 	stats, err := client.Stats()
 	if err != nil {
@@ -73,13 +75,22 @@ func TestRetentionBoundsContext(t *testing.T) {
 	}, "Approved", 0); err != nil {
 		t.Fatal(err)
 	}
-	// Retention evicts oldest-first: the first observed row is gone, so the
-	// live rows are exactly rows[3:].
-	liveItems := srv.ctx.LiveItems()
-	if len(liveItems) != 5 {
-		t.Fatalf("LiveItems = %d, want 5", len(liveItems))
+	// Retention evicts oldest-first: the first three observed rows are gone,
+	// so the live rows are exactly rows[3:], oldest first.
+	items := srv.ctx.Items()
+	if len(items) != 5 {
+		t.Fatalf("Items = %d, want 5", len(items))
 	}
-	if _, err := NewWithRetention(srv.schema, 1.0, 0, -1); err == nil {
+	for i, r := range rows[3:] {
+		want, err := srv.decode(map[string]string{"Income": r.income, "Credit": r.credit, "Area": r.area}, r.pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !items[i].X.Equal(want.X) || items[i].Y != want.Y {
+			t.Fatalf("Items[%d] = %v, want rows[%d] %v", i, items[i], i+3, want)
+		}
+	}
+	if _, err := NewServer(Config{Schema: srv.schema, Alpha: 1.0, Retain: -1}); err == nil {
 		t.Fatal("negative retention accepted")
 	}
 }
@@ -118,7 +129,7 @@ func (m *failingMonitor) AvgSuccinctness() float64 { return 0 }
 func (m *failingMonitor) Arrivals() int            { return m.arrivals }
 
 // TestObserveAtomicRollback: when the drift monitor rejects an instance the
-// context add must be rolled back, so the state the client sees is as if the
+// context must be left as it was, so the state the client sees is as if the
 // request never happened — a retry cannot duplicate the row.
 func TestObserveAtomicRollback(t *testing.T) {
 	srv, client := retentionServer(t, 0, 0)
@@ -144,14 +155,85 @@ func TestObserveAtomicRollback(t *testing.T) {
 	if srv.ctx.Len() != 2 {
 		t.Fatalf("context %d after failed observe, want 2 (rollback)", srv.ctx.Len())
 	}
-	// A later successful path (monitor swapped out) reuses the rolled-back
-	// slot rather than leaking it.
+	// A later successful path (monitor swapped out) takes the next slot: the
+	// refused observe never held one.
 	srv.monitor = nil
 	if err := client.Observe(row, "Denied"); err != nil {
 		t.Fatal(err)
 	}
-	if srv.ctx.Len() != 3 || srv.ctx.NumSlots() != 3 {
-		t.Fatalf("context Len=%d NumSlots=%d after retry, want 3/3", srv.ctx.Len(), srv.ctx.NumSlots())
+	if srv.ctx.Len() != 3 || srv.ctx.Context().NumSlots() != 3 {
+		t.Fatalf("context Len=%d NumSlots=%d after retry, want 3/3", srv.ctx.Len(), srv.ctx.Context().NumSlots())
+	}
+}
+
+// failingSink is a WAL sink that accepts its first allow writes and fails
+// every later one. The server calls it under its state lock.
+type failingSink struct{ allow int }
+
+func (f *failingSink) Write(p []byte) (int, error) {
+	if f.allow == 0 {
+		return 0, errors.New("sink: induced write failure")
+	}
+	f.allow--
+	return len(p), nil
+}
+func (f *failingSink) Sync() error { return nil }
+
+// TestRefusedObserveKeepsCachedExplain: an observe the drift monitor refuses,
+// or whose WAL append fails, never reaches the context, so the context
+// version stays put and a cached explain keeps answering hit with the same
+// body. Adding the row and then rolling it back moved the version twice and
+// turned the next explain into a miss.
+func TestRefusedObserveKeepsCachedExplain(t *testing.T) {
+	schema := robustSchema(t)
+	rows := randomRows(41, 8, schema)
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		status int
+	}{
+		{"monitor", Config{Monitor: &failingMonitor{allow: len(rows)}}, http.StatusInternalServerError},
+		{"wal", Config{WAL: persist.NewWAL(&failingSink{allow: len(rows)})}, http.StatusServiceUnavailable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Schema, cfg.Alpha = schema, 1.0
+			srv, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+			if _, err := srv.Warm(rows); err != nil {
+				t.Fatal(err)
+			}
+			q := rows[0]
+			req := ExplainRequest{Values: valuesOf(schema, q.X), Prediction: schema.Labels[q.Y]}
+			if _, _, src := explainRaw(t, ts.URL, req); src != "miss" {
+				t.Fatalf("first explain %q, want miss", src)
+			}
+			code, cached, src := explainRaw(t, ts.URL, req)
+			if code != http.StatusOK || src != "hit" {
+				t.Fatalf("second explain %d %q, want 200 hit", code, src)
+			}
+			version, size := srv.ctx.Version(), srv.ctx.Len()
+
+			resp := postJSON(t, ts.URL+"/observe", ObserveRequest{Values: valuesOf(schema, rows[1].X), Prediction: schema.Labels[rows[1].Y]})
+			resp.Body.Close() //rkvet:ignore dropperr test teardown
+			if resp.StatusCode != tc.status {
+				t.Fatalf("refused observe answered %d, want %d", resp.StatusCode, tc.status)
+			}
+			code, body, src := explainRaw(t, ts.URL, req)
+			if code != http.StatusOK || src != "hit" || !bytes.Equal(body, cached) {
+				t.Fatalf("explain after a refused observe: %d %q, want 200 hit with the cached body", code, src)
+			}
+			if srv.ctx.Version() != version || srv.ctx.Len() != size {
+				t.Fatalf("refused observe moved the context: version %d→%d, size %d→%d", version, srv.ctx.Version(), size, srv.ctx.Len())
+			}
+			if m, w := srv.monitorRollbacks.Load(), srv.walRollbacks.Load(); m+w != 1 {
+				t.Fatalf("refusal counters monitor=%d wal=%d, want one refusal", m, w)
+			}
+		})
 	}
 }
 

@@ -120,7 +120,7 @@ func TestExplainDeadlineDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := keyFromFeatures(t, schema, resp.Features)
-	if !core.IsAlphaKey(srv.ctx, li.X, li.Y, key, 1.0) {
+	if !core.IsAlphaKey(srv.ctx.Context(), li.X, li.Y, key, 1.0) {
 		t.Fatalf("degraded key %v is not α-conformant", key)
 	}
 	stats, err := NewClient(ts.URL).Stats()

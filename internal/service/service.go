@@ -33,7 +33,7 @@ import (
 
 // DriftObserver is the slice of cce.DriftMonitor the server depends on; a
 // seam so tests and the fault-injection harness can interpose failing or
-// slow monitors when exercising the observe rollback path.
+// slow monitors when exercising the observe refusal path.
 type DriftObserver interface {
 	ObserveCtx(ctx context.Context, li feature.Labeled) (int, error)
 	AvgSuccinctness() float64
@@ -130,7 +130,6 @@ const (
 type Server struct {
 	schema          *feature.Schema
 	alpha           float64
-	retain          int // max live context rows; 0 = grow forever
 	solve           SolveFunc
 	defaultDeadline time.Duration
 	minDeadline     time.Duration
@@ -147,19 +146,12 @@ type Server struct {
 
 	jobs *jobStore // nil = jobs disabled (never in practice; see NewServer)
 
-	mu      sync.RWMutex
-	ctx     *core.Context // guarded by mu
-	monitor DriftObserver // guarded by mu
-
-	// ctxVersionBase keeps the cache-key version monotonic across context
-	// swaps (InstallSnapshot replaces s.ctx with a fresh context whose
-	// Version() restarts at zero), mirroring cce.Window.ctxVersionBase: a
-	// pre-swap cache entry must never collide with a post-swap version.
-	ctxVersionBase uint64 // guarded by mu
-
-	// order tracks live context slots oldest-first when retention is on.
-	order     []int // guarded by mu
-	orderHead int   // guarded by mu
+	mu sync.RWMutex
+	// ctx holds the newest Config.Retain rows (all rows when 0); its Version
+	// stamps the explanation cache's keys and stays monotonic across
+	// InstallSnapshot's swap.
+	ctx     *core.Retained // guarded by mu
+	monitor DriftObserver  // guarded by mu
 
 	wal           *persist.WAL // guarded by mu; nil = no observation log
 	seq           uint64       // guarded by mu; last durable observation number
@@ -188,9 +180,10 @@ type Server struct {
 	syncFailures    atomic.Int64
 	snapFailures    atomic.Int64
 
-	// Observation rollbacks: the context add was undone after a downstream
-	// stage refused the row (monitor rejection, WAL append failure), so the
-	// client's retry is safe. Surfaced in /healthz and as obs counters.
+	// Observation refusals: the monitor rejected the row or its WAL append
+	// failed. Either comes before the context add, so the state is unchanged
+	// and the client's retry is safe. Surfaced in /healthz and as obs
+	// counters; the rollback names predate the admission order.
 	monitorRollbacks atomic.Int64
 	walRollbacks     atomic.Int64
 
@@ -202,15 +195,6 @@ type Server struct {
 // New builds a server with an empty, unbounded context.
 func New(schema *feature.Schema, alpha float64, panelSize int) (*Server, error) {
 	return NewServer(Config{Schema: schema, Alpha: alpha, PanelSize: panelSize})
-}
-
-// NewWithRetention builds a server whose context keeps only the most recent
-// `retain` observations (0 = unbounded): once full, each /observe retires
-// the oldest row in place, so a long-running service holds steady memory and
-// explains against the freshest inference behaviour instead of the entire
-// history. retain must be 0 or positive.
-func NewWithRetention(schema *feature.Schema, alpha float64, panelSize, retain int) (*Server, error) {
-	return NewServer(Config{Schema: schema, Alpha: alpha, PanelSize: panelSize, Retain: retain})
 }
 
 // NewServer builds a server from cfg, recovering persisted state when
@@ -225,14 +209,13 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Retain < 0 {
 		return nil, fmt.Errorf("service: retention %d must be ≥ 0", cfg.Retain)
 	}
-	ctx, err := core.NewContextSized(cfg.Schema, nil, cfg.Retain)
+	ctx, err := core.NewRetained(cfg.Schema, cfg.Retain)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		schema:          cfg.Schema,
 		alpha:           cfg.Alpha,
-		retain:          cfg.Retain,
 		solve:           cfg.Solve,
 		defaultDeadline: cfg.DefaultDeadline,
 		minDeadline:     cfg.MinDeadline,
@@ -337,11 +320,9 @@ func (s *Server) recoverLocked(walPath string) error {
 		s.seq = seq
 		for _, li := range items {
 			//rkvet:ignore ctxflow snapshot replay runs inside NewServer before any request exists; recovery must complete, not degrade to a partial context
-			slot, err := s.admitLocked(context.Background(), li)
-			if err != nil {
+			if err := s.admitLocked(context.Background(), li); err != nil {
 				return fmt.Errorf("service: snapshot replay: %w", err)
 			}
-			s.commitLocked(slot)
 		}
 	case os.IsNotExist(err):
 		// First boot: nothing to recover.
@@ -361,11 +342,9 @@ func (s *Server) recoverLocked(walPath string) error {
 	}
 	res, err := persist.ReplayWALFileFrom(walPath, s.seq, func(seq uint64, li feature.Labeled) error {
 		//rkvet:ignore ctxflow WAL replay runs inside NewServer before any request exists; a torn replay would lose acknowledged observations
-		slot, err := s.admitLocked(context.Background(), li)
-		if err != nil {
+		if err := s.admitLocked(context.Background(), li); err != nil {
 			return err
 		}
-		s.commitLocked(slot)
 		s.seq = seq
 		return nil
 	})
@@ -384,76 +363,53 @@ func (s *Server) recoverLocked(walPath string) error {
 	return nil
 }
 
-// admitLocked adds one instance to the context and the drift monitor as a
-// unit: if the monitor rejects the instance after the context accepted it,
-// the context add is rolled back so a client retry cannot duplicate the row.
-// Callers hold s.mu; on success they must follow with commitLocked (or roll
-// back themselves via ctx.Remove).
-func (s *Server) admitLocked(ctx context.Context, li feature.Labeled) (int, error) {
-	slot, err := s.ctx.AddSlot(li)
-	if err != nil {
-		return 0, err
+// checkLocked runs the admission checks that can refuse a row — the schema
+// and the drift monitor — without touching the context. Callers hold s.mu.
+func (s *Server) checkLocked(ctx context.Context, li feature.Labeled) error {
+	if err := core.ValidateLabeled(s.schema, li); err != nil {
+		return err
 	}
 	if s.monitor != nil {
 		if _, err := s.monitor.ObserveCtx(ctx, li); err != nil {
 			s.monitorRollbacks.Add(1)
 			rollbackMonitor.Inc()
-			s.logger.Warn("observation rolled back: monitor rejected the row", "err", err)
-			if rerr := s.ctx.Remove(slot); rerr != nil {
-				return 0, monitorError{fmt.Errorf("%w (rollback failed: %v)", err, rerr)}
-			}
-			return 0, monitorError{err}
+			s.logger.Warn("observation refused: monitor rejected the row", "err", err)
+			return monitorError{err}
 		}
 	}
-	return slot, nil
+	return nil
 }
 
-// commitLocked finishes an admitted observation: it enters the slot into the
-// retention FIFO and evicts the oldest rows past the bound. Callers hold
-// s.mu.
-func (s *Server) commitLocked(slot int) {
-	if s.retain <= 0 {
-		return
+// admitLocked checks a replayed or replicated row and adds it to the
+// context. Callers hold s.mu.
+func (s *Server) admitLocked(ctx context.Context, li feature.Labeled) error {
+	if err := s.checkLocked(ctx, li); err != nil {
+		return err
 	}
-	s.order = append(s.order, slot)
-	for s.ctx.Len() > s.retain {
-		if err := s.ctx.Remove(s.order[s.orderHead]); err != nil {
-			// Slots in the FIFO are live by construction; a failure here is a
-			// programming error, not an input error.
-			panic(fmt.Sprintf("service: retention eviction: %v", err))
-		}
-		s.orderHead++
-	}
-	// Compact the slot FIFO once the dead prefix dominates.
-	if s.orderHead > len(s.order)/2 && s.orderHead > 64 {
-		s.order = append(s.order[:0], s.order[s.orderHead:]...)
-		s.orderHead = 0
-	}
+	return s.ctx.Add(li)
 }
 
-// observeLocked runs the full observation pipeline: admit (context +
-// monitor, with rollback), log to the WAL, then commit retention and maybe
-// snapshot. The WAL append happens before the observation becomes evictable
-// so a crash cannot lose a row the client saw acknowledged (modulo the sync
+// observeLocked runs the full observation pipeline: check (schema and
+// monitor), log to the WAL, add to the context, and maybe snapshot. Every
+// stage that can refuse the row runs before the context add, which may
+// retire the oldest row: a refusal leaves the context, its version and so the
+// explanation cache untouched. The WAL append precedes the client's 200 so a
+// crash cannot lose a row the client saw acknowledged (modulo the sync
 // policy). Callers hold s.mu.
 func (s *Server) observeLocked(ctx context.Context, li feature.Labeled) error {
-	slot, err := s.admitLocked(ctx, li)
-	if err != nil {
+	if err := s.checkLocked(ctx, li); err != nil {
 		return err
 	}
 	if s.wal != nil {
 		if err := s.wal.Append(s.seq+1, li); err != nil {
 			// The record did not reach the log (a torn tail is dropped on
-			// replay), so roll the row back: the client gets a retryable 503
-			// and the state stays exactly as before the request. The monitor
-			// has already counted the arrival; panel statistics may run one
-			// ahead, which is acceptable for a drift estimate.
+			// replay) and the context is untouched: the client gets a
+			// retryable 503. The monitor has already counted the arrival;
+			// panel statistics may run one ahead, which is acceptable for a
+			// drift estimate.
 			s.walRollbacks.Add(1)
 			rollbackWAL.Inc()
-			s.logger.Warn("observation rolled back: wal append failed", "err", err)
-			if rerr := s.ctx.Remove(slot); rerr != nil {
-				return persistError{fmt.Errorf("%w (rollback failed: %v)", err, rerr)}
-			}
+			s.logger.Warn("observation refused: wal append failed", "err", err)
 			return persistError{err}
 		}
 		s.sinceSync++
@@ -469,13 +425,16 @@ func (s *Server) observeLocked(ctx context.Context, li feature.Labeled) error {
 			}
 		}
 	}
+	// checkLocked validated the row, which is all Add can refuse.
+	if err := s.ctx.Add(li); err != nil {
+		return err
+	}
 	s.seq++
 	if s.onReplicate != nil {
 		// Publish only after the record is durable in the log: a follower
 		// must never apply a row its primary could forget in a crash.
 		s.onReplicate(s.seq, li)
 	}
-	s.commitLocked(slot)
 	s.sinceSnapshot++
 	if s.snapPath != "" && s.sinceSnapshot >= s.snapshotEvery {
 		s.sinceSnapshot = 0
@@ -498,28 +457,14 @@ func (s *Server) observeLocked(ctx context.Context, li feature.Labeled) error {
 	return nil
 }
 
-// itemsLocked returns the live rows in arrival order — the order retention
-// needs to keep evicting oldest-first after a recovery. Callers hold s.mu.
-func (s *Server) itemsLocked() []feature.Labeled {
-	if s.retain <= 0 {
-		return s.ctx.LiveItems()
-	}
-	items := make([]feature.Labeled, 0, s.ctx.Len())
-	for _, slot := range s.order[s.orderHead:] {
-		if s.ctx.Alive(slot) {
-			items = append(items, s.ctx.Item(slot))
-		}
-	}
-	return items
-}
-
-// snapshotLocked atomically writes the current rows and sequence watermark.
-// Callers hold s.mu.
+// snapshotLocked atomically writes the current rows, oldest first so a
+// recovered server keeps retiring them in arrival order, and the sequence
+// watermark. Callers hold s.mu.
 func (s *Server) snapshotLocked() error {
 	if s.snapPath == "" {
 		return nil
 	}
-	return persist.SaveSnapshot(s.snapPath, s.schema, s.itemsLocked(), s.seq)
+	return persist.SaveSnapshot(s.snapPath, s.schema, s.ctx.Items(), s.seq)
 }
 
 // Snapshot forces a snapshot of the current state to the configured state
@@ -764,8 +709,8 @@ type StatsResponse struct {
 }
 
 // HealthResponse is the /healthz body: liveness plus the failure counters an
-// operator checks first — observation rollbacks (client-visible 500/503s with
-// state correctly undone), durability hiccups, and recovered panics.
+// operator checks first — refused observations (client-visible 500/503s that
+// left the state untouched), durability hiccups, and recovered panics.
 type HealthResponse struct {
 	Status           string `json:"status"` // "ok" or "draining"
 	UptimeSeconds    int64  `json:"uptime_seconds"`
@@ -793,8 +738,8 @@ type monitorError struct{ err error }
 func (e monitorError) Error() string { return e.err.Error() }
 func (e monitorError) Unwrap() error { return e.err }
 
-// persistError marks observation-log failures: the observation was rolled
-// back and the client should retry (503 + Retry-After).
+// persistError marks observation-log failures: the observation was not
+// admitted and the client should retry (503 + Retry-After).
 type persistError struct{ err error }
 
 func (e persistError) Error() string { return e.err.Error() }
@@ -992,7 +937,7 @@ func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha fl
 		return s.solveEntryLocked(ctx, li, alpha, budget), "bypass"
 	}
 	ckey := EncodeCacheKey(CacheKey{
-		Version: s.ctxVersionBase + s.ctx.Version(),
+		Version: s.ctx.Version(),
 		Config:  s.solverTag,
 		Alpha:   alpha,
 		Y:       li.Y,
@@ -1044,21 +989,22 @@ func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha fl
 // Callers hold s.mu (read).
 func (s *Server) solveEntryLocked(ctx context.Context, li feature.Labeled, alpha float64, budget time.Duration) solveOutcome {
 	start := time.Now()
-	key, degraded, err := s.solve(ctx, s.ctx, li.X, li.Y, alpha)
+	c := s.ctx.Context()
+	key, degraded, err := s.solve(ctx, c, li.X, li.Y, alpha)
 	if err == core.ErrNoKey {
 		// The no-key verdict is exact (never deadline-degraded), so it caches
 		// as a first-class deterministic answer.
-		return solveOutcome{e: &cachedExplain{noKey: true, resp: ExplainResponse{Context: s.ctx.Len()}}}
+		return solveOutcome{e: &cachedExplain{noKey: true, resp: ExplainResponse{Context: c.Len()}}}
 	}
 	if err != nil {
 		return solveOutcome{err: err}
 	}
-	violations, coverage := core.ViolationsCoverage(s.ctx, li.X, li.Y, key)
+	violations, coverage := core.ViolationsCoverage(c, li.X, li.Y, key)
 	resp := ExplainResponse{
 		Rule:      key.RenderRule(s.schema, li.X, li.Y),
-		Precision: core.PrecisionOf(violations, s.ctx.Len()),
+		Precision: core.PrecisionOf(violations, c.Len()),
 		Coverage:  coverage,
-		Context:   s.ctx.Len(),
+		Context:   c.Len(),
 		Degraded:  degraded,
 	}
 	for _, a := range key {
@@ -1083,7 +1029,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
 		ContextSize:      s.ctx.Len(),
 		Alpha:            s.alpha,
-		Retention:        s.retain,
+		Retention:        s.ctx.Limit(),
 		DegradedTotal:    s.degradedTotal.Load(),
 		ShedTotal:        s.shedTotal.Load(),
 		PanicsRecovered:  s.panicsRecovered.Load(),
