@@ -218,23 +218,6 @@ func main() {
 	if err != nil {
 		fatal("build server", err)
 	}
-	// The live context size as a scrape-time gauge. Registered here, not in
-	// NewServer: the registry is process-global and test suites build many
-	// servers, while a process runs exactly one.
-	obs.NewGaugeFunc("rk_context_rows",
-		"Live rows in the explanation context.",
-		func() float64 { return float64(srv.ContextSize()) })
-	if follower {
-		// The replica lag gauges read this one process's server at scrape
-		// time, so like rk_context_rows they register here, not in a package
-		// that test suites instantiate many of.
-		obs.NewGaugeFunc("rk_replica_lag_entries",
-			"Observations the primary has durably logged that this follower has not yet applied.",
-			func() float64 { return float64(srv.ReplicaLagEntries()) })
-		obs.NewGaugeFunc("rk_replica_lag_seconds",
-			"Seconds since this follower was provably caught up with its primary (-1 = never yet).",
-			func() float64 { return srv.ReplicaLagSeconds() })
-	}
 
 	if recovered := srv.Seq(); recovered > 0 {
 		logger.Info("recovered persisted state", "observations", recovered, "state_dir", *stateDir)
@@ -321,7 +304,7 @@ func main() {
 // it to a loopback or cluster-internal interface.
 func opsMux(srv *service.Server, tracer *obs.Tracer, pprofOn bool) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.Default.Handler())
+	mux.Handle("/metrics", srv.MetricsHandler())
 	mux.Handle("/healthz", srv.HealthzHandler())
 	if tracer != nil {
 		mux.Handle("/debug/traces", tracer.Handler())

@@ -3,7 +3,8 @@
 // the server with the explanation cache on, runs a short duplicate-heavy
 // ccebench pass (interactive + one async batch), and asserts the cache
 // actually worked — nonzero hit and coalesced counters in /stats and
-// /metrics, a completed job, and a written JSON artifact.
+// /metrics, a completed job, and a written JSON artifact — and that /metrics
+// reports the same cache and job counts as /stats.
 //
 // The artifact path defaults to ccebench-smoke.json in the working directory
 // (override with -artifact); CI uploads it so every green run carries its
@@ -105,7 +106,7 @@ func run(artifact string) error {
 	}
 
 	// The serving counters must be visible on the metrics plane, not just in
-	// /stats.
+	// /stats, and both must read the same counters.
 	metrics, err := e2e.Get(base + "/metrics")
 	if err != nil {
 		return err
@@ -123,6 +124,9 @@ func run(artifact string) error {
 		if v < 1 {
 			return fmt.Errorf("series %s = %v, want >= 1", series, v)
 		}
+	}
+	if err := statsMatchMetrics(base, metrics); err != nil {
+		return err
 	}
 
 	// Coalescing needs requests that overlap a solve in flight. Loan solves
@@ -146,6 +150,44 @@ func run(artifact string) error {
 	series := `rk_explain_cache_total{outcome="coalesced"}`
 	if v, ok := e2e.SeriesValue(stallMetrics, series); !ok || v < 1 {
 		return fmt.Errorf("stalled server /metrics series %s = %v (present=%v), want >= 1", series, v, ok)
+	}
+	return nil
+}
+
+// statsMatchMetrics checks that /stats reports the same cache and job counts
+// as the exposition scraped from the same idle server.
+func statsMatchMetrics(base, metrics string) error {
+	raw, err := e2e.Get(base + "/stats")
+	if err != nil {
+		return err
+	}
+	var st struct {
+		Hits      int64 `json:"cache_hits"`
+		Misses    int64 `json:"cache_misses"`
+		Coalesced int64 `json:"cache_coalesced"`
+		Bypassed  int64 `json:"cache_bypassed"`
+		Jobs      struct {
+			Completed int64 `json:"completed"`
+			ItemsDone int64 `json:"items_done"`
+		} `json:"jobs"`
+	}
+	if err := json.Unmarshal([]byte(raw), &st); err != nil {
+		return fmt.Errorf("stats decode: %w (%s)", err, raw)
+	}
+	for _, c := range []struct {
+		series string
+		stats  int64
+	}{
+		{`rk_explain_cache_total{outcome="hit"}`, st.Hits},
+		{`rk_explain_cache_total{outcome="miss"}`, st.Misses},
+		{`rk_explain_cache_total{outcome="coalesced"}`, st.Coalesced},
+		{`rk_explain_cache_total{outcome="bypass"}`, st.Bypassed},
+		{`rk_jobs_total{event="completed"}`, st.Jobs.Completed},
+		{`rk_job_items_total`, st.Jobs.ItemsDone},
+	} {
+		if v, ok := e2e.SeriesValue(metrics, c.series); !ok || int64(v) != c.stats {
+			return fmt.Errorf("/metrics %s = %v (present %v), /stats says %d", c.series, v, ok, c.stats)
+		}
 	}
 	return nil
 }

@@ -2,9 +2,11 @@
 // it builds the real cceserver binary, boots it with tracing and a separate
 // ops listener, drives observe/explain traffic through the retrying client,
 // then scrapes /metrics, /healthz and /debug/traces and asserts the core
-// series actually moved. It exercises the full wiring — solver stage timers,
-// WAL instruments, request middleware, trace propagation — not the packages
-// in isolation.
+// series actually moved, that /metrics and /healthz report the same failure
+// counters, and that each scrape serves every metric family once. It
+// exercises the full wiring — solver stage timers, WAL instruments, request
+// middleware, the server's own registry on the ops listener, trace
+// propagation — not the packages in isolation.
 //
 // Exits 0 on success; prints the failed assertion and exits 1 otherwise.
 package main
@@ -79,6 +81,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if dup := e2e.RepeatedFamilies(metrics); dup != nil {
+		return fmt.Errorf("primary /metrics serves families %v more than once", dup)
+	}
 	checks := []struct {
 		series string
 		min    float64
@@ -114,6 +119,9 @@ func run() error {
 		ContextSize      int    `json:"context_size"`
 		RollbacksMonitor int64  `json:"observe_rollbacks_monitor"`
 		RollbacksWAL     int64  `json:"observe_rollbacks_wal"`
+		SyncFailures     int64  `json:"wal_sync_failures"`
+		SnapshotFailures int64  `json:"snapshot_failures"`
+		PanicsRecovered  int64  `json:"panics_recovered"`
 	}
 	if err := json.Unmarshal([]byte(healthBody), &health); err != nil {
 		return fmt.Errorf("healthz decode: %w (%s)", err, healthBody)
@@ -123,6 +131,22 @@ func run() error {
 	}
 	if health.RollbacksMonitor != 0 || health.RollbacksWAL != 0 {
 		return fmt.Errorf("unexpected rollbacks in %s", healthBody)
+	}
+	// /metrics and /healthz read one set of counters: an ops mux that stopped
+	// serving the server's registry loses these series.
+	for _, c := range []struct {
+		series string
+		health int64
+	}{
+		{`rk_observe_rollbacks_total{cause="monitor"}`, health.RollbacksMonitor},
+		{`rk_observe_rollbacks_total{cause="wal"}`, health.RollbacksWAL},
+		{`rk_wal_sync_failures_total`, health.SyncFailures},
+		{`rk_snapshot_failures_total`, health.SnapshotFailures},
+		{`rk_panics_recovered_total`, health.PanicsRecovered},
+	} {
+		if v, ok := e2e.SeriesValue(metrics, c.series); !ok || int64(v) != c.health {
+			return fmt.Errorf("/metrics %s = %v (present %v), /healthz says %d", c.series, v, ok, c.health)
+		}
 	}
 
 	// With 1-in-1 sampling every request leaves a trace; the explain trace
@@ -230,6 +254,9 @@ func replicaSmoke(tmp, bin, primaryBase string, values map[string]string, predic
 	metrics, err := e2e.Get("http://" + opsAddr + "/metrics")
 	if err != nil {
 		return err
+	}
+	if dup := e2e.RepeatedFamilies(metrics); dup != nil {
+		return fmt.Errorf("follower /metrics serves families %v more than once", dup)
 	}
 	for _, series := range []string{
 		"rk_replica_lag_entries",

@@ -17,10 +17,15 @@ import (
 // every package-level constructor call must pass a compile-time constant
 // metric name, and each name must appear exactly once across the module.
 //
-// Method-form constructors (r.NewCounter on an explicit *obs.Registry, as the
-// benchsuite uses for throwaway registries) are deliberately out of scope —
-// only the shared Default registry has the cross-package collision hazard.
-// The obs package itself is skipped: it defines the constructors.
+// Method-form constructors (r.NewCounter on an explicit *obs.Registry) are
+// deliberately out of scope: only the shared Default registry has the
+// cross-package collision hazard. They carry every service.Server's own
+// series, registered in a private registry per server, and throwaway
+// benchsuite registries. A server's /metrics serves its registry beside
+// Default, so those names must not collide with Default's either; the service
+// test TestShedAndCacheSeriesArePerServer pins that each family appears once
+// in a server's scrape. The obs package itself is skipped: it defines the
+// constructors.
 //
 // ObsReg is stateful (names seen so far across packages); obtain a fresh
 // instance per run via NewObsReg, as AllCheckers does.

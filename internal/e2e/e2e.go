@@ -1,8 +1,9 @@
 // Package e2e holds the helpers the end-to-end gates (cmd/obssmoke,
 // cmd/loadgensmoke) share: booting a server binary on a free loopback port
 // and stopping it, waiting for it to answer, fetching a page, building an
-// instance from the served schema, reading one Prometheus series, and
-// dumping a server log into a failure message.
+// instance from the served schema, reading one Prometheus series, finding
+// families a scrape serves more than once, and dumping a server log into a
+// failure message.
 package e2e
 
 import (
@@ -16,6 +17,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 )
@@ -148,6 +150,25 @@ func SeriesValue(exposition, series string) (float64, bool) {
 		return 0, false
 	}
 	return v, true
+}
+
+// RepeatedFamilies lists, in exposition order, every metric family whose
+// # TYPE line appears more than once. A scrape that serves each family once
+// has none.
+func RepeatedFamilies(exposition string) []string {
+	seen := map[string]int{}
+	var out []string
+	for _, line := range strings.Split(exposition, "\n") {
+		rest, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		family, _, _ := strings.Cut(rest, " ")
+		if seen[family]++; seen[family] == 2 {
+			out = append(out, family)
+		}
+	}
+	return out
 }
 
 // ReadLog returns the file at path for a failure message, or a note saying

@@ -89,3 +89,23 @@ rk_replica_lag_entries 0
 		}
 	}
 }
+
+func TestRepeatedFamilies(t *testing.T) {
+	const exposition = `# HELP rk_a_total a
+# TYPE rk_a_total counter
+rk_a_total 1
+# HELP rk_b b
+# TYPE rk_b gauge
+rk_b 2
+# TYPE rk_a_total counter
+rk_a_total 3
+# TYPE rk_a_total counter
+# TYPE rk_b gauge
+`
+	if got := RepeatedFamilies(exposition); strings.Join(got, ",") != "rk_a_total,rk_b" {
+		t.Fatalf("RepeatedFamilies = %q, want [rk_a_total rk_b]", got)
+	}
+	if got := RepeatedFamilies("# TYPE rk_a_total counter\nrk_a_total 1\n# TYPE rk_b gauge\n"); got != nil {
+		t.Fatalf("RepeatedFamilies of a clean scrape = %q, want none", got)
+	}
+}

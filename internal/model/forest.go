@@ -103,9 +103,3 @@ func (f *Forest) Votes(x feature.Instance) []int {
 
 // NumLabels returns the label-space size.
 func (f *Forest) NumLabels() int { return f.nLabels }
-
-// NewForest wraps externally constructed trees as a Forest (used by the
-// persistence layer).
-func NewForest(trees []*Tree, nLabels int) *Forest {
-	return &Forest{Trees: trees, nLabels: nLabels}
-}

@@ -148,9 +148,3 @@ func (g *GBDT) Predict(x feature.Instance) feature.Label {
 func (g *GBDT) NumLabels() int { return g.nLabels }
 
 func sigmoid(s float64) float64 { return 1 / (1 + math.Exp(-s)) }
-
-// NewGBDT wraps externally constructed regression trees as a boosted
-// ensemble (used by the persistence layer).
-func NewGBDT(bias, shrink float64, trees []*Tree) *GBDT {
-	return &GBDT{Bias: bias, Shrink: shrink, Trees: trees, nLabels: 2}
-}

@@ -406,9 +406,3 @@ func (b *regBuilder) bestSplit(xs []feature.Instance, grad, hess []float64, idx 
 	}
 	return bestAttr, bestVal, found
 }
-
-// NewTree wraps an externally constructed node graph as a Tree (used by the
-// persistence layer).
-func NewTree(root *TreeNode, nLabels int) *Tree {
-	return &Tree{Root: root, nLabels: nLabels}
-}

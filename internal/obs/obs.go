@@ -12,10 +12,13 @@
 // type is a no-op on its nil zero value — "disabled" instrumentation is a nil
 // pointer, not a branch on shared state.
 //
-// Registration happens at package init through package-level vars; a
-// duplicate name panics immediately so a copy-pasted metric cannot silently
-// split its traffic between two series. rkvet's obsreg checker proves name
-// uniqueness statically for the same reason.
+// Process-wide series register at package init into Default through
+// package-level vars; a duplicate name panics immediately so a copy-pasted
+// metric cannot silently split its traffic between two series, and rkvet's
+// obsreg checker proves name uniqueness statically for the same reason.
+// Series that count one object's events — each service.Server's requests,
+// sheds, cache and jobs — register in that object's own Registry instead, and
+// Handler serves Default and those registries as one exposition.
 package obs
 
 import (
@@ -23,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,7 +71,8 @@ func NewRegistry() *Registry {
 }
 
 // Default is the process-wide registry the package-level constructors
-// register into and cceserver's /metrics endpoint serves.
+// register into; every service.Server's /metrics serves it beside the
+// server's own registry.
 var Default = NewRegistry()
 
 // register adds a family, panicking on an invalid or duplicate name: metric
@@ -113,40 +118,54 @@ func validLabelName(name string) bool {
 
 // WriteProm renders every registered family, sorted by name, in Prometheus
 // text exposition format (version 0.0.4): # HELP and # TYPE comments followed
-// by the family's series. The whole scrape is assembled in memory first so a
-// slow client never holds the registry lock.
-func (r *Registry) WriteProm(w io.Writer) error {
-	var buf bytes.Buffer
-	r.mu.RLock()
-	for _, name := range sortedkeys.Of(r.metrics) {
-		c := r.metrics[name]
-		fmt.Fprintf(&buf, "# HELP %s %s\n", name, escapeHelp(c.metricHelp()))
-		fmt.Fprintf(&buf, "# TYPE %s %s\n", name, c.metricType())
-		c.expose(&buf)
-	}
-	r.mu.RUnlock()
-	_, err := w.Write(buf.Bytes())
-	return err
-}
+// by the family's series.
+func (r *Registry) WriteProm(w io.Writer) error { return writeProm(w, []*Registry{r}) }
 
-// Handler serves the registry at GET /metrics in text exposition format.
-func (r *Registry) Handler() http.Handler {
+// Handler serves GET /metrics: every family of every given registry as one
+// exposition, sorted by name across registries. Families are never merged or
+// dropped, so a name registered in two of them appears twice; keeping names
+// unique across the registries a process serves is the caller's contract.
+func Handler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := r.WriteProm(w); err != nil {
+		if err := writeProm(w, regs); err != nil {
 			// The response write failed mid-scrape: the client is gone and
 			// the connection is unusable, so count it and move on.
-			r.scrapeDrops.Add(1)
+			Default.scrapeDrops.Add(1)
 		}
 	})
 }
 
-// ScrapeDrops reports how many scrapes failed writing their response.
+// ScrapeDrops reports how many ops responses (metrics scrapes, trace dumps)
+// failed writing. Handler and the trace handler count into Default's.
 func (r *Registry) ScrapeDrops() int64 { return r.scrapeDrops.Load() }
+
+// writeProm renders the families of regs as one exposition, sorted by name
+// (a stable sort, so equal names keep registry order). The whole scrape is
+// assembled in memory first so a slow client never holds a registry lock.
+func writeProm(w io.Writer, regs []*Registry) error {
+	var fams []collector
+	for _, r := range regs {
+		r.mu.RLock()
+		for _, name := range sortedkeys.Of(r.metrics) {
+			fams = append(fams, r.metrics[name])
+		}
+		r.mu.RUnlock()
+	}
+	sort.SliceStable(fams, func(i, j int) bool { return fams[i].metricName() < fams[j].metricName() })
+	var buf bytes.Buffer
+	for _, c := range fams {
+		fmt.Fprintf(&buf, "# HELP %s %s\n", c.metricName(), escapeHelp(c.metricHelp()))
+		fmt.Fprintf(&buf, "# TYPE %s %s\n", c.metricName(), c.metricType())
+		c.expose(&buf)
+	}
+	_, err := w.Write(buf.Bytes())
+	return err
+}
 
 // escapeHelp escapes backslashes and newlines per the exposition format.
 func escapeHelp(s string) string {

@@ -263,7 +263,7 @@ func TestExpositionWellFormed(t *testing.T) {
 func TestHandler(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("rk_handler_total", "c").Inc()
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
@@ -431,5 +431,48 @@ func TestParseLevel(t *testing.T) {
 		if got := ParseLevel(s); got != cases[s] {
 			t.Errorf("ParseLevel(%q) = %v, want %v", s, got, cases[s])
 		}
+	}
+}
+
+// TestHandlerSortsAcrossRegistries: one scrape of several registries is a
+// single exposition sorted by family name across them. Every family of every
+// registry is written, so a name present in two registries appears twice, in
+// registry order — the handler neither merges nor drops a family.
+func TestHandlerSortsAcrossRegistries(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.NewCounter("rk_sort_b_total", "b in a").Add(2)
+	a.NewGauge("rk_sort_d", "d").Set(4)
+	b.NewCounter("rk_sort_a_total", "a").Inc()
+	b.NewGaugeFunc("rk_sort_c", "c", func() float64 { return 3 })
+	b.NewCounter("rk_sort_b_total", "b in b").Add(5)
+	srv := httptest.NewServer(Handler(a, b))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatalf("reading body: %v", err)
+	}
+	want := `# HELP rk_sort_a_total a
+# TYPE rk_sort_a_total counter
+rk_sort_a_total 1
+# HELP rk_sort_b_total b in a
+# TYPE rk_sort_b_total counter
+rk_sort_b_total 2
+# HELP rk_sort_b_total b in b
+# TYPE rk_sort_b_total counter
+rk_sort_b_total 5
+# HELP rk_sort_c c
+# TYPE rk_sort_c gauge
+rk_sort_c 3
+# HELP rk_sort_d d
+# TYPE rk_sort_d gauge
+rk_sort_d 4
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("scrape of two registries:\n%s\nwant:\n%s", got, want)
 	}
 }

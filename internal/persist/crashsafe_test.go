@@ -129,11 +129,12 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	var got []feature.Labeled
 	var seqs []uint64
-	n, torn, err := ReplayWALFile(path, func(seq uint64, li feature.Labeled) error {
+	res, err := ReplayWALFileFrom(path, 0, func(seq uint64, li feature.Labeled) error {
 		seqs = append(seqs, seq)
 		got = append(got, li)
 		return nil
 	})
+	n, torn := res.Applied, res.Torn
 	if err != nil || torn {
 		t.Fatalf("replay: n=%d torn=%v err=%v", n, torn, err)
 	}
@@ -171,7 +172,8 @@ func TestWALReplayStopsAtTornTail(t *testing.T) {
 	if err := os.WriteFile(path, b[:len(b)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, torn, err := ReplayWALFile(path, func(uint64, feature.Labeled) error { return nil })
+	res, err := ReplayWALFileFrom(path, 0, func(uint64, feature.Labeled) error { return nil })
+	n, torn := res.Applied, res.Torn
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +211,8 @@ func TestWALReplayStopsAtChecksumMismatch(t *testing.T) {
 	}
 	// Damage with intact records after it is NOT a crash tail: recovery must
 	// refuse rather than silently dropping acknowledged observations.
-	n, torn, err := ReplayWALFile(path, func(uint64, feature.Labeled) error { return nil })
+	res, err := ReplayWALFileFrom(path, 0, func(uint64, feature.Labeled) error { return nil })
+	n, torn := res.Applied, res.Torn
 	if !errors.Is(err, ErrCorruptWAL) {
 		t.Fatalf("mid-file corruption: err=%v, want ErrCorruptWAL", err)
 	}
@@ -219,7 +222,8 @@ func TestWALReplayStopsAtChecksumMismatch(t *testing.T) {
 }
 
 func TestWALMissingFileReplaysEmpty(t *testing.T) {
-	n, torn, err := ReplayWALFile(filepath.Join(t.TempDir(), "absent.wal"), func(uint64, feature.Labeled) error { return nil })
+	res, err := ReplayWALFileFrom(filepath.Join(t.TempDir(), "absent.wal"), 0, func(uint64, feature.Labeled) error { return nil })
+	n, torn := res.Applied, res.Torn
 	if n != 0 || torn || err != nil {
 		t.Fatalf("missing wal: n=%d torn=%v err=%v", n, torn, err)
 	}

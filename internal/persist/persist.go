@@ -1,205 +1,16 @@
-// Package persist serializes the artifacts a CCE client accumulates across
-// sessions — schemas, inference contexts, and trained tree models — as
-// versioned JSON. A bank-style client (§1's scenario) keeps its inference log
-// on disk and reloads it as the explanation context on the next run.
+// Package persist holds the crash-safe state of the CCE service (DESIGN.md
+// §9): checksummed snapshots of the retained context stamped with their
+// observation sequence number, the append-only observation log (WAL) replayed
+// past that watermark, the per-job result checkpoint logs (§15), and the
+// atomic file write they share. A bank-style client (§1's scenario) keeps its
+// inference log on disk and reloads it as the explanation context on the
+// next run.
 package persist
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
+import "github.com/xai-db/relativekeys/internal/feature"
 
-	"github.com/xai-db/relativekeys/internal/core"
-	"github.com/xai-db/relativekeys/internal/feature"
-	"github.com/xai-db/relativekeys/internal/model"
-)
-
-// formatVersion guards against decoding files written by incompatible
-// releases.
-const formatVersion = 1
-
+// schemaJSON is the schema as a snapshot carries it.
 type schemaJSON struct {
 	Attrs  []feature.Attribute `json:"attrs"`
 	Labels []string            `json:"labels"`
-}
-
-type contextFile struct {
-	Version int        `json:"version"`
-	Schema  schemaJSON `json:"schema"`
-	Rows    [][]int32  `json:"rows"`   // value codes per instance
-	Labels  []int32    `json:"labels"` // prediction per instance
-}
-
-// SaveContext writes a context (schema plus labeled instances) as JSON.
-func SaveContext(w io.Writer, c *core.Context) error {
-	f := contextFile{
-		Version: formatVersion,
-		Schema:  schemaJSON{Attrs: c.Schema.Attrs, Labels: c.Schema.Labels},
-	}
-	// LiveItems skips retired slots, so windowed/retention contexts persist
-	// only their current occupants.
-	for _, li := range c.LiveItems() {
-		f.Rows = append(f.Rows, append([]int32(nil), li.X...))
-		f.Labels = append(f.Labels, li.Y)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
-}
-
-// LoadContext reads a context written by SaveContext, rebuilding its index
-// and re-validating every row against the schema.
-func LoadContext(r io.Reader) (*core.Context, error) {
-	var f contextFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("persist: decoding context: %w", err)
-	}
-	if f.Version != formatVersion {
-		return nil, fmt.Errorf("persist: context format version %d, want %d", f.Version, formatVersion)
-	}
-	if len(f.Rows) != len(f.Labels) {
-		return nil, fmt.Errorf("persist: %d rows but %d labels", len(f.Rows), len(f.Labels))
-	}
-	schema, err := feature.NewSchema(f.Schema.Attrs, f.Schema.Labels)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]feature.Labeled, len(f.Rows))
-	for i := range f.Rows {
-		items[i] = feature.Labeled{X: feature.Instance(f.Rows[i]), Y: f.Labels[i]}
-	}
-	return core.NewContext(schema, items)
-}
-
-// treeJSON is a flattened tree: nodes in preorder with child indices.
-type treeJSON struct {
-	Attr  []int     `json:"attr"` // -1 for leaves
-	Value []int32   `json:"value"`
-	Left  []int     `json:"left"` // node indices, -1 when absent
-	Right []int     `json:"right"`
-	Leaf  []int32   `json:"leaf"`
-	LeafV []float64 `json:"leaf_value"`
-}
-
-func flattenTree(t *model.Tree) treeJSON {
-	var out treeJSON
-	var walk func(n *model.TreeNode) int
-	walk = func(n *model.TreeNode) int {
-		idx := len(out.Attr)
-		out.Attr = append(out.Attr, n.Attr)
-		out.Value = append(out.Value, n.Value)
-		out.Left = append(out.Left, -1)
-		out.Right = append(out.Right, -1)
-		out.Leaf = append(out.Leaf, n.Leaf)
-		out.LeafV = append(out.LeafV, n.LeafValue)
-		if !n.IsLeaf() {
-			out.Left[idx] = walk(n.Left)
-			out.Right[idx] = walk(n.Right)
-		}
-		return idx
-	}
-	walk(t.Root)
-	return out
-}
-
-func unflattenTree(f treeJSON, nLabels int) (*model.Tree, error) {
-	n := len(f.Attr)
-	if n == 0 || len(f.Value) != n || len(f.Left) != n || len(f.Right) != n || len(f.Leaf) != n || len(f.LeafV) != n {
-		return nil, fmt.Errorf("persist: malformed tree encoding")
-	}
-	nodes := make([]model.TreeNode, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = model.TreeNode{
-			Attr: f.Attr[i], Value: f.Value[i],
-			Leaf: f.Leaf[i], LeafValue: f.LeafV[i],
-		}
-		if f.Attr[i] >= 0 {
-			l, r := f.Left[i], f.Right[i]
-			// Preorder flattening puts children after parents: this both
-			// validates the encoding and guarantees acyclicity.
-			if l <= i || l >= n || r <= i || r >= n {
-				return nil, fmt.Errorf("persist: tree child index out of order at node %d", i)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if f.Attr[i] >= 0 {
-			nodes[i].Left = &nodes[f.Left[i]]
-			nodes[i].Right = &nodes[f.Right[i]]
-		}
-	}
-	return model.NewTree(&nodes[0], nLabels), nil
-}
-
-type forestFile struct {
-	Version int        `json:"version"`
-	Labels  int        `json:"labels"`
-	Trees   []treeJSON `json:"trees"`
-}
-
-// SaveForest writes a random forest as JSON.
-func SaveForest(w io.Writer, f *model.Forest) error {
-	out := forestFile{Version: formatVersion, Labels: f.NumLabels()}
-	for _, t := range f.Trees {
-		out.Trees = append(out.Trees, flattenTree(t))
-	}
-	return json.NewEncoder(w).Encode(out)
-}
-
-// LoadForest reads a forest written by SaveForest.
-func LoadForest(r io.Reader) (*model.Forest, error) {
-	var f forestFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("persist: decoding forest: %w", err)
-	}
-	if f.Version != formatVersion {
-		return nil, fmt.Errorf("persist: forest format version %d, want %d", f.Version, formatVersion)
-	}
-	if f.Labels < 2 || len(f.Trees) == 0 {
-		return nil, fmt.Errorf("persist: forest needs ≥2 labels and ≥1 tree")
-	}
-	trees := make([]*model.Tree, len(f.Trees))
-	for i, tf := range f.Trees {
-		t, err := unflattenTree(tf, f.Labels)
-		if err != nil {
-			return nil, fmt.Errorf("persist: tree %d: %w", i, err)
-		}
-		trees[i] = t
-	}
-	return model.NewForest(trees, f.Labels), nil
-}
-
-type gbdtFile struct {
-	Version int        `json:"version"`
-	Bias    float64    `json:"bias"`
-	Shrink  float64    `json:"shrink"`
-	Trees   []treeJSON `json:"trees"`
-}
-
-// SaveGBDT writes a boosted ensemble as JSON.
-func SaveGBDT(w io.Writer, g *model.GBDT) error {
-	out := gbdtFile{Version: formatVersion, Bias: g.Bias, Shrink: g.Shrink}
-	for _, t := range g.Trees {
-		out.Trees = append(out.Trees, flattenTree(t))
-	}
-	return json.NewEncoder(w).Encode(out)
-}
-
-// LoadGBDT reads a boosted ensemble written by SaveGBDT.
-func LoadGBDT(r io.Reader) (*model.GBDT, error) {
-	var f gbdtFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("persist: decoding GBDT: %w", err)
-	}
-	if f.Version != formatVersion {
-		return nil, fmt.Errorf("persist: GBDT format version %d, want %d", f.Version, formatVersion)
-	}
-	trees := make([]*model.Tree, len(f.Trees))
-	for i, tf := range f.Trees {
-		t, err := unflattenTree(tf, 2)
-		if err != nil {
-			return nil, fmt.Errorf("persist: tree %d: %w", i, err)
-		}
-		trees[i] = t
-	}
-	return model.NewGBDT(f.Bias, f.Shrink, trees), nil
 }

@@ -13,8 +13,7 @@ import (
 )
 
 // snapshotVersion marks the checksummed, sequence-stamped snapshot format
-// used by the crash-safe service state (DESIGN.md §9). It is distinct from
-// formatVersion: SaveContext/LoadContext files remain readable unchanged.
+// used by the crash-safe service state (DESIGN.md §9).
 const snapshotVersion = 2
 
 // ErrCorruptSnapshot marks a snapshot file that is truncated, fails its

@@ -194,20 +194,13 @@ type ReplayResult struct {
 	Torn    bool   // a damaged final line (the kill -9 signature) was dropped
 }
 
-// ReplayWAL reads records in append order, calling fn for each intact one.
-// Replay stops at a torn final line — the kill -9 boundary — reporting
-// Torn=true; damage anywhere else surfaces as ErrCorruptWAL. The legacy
-// 3-tuple form of this API could not distinguish the two, which let a
-// mid-file corruption masquerade as a benign crash tail.
-func ReplayWAL(r io.Reader, fn func(seq uint64, li feature.Labeled) error) (int, bool, error) {
-	res, err := ReplayWALFrom(r, 0, fn)
-	return res.Applied, res.Torn, err
-}
-
-// ReplayWALFrom is the resumable cursor form of ReplayWAL: records with
-// seq ≤ from are scanned (they still count toward the clean prefix) but not
-// delivered to fn. It instruments the recovery counters; fn errors abort the
-// replay as-is.
+// ReplayWALFrom reads records in append order, calling fn for each intact
+// one with seq > from; records with seq ≤ from are scanned (they still count
+// toward the clean prefix) but not delivered. Replay stops at a torn final
+// line — the kill -9 boundary — reporting Torn=true; damage anywhere else
+// surfaces as ErrCorruptWAL, so a mid-file corruption cannot masquerade as a
+// benign crash tail. It instruments the recovery counters; fn errors abort
+// the replay as-is.
 func ReplayWALFrom(r io.Reader, from uint64, fn func(seq uint64, li feature.Labeled) error) (ReplayResult, error) {
 	res, err := replayWALFrom(r, from, fn)
 	walReplayRecords.Add(int64(res.Applied))
@@ -267,13 +260,6 @@ func replayWALFrom(r io.Reader, from uint64, fn func(seq uint64, li feature.Labe
 			return res, nil
 		}
 	}
-}
-
-// ReplayWALFile replays the log at path; a missing file is zero records, not
-// an error (first boot).
-func ReplayWALFile(path string, fn func(seq uint64, li feature.Labeled) error) (int, bool, error) {
-	res, err := ReplayWALFileFrom(path, 0, fn)
-	return res.Applied, res.Torn, err
 }
 
 // ReplayWALFileFrom replays the log at path from the given cursor; a missing

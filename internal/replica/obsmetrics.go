@@ -6,9 +6,8 @@ import (
 
 // Replication observability (DESIGN.md §14). The counters live here so every
 // follower path increments exactly one registered series; the lag gauges
-// (rk_replica_lag_entries, rk_replica_lag_seconds) are GaugeFuncs registered
-// by cmd/cceserver in follower mode, because they read one specific server's
-// state.
+// (rk_replica_lag_entries, rk_replica_lag_seconds) read one server's state,
+// so each follower service.Server registers them in its own registry.
 var (
 	replReconnects = obs.NewCounter("rk_replica_reconnects_total",
 		"Replication stream re-establishments by the follower (any cause: cut, primary restart, drop).")

@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"sync"
 	"time"
+
+	"github.com/xai-db/relativekeys/internal/obs"
 )
 
 // The explanation cache (DESIGN.md §15). Heavy interactive traffic is
@@ -71,6 +73,8 @@ type explainCache struct {
 
 	ll      *list.List               // guarded by mu; front = hottest
 	entries map[string]*list.Element // guarded by mu
+
+	evictions *obs.Counter // the owning server's; nil = uncounted
 }
 
 // cacheItem is the list payload.
@@ -157,7 +161,7 @@ func (c *explainCache) evictOldestLocked() {
 	c.ll.Remove(el)
 	delete(c.entries, item.key)
 	c.bytes -= int64(item.size)
-	cacheEvictions.Inc()
+	c.evictions.Inc()
 }
 
 // stats reports occupancy for /stats.

@@ -109,7 +109,7 @@ func TestCoalesceStress(t *testing.T) {
 			t.Fatalf("response %d differs from response 0:\n%s\nvs\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	if hits, coalesced := srv.cacheHits.Load(), srv.cacheCoalesced.Load(); coalesced == 0 || 1+hits+coalesced != int64(workers) {
+	if hits, coalesced := srv.metrics.cacheHit.Value(), srv.metrics.cacheCoalesced.Value(); coalesced == 0 || 1+hits+coalesced != int64(workers) {
 		t.Fatalf("accounting: 1 miss + %d hits + %d coalesced != %d requests", hits, coalesced, workers)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/xai-db/relativekeys/internal/core"
@@ -201,8 +200,6 @@ type jobStore struct {
 
 	wake chan struct{} // cap 1; nudges the runner
 	stop chan struct{} // closed by close()
-
-	submitted, completed, failed, resumed, itemsDone atomic.Int64
 }
 
 // newJobStore builds the store and resumes any unfinished persisted jobs.
@@ -301,8 +298,7 @@ func (st *jobStore) resume() error {
 			return err
 		}
 		j.log = log
-		st.resumed.Add(1)
-		jobEvtResumed.Inc()
+		st.srv.metrics.jobResumed.Inc()
 		if err := st.enqueue(j); err != nil {
 			return err
 		}
@@ -384,8 +380,7 @@ func (st *jobStore) submit(items []feature.Labeled, alpha float64, deadline time
 		}
 		return "", err
 	}
-	st.submitted.Add(1)
-	jobEvtSubmitted.Inc()
+	st.srv.metrics.jobSubmitted.Inc()
 	return id, nil
 }
 
@@ -466,19 +461,16 @@ func (st *jobStore) runJob(j *job) {
 		if err != nil {
 			// The item could not be solved or made durable; the batch cannot
 			// claim completeness, so it fails loudly rather than skipping.
-			st.failed.Add(1)
-			jobEvtFailed.Inc()
+			st.srv.metrics.jobFailed.Inc()
 			j.setState(jobFailed, fmt.Sprintf("item %d: %v", idx, err))
 			st.closeJobLog(j)
 			st.retire(j)
 			return
 		}
-		st.itemsDone.Add(1)
-		jobItemsDone.Inc()
+		st.srv.metrics.jobItemsDone.Inc()
 		j.complete(body)
 	}
-	st.completed.Add(1)
-	jobEvtCompleted.Inc()
+	st.srv.metrics.jobCompleted.Inc()
 	j.setState(jobDone, "")
 	st.closeJobLog(j)
 	st.retire(j)
@@ -522,8 +514,7 @@ func (st *jobStore) solveItem(j *job, idx int) (json.RawMessage, error) {
 		res.NoKey = true
 	default:
 		if out.e.resp.Degraded {
-			s.degradedTotal.Add(1)
-			explainDegraded.Inc()
+			s.metrics.explainDegraded.Inc()
 		}
 		resp := out.e.resp
 		res.Resp = &resp
@@ -559,12 +550,13 @@ func (st *jobStore) list() []JobProgress {
 // statsSnapshot renders the /stats block: aggregate counters plus per-job
 // progress for unfinished jobs.
 func (st *jobStore) statsSnapshot() *JobsStats {
+	m := st.srv.metrics
 	js := &JobsStats{
-		Submitted: st.submitted.Load(),
-		Completed: st.completed.Load(),
-		Failed:    st.failed.Load(),
-		Resumed:   st.resumed.Load(),
-		ItemsDone: st.itemsDone.Load(),
+		Submitted: m.jobSubmitted.Value(),
+		Completed: m.jobCompleted.Value(),
+		Failed:    m.jobFailed.Value(),
+		Resumed:   m.jobResumed.Value(),
+		ItemsDone: m.jobItemsDone.Value(),
 	}
 	if js.Submitted == 0 && js.Completed == 0 && js.Resumed == 0 {
 		return nil
@@ -656,7 +648,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
-		shedDraining.Inc()
+		s.metrics.shedDraining.Inc()
 		unavailable(w, errDraining.Error())
 		return
 	}

@@ -93,9 +93,9 @@ func TestHealthzReportsRollbacks(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint: the service mux serves the process registry in
-// Prometheus text format, including the request series the middleware just
-// recorded.
+// TestMetricsEndpoint: the service mux serves the process registry and the
+// server's own in Prometheus text format, including the request series the
+// middleware just recorded.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, client := obsTestServer(t)
 	row := map[string]string{"Income": "1-2K", "Credit": "good"}

@@ -57,8 +57,7 @@ func (s *Server) ApplyReplicated(ctx context.Context, seq uint64, li feature.Lab
 		s.sinceSnapshot = 0
 		if err := s.snapshotLocked(); err != nil {
 			// Non-fatal: the follower re-syncs a longer tail after a crash.
-			s.snapFailures.Add(1)
-			snapshotFailures.Inc()
+			s.metrics.snapshotFailures.Inc()
 			s.logger.Warn("follower snapshot failed", "err", err)
 		}
 	}
@@ -104,8 +103,7 @@ func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, it
 	if err := s.snapshotLocked(); err != nil {
 		// The watermark is not yet durable; a crash before the next periodic
 		// snapshot re-fetches the primary snapshot, which is correct if slow.
-		s.snapFailures.Add(1)
-		snapshotFailures.Inc()
+		s.metrics.snapshotFailures.Inc()
 		s.logger.Warn("persisting installed snapshot failed", "err", err)
 	}
 	return nil
@@ -149,8 +147,9 @@ func (s *Server) StalenessMS() int64 {
 	return time.Since(time.Unix(0, t)).Milliseconds()
 }
 
-// ReplicaLagSeconds is StalenessMS for gauges: seconds, -1 before first sync.
-func (s *Server) ReplicaLagSeconds() float64 {
+// replicaLagSeconds is StalenessMS for the lag gauge: seconds, -1 before
+// first sync.
+func (s *Server) replicaLagSeconds() float64 {
 	ms := s.StalenessMS()
 	if ms < 0 {
 		return -1
@@ -167,8 +166,8 @@ func (s *Server) lagEntriesLocked() int64 {
 	return 0
 }
 
-// ReplicaLagEntries is lagEntriesLocked for gauges.
-func (s *Server) ReplicaLagEntries() int64 {
+// replicaLagEntries is lagEntriesLocked for the lag gauge.
+func (s *Server) replicaLagEntries() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.lagEntriesLocked()

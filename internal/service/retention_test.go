@@ -230,7 +230,7 @@ func TestRefusedObserveKeepsCachedExplain(t *testing.T) {
 			if srv.ctx.Version() != version || srv.ctx.Len() != size {
 				t.Fatalf("refused observe moved the context: version %d→%d, size %d→%d", version, srv.ctx.Version(), size, srv.ctx.Len())
 			}
-			if m, w := srv.monitorRollbacks.Load(), srv.walRollbacks.Load(); m+w != 1 {
+			if m, w := srv.metrics.rollbackMonitor.Value(), srv.metrics.rollbackWAL.Value(); m+w != 1 {
 				t.Fatalf("refusal counters monitor=%d wal=%d, want one refusal", m, w)
 			}
 		})

@@ -169,23 +169,9 @@ type Server struct {
 	primarySeq  atomic.Uint64                        // follower: latest seq the primary has advertised
 	lastSync    atomic.Int64                         // follower: unix nanos of the last provably caught-up moment; 0 = never
 
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	cacheCoalesced atomic.Int64
-	cacheBypassed  atomic.Int64
-
-	degradedTotal   atomic.Int64
-	shedTotal       atomic.Int64
-	panicsRecovered atomic.Int64
-	syncFailures    atomic.Int64
-	snapFailures    atomic.Int64
-
-	// Observation refusals: the monitor rejected the row or its WAL append
-	// failed. Either comes before the context add, so the state is unchanged
-	// and the client's retry is safe. Surfaced in /healthz and as obs
-	// counters; the rollback names predate the admission order.
-	monitorRollbacks atomic.Int64
-	walRollbacks     atomic.Int64
+	// metrics is the server's own registry and series: the one copy of every
+	// counter /stats, /healthz and /metrics report.
+	metrics *serverMetrics
 
 	tracer *obs.Tracer // nil = no sampling
 	logger *obs.Logger // nil = silent
@@ -230,6 +216,7 @@ func NewServer(cfg Config) (*Server, error) {
 		logger:          cfg.Logger,
 		start:           time.Now(),
 	}
+	s.metrics = newServerMetrics(s)
 	s.solverTag = cfg.SolverTag
 	if s.solve == nil {
 		s.solve = func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
@@ -246,6 +233,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if !cfg.CacheOff {
 		s.cache = newExplainCache(cfg.CacheEntries, cfg.CacheBytes)
+		s.cache.evictions = s.metrics.cacheEvictions
 		s.flights = newFlightGroup()
 	}
 	if s.snapshotEvery <= 0 {
@@ -371,8 +359,7 @@ func (s *Server) checkLocked(ctx context.Context, li feature.Labeled) error {
 	}
 	if s.monitor != nil {
 		if _, err := s.monitor.ObserveCtx(ctx, li); err != nil {
-			s.monitorRollbacks.Add(1)
-			rollbackMonitor.Inc()
+			s.metrics.rollbackMonitor.Inc()
 			s.logger.Warn("observation refused: monitor rejected the row", "err", err)
 			return monitorError{err}
 		}
@@ -407,8 +394,7 @@ func (s *Server) observeLocked(ctx context.Context, li feature.Labeled) error {
 			// retryable 503. The monitor has already counted the arrival;
 			// panel statistics may run one ahead, which is acceptable for a
 			// drift estimate.
-			s.walRollbacks.Add(1)
-			rollbackWAL.Inc()
+			s.metrics.rollbackWAL.Inc()
 			s.logger.Warn("observation refused: wal append failed", "err", err)
 			return persistError{err}
 		}
@@ -419,8 +405,7 @@ func (s *Server) observeLocked(ctx context.Context, li feature.Labeled) error {
 				// The row is in memory and in the kernel's page cache; only
 				// durability against power loss is uncertain. Count it rather
 				// than force the client into a duplicating retry.
-				s.syncFailures.Add(1)
-				walSyncFailures.Inc()
+				s.metrics.walSyncFailures.Inc()
 				s.logger.Warn("wal sync failed", "err", err)
 			}
 		}
@@ -441,8 +426,7 @@ func (s *Server) observeLocked(ctx context.Context, li feature.Labeled) error {
 		if err := s.snapshotLocked(); err != nil {
 			// The WAL still covers everything since the last good snapshot;
 			// recovery just replays more.
-			s.snapFailures.Add(1)
-			snapshotFailures.Inc()
+			s.metrics.snapshotFailures.Inc()
 			s.logger.Warn("periodic snapshot failed", "err", err)
 		} else if s.compactWAL && s.wal != nil {
 			// The snapshot covers every logged record, so the log can start
@@ -510,6 +494,12 @@ func (s *Server) ContextSize() int {
 // separate (firewalled) listener.
 func (s *Server) HealthzHandler() http.Handler { return http.HandlerFunc(s.handleHealthz) }
 
+// MetricsHandler serves /metrics: the process registry (solver, CCE,
+// persistence, replication and client series) plus this server's own, as one
+// exposition. Handler mounts it; an ops mux on a separate listener mounts it
+// standalone.
+func (s *Server) MetricsHandler() http.Handler { return obs.Handler(obs.Default, s.metrics.reg) }
+
 // Seq reports the sequence number of the last admitted observation.
 func (s *Server) Seq() uint64 {
 	s.mu.RLock()
@@ -552,7 +542,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/jobs/stream", s.handleJobStream)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.Handle("/metrics", obs.Default.Handler())
+	mux.Handle("/metrics", s.MetricsHandler())
 	if s.tracer != nil {
 		mux.Handle("/debug/traces", s.tracer.Handler())
 	}
@@ -567,8 +557,9 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		endpoint := endpointLabel(r.URL.Path)
-		httpInFlight.Inc()
-		defer httpInFlight.Dec()
+		m := s.metrics
+		m.httpInFlight.Inc()
+		defer m.httpInFlight.Dec()
 		if tr := s.tracer.Start(endpoint); tr != nil {
 			defer tr.Finish()
 			r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
@@ -576,8 +567,8 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(rec, r)
-		httpSeconds.With(endpoint).ObserveSince(start)
-		httpRequests.With(endpoint, strconv.Itoa(rec.code)).Inc()
+		m.httpSeconds.With(endpoint).ObserveSince(start)
+		m.httpRequests.With(endpoint, strconv.Itoa(rec.code)).Inc()
 	})
 }
 
@@ -613,8 +604,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 			if p == http.ErrAbortHandler {
 				panic(p)
 			}
-			s.panicsRecovered.Add(1)
-			panicsRecoveredTotal.Inc()
+			s.metrics.panicsRecovered.Inc()
 			s.logger.Error("handler panic recovered", "panic", fmt.Sprint(p), "path", r.URL.Path)
 			http.Error(w, fmt.Sprintf("internal error: %v", p), http.StatusInternalServerError)
 		}()
@@ -666,7 +656,9 @@ type ExplainResponse struct {
 	StalenessMS *int64   `json:"staleness_ms,omitempty"`
 }
 
-// StatsResponse summarizes the service state.
+// StatsResponse summarizes the service state. ShedTotal counts the 429
+// overload and 503 stale sheds only; deadline-floor and draining sheds show
+// only in rk_shed_total{reason} on /metrics.
 type StatsResponse struct {
 	ContextSize      int     `json:"context_size"`
 	Alpha            float64 `json:"alpha"`
@@ -791,7 +783,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		shedDraining.Inc()
+		s.metrics.shedDraining.Inc()
 		unavailable(w, errDraining.Error())
 		return
 	}
@@ -845,7 +837,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// The hard floor: below it the degraded answer would be all features —
 	// useless as an explanation — so shed instead of wasting the work.
 	if s.minDeadline > 0 && deadline > 0 && deadline < s.minDeadline {
-		shedDeadlineFloor.Inc()
+		s.metrics.shedDeadlineFloor.Inc()
 		unavailable(w, fmt.Sprintf("deadline %v below the service floor %v", deadline, s.minDeadline))
 		return
 	}
@@ -858,8 +850,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// Retry-After backoff) lands after catch-up. A primary is never stale.
 	if s.follower && req.MaxStalenessMS > 0 {
 		if stale := s.StalenessMS(); stale < 0 || stale > req.MaxStalenessMS {
-			s.shedTotal.Add(1)
-			shedStale.Inc()
+			s.metrics.shedStale.Inc()
 			unavailable(w, fmt.Sprintf("replica staleness %dms exceeds the requested bound %dms", stale, req.MaxStalenessMS))
 			return
 		}
@@ -869,8 +860,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
 		default:
-			s.shedTotal.Add(1)
-			shedOverload.Inc()
+			s.metrics.shedOverload.Inc()
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "too many in-flight explains", http.StatusTooManyRequests)
 			return
@@ -885,7 +875,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		shedDraining.Inc()
+		s.metrics.shedDraining.Inc()
 		unavailable(w, errDraining.Error())
 		return
 	}
@@ -900,8 +890,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if out.e.resp.Degraded {
-		s.degradedTotal.Add(1)
-		explainDegraded.Inc()
+		s.metrics.explainDegraded.Inc()
 	}
 	resp := out.e.resp
 	if s.follower {
@@ -911,8 +900,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// through, bound requested or not.
 		seq, stale := s.seq, s.StalenessMS()
 		if req.MaxStalenessMS > 0 && (stale < 0 || stale > req.MaxStalenessMS) {
-			s.shedTotal.Add(1)
-			shedStale.Inc()
+			s.metrics.shedStale.Inc()
 			unavailable(w, fmt.Sprintf("replica staleness %dms exceeds the requested bound %dms", stale, req.MaxStalenessMS))
 			return
 		}
@@ -932,8 +920,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // under the flight, so every member of a flight shares one solve problem.
 func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha float64, budget time.Duration, noCache bool) (solveOutcome, string) {
 	if s.cache == nil || noCache {
-		s.cacheBypassed.Add(1)
-		cacheBypass.Inc()
+		s.metrics.cacheBypass.Inc()
 		return s.solveEntryLocked(ctx, li, alpha, budget), "bypass"
 	}
 	ckey := EncodeCacheKey(CacheKey{
@@ -944,8 +931,7 @@ func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha fl
 		X:       li.X,
 	})
 	if e, ok := s.cache.get(ckey, budget); ok {
-		s.cacheHits.Add(1)
-		cacheHit.Inc()
+		s.metrics.cacheHit.Inc()
 		return solveOutcome{e: e}, "hit"
 	}
 	out, _, coalesced := s.flights.do(ctx, ckey, budget, func() solveOutcome {
@@ -960,12 +946,10 @@ func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha fl
 		return o
 	})
 	if !coalesced {
-		s.cacheMisses.Add(1)
-		cacheMiss.Inc()
+		s.metrics.cacheMiss.Inc()
 		return out, "miss"
 	}
-	s.cacheCoalesced.Add(1)
-	cacheCoalesced.Inc()
+	s.metrics.cacheCoalesced.Inc()
 	// The leader's outcome may not be usable here: the leader erred or
 	// panicked, this waiter's deadline fired first, or the result degraded
 	// under a shorter budget than this request carries. All of those fall
@@ -1024,19 +1008,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
+	m := s.metrics
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	resp := StatsResponse{
 		ContextSize:      s.ctx.Len(),
 		Alpha:            s.alpha,
 		Retention:        s.ctx.Limit(),
-		DegradedTotal:    s.degradedTotal.Load(),
-		ShedTotal:        s.shedTotal.Load(),
-		PanicsRecovered:  s.panicsRecovered.Load(),
-		SyncFailures:     s.syncFailures.Load(),
-		SnapshotFailures: s.snapFailures.Load(),
-		RollbacksMonitor: s.monitorRollbacks.Load(),
-		RollbacksWAL:     s.walRollbacks.Load(),
+		DegradedTotal:    m.explainDegraded.Value(),
+		ShedTotal:        m.shedOverload.Value() + m.shedStale.Value(),
+		PanicsRecovered:  m.panicsRecovered.Value(),
+		SyncFailures:     m.walSyncFailures.Value(),
+		SnapshotFailures: m.snapshotFailures.Value(),
+		RollbacksMonitor: m.rollbackMonitor.Value(),
+		RollbacksWAL:     m.rollbackWAL.Value(),
 		Seq:              s.seq,
 		PersistenceOn:    s.wal != nil || s.snapPath != "",
 		Role:             s.roleLocked(),
@@ -1044,10 +1029,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cache != nil {
 		resp.CacheActive = true
-		resp.CacheHits = s.cacheHits.Load()
-		resp.CacheMisses = s.cacheMisses.Load()
-		resp.CacheCoalesced = s.cacheCoalesced.Load()
-		resp.CacheBypassed = s.cacheBypassed.Load()
+		resp.CacheHits = m.cacheHit.Value()
+		resp.CacheMisses = m.cacheMiss.Value()
+		resp.CacheCoalesced = m.cacheCoalesced.Value()
+		resp.CacheBypassed = m.cacheBypass.Value()
 		resp.CacheEntries, resp.CacheBytes = s.cache.stats()
 	}
 	if s.jobs != nil {
@@ -1078,16 +1063,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.closed {
 		status = "draining"
 	}
+	m := s.metrics
 	resp := HealthResponse{
 		Status:           status,
 		UptimeSeconds:    int64(time.Since(s.start).Seconds()),
 		ContextSize:      s.ctx.Len(),
 		Seq:              s.seq,
-		RollbacksMonitor: s.monitorRollbacks.Load(),
-		RollbacksWAL:     s.walRollbacks.Load(),
-		SyncFailures:     s.syncFailures.Load(),
-		SnapshotFailures: s.snapFailures.Load(),
-		PanicsRecovered:  s.panicsRecovered.Load(),
+		RollbacksMonitor: m.rollbackMonitor.Value(),
+		RollbacksWAL:     m.rollbackWAL.Value(),
+		SyncFailures:     m.walSyncFailures.Value(),
+		SnapshotFailures: m.snapshotFailures.Value(),
+		PanicsRecovered:  m.panicsRecovered.Value(),
 		Role:             s.roleLocked(),
 		Epoch:            s.epoch,
 		AppliedSeq:       s.seq,
