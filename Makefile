@@ -104,8 +104,8 @@ loadgen-smoke:
 # (testdata/fuzz/): bitset vs naive model, bucketing round-trips, incremental
 # context vs rebuilt, retained context vs a last-N model, SAT solver vs its
 # own CNF, explanation-cache key canonical form, replication WAL-record
-# decode round trip. go test -fuzz
-# accepts one target per invocation, hence the fan-out.
+# decode round trip, and the shared log replay scanner over WAL and job-log
+# bytes. go test -fuzz accepts one target per invocation, hence the fan-out.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSetOps          -fuzztime=$(FUZZTIME) ./internal/bitset/
 	$(GO) test -run=NONE -fuzz=FuzzStripedCard     -fuzztime=$(FUZZTIME) ./internal/bitset/
@@ -117,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSolver          -fuzztime=$(FUZZTIME) ./internal/sat/
 	$(GO) test -run=NONE -fuzz=FuzzCacheKey        -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) ./internal/persist/
+	$(GO) test -run=NONE -fuzz=FuzzReplayLog       -fuzztime=$(FUZZTIME) ./internal/persist/
 
 # The fault-injection suite under the race detector: deadline degradation,
 # crash recovery from torn logs, load shedding, panic survival, the

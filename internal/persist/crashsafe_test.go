@@ -129,7 +129,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	var got []feature.Labeled
 	var seqs []uint64
-	res, err := ReplayWALFileFrom(path, 0, func(seq uint64, li feature.Labeled) error {
+	res, err := RecoverWAL(path, 0, func(seq uint64, li feature.Labeled) error {
 		seqs = append(seqs, seq)
 		got = append(got, li)
 		return nil
@@ -172,7 +172,7 @@ func TestWALReplayStopsAtTornTail(t *testing.T) {
 	if err := os.WriteFile(path, b[:len(b)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReplayWALFileFrom(path, 0, func(uint64, feature.Labeled) error { return nil })
+	res, err := RecoverWAL(path, 0, func(uint64, feature.Labeled) error { return nil })
 	n, torn := res.Applied, res.Torn
 	if err != nil {
 		t.Fatal(err)
@@ -211,10 +211,10 @@ func TestWALReplayStopsAtChecksumMismatch(t *testing.T) {
 	}
 	// Damage with intact records after it is NOT a crash tail: recovery must
 	// refuse rather than silently dropping acknowledged observations.
-	res, err := ReplayWALFileFrom(path, 0, func(uint64, feature.Labeled) error { return nil })
+	res, err := RecoverWAL(path, 0, func(uint64, feature.Labeled) error { return nil })
 	n, torn := res.Applied, res.Torn
-	if !errors.Is(err, ErrCorruptWAL) {
-		t.Fatalf("mid-file corruption: err=%v, want ErrCorruptWAL", err)
+	if !errors.Is(err, ErrCorruptLog) {
+		t.Fatalf("mid-file corruption: err=%v, want ErrCorruptLog", err)
 	}
 	if torn || n != 1 {
 		t.Fatalf("mid-file corruption: n=%d torn=%v, want the clean prefix only", n, torn)
@@ -222,7 +222,7 @@ func TestWALReplayStopsAtChecksumMismatch(t *testing.T) {
 }
 
 func TestWALMissingFileReplaysEmpty(t *testing.T) {
-	res, err := ReplayWALFileFrom(filepath.Join(t.TempDir(), "absent.wal"), 0, func(uint64, feature.Labeled) error { return nil })
+	res, err := RecoverWAL(filepath.Join(t.TempDir(), "absent.wal"), 0, func(uint64, feature.Labeled) error { return nil })
 	n, torn := res.Applied, res.Torn
 	if n != 0 || torn || err != nil {
 		t.Fatalf("missing wal: n=%d torn=%v err=%v", n, torn, err)

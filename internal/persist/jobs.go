@@ -1,168 +1,63 @@
 package persist
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-	"sync"
 )
 
 // Async-job result checkpoints (DESIGN.md §15). A large ExplainAll batch runs
 // for minutes; the job runner appends each item's rendered result to a
 // per-job log so a restart resumes from the last completed item instead of
-// re-solving the whole batch. The framing mirrors the observation WAL —
-// newline-delimited JSON, CRC32 over the canonical record with the CRC field
-// zeroed — so replay distinguishes a torn final line (the kill -9 signature,
-// dropped) from mid-file damage. Unlike observations, job results are derived
-// data recomputable from the job spec, so mid-file damage surfaces as
-// ErrCorruptJobLog and the caller may discard the log and start the batch
-// over rather than refusing to boot.
+// re-solving the whole batch. The log follows the observation WAL's record
+// discipline (record.go). Unlike observations, job results are derived data
+// recomputable from the job spec, so on ErrCorruptLog the caller may discard
+// the log and start the batch over rather than refusing to boot.
 
-// jobResultRecord is one checkpointed batch item. Body is the rendered result
+// jobRecord is one checkpointed batch item. Body is the rendered result
 // exactly as it will be served, so a resumed job re-serves byte-identical
 // bytes for the already-completed prefix.
-type jobResultRecord struct {
+type jobRecord struct {
 	Index int             `json:"i"`
 	Body  json.RawMessage `json:"body"`
 	CRC   uint32          `json:"crc"`
 }
 
-func jobResultChecksum(rec *jobResultRecord) (uint32, error) {
-	c := *rec
-	c.CRC = 0
-	b, err := json.Marshal(&c)
-	if err != nil {
-		return 0, err
-	}
-	return crc32.ChecksumIEEE(b), nil
-}
+func (r *jobRecord) crc() *uint32 { return &r.CRC }
 
 // EncodeJobResult renders one checkpoint as a checksummed, newline-terminated
 // log line — the exact bytes Append writes.
 func EncodeJobResult(index int, body []byte) ([]byte, error) {
-	rec := jobResultRecord{Index: index, Body: json.RawMessage(body)}
-	crc, err := jobResultChecksum(&rec)
-	if err != nil {
-		return nil, err
-	}
-	rec.CRC = crc
-	b, err := json.Marshal(&rec)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return encodeRecord(&jobRecord{Index: index, Body: body})
 }
 
-// DecodeJobResult parses and CRC-validates one log line (with or without its
-// trailing newline).
-func DecodeJobResult(line []byte) (int, []byte, error) {
-	var rec jobResultRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return 0, nil, fmt.Errorf("persist: job result: %w", err)
-	}
-	want := rec.CRC
-	got, err := jobResultChecksum(&rec)
-	if err != nil {
-		return 0, nil, err
-	}
-	if got != want {
-		return 0, nil, fmt.Errorf("persist: job result %d: checksum %08x, stored %08x", rec.Index, got, want)
-	}
-	return rec.Index, []byte(rec.Body), nil
-}
-
-// ErrCorruptJobLog marks a job log damaged before its final line: not the
-// crash signature, so the checkpoints cannot be trusted. The batch is
-// recomputable from its spec, so callers typically discard the log and rerun.
-var ErrCorruptJobLog = errors.New("persist: job log damaged mid-file (not a crash tail)")
-
-// JobLogReplay reports where a job-log scan ended.
-type JobLogReplay struct {
-	Applied int   // intact records delivered to fn
-	Offset  int64 // bytes of clean prefix: the offset just past the final intact line
-	Torn    bool  // a damaged final line (the kill -9 signature) was dropped
-}
-
-// ReplayJobLog reads checkpoints in append order, calling fn for each intact
-// record. A missing file is an empty result (first run). A damaged final line
-// reports Torn=true with Offset at the clean prefix so the caller can
-// truncate it; damage anywhere else surfaces as ErrCorruptJobLog.
-func ReplayJobLog(path string, fn func(index int, body []byte) error) (JobLogReplay, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return JobLogReplay{}, nil
-	}
-	if err != nil {
-		return JobLogReplay{}, err
-	}
-	defer f.Close() //rkvet:ignore dropperr read-side close; nothing to recover
-	return replayJobLog(f, fn)
-}
-
-// replayJobLog scans raw lines (not a Scanner) so Offset is byte-exact:
-// truncating at Offset when Torn removes precisely the damaged tail.
-func replayJobLog(r io.Reader, fn func(index int, body []byte) error) (JobLogReplay, error) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	var res JobLogReplay
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			return res, rerr
-		}
-		body := line
-		if n := len(body); n > 0 && body[n-1] == '\n' {
-			body = body[:n-1]
-		}
-		if len(body) > 0 {
-			idx, payload, derr := DecodeJobResult(body)
-			if derr != nil {
-				atEOF := rerr == io.EOF
-				if !atEOF {
-					if _, perr := br.Peek(1); perr == io.EOF {
-						atEOF = true
-					} else if perr != nil {
-						return res, perr
-					}
-				}
-				if !atEOF {
-					return res, fmt.Errorf("%w: damaged record at offset %d", ErrCorruptJobLog, res.Offset)
-				}
-				res.Torn = true
-				return res, nil
+// RecoverJobLog replays the checkpoints in the log at path in append order,
+// calling fn for each intact record, and truncates a torn final line from
+// the file. A missing file is an empty result (first run); damage before the
+// final line is ErrCorruptLog.
+func RecoverJobLog(path string, fn func(index int, body []byte) error) (ReplayResult, error) {
+	return recoverLog(path, func(r io.Reader) (ReplayResult, error) {
+		return replayLog(r, func(rec *jobRecord) (bool, error) {
+			if err := fn(rec.Index, rec.Body); err != nil {
+				return false, fmt.Errorf("persist: job log replay at record %d: %w", rec.Index, err)
 			}
-			res.Offset += int64(len(line))
-			if err := fn(idx, payload); err != nil {
-				return res, fmt.Errorf("persist: job log replay at record %d: %w", idx, err)
-			}
-			res.Applied++
-		} else {
-			res.Offset += int64(len(line)) // bare newline between records
-		}
-		if rerr == io.EOF {
-			return res, nil
-		}
-	}
+			return true, nil
+		})
+	})
 }
 
 // JobLog is an append-only checkpoint log for one batch job. Appends are
 // written in a single Write call each so a crash tears at most the final
 // record. JobLog is safe for concurrent use.
-type JobLog struct {
-	mu sync.Mutex
-	f  *os.File // guarded by mu
-}
+type JobLog struct{ *appendLog }
 
 // OpenJobLog opens (creating if needed) the append-only log at path.
 func OpenJobLog(path string) (*JobLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	l, err := openAppendLog(path)
 	if err != nil {
 		return nil, err
 	}
-	return &JobLog{f: f}, nil
+	return &JobLog{l}, nil
 }
 
 // Append checkpoints one completed batch item.
@@ -171,28 +66,8 @@ func (l *JobLog) Append(index int, body []byte) error {
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.f.Write(b); err != nil {
+	if err := l.write(b); err != nil {
 		return fmt.Errorf("persist: job log append: %w", err)
 	}
 	return nil
-}
-
-// Sync flushes appended checkpoints to stable storage.
-func (l *JobLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Sync()
-}
-
-// Close syncs and closes the log.
-func (l *JobLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -2,11 +2,15 @@ package persist
 
 import (
 	"bytes"
-	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 )
+
+// decodeJob parses and CRC-validates one job-log line as replay does.
+func decodeJob(line []byte) (int, []byte, error) {
+	var rec jobRecord
+	err := decodeRecord(line, &rec)
+	return rec.Index, rec.Body, err
+}
 
 func TestJobResultCodecRoundTrip(t *testing.T) {
 	bodies := [][]byte{
@@ -22,7 +26,7 @@ func TestJobResultCodecRoundTrip(t *testing.T) {
 		if line[len(line)-1] != '\n' {
 			t.Fatalf("record %d does not end in newline", i)
 		}
-		idx, got, err := DecodeJobResult(line[:len(line)-1])
+		idx, got, err := decodeJob(line[:len(line)-1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,132 +52,12 @@ func TestJobResultCodecRejectsDamage(t *testing.T) {
 		// flip that still decodes must be content-preserving (e.g. JSON field
 		// names match case-insensitively and re-canonicalize identically); a
 		// flip that changed the payload must be rejected.
-		idx, body, err := DecodeJobResult(mutated)
+		idx, body, err := decodeJob(mutated)
 		if err == nil && (idx != 3 || !bytes.Equal(body, []byte(`{"index":3}`))) {
 			t.Fatalf("byte %d flipped yet record decoded to different content (%d, %q)", i, idx, body)
 		}
 	}
-	if _, _, err := DecodeJobResult([]byte("not json")); err == nil {
+	if _, _, err := decodeJob([]byte("not json")); err == nil {
 		t.Fatal("garbage line decoded")
-	}
-}
-
-// writeJobLog appends n records to path and returns their bodies.
-func writeJobLog(t *testing.T, path string, n int) [][]byte {
-	t.Helper()
-	l, err := OpenJobLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bodies [][]byte
-	for i := 0; i < n; i++ {
-		body := []byte(`{"index":` + string(rune('0'+i)) + `,"marker":"r"}`)
-		bodies = append(bodies, body)
-		if err := l.Append(i, body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return bodies
-}
-
-func TestReplayJobLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.results")
-	bodies := writeJobLog(t, path, 3)
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var got [][]byte
-	res, err := ReplayJobLog(path, func(index int, body []byte) error {
-		if index != len(got) {
-			t.Fatalf("index %d out of order", index)
-		}
-		got = append(got, append([]byte(nil), body...))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied != 3 || res.Torn || res.Offset != info.Size() {
-		t.Fatalf("replay = %+v, want 3 applied, clean, offset %d", res, info.Size())
-	}
-	for i := range bodies {
-		if !bytes.Equal(got[i], bodies[i]) {
-			t.Fatalf("record %d: got %q, want %q", i, got[i], bodies[i])
-		}
-	}
-}
-
-func TestReplayJobLogMissingFile(t *testing.T) {
-	res, err := ReplayJobLog(filepath.Join(t.TempDir(), "nope.results"), func(int, []byte) error {
-		t.Fatal("callback on a missing file")
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied != 0 || res.Torn || res.Offset != 0 {
-		t.Fatalf("replay of missing file = %+v", res)
-	}
-}
-
-// TestReplayJobLogTornTail cuts the final record mid-line — the kill -9
-// signature — and asserts the replay keeps the intact prefix, reports Torn,
-// and points Offset at the byte where the damage starts, so the caller can
-// truncate and resume appending.
-func TestReplayJobLogTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.results")
-	writeJobLog(t, path, 3)
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find the start of the final record and cut partway through it.
-	cut := bytes.LastIndexByte(full[:len(full)-1], '\n') + 1
-	if err := os.WriteFile(path, full[:cut+5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	applied := 0
-	res, err := ReplayJobLog(path, func(index int, body []byte) error {
-		applied++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied != 2 || applied != 2 || !res.Torn {
-		t.Fatalf("replay = %+v (applied %d), want 2 applied + torn", res, applied)
-	}
-	if res.Offset != int64(cut) {
-		t.Fatalf("offset = %d, want %d (start of the torn record)", res.Offset, cut)
-	}
-}
-
-// TestReplayJobLogMidFileCorruption damages a record that is followed by an
-// intact one: that cannot be a crash tail, so the replay must refuse with
-// ErrCorruptJobLog instead of silently dropping data.
-func TestReplayJobLogMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.results")
-	writeJobLog(t, path, 3)
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(full, []byte("\n"))
-	lines[1] = append([]byte("XX"), lines[1][2:]...)
-	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = ReplayJobLog(path, func(int, []byte) error { return nil })
-	if !errors.Is(err, ErrCorruptJobLog) {
-		t.Fatalf("err = %v, want ErrCorruptJobLog", err)
 	}
 }

@@ -6,7 +6,9 @@ import (
 
 // Durability-layer observability (DESIGN.md §10). WAL appends and fsyncs are
 // on the observation hot path, so their instruments are pre-resolved atomics;
-// snapshot and replay metrics run at checkpoint/boot cadence.
+// snapshot and recovery metrics run at checkpoint/boot cadence. Only boot
+// recovery (RecoverWAL) moves the replay counters; the replication hub's
+// history scan is a plain read.
 var (
 	walAppendSeconds = obs.NewHistogram("rk_wal_append_seconds",
 		"Latency of one WAL record append (marshal + single write call).", nil)
@@ -22,7 +24,7 @@ var (
 	walReplayRecords = obs.NewCounter("rk_wal_replay_records_total",
 		"Intact WAL records applied during recovery replays.")
 	walReplayTorn = obs.NewCounter("rk_wal_replay_torn_total",
-		"Replays that stopped at a torn or corrupt tail record.")
+		"Recovery replays that stopped at a torn or corrupt tail record.")
 
 	snapshotSaveSeconds = obs.NewHistogram("rk_snapshot_save_seconds",
 		"Latency of one atomic snapshot write (encode + fsync + rename).", nil)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"time"
@@ -25,7 +24,7 @@ var ErrCorruptSnapshot = errors.New("persist: snapshot truncated or corrupt")
 // snapshotFile is the on-disk layout: the retained rows in arrival order
 // (order matters — retention evicts oldest-first after recovery), the
 // observation sequence number the snapshot covers (the WAL replay watermark),
-// and a CRC32 over the canonical encoding of everything else.
+// and the log records' checksum (record.go) over everything else.
 type snapshotFile struct {
 	Version int        `json:"version"`
 	Seq     uint64     `json:"seq"`
@@ -35,17 +34,7 @@ type snapshotFile struct {
 	CRC     uint32     `json:"crc"`
 }
 
-// snapshotChecksum computes the CRC over the file with its CRC field zeroed,
-// so the stored and recomputed checksums cover identical bytes.
-func snapshotChecksum(f *snapshotFile) (uint32, error) {
-	c := *f
-	c.CRC = 0
-	b, err := json.Marshal(&c)
-	if err != nil {
-		return 0, err
-	}
-	return crc32.ChecksumIEEE(b), nil
-}
+func (f *snapshotFile) crc() *uint32 { return &f.CRC }
 
 // EncodeSnapshot writes the checksummed snapshot encoding of the retained
 // observations (in arrival order) plus the sequence watermark seq to w. It is
@@ -62,7 +51,7 @@ func EncodeSnapshot(w io.Writer, schema *feature.Schema, items []feature.Labeled
 		f.Rows = append(f.Rows, append([]int32(nil), li.X...))
 		f.Labels = append(f.Labels, li.Y)
 	}
-	crc, err := snapshotChecksum(&f)
+	crc, err := checksum(&f)
 	if err != nil {
 		return err
 	}
@@ -139,7 +128,7 @@ func decodeSnapshotBytes(b []byte) (*feature.Schema, []feature.Labeled, uint64, 
 		return nil, nil, 0, fmt.Errorf("%w: %d rows but %d labels", ErrCorruptSnapshot, len(f.Rows), len(f.Labels))
 	}
 	want := f.CRC
-	got, err := snapshotChecksum(&f)
+	got, err := checksum(&f)
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -1,30 +1,16 @@
 package persist
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-	"sync"
 	"time"
 
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
-// WriteSyncer is the sink a WAL appends to. *os.File satisfies it; the
-// fault-injection harness wraps one to simulate torn writes and sync
-// failures.
-type WriteSyncer interface {
-	io.Writer
-	Sync() error
-}
-
-// walRecord is one observation: newline-delimited JSON with a CRC32 over the
-// record's canonical encoding (CRC field zeroed), so replay can tell a torn
-// tail from a complete record without trusting line boundaries alone.
+// walRecord is one observation in the log: its sequence number, instance and
+// prediction, framed by the package's record discipline (record.go).
 type walRecord struct {
 	Seq uint64  `json:"seq"`
 	X   []int32 `json:"x"`
@@ -32,31 +18,18 @@ type walRecord struct {
 	CRC uint32  `json:"crc"`
 }
 
-func recordChecksum(rec *walRecord) (uint32, error) {
-	c := *rec
-	c.CRC = 0
-	b, err := json.Marshal(&c)
-	if err != nil {
-		return 0, err
-	}
-	return crc32.ChecksumIEEE(b), nil
+func (r *walRecord) crc() *uint32 { return &r.CRC }
+
+func (r *walRecord) labeled() feature.Labeled {
+	return feature.Labeled{X: feature.Instance(r.X), Y: r.Y}
 }
 
 // EncodeWALRecord renders one observation as a checksummed, newline-terminated
 // WAL line — the exact bytes Append writes, exposed so the replication hub can
 // ship records over the wire in the on-disk framing (DESIGN.md §14).
 func EncodeWALRecord(seq uint64, li feature.Labeled) ([]byte, error) {
-	rec := walRecord{Seq: seq, X: append([]int32(nil), li.X...), Y: li.Y}
-	crc, err := recordChecksum(&rec)
-	if err != nil {
-		return nil, err
-	}
-	rec.CRC = crc
-	b, err := json.Marshal(&rec)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	// The copy keeps an empty instance encoding as null, as it always has.
+	return encodeRecord(&walRecord{Seq: seq, X: append([]int32(nil), li.X...), Y: li.Y})
 }
 
 // DecodeWALRecord parses and CRC-validates one WAL line (with or without its
@@ -64,63 +37,42 @@ func EncodeWALRecord(seq uint64, li feature.Labeled) ([]byte, error) {
 // follower runs on every streamed record before applying it.
 func DecodeWALRecord(line []byte) (uint64, feature.Labeled, error) {
 	var rec walRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
+	if err := decodeRecord(line, &rec); err != nil {
 		return 0, feature.Labeled{}, fmt.Errorf("persist: wal record: %w", err)
 	}
-	want := rec.CRC
-	got, err := recordChecksum(&rec)
-	if err != nil {
-		return 0, feature.Labeled{}, err
-	}
-	if got != want {
-		return 0, feature.Labeled{}, fmt.Errorf("persist: wal record seq %d: checksum %08x, stored %08x", rec.Seq, got, want)
-	}
-	return rec.Seq, feature.Labeled{X: feature.Instance(rec.X), Y: rec.Y}, nil
+	return rec.Seq, rec.labeled(), nil
 }
 
 // WAL is an append-only observation log. Appends are buffered only by the
 // kernel: each Append issues one write; durability is the caller's Sync
 // policy (the service syncs every N appends, N=1 by default). WAL is safe
 // for concurrent use.
-type WAL struct {
-	mu   sync.Mutex
-	w    WriteSyncer // guarded by mu
-	file *os.File    // guarded by mu; non-nil when opened by path, closed by Close
-}
+type WAL struct{ *appendLog }
 
 // OpenWAL opens (creating if needed) an append-only log at path.
 func OpenWAL(path string) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	l, err := openAppendLog(path)
 	if err != nil {
 		return nil, err
 	}
-	return &WAL{w: f, file: f}, nil
+	return &WAL{l}, nil
 }
 
 // NewWAL wraps an arbitrary sink — the seam the fault-injection harness uses
 // to interpose torn writes between the service and the filesystem.
-func NewWAL(w WriteSyncer) *WAL { return &WAL{w: w} }
+func NewWAL(w WriteSyncer) *WAL { return &WAL{&appendLog{w: w}} }
 
-// Append logs one observation under sequence number seq. The record is
-// written with a single Write call so a crash tears at most this record, not
-// earlier ones. Append does not sync; pair it with Sync per the caller's
-// durability policy.
+// Append logs one observation under sequence number seq as EncodeWALRecord's
+// bytes, in a single Write so a crash tears at most this record, not earlier
+// ones. Append does not sync; pair it with Sync per the caller's durability
+// policy.
 func (w *WAL) Append(seq uint64, li feature.Labeled) error {
 	start := time.Now()
-	rec := walRecord{Seq: seq, X: append([]int32(nil), li.X...), Y: li.Y}
-	crc, err := recordChecksum(&rec)
+	b, err := EncodeWALRecord(seq, li)
 	if err != nil {
 		return err
 	}
-	rec.CRC = crc
-	b, err := json.Marshal(&rec)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.w.Write(b); err != nil {
+	if err := w.write(b); err != nil {
 		walAppendErrors.Inc()
 		return fmt.Errorf("persist: wal append: %w", err)
 	}
@@ -132,29 +84,12 @@ func (w *WAL) Append(seq uint64, li feature.Labeled) error {
 // Sync flushes appended records to stable storage.
 func (w *WAL) Sync() error {
 	start := time.Now()
-	w.mu.Lock()
-	err := w.w.Sync()
-	w.mu.Unlock()
-	if err != nil {
+	if err := w.appendLog.Sync(); err != nil {
 		walFsyncErrors.Inc()
 		return err
 	}
 	walFsyncSeconds.ObserveSince(start)
 	return nil
-}
-
-// Close syncs and, when the WAL owns its file, closes it.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	err := w.w.Sync()
-	if w.file != nil {
-		if cerr := w.file.Close(); err == nil {
-			err = cerr
-		}
-		w.file = nil
-	}
-	return err
 }
 
 // ErrNotTruncatable reports a WAL whose sink cannot be truncated — only
@@ -177,101 +112,39 @@ func (w *WAL) Truncate() error {
 	return ErrNotTruncatable
 }
 
-// ErrCorruptWAL marks a log whose damage is NOT the kill -9 signature: a
-// record that fails decoding or its checksum with more intact records after
-// it. A crash tears only the final line, so mid-file damage means lost or
-// tampered data — callers must refuse to recover from it silently rather
-// than dropping acknowledged observations.
-var ErrCorruptWAL = errors.New("persist: wal damaged mid-file (not a crash tail)")
-
-// ReplayResult reports where a WAL scan ended, so callers can resume, truncate
-// a torn tail, or tell a clean EOF from a crash boundary without re-deriving
-// any of it.
-type ReplayResult struct {
-	Applied int    // records delivered to fn (seq > the replay cursor)
-	LastSeq uint64 // sequence number of the final intact record scanned; 0 when none
-	Offset  int64  // bytes of clean prefix: the offset just past the final intact line
-	Torn    bool   // a damaged final line (the kill -9 signature) was dropped
-}
-
 // ReplayWALFrom reads records in append order, calling fn for each intact
 // one with seq > from; records with seq ≤ from are scanned (they still count
-// toward the clean prefix) but not delivered. Replay stops at a torn final
-// line — the kill -9 boundary — reporting Torn=true; damage anywhere else
-// surfaces as ErrCorruptWAL, so a mid-file corruption cannot masquerade as a
-// benign crash tail. It instruments the recovery counters; fn errors abort
-// the replay as-is.
+// toward the clean prefix) but not delivered. It stops at a torn final line
+// with Torn=true and surfaces damage anywhere else as ErrCorruptLog. It is a
+// pure read: the replication hub streams history through it, so it neither
+// truncates nor counts as a recovery. fn errors abort the replay.
 func ReplayWALFrom(r io.Reader, from uint64, fn func(seq uint64, li feature.Labeled) error) (ReplayResult, error) {
-	res, err := replayWALFrom(r, from, fn)
+	var last uint64
+	res, err := replayLog(r, func(rec *walRecord) (bool, error) {
+		last = rec.Seq
+		if rec.Seq <= from {
+			return false, nil
+		}
+		if err := fn(rec.Seq, rec.labeled()); err != nil {
+			return false, fmt.Errorf("persist: wal replay at seq %d: %w", rec.Seq, err)
+		}
+		return true, nil
+	})
+	res.LastSeq = last
+	return res, err
+}
+
+// RecoverWAL is boot recovery: it replays the log at path from the cursor
+// (ReplayWALFrom), truncates a torn tail from the file, and counts the
+// records applied and the torn tail in the recovery counters. A missing file
+// is an empty result (first boot).
+func RecoverWAL(path string, from uint64, fn func(seq uint64, li feature.Labeled) error) (ReplayResult, error) {
+	res, err := recoverLog(path, func(r io.Reader) (ReplayResult, error) {
+		return ReplayWALFrom(r, from, fn)
+	})
 	walReplayRecords.Add(int64(res.Applied))
 	if res.Torn {
 		walReplayTorn.Inc()
 	}
 	return res, err
-}
-
-// replayWALFrom is the uninstrumented scan behind ReplayWALFrom. It reads
-// raw lines (not a Scanner) so Offset is byte-exact: truncating the log at
-// Offset when Torn removes precisely the damaged tail, nothing else.
-func replayWALFrom(r io.Reader, from uint64, fn func(seq uint64, li feature.Labeled) error) (ReplayResult, error) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	var res ReplayResult
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			return res, rerr
-		}
-		body := line
-		if n := len(body); n > 0 && body[n-1] == '\n' {
-			body = body[:n-1]
-		}
-		if len(body) > 0 {
-			seq, li, derr := DecodeWALRecord(body)
-			if derr != nil {
-				// A damaged record is the crash boundary only when nothing
-				// follows it; otherwise the middle of the log is gone and
-				// recovery must not pretend it was a clean tail.
-				atEOF := rerr == io.EOF
-				if !atEOF {
-					if _, perr := br.Peek(1); perr == io.EOF {
-						atEOF = true
-					} else if perr != nil {
-						return res, perr
-					}
-				}
-				if !atEOF {
-					return res, fmt.Errorf("%w: damaged record at offset %d", ErrCorruptWAL, res.Offset)
-				}
-				res.Torn = true
-				return res, nil
-			}
-			res.Offset += int64(len(line))
-			res.LastSeq = seq
-			if seq > from {
-				if err := fn(seq, li); err != nil {
-					return res, fmt.Errorf("persist: wal replay at seq %d: %w", seq, err)
-				}
-				res.Applied++
-			}
-		} else {
-			res.Offset += int64(len(line)) // bare newline between records
-		}
-		if rerr == io.EOF {
-			return res, nil
-		}
-	}
-}
-
-// ReplayWALFileFrom replays the log at path from the given cursor; a missing
-// file is an empty result, not an error (first boot).
-func ReplayWALFileFrom(path string, from uint64, fn func(seq uint64, li feature.Labeled) error) (ReplayResult, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return ReplayResult{}, nil
-	}
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	defer f.Close() //rkvet:ignore dropperr read-side close; nothing to recover
-	return ReplayWALFrom(f, from, fn)
 }

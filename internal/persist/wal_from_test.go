@@ -11,14 +11,18 @@ import (
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
+// walItem is the i-th test observation, logged under seq i+1.
+func walItem(i int) (uint64, feature.Labeled) {
+	return uint64(i + 1), feature.Labeled{X: feature.Instance{int32(i), int32(i % 2)}, Y: int32(i % 2)}
+}
+
 // walLines encodes n sequential records (seq 1..n) and returns them
 // individually so tests can splice damage at exact byte offsets.
 func walLines(t *testing.T, n int) [][]byte {
 	t.Helper()
 	lines := make([][]byte, n)
 	for i := range lines {
-		li := feature.Labeled{X: feature.Instance{int32(i), int32(i % 2)}, Y: int32(i % 2)}
-		b, err := EncodeWALRecord(uint64(i+1), li)
+		b, err := EncodeWALRecord(walItem(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +59,7 @@ func TestReplayWALFromTable(t *testing.T) {
 		{name: "cursor past end applies nothing", input: clean, from: 99, applied: 0, lastSeq: 5, offset: int64(len(clean))},
 		{name: "torn tail mid-record", input: torn, applied: 3, lastSeq: 3, offset: int64(len(prefix3)), torn: true},
 		{name: "damaged final line with newline", input: tornWithNL, applied: 3, lastSeq: 3, offset: int64(len(prefix3)), torn: true},
-		{name: "mid-file damage is corruption, not a tail", input: midDamage, applied: 3, lastSeq: 3, offset: int64(len(prefix3)), wantErr: ErrCorruptWAL},
+		{name: "mid-file damage is corruption, not a tail", input: midDamage, applied: 3, lastSeq: 3, offset: int64(len(prefix3)), wantErr: ErrCorruptLog},
 		{name: "final line without newline still counts", input: noFinalNL, applied: 5, lastSeq: 5, offset: int64(len(noFinalNL))},
 		{name: "blank line between records", input: withBlank, applied: 4, lastSeq: 4, offset: int64(len(withBlank))},
 		{name: "empty log", input: nil, applied: 0, lastSeq: 0, offset: 0},
@@ -94,9 +98,9 @@ func TestReplayWALFromTable(t *testing.T) {
 }
 
 // TestReplayWALFromOffsetTruncateRoundTrip exercises the double-crash fix:
-// truncating a torn log at Offset and appending fresh records must yield a
-// log whose later replay sees every record — the torn garbage never shadows
-// appends that land after it.
+// recovery truncates a torn log at Offset, so fresh appends yield a log whose
+// later replay sees every record — the torn garbage never shadows appends
+// that land after it.
 func TestReplayWALFromOffsetTruncateRoundTrip(t *testing.T) {
 	lines := walLines(t, 4)
 	path := filepath.Join(t.TempDir(), "obs.wal")
@@ -104,12 +108,9 @@ func TestReplayWALFromOffsetTruncateRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReplayWALFileFrom(path, 0, func(uint64, feature.Labeled) error { return nil })
+	res, err := RecoverWAL(path, 0, func(uint64, feature.Labeled) error { return nil })
 	if err != nil || !res.Torn {
 		t.Fatalf("res=%+v err=%v, want a torn tail", res, err)
-	}
-	if err := os.Truncate(path, res.Offset); err != nil {
-		t.Fatal(err)
 	}
 	w, err := OpenWAL(path)
 	if err != nil {
@@ -122,7 +123,7 @@ func TestReplayWALFromOffsetTruncateRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := ReplayWALFileFrom(path, 0, func(uint64, feature.Labeled) error { return nil })
+	res2, err := RecoverWAL(path, 0, func(uint64, feature.Labeled) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestWALTruncate(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReplayWALFileFrom(path, 0, func(uint64, feature.Labeled) error { return nil })
+	res, err := RecoverWAL(path, 0, func(uint64, feature.Labeled) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

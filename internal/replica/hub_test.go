@@ -2,12 +2,15 @@ package replica
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/xai-db/relativekeys/internal/e2e"
+	"github.com/xai-db/relativekeys/internal/obs"
 	"github.com/xai-db/relativekeys/internal/persist"
 )
 
@@ -123,6 +126,61 @@ func TestHubResumesFromCursor(t *testing.T) {
 		if seq != want {
 			t.Fatalf("resumed seq = %d, want %d", seq, want)
 		}
+	}
+}
+
+// recoveryCounters reads the WAL recovery counters from the process-wide
+// exposition.
+func recoveryCounters(t *testing.T) (records, torn float64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Default.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	records, ok1 := e2e.SeriesValue(buf.String(), "rk_wal_replay_records_total")
+	torn, ok2 := e2e.SeriesValue(buf.String(), "rk_wal_replay_torn_total")
+	if !ok1 || !ok2 {
+		t.Fatal("WAL recovery counters missing from the exposition")
+	}
+	return records, torn
+}
+
+// TestHubHistoryIsNotRecovery: streaming history to a follower reads the
+// primary's log but recovers nothing, so the recovery counters stay put.
+func TestHubHistoryIsNotRecovery(t *testing.T) {
+	p := newTestPrimary(t, t.TempDir(), primaryOpts{snapshotEvery: 100})
+	rows := testRows(3, 6, p.schema)
+	p.warm(rows[:5])
+	records, torn := recoveryCounters(t)
+
+	resp, err := http.Get(p.URL() + "/replicate?from=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close() //rkvet:ignore dropperr test response close
+	br := bufio.NewReader(resp.Body)
+	if _, ok := isHeartbeat(t, readStreamLine(t, br)); !ok {
+		t.Fatal("no handshake heartbeat")
+	}
+	// History then one live record: the live loop starts only after the
+	// history scan has returned, so its counters (if any) are in by then.
+	p.warm(rows[5:])
+	for want := uint64(1); want <= 6; {
+		line := readStreamLine(t, br)
+		if _, isHB := isHeartbeat(t, line); isHB {
+			continue
+		}
+		seq, _, derr := persist.DecodeWALRecord(line)
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		if seq != want {
+			t.Fatalf("stream seq = %d, want %d", seq, want)
+		}
+		want++
+	}
+	if r, tt := recoveryCounters(t); r != records || tt != torn {
+		t.Fatalf("history stream moved rk_wal_replay_records_total by %v and rk_wal_replay_torn_total by %v", r-records, tt-torn)
 	}
 }
 

@@ -48,7 +48,7 @@ const (
 
 const (
 	defaultMaxJobItems = 100000
-	defaultJobsKept    = 64
+	jobsKept           = 64 // finished jobs retained for polling, newest first
 	jobSpecSuffix      = ".job"
 	jobLogSuffix       = ".results"
 )
@@ -188,7 +188,6 @@ type jobStore struct {
 	srv      *Server
 	dir      string // "" = memory-only jobs
 	maxItems int
-	kept     int
 
 	mu       sync.Mutex
 	jobs     map[string]*job // guarded by mu
@@ -203,18 +202,14 @@ type jobStore struct {
 }
 
 // newJobStore builds the store and resumes any unfinished persisted jobs.
-func newJobStore(srv *Server, dir string, maxItems, kept int) (*jobStore, error) {
+func newJobStore(srv *Server, dir string, maxItems int) (*jobStore, error) {
 	if maxItems <= 0 {
 		maxItems = defaultMaxJobItems
-	}
-	if kept <= 0 {
-		kept = defaultJobsKept
 	}
 	st := &jobStore{
 		srv:      srv,
 		dir:      dir,
 		maxItems: maxItems,
-		kept:     kept,
 		jobs:     make(map[string]*job),
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
@@ -232,9 +227,10 @@ func newJobStore(srv *Server, dir string, maxItems, kept int) (*jobStore, error)
 
 // resume reloads persisted jobs: each spec file is paired with its checkpoint
 // log, the completed prefix is replayed into memory byte-for-byte, and
-// anything unfinished re-enters the queue. A torn final checkpoint (crash
-// signature) is truncated; a mid-file corrupt log is discarded and the batch
-// recomputed from its spec — job results are derived data.
+// anything unfinished re-enters the queue. persist.RecoverJobLog truncates a
+// torn final checkpoint (crash signature); a mid-file corrupt log is
+// discarded here and the batch recomputed from its spec — job results are
+// derived data.
 func (st *jobStore) resume() error {
 	names, err := filepath.Glob(filepath.Join(st.dir, "*"+jobSpecSuffix))
 	if err != nil {
@@ -265,7 +261,7 @@ func (st *jobStore) resume() error {
 		}
 		logPath := st.logPath(spec.ID)
 		next := 0
-		res, err := persist.ReplayJobLog(logPath, func(index int, body []byte) error {
+		_, err = persist.RecoverJobLog(logPath, func(index int, body []byte) error {
 			if index != next {
 				return fmt.Errorf("checkpoint %d out of order (want %d)", index, next)
 			}
@@ -280,12 +276,6 @@ func (st *jobStore) resume() error {
 			j.results = nil
 			if rerr := os.Remove(logPath); rerr != nil && !os.IsNotExist(rerr) {
 				return rerr
-			}
-		} else if res.Torn {
-			// Drop the torn tail from the file itself so the reopened O_APPEND
-			// log does not strand a fresh record behind the garbage line.
-			if terr := os.Truncate(logPath, res.Offset); terr != nil {
-				return fmt.Errorf("service: dropping torn job log tail: %w", terr)
 			}
 		}
 		if len(j.results) >= len(j.items) {
@@ -315,10 +305,10 @@ func (st *jobStore) addFinishedLocked(j *job) {
 	st.pruneLocked()
 }
 
-// pruneLocked drops the oldest finished jobs past the kept bound, with their
+// pruneLocked drops the oldest finished jobs past jobsKept, with their
 // files. Callers hold st.mu.
 func (st *jobStore) pruneLocked() {
-	for len(st.finished) > st.kept {
+	for len(st.finished) > jobsKept {
 		id := st.finished[0]
 		st.finished = st.finished[1:]
 		delete(st.jobs, id)

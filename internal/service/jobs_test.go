@@ -486,7 +486,7 @@ func TestJobResumeTornLog(t *testing.T) {
 	}
 	// The torn bytes are gone from disk: a fresh replay reads exactly the
 	// four intact records.
-	res, err := persist.ReplayJobLog(logPath, func(int, []byte) error { return nil })
+	res, err := persist.RecoverJobLog(logPath, func(int, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,6 +583,67 @@ func TestJobFinishedJobSurvivesRestart(t *testing.T) {
 	for i := range statusA.Results {
 		if !bytes.Equal(statusA.Results[i], statusB.Results[i]) {
 			t.Fatalf("result %d changed across restart:\n%s\nvs\n%s", i, statusA.Results[i], statusB.Results[i])
+		}
+	}
+}
+
+// TestJobPruneKeepsNewest: finishing one job past the retention bound prunes
+// the oldest finished job — it stops polling and its spec and checkpoint
+// files leave <StateDir>/jobs — while the newest jobsKept stay pollable.
+func TestJobPruneKeepsNewest(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := NewServer(Config{Schema: robustSchema(t), Alpha: 1.0, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() }) //rkvet:ignore dropperr test teardown
+	if _, err := srv.Warm(robustSeed()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	items := []ExplainItem{
+		{Values: map[string]string{"Income": "3-4K", "Credit": "poor", "Area": "Urban"}, Prediction: "Denied"},
+	}
+	ids := make([]string, jobsKept+1)
+	for i := range ids {
+		id, code := submitJob(t, ts.URL, JobSubmitRequest{Items: items})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %s", i, code, id)
+		}
+		ids[i] = id
+	}
+	// The runner finishes jobs in submission order and prunes right after
+	// marking one done, so wait for the oldest to go rather than racing it.
+	pollJob(t, ts.URL, ids[jobsKept])
+	oldest := ids[0]
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/jobs?id=" + oldest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //rkvet:ignore dropperr test teardown
+		if resp.StatusCode == http.StatusNotFound {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("oldest job still answers %d after job %d finished", resp.StatusCode, jobsKept+1)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, suffix := range []string{jobSpecSuffix, jobLogSuffix} {
+		if _, err := os.Stat(filepath.Join(dir, "jobs", oldest+suffix)); !os.IsNotExist(err) {
+			t.Fatalf("pruned job's %s file still on disk (stat err %v)", suffix, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "jobs", ids[1]+suffix)); err != nil {
+			t.Fatalf("kept job's %s file: %v", suffix, err)
+		}
+	}
+	for _, id := range ids[1:] {
+		if status := pollJob(t, ts.URL, id); status.State != jobDone || len(status.Results) != 1 {
+			t.Fatalf("kept job %s = %+v", id, status)
 		}
 	}
 }

@@ -90,11 +90,10 @@ type Config struct {
 	SolverTag    string
 
 	// Async ExplainAll jobs (DESIGN.md §15). MaxJobItems caps one batch
-	// (0 = 100000); JobsKept bounds finished jobs retained for polling
-	// (0 = 64). With StateDir set, job specs and per-item results persist
-	// under <StateDir>/jobs and incomplete jobs resume after a restart.
+	// (0 = 100000); the newest 64 finished jobs stay pollable. With StateDir
+	// set, job specs and per-item results persist under <StateDir>/jobs and
+	// incomplete jobs resume after a restart.
 	MaxJobItems int
-	JobsKept    int
 
 	StateDir      string       // "" = no persistence
 	WAL           *persist.WAL // overrides the StateDir log (fault-injection seam)
@@ -284,7 +283,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.StateDir != "" {
 		jobsDir = filepath.Join(cfg.StateDir, "jobs")
 	}
-	jobs, err := newJobStore(s, jobsDir, cfg.MaxJobItems, cfg.JobsKept)
+	jobs, err := newJobStore(s, jobsDir, cfg.MaxJobItems)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +327,9 @@ func (s *Server) recoverLocked(walPath string) error {
 	if s.compactWAL {
 		s.walBase = s.seq
 	}
-	res, err := persist.ReplayWALFileFrom(walPath, s.seq, func(seq uint64, li feature.Labeled) error {
+	// A torn tail is truncated from the file by RecoverWAL; mid-file damage
+	// (persist.ErrCorruptLog) refuses the boot.
+	_, err = persist.RecoverWAL(walPath, s.seq, func(seq uint64, li feature.Labeled) error {
 		//rkvet:ignore ctxflow WAL replay runs inside NewServer before any request exists; a torn replay would lose acknowledged observations
 		if err := s.admitLocked(context.Background(), li); err != nil {
 			return err
@@ -336,19 +337,7 @@ func (s *Server) recoverLocked(walPath string) error {
 		s.seq = seq
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	if res.Torn {
-		// Drop the torn tail from the file, not just from memory: the log is
-		// reopened O_APPEND, so without this a fresh record would land after
-		// the garbage line and the *next* recovery would stop short of it —
-		// silently losing an acknowledged observation on the second crash.
-		if terr := os.Truncate(walPath, res.Offset); terr != nil {
-			return fmt.Errorf("service: dropping torn wal tail: %w", terr)
-		}
-	}
-	return nil
+	return err
 }
 
 // checkLocked runs the admission checks that can refuse a row — the schema
