@@ -49,7 +49,7 @@ race:
 
 # The incremental-window benchmarks: advance cost must stay flat across
 # capacities, Disagreeing must be word-parallel, SRK must not allocate —
-# plus the srk_par solve grid (internal/benchsuite).
+# plus the srk_par solve grid at p=1 (internal/benchsuite).
 bench:
 	$(GO) test -run=NONE -bench 'WindowAdvance|WindowExplain|Disagreeing|RemoveAdd|BenchmarkSRK$$' -benchmem \
 		./internal/cce/ ./internal/core/
@@ -57,7 +57,7 @@ bench:
 
 # Machine-readable perf baseline: every internal/benchsuite hot-path case
 # (SRK solve eager and lazy, OSRK observe, window advance, WAL append, obs
-# instruments, the parallel grid) run under testing.Benchmark, written to
+# instruments, the srk_par grid) run under testing.Benchmark, written to
 # BENCH_<date>.json. Diff two baselines with `benchall -compare OLD NEW`.
 bench-json:
 	$(GO) run ./cmd/benchall -json BENCH_$$(date +%Y-%m-%d).json
@@ -102,20 +102,17 @@ loadgen-smoke:
 
 # Short native-fuzz burst per target, on top of the committed seed corpora
 # (testdata/fuzz/): bitset vs naive model, bucketing round-trips, incremental
-# context vs rebuilt, retained context vs a last-N model, SAT solver vs its
-# own CNF, explanation-cache key canonical form, replication WAL-record
+# context vs rebuilt, retained context vs a last-N model, the served SRK
+# engine vs the eager loop, SAT solver vs its own CNF, replication WAL-record
 # decode round trip, and the shared log replay scanner over WAL and job-log
 # bytes. go test -fuzz accepts one target per invocation, hence the fan-out.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSetOps          -fuzztime=$(FUZZTIME) ./internal/bitset/
-	$(GO) test -run=NONE -fuzz=FuzzStripedCard     -fuzztime=$(FUZZTIME) ./internal/bitset/
 	$(GO) test -run=NONE -fuzz=FuzzBucketer        -fuzztime=$(FUZZTIME) ./internal/feature/
-	$(GO) test -run=NONE -fuzz=FuzzBucketByCuts    -fuzztime=$(FUZZTIME) ./internal/feature/
 	$(GO) test -run=NONE -fuzz=FuzzContextRemoveAdd -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzRetained        -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzLazyGreedy      -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzSolver          -fuzztime=$(FUZZTIME) ./internal/sat/
-	$(GO) test -run=NONE -fuzz=FuzzCacheKey        -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) ./internal/persist/
 	$(GO) test -run=NONE -fuzz=FuzzReplayLog       -fuzztime=$(FUZZTIME) ./internal/persist/
 

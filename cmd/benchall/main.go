@@ -12,19 +12,20 @@
 //
 // -json switches to the micro-benchmark suite (internal/benchsuite): each
 // hot-path case runs under testing.Benchmark and the results — name, ns/op,
-// allocs/op, bytes/op, plus the host's gomaxprocs/num_cpu and per-row
-// oversubscription tags — are written as a JSON document to the given file,
-// the machine-readable perf baseline `make bench-json` records per date
-// (schema: internal/benchsuite/benchjson.go). Adding -smoke runs each case
+// allocs/op, bytes/op, plus the host's gomaxprocs/num_cpu — are written as a
+// JSON document to the given file, the machine-readable perf baseline
+// `make bench-json` records per date (schema:
+// internal/benchsuite/benchjson.go). Adding -smoke runs each case
 // for a single iteration: a fast CI check that the whole pipeline still
 // builds its datasets and solves, with timings marked as meaningless in the
 // output document.
 //
 //	benchall -compare OLD.json NEW.json
 //
-// -compare diffs two baseline files case by case and prints the warnings
-// that qualify the diff — differing CPU counts or GOMAXPROCS between the
-// recording hosts, smoke documents, oversubscribed rows.
+// -compare diffs two baseline files case by case, listing a case only the
+// old file has as "(case removed)", and prints the warnings that qualify the
+// diff — differing CPU counts, GOMAXPROCS or architectures between the
+// recording hosts, and smoke documents.
 //
 //	benchall -gate BENCH_2026-08-07.json [-json BENCH_NEW.json]
 //

@@ -12,6 +12,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -39,7 +40,6 @@ func main() {
 		}
 		w = bufio.NewWriter(f)
 	}
-	cw := csv.NewWriter(w)
 
 	isEM := false
 	for _, n := range em.Names() {
@@ -47,18 +47,18 @@ func main() {
 			isEM = true
 		}
 	}
+	var err error
 	if isEM {
-		writeEM(cw, *dsName, *size, *seed)
+		err = writeEM(w, *dsName, *size, *seed)
 	} else {
-		writeGeneral(cw, *dsName, *size, *seed)
+		err = writeGeneral(w, *dsName, *size, *seed)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// A deferred, unchecked flush/close would silently truncate the dataset
 	// on a full disk; fail loudly instead.
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		log.Fatal(err)
-	}
 	if err := w.Flush(); err != nil {
 		log.Fatal(err)
 	}
@@ -69,37 +69,24 @@ func main() {
 	}
 }
 
-func writeGeneral(cw *csv.Writer, name string, size int, seed int64) {
+func writeGeneral(w io.Writer, name string, size int, seed int64) error {
 	ds, err := dataset.Load(name, dataset.Options{Size: size, Seed: seed})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	header := make([]string, 0, ds.Schema.NumFeatures()+1)
-	for _, a := range ds.Schema.Attrs {
-		header = append(header, a.Name)
-	}
-	header = append(header, "label")
-	if err := cw.Write(header); err != nil {
-		log.Fatal(err)
-	}
-	row := make([]string, len(header))
-	for _, li := range ds.Instances {
-		for i, v := range li.X {
-			row[i] = ds.Schema.Attrs[i].Values[v]
-		}
-		row[len(row)-1] = ds.Schema.Labels[li.Y]
-		if err := cw.Write(row); err != nil {
-			log.Fatal(err)
-		}
+	if err := dataset.WriteCSV(w, ds); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d rows × %d features of %s\n", len(ds.Instances), ds.Schema.NumFeatures(), name)
+	return nil
 }
 
-func writeEM(cw *csv.Writer, name string, size int, seed int64) {
+func writeEM(w io.Writer, name string, size int, seed int64) error {
 	ds, err := em.Load(name, em.Options{Size: size, Seed: seed})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	cw := csv.NewWriter(w)
 	header := []string{}
 	for _, a := range ds.Attrs {
 		header = append(header, "left_"+a)
@@ -112,7 +99,7 @@ func writeEM(cw *csv.Writer, name string, size int, seed int64) {
 	}
 	header = append(header, "label")
 	if err := cw.Write(header); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, p := range ds.Pairs {
 		row := append([]string{}, p.A.Values...)
@@ -122,8 +109,13 @@ func writeEM(cw *csv.Writer, name string, size int, seed int64) {
 		}
 		row = append(row, ds.Schema.Labels[p.Y])
 		if err := cw.Write(row); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return err
+	}
 	fmt.Fprintf(os.Stderr, "wrote %d pairs of %s (%d matches)\n", len(ds.Pairs), name, ds.NumMatch)
+	return nil
 }

@@ -7,14 +7,12 @@ import (
 	"go/types"
 )
 
-// GoCapture guards the spawn-site hygiene of the striped counters
-// (core/parallel.go): a `go func(){...}` closure shares every captured variable with its
-// spawner, and the two patterns that have bitten concurrent Go code for a
-// decade are (1) the spawner (or the loop it sits in) mutating a captured
-// variable while the goroutine reads it, and (2) pooled scratch captured by a
-// goroutine that can outlive the Put, so the pool hands the same object to a
-// concurrent solve — the exact violation the disjoint-stripe contract of
-// core/parallel.go exists to prevent.
+// GoCapture guards the spawn-site hygiene of goroutines: a `go func(){...}`
+// closure shares every captured variable with its spawner, and the two
+// patterns that have bitten concurrent Go code for a decade are (1) the
+// spawner (or the loop it sits in) mutating a captured variable while the
+// goroutine reads it, and (2) pooled scratch captured by a goroutine that can
+// outlive the Put, so the pool hands the same object to a concurrent solve.
 //
 // Rules, per `go` statement with a closure literal:
 //
@@ -29,12 +27,12 @@ import (
 //     a sync.Pool Get or a get*/acquire* wrapper) in a function that also
 //     releases it (Put or a put*/release* wrapper) must be joined — a
 //     *.Wait() after the spawn — before the release can be safe; without a
-//     join the goroutine may still be striping the scratch when the pool
+//     join the goroutine may still be writing the scratch when the pool
 //     recycles it.
 //
-// Safe idioms stay silent: passing loop state as closure *arguments*
-// (stripedMaskCount), joining with wg.Wait() before a deferred release, and
-// captures that are never written after the spawn.
+// Safe idioms stay silent: passing loop state as closure *arguments*,
+// joining with wg.Wait() before a deferred release, and captures that are
+// never written after the spawn.
 type GoCapture struct{}
 
 // Name implements Checker.

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,12 +15,9 @@ import (
 // next to the cases that produce it, so `benchall -json`, `benchall -compare`,
 // and any future tooling agree on one definition.
 //
-// Baselines are only comparable between like machines: a p=8 row measured on
-// a single-core runner is pure scheduling overhead, not parallel speedup.
-// Two fields make that legible after the fact: the document records num_cpu,
-// and every row whose case runs more intra-solve workers than the host had
-// schedulable procs is tagged oversubscribed. Compare refuses to stay silent
-// when the hosts differ.
+// Baselines are only comparable between like machines, so the document
+// records the host's num_cpu, gomaxprocs and architecture, and Compare
+// refuses to stay silent when the hosts differ.
 
 // Record is one suite result in the JSON baseline.
 type Record struct {
@@ -30,10 +26,6 @@ type Record struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	// Oversubscribed marks a case that requested more intra-solve workers
-	// than GOMAXPROCS on the recording host: its ns/op measures contention,
-	// not speedup, and comparisons against a wider host are meaningless.
-	Oversubscribed bool `json:"oversubscribed,omitempty"`
 }
 
 // Doc is one benchmark baseline document.
@@ -92,20 +84,6 @@ func (d Doc) Arch() string {
 	return ""
 }
 
-// CaseParallelism extracts the intra-solve worker count from a case name
-// carrying a "/p=N" segment (e.g. "core/srk_par/n=100000/p=8"); cases
-// without one are sequential and report 1.
-func CaseParallelism(name string) int {
-	for _, seg := range strings.Split(name, "/") {
-		if rest, ok := strings.CutPrefix(seg, "p="); ok {
-			if p, err := strconv.Atoi(rest); err == nil && p > 0 {
-				return p
-			}
-		}
-	}
-	return 1
-}
-
 // RunSuite runs every case under testing.Benchmark and returns the baseline
 // document for this host, echoing one human-readable line per case to
 // progress (pass io.Discard to silence). Smoke marks a single-iteration
@@ -124,16 +102,14 @@ func RunSuite(progress io.Writer, smoke bool) Doc {
 	for _, c := range Cases() {
 		r := testing.Benchmark(c.Fn)
 		rec := Record{
-			Name:           c.Name,
-			Iterations:     r.N,
-			NsPerOp:        float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp:    r.AllocsPerOp(),
-			BytesPerOp:     r.AllocedBytesPerOp(),
-			Oversubscribed: CaseParallelism(c.Name) > doc.Procs,
+			Name:        c.Name,
+			Iterations:  r.N,
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
 		}
-		fmt.Fprintf(progress, "%-28s %12.1f ns/op %8d B/op %6d allocs/op%s\n",
-			rec.Name, rec.NsPerOp, rec.BytesPerOp, rec.AllocsPerOp,
-			map[bool]string{true: "  (oversubscribed)"}[rec.Oversubscribed])
+		fmt.Fprintf(progress, "%-28s %12.1f ns/op %8d B/op %6d allocs/op\n",
+			rec.Name, rec.NsPerOp, rec.BytesPerOp, rec.AllocsPerOp)
 		doc.Results = append(doc.Results, rec)
 	}
 	return doc
@@ -170,7 +146,7 @@ func ReadDoc(path string) (Doc, error) {
 
 // Compare renders a per-case delta table between two baselines and the
 // warnings that qualify it: differing or unknown CPU counts, differing
-// GOMAXPROCS, smoke documents, and oversubscribed rows. The ratio column is
+// GOMAXPROCS or architectures, and smoke documents. The ratio column is
 // new/old ns/op — below 1.0 is a speedup.
 func Compare(old, new Doc) (table []string, warnings []string) {
 	if old.Smoke || new.Smoke {
@@ -196,12 +172,8 @@ func Compare(old, new Doc) (table []string, warnings []string) {
 		prev[r.Name] = r
 	}
 	seen := make(map[string]bool, len(new.Results))
-	oversub := 0
 	for _, r := range new.Results {
 		seen[r.Name] = true
-		if r.Oversubscribed {
-			oversub++
-		}
 		o, ok := prev[r.Name]
 		if !ok {
 			table = append(table, fmt.Sprintf("%-28s %12.1f ns/op %6d allocs/op  (new case)", r.Name, r.NsPerOp, r.AllocsPerOp))
@@ -218,9 +190,6 @@ func Compare(old, new Doc) (table []string, warnings []string) {
 		if !seen[r.Name] {
 			table = append(table, fmt.Sprintf("%-28s (case removed)", r.Name))
 		}
-	}
-	if oversub > 0 {
-		warnings = append(warnings, fmt.Sprintf("%d rows ran oversubscribed (p > GOMAXPROCS): they measure contention, not speedup", oversub))
 	}
 	return table, warnings
 }

@@ -11,33 +11,26 @@ import (
 )
 
 // The srk_par grid (DESIGN.md §11): one SRKPar solve over a large synthetic
-// context per worker count. The engine ignores the count since the striped
-// scorer was retired, so every p of one n measures the same sequential solve;
-// the rows keep their names so baselines stay comparable, and any spread
-// between them is noise.
+// context per size. SRKPar ignores its worker count, so the grid runs p=1
+// only; the rows keep their .../p=1 names so baselines stay comparable.
 
-// parallelNs and parallelPs are the benchmark grid.
-var (
-	parallelNs = []int{10_000, 100_000}
-	parallelPs = []int{1, 2, 4, 8}
-)
+// parallelNs are the grid's context sizes.
+var parallelNs = []int{10_000, 100_000}
 
 // parallelCases returns the grid as suite cases.
 func parallelCases() []Case {
 	var cs []Case
 	for _, n := range parallelNs {
-		for _, p := range parallelPs {
-			cs = append(cs, Case{
-				Name: fmt.Sprintf("core/srk_par/n=%d/p=%d", n, p),
-				Fn:   benchSRKParallel(n, p),
-			})
-		}
+		cs = append(cs, Case{
+			Name: fmt.Sprintf("core/srk_par/n=%d/p=1", n),
+			Fn:   benchSRKParallel(n),
+		})
 	}
 	return cs
 }
 
 // synthData is a cached synthetic benchmark context; contexts are read-only
-// during solves, so one build serves every worker count.
+// during solves, so one build serves every case of its size.
 type synthData struct {
 	ctx  *core.Context
 	rows []feature.Labeled
@@ -92,16 +85,16 @@ func syntheticContext(b *testing.B, n int) synthData {
 	return d
 }
 
-// benchSRKParallel measures one full explain at the given context size and
-// (ignored) worker count, cycling through 256 query rows.
-func benchSRKParallel(n, par int) func(b *testing.B) {
+// benchSRKParallel measures one full explain at the given context size,
+// cycling through 256 query rows.
+func benchSRKParallel(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		d := syntheticContext(b, n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			li := d.rows[i%len(d.rows)]
-			if _, err := core.SRKPar(d.ctx, li.X, li.Y, 1.0, par); err != nil && err != core.ErrNoKey {
+			if _, err := core.SRKPar(d.ctx, li.X, li.Y, 1.0, 1); err != nil && err != core.ErrNoKey {
 				b.Fatal(err)
 			}
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // Serving-path cases: the request plane in front of the solver (DESIGN.md
-// §15). explain_hit pins the cache fast path — decode, canonical key, LRU
+// §15). explain_hit pins the cache fast path — decode, cache key, LRU
 // hit, render — which is what a duplicate-heavy production workload mostly
 // runs; explain_nocache pins the full uncached path through the same handler,
 // the denominator of the cache's speedup. Both are under the CI timing gate

@@ -167,9 +167,7 @@ func (s *Set) AndNotCard(t *Set) int {
 	return c
 }
 
-// NumWords returns ⌈Len/64⌉, the number of 64-bit words every kernel scans
-// — the unit the range kernels below partition. Range boundaries are word
-// indices, never bit indices, so a stripe split can never tear a word in half.
+// NumWords returns ⌈Len/64⌉, the number of 64-bit words every kernel scans.
 func (s *Set) NumWords() int { return len(s.words) }
 
 // Words returns the set's NumWords() words: bit i of the set is bit i%64 of
@@ -177,62 +175,6 @@ func (s *Set) NumWords() int { return len(s.words) }
 // operations into one pass; callers must not mutate it or hold it across a
 // Grow.
 func (s *Set) Words() []uint64 { return s.words }
-
-// clampRange clips a word range to the backing array so the range kernels
-// accept arbitrary (including empty or oversized) stripe boundaries: callers
-// partition [0, NumWords()) however they like and out-of-range slack is
-// simply empty.
-func (s *Set) clampRange(lo, hi int) (int, int) {
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > len(s.words) {
-		lo = len(s.words)
-	}
-	if hi > len(s.words) {
-		hi = len(s.words)
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
-// CountRange returns the number of set bits whose word index lies in
-// [lo, hi). Summing over a partition of [0, NumWords()) equals Count.
-//
-//rkvet:noalloc
-func (s *Set) CountRange(lo, hi int) int {
-	lo, hi = s.clampRange(lo, hi)
-	c := 0
-	for _, w := range s.words[lo:hi] {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// AndRange replaces words [lo, hi) of s with s ∩ t, leaving the rest of s
-// untouched. Disjoint word ranges touch disjoint memory, so stripe workers
-// may apply AndRange to a shared set concurrently without synchronization.
-//
-//rkvet:noalloc
-func (s *Set) AndRange(t *Set, lo, hi int) {
-	lo, hi = s.clampRange(lo, hi)
-	for i := lo; i < hi; i++ {
-		s.words[i] &= t.words[i]
-	}
-}
-
-// AndNotRange replaces words [lo, hi) of s with s \ t; see AndRange for the
-// concurrent-stripes contract.
-//
-//rkvet:noalloc
-func (s *Set) AndNotRange(t *Set, lo, hi int) {
-	lo, hi = s.clampRange(lo, hi)
-	for i := lo; i < hi; i++ {
-		s.words[i] &^= t.words[i]
-	}
-}
 
 // ForEach calls fn for every set bit in ascending order. Iteration stops if
 // fn returns false.

@@ -27,6 +27,13 @@ func TestAddContainsRemove(t *testing.T) {
 	if got := s.Count(); got != 7 {
 		t.Fatalf("Count after remove = %d, want 7", got)
 	}
+	// Every kernel scans NumWords() = ⌈n/64⌉ words: none past a ragged
+	// final word, one more at each crossing of bit 63/64.
+	for _, n := range []int{1, 63, 64, 65, 127, 128, 129, 300} {
+		if got, want := New(n).NumWords(), (n+63)/64; got != want {
+			t.Fatalf("New(%d): NumWords=%d want %d", n, got, want)
+		}
+	}
 }
 
 func TestContainsOutOfRange(t *testing.T) {
@@ -268,99 +275,5 @@ func TestQuickCardinalities(t *testing.T) {
 			t.Fatalf("trial %d: AndCard=%d want %d, AndNotCard=%d want %d",
 				trial, a.AndCard(b), wantAnd, a.AndNotCard(b), wantDiff)
 		}
-	}
-}
-
-// TestRangeKernelsMatchWhole checks the striped count against its whole-set
-// counterpart over every split point of sets sized to cross word
-// boundaries (the off-by-one risk: bit 63/64 and the ragged final word).
-func TestRangeKernelsMatchWhole(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 63, 64, 65, 127, 128, 129, 300} {
-		a, b := New(n), New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				a.Add(i)
-			}
-			if rng.Intn(3) == 0 {
-				b.Add(i)
-			}
-		}
-		words := a.NumWords()
-		if want := (n + 63) / 64; words != want {
-			t.Fatalf("n=%d: NumWords=%d want %d", n, words, want)
-		}
-		for cut := 0; cut <= words; cut++ {
-			if got := a.CountRange(0, cut) + a.CountRange(cut, words); got != a.Count() {
-				t.Fatalf("n=%d cut=%d: CountRange split=%d want %d", n, cut, got, a.Count())
-			}
-		}
-	}
-}
-
-// TestRangeMutatorsMatchWhole applies AndRange/AndNotRange over a partition
-// and checks the result equals the whole-set operation.
-func TestRangeMutatorsMatchWhole(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{1, 64, 65, 200} {
-		for trial := 0; trial < 10; trial++ {
-			a, b := New(n), New(n)
-			for i := 0; i < n; i++ {
-				if rng.Intn(2) == 0 {
-					a.Add(i)
-				}
-				if rng.Intn(2) == 0 {
-					b.Add(i)
-				}
-			}
-			words := a.NumWords()
-			cut := rng.Intn(words + 1)
-
-			wantAnd := a.Clone()
-			wantAnd.And(b)
-			gotAnd := a.Clone()
-			gotAnd.AndRange(b, 0, cut)
-			gotAnd.AndRange(b, cut, words)
-			if !gotAnd.Equal(wantAnd) {
-				t.Fatalf("n=%d cut=%d: AndRange partition differs from And", n, cut)
-			}
-
-			wantNot := a.Clone()
-			wantNot.AndNot(b)
-			gotNot := a.Clone()
-			gotNot.AndNotRange(b, 0, cut)
-			gotNot.AndNotRange(b, cut, words)
-			if !gotNot.Equal(wantNot) {
-				t.Fatalf("n=%d cut=%d: AndNotRange partition differs from AndNot", n, cut)
-			}
-		}
-	}
-}
-
-// TestRangeClamping: out-of-range and inverted stripe boundaries are clipped,
-// never panic, and contribute nothing.
-func TestRangeClamping(t *testing.T) {
-	a, b := New(130), New(130)
-	for i := 0; i < 130; i += 3 {
-		a.Add(i)
-	}
-	for i := 0; i < 130; i += 2 {
-		b.Add(i)
-	}
-	if got := a.CountRange(-5, 99); got != a.Count() {
-		t.Fatalf("out-of-range bounds not clamped: %d want %d", got, a.Count())
-	}
-	and := a.Clone()
-	and.AndRange(b, -5, 99)
-	if got := and.Count(); got != a.AndCard(b) {
-		t.Fatalf("out-of-range AndRange bounds not clamped: %d want %d", got, a.AndCard(b))
-	}
-	if got := a.CountRange(2, 1); got != 0 {
-		t.Fatalf("inverted range = %d, want 0", got)
-	}
-	cl := a.Clone()
-	cl.AndRange(b, 7, 3)
-	if !cl.Equal(a) {
-		t.Fatal("inverted AndRange mutated the set")
 	}
 }

@@ -144,74 +144,3 @@ func checkAgainstModel(t *testing.T, name string, s *Set, m model) {
 		}
 	}
 }
-
-// FuzzStripedCard asserts the striped-kernel invariant the striped counters
-// (core.ViolationsPar, CoveragePar) rest on: for arbitrary set contents, set
-// sizes, and stripe boundaries, applying AndRange / AndNotRange over a
-// partition of [0, NumWords()) and summing CountRange over it equals the
-// whole-set AndCard / AndNotCard / Count. The boundaries fuzzed here are raw
-// word indices, including out-of-range and inverted ones (clamped by
-// contract) — off-by-one at a stripe edge double- or under-counts one word
-// and is exactly the bug class this target hunts.
-//
-// Input encoding: byte0 picks the capacity (1..256 bits, covering sub-word,
-// word-exact, and multi-word ragged sets), byte1 the number of cut points;
-// the next cutN bytes are cut positions; remaining bytes toggle alternating
-// membership in the two sets.
-func FuzzStripedCard(f *testing.F) {
-	f.Add([]byte{130, 2, 1, 1, 0, 63, 64, 65, 128})
-	f.Add([]byte{64, 1, 200, 0, 1, 2, 3})
-	f.Add([]byte{1, 3, 0, 0, 0, 0})
-	f.Add([]byte{255, 4, 1, 2, 3, 4, 10, 20, 30, 254})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
-			return
-		}
-		capBits := int(data[0]) + 1
-		a, b := New(capBits), New(capBits)
-		cutN := int(data[1]) % 8
-		if len(data) < 2+cutN {
-			return
-		}
-		cuts := make([]int, 0, cutN+2)
-		for _, c := range data[2 : 2+cutN] {
-			// Deliberately unclamped: int(c)-64 ranges below 0 and past
-			// NumWords to exercise the clamping contract.
-			cuts = append(cuts, int(c)-64)
-		}
-		for i, v := range data[2+cutN:] {
-			idx := int(v) % capBits
-			if i%2 == 0 {
-				a.Add(idx)
-			} else {
-				b.Add(idx)
-			}
-		}
-		words := a.NumWords()
-		sort.Ints(cuts)
-		bounds := append(append([]int{0}, cuts...), words)
-
-		and, not := a.Clone(), a.Clone()
-		sumAnd, sumNot, sumCnt := 0, 0, 0
-		for i := 0; i+1 < len(bounds); i++ {
-			lo, hi := bounds[i], bounds[i+1]
-			and.AndRange(b, lo, hi)
-			not.AndNotRange(b, lo, hi)
-			sumAnd += and.CountRange(lo, hi)
-			sumNot += not.CountRange(lo, hi)
-			sumCnt += a.CountRange(lo, hi)
-		}
-		// The sorted cut list starts at 0 and ends at NumWords, but interior
-		// cuts may lie outside [0, words]; clamping maps them to the ends, so
-		// the clipped segments still tile [0, words) exactly once.
-		if got := a.AndCard(b); sumAnd != got {
-			t.Fatalf("striped AndCard sum = %d, whole-set %d (cap %d, cuts %v)", sumAnd, got, capBits, bounds)
-		}
-		if got := a.AndNotCard(b); sumNot != got {
-			t.Fatalf("striped AndNotCard sum = %d, whole-set %d (cap %d, cuts %v)", sumNot, got, capBits, bounds)
-		}
-		if got := a.Count(); sumCnt != got {
-			t.Fatalf("striped Count sum = %d, whole-set %d (cap %d, cuts %v)", sumCnt, got, capBits, bounds)
-		}
-	})
-}

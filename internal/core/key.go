@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/xai-db/relativekeys/internal/bitset"
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
@@ -134,13 +133,18 @@ func Coverage(c *Context, x feature.Instance, y feature.Label, E Key) int {
 	if c.Len() == 0 {
 		return 0
 	}
-	d := scratchSets.Get().(*bitset.Set)
+	d := getScratch()
 	defer putScratch(d)
 	d.CopyFrom(c.LabelSet(y))
 	for _, f := range E {
 		d.And(c.Posting(f, x[f]))
 	}
 	return d.Count()
+}
+
+// CoveragePar is Coverage; par is ignored, as SRKPar's is.
+func CoveragePar(c *Context, x feature.Instance, y feature.Label, E Key, par int) int {
+	return Coverage(c, x, y, E)
 }
 
 // agreeBlock is the word count of ViolationsCoverage's stack buffer: 4 KiB,
@@ -194,6 +198,11 @@ func CoveredSet(c *Context, x feature.Instance, y feature.Label, E Key) []int {
 // 1 − violations/|I| (§7.1 measure (b)).
 func Precision(c *Context, x feature.Instance, y feature.Label, E Key) float64 {
 	return PrecisionOf(Violations(c, x, y, E), c.Len())
+}
+
+// PrecisionPar is Precision; par is ignored, as SRKPar's is.
+func PrecisionPar(c *Context, x feature.Instance, y feature.Label, E Key, par int) float64 {
+	return Precision(c, x, y, E)
 }
 
 // PrecisionOf is the precision of a key with the given violator count over a

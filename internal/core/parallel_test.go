@@ -13,21 +13,10 @@ import (
 
 // The differential harness for the Par entry points: SRKPar/SRKAnytimePar
 // must be byte-identical to SRK/SRKAnytime on every input — same key, same
-// error, same degraded flag — whatever worker count they are passed (it is
-// ignored), and the striped counters must equal their sequential forms for
-// every worker count, including P far above NumCPU and P above the row
-// count. The counter tests force the striped path by dropping
-// MinParallelRows to 0 for their duration; forceParallel restores it so the
-// threshold default stays intact for other tests.
+// error, same degraded flag — and CoveragePar/PrecisionPar must equal
+// Coverage/Precision, whatever worker count they are passed (it is ignored).
 
 var testedParallelisms = []int{1, 2, 3, 4, 8}
-
-func forceParallel(t *testing.T) {
-	t.Helper()
-	saved := MinParallelRows
-	MinParallelRows = 0
-	t.Cleanup(func() { MinParallelRows = saved })
-}
 
 // TestDifferentialSRKParallel: quick-check style sweep over randomized
 // datasets, alphas, and P ∈ {1,2,3,4,8}.
@@ -80,11 +69,9 @@ func TestDifferentialSRKAnytimeParallel(t *testing.T) {
 	}
 }
 
-// TestDifferentialCountersParallel: the striped partial reductions behind
-// Violations/Coverage/Precision must agree with the
-// sequential primitives for arbitrary keys and stripe counts.
+// TestDifferentialCountersParallel: CoveragePar and PrecisionPar must agree
+// with the sequential counters for arbitrary keys and worker counts.
 func TestDifferentialCountersParallel(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(229))
 	for trial := 0; trial < 60; trial++ {
 		c := randomContext(t, rng, 1+rng.Intn(400), 2+rng.Intn(6), 2+rng.Intn(3), 2)
@@ -97,9 +84,6 @@ func TestDifferentialCountersParallel(t *testing.T) {
 		}
 		E := NewKey(feats...)
 		for _, p := range testedParallelisms {
-			if got, want := ViolationsPar(c, row.X, row.Y, E, p), Violations(c, row.X, row.Y, E); got != want {
-				t.Fatalf("trial %d P=%d: ViolationsPar %d, sequential %d", trial, p, got, want)
-			}
 			if got, want := CoveragePar(c, row.X, row.Y, E, p), Coverage(c, row.X, row.Y, E); got != want {
 				t.Fatalf("trial %d P=%d: CoveragePar %d, sequential %d", trial, p, got, want)
 			}
@@ -107,23 +91,6 @@ func TestDifferentialCountersParallel(t *testing.T) {
 				t.Fatalf("trial %d P=%d: PrecisionPar %v, sequential %v", trial, p, got, want)
 			}
 		}
-	}
-}
-
-// TestParallelRespectsRowThreshold: under MinParallelRows the striped
-// counters must take the sequential path (observable through identical
-// results and, indirectly, zero goroutine fan-out — asserted here only
-// behaviorally).
-func TestParallelRespectsRowThreshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(233))
-	c := randomContext(t, rng, 50, 4, 2, 2) // 50 ≪ MinParallelRows
-	row := c.Item(0)
-	E := NewKey(0, 2)
-	if got, want := ViolationsPar(c, row.X, row.Y, E, 8), Violations(c, row.X, row.Y, E); got != want {
-		t.Fatalf("threshold fallback: ViolationsPar %d, sequential %d", got, want)
-	}
-	if got, want := CoveragePar(c, row.X, row.Y, E, 8), Coverage(c, row.X, row.Y, E); got != want {
-		t.Fatalf("threshold fallback: CoveragePar %d, sequential %d", got, want)
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 
 	"github.com/xai-db/relativekeys/internal/feature"
+	"github.com/xai-db/relativekeys/internal/sortedkeys"
 )
 
 // This file provides the CSV adoption path: a client that logged its
@@ -84,14 +84,14 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	attrs := make([]feature.Attribute, nAttrs)
 	codes := make([]map[string]feature.Value, nAttrs)
 	for a := 0; a < nAttrs; a++ {
-		vals := sortedKeys(domains[a])
+		vals := sortedkeys.Of(domains[a])
 		attrs[a] = feature.Attribute{Name: header[a], Values: vals}
 		codes[a] = make(map[string]feature.Value, len(vals))
 		for i, v := range vals {
 			codes[a][v] = feature.Value(i)
 		}
 	}
-	labelList := sortedKeys(labels)
+	labelList := sortedkeys.Of(labels)
 	labelCode := make(map[string]feature.Label, len(labelList))
 	for i, l := range labelList {
 		labelCode[l] = feature.Label(i)
@@ -118,13 +118,4 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		}
 	}
 	return d, nil
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

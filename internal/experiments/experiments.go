@@ -103,9 +103,6 @@ func NewEnv(cfg Config) *Env {
 	}
 }
 
-// Config returns the normalized configuration.
-func (e *Env) Config() Config { return e.cfg }
-
 // ExperimentFunc regenerates one artifact.
 type ExperimentFunc func(*Env) (*Table, error)
 

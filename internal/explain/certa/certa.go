@@ -120,22 +120,3 @@ func (e *Explainer) Explain(x feature.Instance) (explain.Explanation, error) {
 	}
 	return explain.Explanation{Scores: scores}, nil
 }
-
-// Queries estimates the model evaluations one Explain performs; exposed so
-// efficiency experiments can report it without instrumenting the model.
-func (e *Explainer) Queries() int {
-	n := e.bg.Schema.NumFeatures()
-	subsets := 0
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if depth >= e.cfg.MaxSubset {
-			return
-		}
-		for a := start; a < n; a++ {
-			subsets++
-			rec(a+1, depth+1)
-		}
-	}
-	rec(0, 0)
-	return subsets * e.cfg.Rounds
-}

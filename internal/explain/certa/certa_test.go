@@ -77,12 +77,6 @@ func TestCERTAQueryHungry(t *testing.T) {
 	if q.Queries() < 100 {
 		t.Fatalf("CERTA made only %d queries; expected hundreds", q.Queries())
 	}
-	// Queries() estimate must be close to actual (±1 for the initial
-	// prediction call).
-	est := int64(e.Queries())
-	if q.Queries() < est || q.Queries() > est+2 {
-		t.Fatalf("actual queries %d vs estimate %d", q.Queries(), est)
-	}
 }
 
 func TestCERTAValidatesInstance(t *testing.T) {

@@ -61,9 +61,6 @@ func New(m model.Model, schema *feature.Schema, rows []feature.Instance, cfg Con
 // Name implements explain.Explainer.
 func (e *Explainer) Name() string { return "GAM" }
 
-// Surrogate exposes the fitted additive model (for fidelity diagnostics).
-func (e *Explainer) Surrogate() *model.Additive { return e.gam }
-
 // Explain implements explain.Explainer: Scores[a] is the centered additive
 // contribution of feature a's value in x.
 func (e *Explainer) Explain(x feature.Instance) (explain.Explanation, error) {

@@ -51,7 +51,7 @@ func TestGAMFindsMainEffect(t *testing.T) {
 	// The surrogate must mimic the model well.
 	agree := 0
 	for _, x := range rows {
-		if e.Surrogate().Predict(x) == m.Predict(x) {
+		if e.gam.Predict(x) == m.Predict(x) {
 			agree++
 		}
 	}

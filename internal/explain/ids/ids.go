@@ -235,12 +235,3 @@ func (rs *RuleSet) Covering(x feature.Instance) []Rule {
 	}
 	return out
 }
-
-// Render formats the whole decision set.
-func (rs *RuleSet) Render() string {
-	lines := make([]string, len(rs.Rules))
-	for i := range rs.Rules {
-		lines[i] = rs.Rules[i].Render(rs.Schema)
-	}
-	return strings.Join(lines, "\n")
-}

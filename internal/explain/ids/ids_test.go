@@ -2,7 +2,6 @@ package ids
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"github.com/xai-db/relativekeys/internal/feature"
@@ -48,9 +47,6 @@ func TestFitSizeLimited(t *testing.T) {
 		if r.Precision() < 0.55 {
 			t.Fatalf("rule %s has precision %.3f", r.Render(s), r.Precision())
 		}
-	}
-	if !strings.Contains(rs.Render(), "THEN") {
-		t.Fatal("Render missing rule text")
 	}
 }
 

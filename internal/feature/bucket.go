@@ -3,7 +3,6 @@ package feature
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Bucketer discretizes a numeric feature into k equal-width buckets over the
@@ -83,39 +82,4 @@ func (b *Bucketer) Labels() []string {
 // Attribute builds a discrete attribute for this bucketer.
 func (b *Bucketer) Attribute(name string) Attribute {
 	return Attribute{Name: name, Values: b.Labels()}
-}
-
-// QuantileBuckets returns k-1 cut points splitting values into k
-// (approximately) equal-frequency buckets. It is the alternative
-// discretization used by ablation benches.
-func QuantileBuckets(values []float64, k int) ([]float64, error) {
-	if k <= 1 {
-		return nil, fmt.Errorf("feature: quantile bucket count %d must exceed 1", k)
-	}
-	if len(values) == 0 {
-		return nil, fmt.Errorf("feature: cannot fit quantiles on empty data")
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	cuts := make([]float64, 0, k-1)
-	for i := 1; i < k; i++ {
-		idx := i * len(sorted) / k
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		cuts = append(cuts, sorted[idx])
-	}
-	return cuts, nil
-}
-
-// BucketByCuts maps v to the index of the first cut greater than v.
-func BucketByCuts(cuts []float64, v float64) Value {
-	i := sort.SearchFloat64s(cuts, v)
-	// SearchFloat64s returns the insertion point; values equal to a cut go to
-	// the bucket above, matching half-open intervals. The comparison is exact
-	// on purpose: it asks "is v this stored cut", not "is v close to it".
-	for i < len(cuts) && cuts[i] == v { //rkvet:ignore floateq boundary identity against a stored cut, not a computed quantity
-		i++
-	}
-	return Value(i)
 }

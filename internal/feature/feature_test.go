@@ -149,35 +149,6 @@ func TestFitBuckets(t *testing.T) {
 	}
 }
 
-func TestQuantileBuckets(t *testing.T) {
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	cuts, err := QuantileBuckets(vals, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cuts) != 3 {
-		t.Fatalf("got %d cuts, want 3", len(cuts))
-	}
-	counts := make([]int, 4)
-	for _, v := range vals {
-		counts[BucketByCuts(cuts, v)]++
-	}
-	for i, c := range counts {
-		if c < 20 || c > 30 {
-			t.Fatalf("bucket %d has %d members, want ~25", i, c)
-		}
-	}
-	if _, err := QuantileBuckets(vals, 1); err == nil {
-		t.Fatal("k=1 accepted")
-	}
-	if _, err := QuantileBuckets(nil, 3); err == nil {
-		t.Fatal("empty data accepted")
-	}
-}
-
 // Property: bucket codes are always in range, monotone in the input value.
 func TestQuickBucketMonotone(t *testing.T) {
 	b, _ := NewBucketer(-100, 100, 13)

@@ -2,7 +2,6 @@ package feature
 
 import (
 	"math"
-	"sort"
 	"testing"
 )
 
@@ -44,32 +43,6 @@ func FuzzBucketer(f *testing.F) {
 			if got := b.Bucket(center); int(got) != i {
 				t.Fatalf("round-trip: center of bucket %d maps to %d (lo=%v hi=%v k=%d)", i, got, b.Lo, b.Hi, b.K)
 			}
-		}
-	})
-}
-
-// FuzzBucketByCuts checks the half-open interval invariant of the quantile
-// path: for code i, every cut below i is ≤ v and the cut at i (if any) is
-// strictly greater.
-func FuzzBucketByCuts(f *testing.F) {
-	f.Add(1.0, 2.0, 3.0, 2.0)
-	f.Add(0.0, 0.0, 0.0, 0.0)
-	f.Add(-1.5, 2.5, 7.25, 7.25)
-	f.Fuzz(func(t *testing.T, c1, c2, c3, v float64) {
-		if math.IsNaN(c1) || math.IsNaN(c2) || math.IsNaN(c3) || math.IsNaN(v) {
-			t.Skip("cut invariants are defined on ordered values")
-		}
-		cuts := []float64{c1, c2, c3}
-		sort.Float64s(cuts)
-		i := int(BucketByCuts(cuts, v))
-		if i < 0 || i > len(cuts) {
-			t.Fatalf("BucketByCuts(%v, %v) = %d outside [0,%d]", cuts, v, i, len(cuts))
-		}
-		if i > 0 && !(cuts[i-1] <= v) {
-			t.Fatalf("BucketByCuts(%v, %v) = %d but cuts[%d]=%v > v", cuts, v, i, i-1, cuts[i-1])
-		}
-		if i < len(cuts) && !(cuts[i] > v) {
-			t.Fatalf("BucketByCuts(%v, %v) = %d but cuts[%d]=%v ≤ v", cuts, v, i, i, cuts[i])
 		}
 	})
 }

@@ -156,30 +156,3 @@ func AccuracyCurve(preds []feature.Label, truth []feature.Label, points int) ([]
 	}
 	return out, nil
 }
-
-// WindowedAccuracy returns accuracy over a sliding window of the stream
-// (local accuracy, more sensitive to drift than the cumulative curve).
-func WindowedAccuracy(preds, truth []feature.Label, window int) ([]float64, error) {
-	if len(preds) != len(truth) || len(preds) == 0 {
-		return nil, fmt.Errorf("metrics: aligned non-empty predictions and truth required")
-	}
-	if window <= 0 || window > len(preds) {
-		window = len(preds)
-	}
-	out := make([]float64, 0, len(preds)-window+1)
-	correct := 0
-	for i := range preds {
-		if preds[i] == truth[i] {
-			correct++
-		}
-		if i >= window {
-			if preds[i-window] == truth[i-window] {
-				correct--
-			}
-		}
-		if i >= window-1 {
-			out = append(out, float64(correct)/float64(window))
-		}
-	}
-	return out, nil
-}

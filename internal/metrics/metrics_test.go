@@ -121,63 +121,3 @@ func TestAccuracyCurve(t *testing.T) {
 		t.Fatal("misaligned curve accepted")
 	}
 }
-
-func TestWindowedAccuracy(t *testing.T) {
-	preds := []feature.Label{1, 1, 1, 0, 0, 0}
-	truth := []feature.Label{1, 1, 1, 1, 1, 1}
-	acc, err := WindowedAccuracy(preds, truth, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2.0 / 3.0, 1.0 / 3.0, 0}
-	if len(acc) != len(want) {
-		t.Fatalf("len = %d, want %d", len(acc), len(want))
-	}
-	for i := range want {
-		if math.Abs(acc[i]-want[i]) > 1e-12 {
-			t.Fatalf("acc[%d] = %v, want %v", i, acc[i], want[i])
-		}
-	}
-	// Oversized window clamps to the stream length.
-	if a, err := WindowedAccuracy(preds, truth, 100); err != nil || len(a) != 1 {
-		t.Fatalf("clamped window: %v %v", a, err)
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	s := feature.MustSchema([]feature.Attribute{
-		{Name: "A", Values: []string{"a0", "a1"}},
-	}, []string{"neg", "pos"})
-	_ = s
-	m := model.FuncModel{Fn: func(x feature.Instance) feature.Label { return x[0] }, Labels: 2}
-	data := []feature.Labeled{
-		{X: feature.Instance{1}, Y: 1}, // TP
-		{X: feature.Instance{1}, Y: 1}, // TP
-		{X: feature.Instance{1}, Y: 0}, // FP
-		{X: feature.Instance{0}, Y: 0}, // TN
-		{X: feature.Instance{0}, Y: 1}, // FN
-	}
-	c, err := ConfusionMatrix(m, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.TP != 2 || c.FP != 1 || c.TN != 1 || c.FN != 1 {
-		t.Fatalf("confusion = %+v", c)
-	}
-	if math.Abs(c.Accuracy()-0.6) > 1e-12 {
-		t.Fatalf("accuracy = %v", c.Accuracy())
-	}
-	if math.Abs(c.PrecisionPos()-2.0/3.0) > 1e-12 || math.Abs(c.RecallPos()-2.0/3.0) > 1e-12 {
-		t.Fatalf("p/r = %v/%v", c.PrecisionPos(), c.RecallPos())
-	}
-	if math.Abs(c.F1()-2.0/3.0) > 1e-12 {
-		t.Fatalf("F1 = %v", c.F1())
-	}
-	if _, err := ConfusionMatrix(m, nil); err == nil {
-		t.Fatal("empty set accepted")
-	}
-	var zero Confusion
-	if zero.Accuracy() != 0 || zero.F1() != 0 || zero.PrecisionPos() != 0 || zero.RecallPos() != 0 {
-		t.Fatal("zero confusion must report zeros")
-	}
-}

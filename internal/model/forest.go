@@ -92,14 +92,5 @@ func (f *Forest) Predict(x feature.Instance) feature.Label {
 	return best
 }
 
-// Votes returns the per-class vote counts for x.
-func (f *Forest) Votes(x feature.Instance) []int {
-	votes := make([]int, f.nLabels)
-	for _, t := range f.Trees {
-		votes[t.Predict(x)]++
-	}
-	return votes
-}
-
 // NumLabels returns the label-space size.
 func (f *Forest) NumLabels() int { return f.nLabels }

@@ -49,9 +49,6 @@ func (q *QueryCounter) NumLabels() int { return q.M.NumLabels() }
 // Queries returns the number of Predict calls so far.
 func (q *QueryCounter) Queries() int64 { return q.n.Load() }
 
-// Reset zeroes the counter.
-func (q *QueryCounter) Reset() { q.n.Store(0) }
-
 // Accuracy returns the fraction of instances whose prediction matches the
 // stored label.
 func Accuracy(m Model, data []feature.Labeled) float64 {
@@ -65,15 +62,6 @@ func Accuracy(m Model, data []feature.Labeled) float64 {
 		}
 	}
 	return float64(ok) / float64(len(data))
-}
-
-// PredictAll returns m's predictions for each instance.
-func PredictAll(m Model, xs []feature.Instance) []feature.Label {
-	out := make([]feature.Label, len(xs))
-	for i, x := range xs {
-		out[i] = m.Predict(x)
-	}
-	return out
 }
 
 // Labels extracts the predictions of a model over a dataset as labeled

@@ -57,32 +57,39 @@ func ParseLevel(s string) Level {
 // Fields are key-value pairs appended in call order (never from a map, so
 // records are deterministic for a given call). A nil *Logger discards
 // everything, which is how library code logs optionally. Logger is safe for
-// concurrent use.
+// concurrent use, and so is every logger With derives from it: they all
+// write through one shared sink.
 type Logger struct {
 	level  Level
-	fields []byte // pre-rendered `,"k":v` pairs bound by With
+	fields []byte   // pre-rendered `,"k":v` pairs bound by With
+	sink   *logSink // shared with every logger derived by With
+}
 
-	mu sync.Mutex
-	w  io.Writer // set once at construction; mu serializes Write calls on it
-
+// logSink is the writer a root logger and its derived loggers share: one
+// mutex serializes every Write on it, so a writer that is not safe for
+// concurrent use (a bytes.Buffer, a bufio.Writer) is safe behind it, and one
+// counter records the records lost to its write failures.
+type logSink struct {
+	mu        sync.Mutex
+	w         io.Writer // set once at construction; mu serializes Write calls on it
 	writeErrs atomic.Int64
 }
 
 // NewLogger writes records at or above level to w.
 func NewLogger(w io.Writer, level Level) *Logger {
-	return &Logger{w: w, level: level}
+	return &Logger{level: level, sink: &logSink{w: w}}
 }
 
 // With returns a logger that prepends the given key-value pairs to every
-// record — the handle a subsystem binds its identity into once.
+// record — the handle a subsystem binds its identity into once. It writes
+// through l's sink.
 func (l *Logger) With(kv ...any) *Logger {
 	if l == nil {
 		return nil
 	}
 	var buf bytes.Buffer
 	appendPairs(&buf, kv)
-	nl := &Logger{level: l.level, w: l.w, fields: append(append([]byte(nil), l.fields...), buf.Bytes()...)}
-	return nl
+	return &Logger{level: l.level, sink: l.sink, fields: append(append([]byte(nil), l.fields...), buf.Bytes()...)}
 }
 
 // Debug logs at debug level. kv alternates keys (strings) and values.
@@ -97,12 +104,13 @@ func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
 // Error logs at error level.
 func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
 
-// WriteErrors reports records lost to sink write failures.
+// WriteErrors reports records lost to sink write failures, counted across
+// every logger that shares l's sink.
 func (l *Logger) WriteErrors() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.writeErrs.Load()
+	return l.sink.writeErrs.Load()
 }
 
 func (l *Logger) log(level Level, msg string, kv []any) {
@@ -119,13 +127,14 @@ func (l *Logger) log(level Level, msg string, kv []any) {
 	buf.Write(l.fields)
 	appendPairs(&buf, kv)
 	buf.WriteString("}\n")
-	l.mu.Lock()
-	_, err := l.w.Write(buf.Bytes())
-	l.mu.Unlock()
+	s := l.sink
+	s.mu.Lock()
+	_, err := s.w.Write(buf.Bytes())
+	s.mu.Unlock()
 	if err != nil {
 		// The sink failed (disk full, closed pipe); the record is lost and
 		// there is nowhere better to report it than a counter.
-		l.writeErrs.Add(1)
+		s.writeErrs.Add(1)
 	}
 }
 

@@ -421,6 +421,50 @@ func TestLoggerOddPairs(t *testing.T) {
 	}
 }
 
+// TestLoggerWithSharesSink: a root logger and the loggers With derives from
+// it write through one sink. Logging concurrently from all three into a
+// bytes.Buffer, which is not safe for concurrent use, must neither race nor
+// interleave records, and the root's WriteErrors counts its children's
+// failed writes.
+func TestLoggerWithSharesSink(t *testing.T) {
+	var buf bytes.Buffer
+	root := NewLogger(&buf, LevelInfo)
+	loggers := []*Logger{root, root.With("component", "a"), root.With("component", "b")}
+	const perLogger = 200
+	var wg sync.WaitGroup
+	for _, lg := range loggers {
+		wg.Add(1)
+		go func(lg *Logger) {
+			defer wg.Done()
+			for i := 0; i < perLogger; i++ {
+				lg.Info("record", "i", i)
+			}
+		}(lg)
+	}
+	wg.Wait()
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if want := len(loggers) * perLogger; len(lines) != want {
+		t.Fatalf("got %d lines, want %d", len(lines), want)
+	}
+	for _, line := range lines {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("line is not one JSON record: %v\n%s", err, line)
+		}
+	}
+
+	failing := NewLogger(failWriter{}, LevelInfo)
+	failing.With("component", "a").Info("lost")
+	if got := failing.WriteErrors(); got != 1 {
+		t.Fatalf("root WriteErrors = %d after a child's failed write, want 1", got)
+	}
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errString("sink closed") }
+
 // TestParseLevel covers the flag spellings.
 func TestParseLevel(t *testing.T) {
 	cases := map[string]Level{

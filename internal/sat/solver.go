@@ -73,10 +73,6 @@ type Solver struct {
 	seen     []bool
 	unsatEOF bool // true once an empty clause was added
 
-	propagations int64
-	conflicts    int64
-	decisions    int64
-
 	// lastModel snapshots the satisfying assignment of the most recent
 	// successful solve, so Value works after the trail is unwound.
 	lastModel []bool
@@ -212,7 +208,6 @@ func (s *Solver) propagate() int {
 	for qhead < len(s.trail) {
 		il := s.trail[qhead]
 		qhead++
-		s.propagations++
 		ws := s.watches[il]
 		kept := ws[:0]
 		var conflict = -1
@@ -426,7 +421,6 @@ func (s *Solver) search(budget, nAssume int) int {
 	for {
 		cref := s.propagate()
 		if cref >= 0 {
-			s.conflicts++
 			conflicts++
 			if s.decisionLevel() <= nAssume {
 				return 0 // conflict at or below the assumption levels
@@ -468,7 +462,6 @@ func (s *Solver) search(budget, nAssume int) int {
 		if v < 0 {
 			return 1 // all variables assigned: SAT
 		}
-		s.decisions++
 		s.newDecisionLevel()
 		// Phase heuristic: try false first (common for one-hot encodings).
 		s.enqueue(ilit(2*uint32(v)+1), -1)
@@ -524,9 +517,4 @@ func (s *Solver) SolveModel(assumps ...Lit) ([]bool, bool) {
 		s.cancelUntil(0)
 		conflictBudget = int(float64(conflictBudget) * 1.5)
 	}
-}
-
-// Stats reports basic search statistics.
-func (s *Solver) Stats() (propagations, conflicts, decisions int64) {
-	return s.propagations, s.conflicts, s.decisions
 }

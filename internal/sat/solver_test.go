@@ -334,12 +334,3 @@ func TestCardinalityValidation(t *testing.T) {
 		t.Fatal("k > n accepted for at-least")
 	}
 }
-
-func TestStats(t *testing.T) {
-	s, _ := solverFor(t, 3, [][]Lit{{1, 2, 3}, {-1, -2}, {-1, -3}, {-2, -3}})
-	s.Solve()
-	p, _, _ := s.Stats()
-	if p == 0 {
-		t.Fatal("expected some propagations")
-	}
-}

@@ -2,21 +2,22 @@ package service
 
 import (
 	"container/list"
+	"encoding/binary"
 	"sync"
 	"time"
 
+	"github.com/xai-db/relativekeys/internal/feature"
 	"github.com/xai-db/relativekeys/internal/obs"
 )
 
 // The explanation cache (DESIGN.md §15). Heavy interactive traffic is
 // dominated by duplicate explains against the same context version, so the
-// server memoizes fully-rendered explain outcomes under the canonical
-// (version, solver config, alpha, instance) key. Invalidation is free:
-// the context's mutation stamp is part of the key, so any observe, retention
-// eviction, or replicated apply shifts new traffic to fresh keys and the old
-// entries age out of the LRU. Memory is bounded twice — by entry count and by
-// an approximate byte budget — whichever cap is hit first evicts from the
-// cold end.
+// server memoizes fully-rendered explain outcomes under a cacheKey.
+// Invalidation is free: the context's mutation stamp is part of the key, so
+// any observe, retention eviction, or replicated apply shifts new traffic to
+// fresh keys and the old entries age out of the LRU. Memory is bounded
+// twice — by entry count and by an approximate byte budget — whichever cap
+// is hit first evicts from the cold end.
 //
 // Degraded results are second-class citizens: an entry solved under an
 // expired deadline is valid but possibly larger than the greedy key, so it is
@@ -24,6 +25,29 @@ import (
 // whose own budget is no longer. A request with a longer (or unbounded)
 // deadline treats it as a miss, and a fresh non-degraded result then upgrades
 // the entry in place. A degraded result never overwrites a non-degraded one.
+
+// cacheKey identifies one explain problem. Two requests share a cache entry,
+// and a flight, exactly when they would run byte-identical solves: same
+// context version (the retained context's mutation stamp), solver tag,
+// conformity bound, label and instance. Struct equality compares field by
+// field, so distinct tuples never share a key; alpha compares as a float64,
+// so bounds one ulp apart stay apart, as they do in the solver. Callers run
+// core.ValidateAlpha first, so NaN, which equals nothing, never reaches a key.
+type cacheKey struct {
+	version uint64
+	solver  string
+	alpha   float64
+	label   feature.Label
+	x       string // the instance, 4 little-endian bytes per value
+}
+
+func cacheKeyOf(version uint64, solver string, alpha float64, li feature.Labeled) cacheKey {
+	x := make([]byte, 0, 4*len(li.X))
+	for _, v := range li.X {
+		x = binary.LittleEndian.AppendUint32(x, uint32(v))
+	}
+	return cacheKey{version: version, solver: solver, alpha: alpha, label: li.Y, x: string(x)}
+}
 
 // cachedExplain is one memoized explain outcome: everything needed to render
 // a byte-identical response body without touching the solver or the context.
@@ -51,35 +75,35 @@ func (e *cachedExplain) servableFor(budget time.Duration) bool {
 	return budget > 0 && budget <= e.budget
 }
 
-// sizeBytes approximates the entry's memory footprint for the byte cap:
-// the key, the rendered rule and feature names, plus a fixed overhead for
-// the struct, list element, and map header.
-func cacheEntrySize(key string, e *cachedExplain) int {
-	n := len(key) + len(e.resp.Rule) + 96
+// cacheEntrySize approximates the entry's memory footprint for the byte
+// cap: the key's strings, the rendered rule and feature names, plus a fixed
+// overhead for the key's scalars, the struct, list element, and map header.
+func cacheEntrySize(key cacheKey, e *cachedExplain) int {
+	n := len(key.solver) + len(key.x) + len(e.resp.Rule) + 96
 	for _, f := range e.resp.Features {
 		n += len(f) + 16
 	}
 	return n
 }
 
-// explainCache is a mutex-guarded LRU over canonical cache keys. It is its
-// own lock domain, deliberately independent of Server.mu: hits must not queue
-// behind a solver holding the state lock.
+// explainCache is a mutex-guarded LRU over cache keys. It is its own lock
+// domain, deliberately independent of Server.mu: hits must not queue behind a
+// solver holding the state lock.
 type explainCache struct {
 	mu         sync.Mutex
 	maxEntries int   // guarded by mu; > 0
 	maxBytes   int64 // guarded by mu; > 0
 	bytes      int64 // guarded by mu; approximate occupancy
 
-	ll      *list.List               // guarded by mu; front = hottest
-	entries map[string]*list.Element // guarded by mu
+	ll      *list.List                 // guarded by mu; front = hottest
+	entries map[cacheKey]*list.Element // guarded by mu
 
 	evictions *obs.Counter // the owning server's; nil = uncounted
 }
 
 // cacheItem is the list payload.
 type cacheItem struct {
-	key  string
+	key  cacheKey
 	e    *cachedExplain
 	size int
 }
@@ -101,7 +125,7 @@ func newExplainCache(maxEntries int, maxBytes int64) *explainCache {
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		ll:         list.New(),
-		entries:    make(map[string]*list.Element),
+		entries:    make(map[cacheKey]*list.Element),
 	}
 }
 
@@ -109,7 +133,7 @@ func newExplainCache(maxEntries int, maxBytes int64) *explainCache {
 // budget, promoting it to the hot end. A present-but-unservable entry (a
 // degraded result facing a longer deadline) reports (nil, false): the caller
 // re-solves and put upgrades the entry.
-func (c *explainCache) get(key string, budget time.Duration) (*cachedExplain, bool) {
+func (c *explainCache) get(key cacheKey, budget time.Duration) (*cachedExplain, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -128,7 +152,7 @@ func (c *explainCache) get(key string, budget time.Duration) (*cachedExplain, bo
 // A degraded result never replaces an existing non-degraded entry; among
 // degraded entries the one solved under the longer budget wins (it is
 // servable to strictly more requests).
-func (c *explainCache) put(key string, e *cachedExplain) {
+func (c *explainCache) put(key cacheKey, e *cachedExplain) {
 	size := cacheEntrySize(key, e)
 	c.mu.Lock()
 	defer c.mu.Unlock()

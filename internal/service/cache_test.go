@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -317,6 +318,49 @@ func TestCacheOff(t *testing.T) {
 	}
 }
 
+// TestCacheKeyInjective asserts that one tuple always builds the same key and
+// that distinct tuples build distinct keys — the property that makes the
+// cache safe: a collision would serve one instance's explanation as
+// another's. The fixtures include alphas one ulp apart, an instance that is
+// a prefix of another, and an empty instance.
+func TestCacheKeyInjective(t *testing.T) {
+	type tuple struct {
+		version uint64
+		solver  string
+		alpha   float64
+		y       feature.Label
+		x       feature.Instance
+	}
+	fixtures := []tuple{
+		{},
+		{1, "lazy/p=1", 1.0, 0, feature.Instance{0, 0, 0}},
+		{1, "lazy/p=1", 1.0, 1, feature.Instance{0, 0, 0}},
+		{2, "lazy/p=1", 1.0, 0, feature.Instance{0, 0, 0}},
+		{1, "lazy/p=4", 1.0, 0, feature.Instance{0, 0, 0}},
+		{1, "eager", 1.0, 0, feature.Instance{0, 0, 0}},
+		{1, "lazy/p=1", 0.9, 0, feature.Instance{0, 0, 0}},
+		// One ulp below 0.9: the bound the solver distinguishes, the key must too.
+		{1, "lazy/p=1", 0.8999999999999999, 0, feature.Instance{0, 0, 0}},
+		{1, "lazy/p=1", 1.0, 0, feature.Instance{0, 0, 1}},
+		{1, "lazy/p=1", 1.0, 0, feature.Instance{0, 0}},
+		{1, "lazy/p=1", 1.0, 0, nil},
+		{1 << 40, strings.Repeat("c", 300), -1, 1<<31 - 1, feature.Instance{1<<31 - 1, 0}},
+		// A solver tag that embeds bytes resembling an instance encoding.
+		{7, "\x01\x00\xff", 0, -1, feature.Instance{3}},
+	}
+	seen := make(map[cacheKey]int)
+	for i, f := range fixtures {
+		k := cacheKeyOf(f.version, f.solver, f.alpha, feature.Labeled{X: f.x, Y: f.y})
+		if again := cacheKeyOf(f.version, f.solver, f.alpha, feature.Labeled{X: f.x.Clone(), Y: f.y}); again != k {
+			t.Fatalf("fixture %d: rebuilding the key gave %+v, want %+v", i, again, k)
+		}
+		if j, dup := seen[k]; dup {
+			t.Fatalf("fixtures %d and %d collide: %+v", j, i, k)
+		}
+		seen[k] = i
+	}
+}
+
 // TestExplainCacheLRU exercises the bounds directly: the entry cap and the
 // byte cap both evict from the cold end, and a get promotes.
 func TestExplainCacheLRU(t *testing.T) {
@@ -324,16 +368,17 @@ func TestExplainCacheLRU(t *testing.T) {
 	entry := func(rule string) *cachedExplain {
 		return &cachedExplain{resp: ExplainResponse{Rule: rule}}
 	}
-	c.put("a", entry("A"))
-	c.put("b", entry("B"))
-	if _, ok := c.get("a", 0); !ok { // promote a; b is now coldest
+	a, b := cacheKey{solver: "a"}, cacheKey{solver: "b"}
+	c.put(a, entry("A"))
+	c.put(b, entry("B"))
+	if _, ok := c.get(a, 0); !ok { // promote a; b is now coldest
 		t.Fatal("a missing")
 	}
-	c.put("c", entry("C"))
-	if _, ok := c.get("b", 0); ok {
+	c.put(cacheKey{solver: "c"}, entry("C"))
+	if _, ok := c.get(b, 0); ok {
 		t.Fatal("b survived past the entry cap")
 	}
-	if _, ok := c.get("a", 0); !ok {
+	if _, ok := c.get(a, 0); !ok {
 		t.Fatal("promoted entry evicted")
 	}
 	entries, bytes := c.stats()
@@ -343,12 +388,12 @@ func TestExplainCacheLRU(t *testing.T) {
 
 	// Byte cap: entries are ~100+ bytes each, so a 150-byte budget holds one.
 	tiny := newExplainCache(100, 150)
-	tiny.put("a", entry("a long rendered rule body that dominates the budget"))
-	tiny.put("b", entry("another long rendered rule body that dominates it too"))
-	if _, ok := tiny.get("a", 0); ok {
+	tiny.put(a, entry("a long rendered rule body that dominates the budget"))
+	tiny.put(b, entry("another long rendered rule body that dominates it too"))
+	if _, ok := tiny.get(a, 0); ok {
 		t.Fatal("byte cap did not evict")
 	}
-	if _, ok := tiny.get("b", 0); !ok {
+	if _, ok := tiny.get(b, 0); !ok {
 		t.Fatal("newest entry evicted instead of oldest")
 	}
 }
@@ -357,34 +402,35 @@ func TestExplainCacheLRU(t *testing.T) {
 // never overwrites non-degraded, and among degraded the longer budget wins.
 func TestCacheDegradedEntryRules(t *testing.T) {
 	c := newExplainCache(8, 1<<20)
+	k := cacheKey{solver: "k"}
 	full := &cachedExplain{resp: ExplainResponse{Rule: "full"}}
 	deg1 := &cachedExplain{resp: ExplainResponse{Rule: "deg1", Degraded: true}, degraded: true, budget: 100 * time.Millisecond}
 	deg2 := &cachedExplain{resp: ExplainResponse{Rule: "deg2", Degraded: true}, degraded: true, budget: 200 * time.Millisecond}
 
-	c.put("k", deg1)
-	if e, ok := c.get("k", 50*time.Millisecond); !ok || e.resp.Rule != "deg1" {
+	c.put(k, deg1)
+	if e, ok := c.get(k, 50*time.Millisecond); !ok || e.resp.Rule != "deg1" {
 		t.Fatalf("degraded entry not served to shorter budget: %v %v", e, ok)
 	}
-	if _, ok := c.get("k", 150*time.Millisecond); ok {
+	if _, ok := c.get(k, 150*time.Millisecond); ok {
 		t.Fatal("degraded entry served past its budget")
 	}
-	if _, ok := c.get("k", 0); ok {
+	if _, ok := c.get(k, 0); ok {
 		t.Fatal("degraded entry served to an unbounded request")
 	}
-	c.put("k", deg2) // longer budget wins
-	if e, ok := c.get("k", 150*time.Millisecond); !ok || e.resp.Rule != "deg2" {
+	c.put(k, deg2) // longer budget wins
+	if e, ok := c.get(k, 150*time.Millisecond); !ok || e.resp.Rule != "deg2" {
 		t.Fatalf("longer-budget degraded did not win: %v %v", e, ok)
 	}
-	c.put("k", deg1) // shorter budget must not downgrade
-	if e, ok := c.get("k", 150*time.Millisecond); !ok || e.resp.Rule != "deg2" {
+	c.put(k, deg1) // shorter budget must not downgrade
+	if e, ok := c.get(k, 150*time.Millisecond); !ok || e.resp.Rule != "deg2" {
 		t.Fatalf("shorter-budget degraded downgraded the entry: %v %v", e, ok)
 	}
-	c.put("k", full)
-	if e, ok := c.get("k", 0); !ok || e.resp.Rule != "full" {
+	c.put(k, full)
+	if e, ok := c.get(k, 0); !ok || e.resp.Rule != "full" {
 		t.Fatalf("non-degraded upgrade missing: %v %v", e, ok)
 	}
-	c.put("k", deg2)
-	if e, ok := c.get("k", 0); !ok || e.resp.Rule != "full" {
+	c.put(k, deg2)
+	if e, ok := c.get(k, 0); !ok || e.resp.Rule != "full" {
 		t.Fatalf("degraded overwrote non-degraded: %v %v", e, ok)
 	}
 }

@@ -153,12 +153,6 @@ func (c *Client) backoff(attempt int, retryAfter time.Duration) {
 	p.SleepFor(attempt, retryAfter)
 }
 
-// Policy exposes the client's retry policy (for callers that need the delay
-// computation without a Client, e.g. tests asserting shed Retry-After floors).
-func (c *Client) Policy() backoff.Policy {
-	return backoff.Policy{Base: c.BaseDelay, Max: c.MaxDelay, Jitter: c.jitter, Sleep: c.sleep}
-}
-
 // parseRetryAfter reads the integer-seconds form of Retry-After; 0 when
 // absent or unparseable.
 func parseRetryAfter(h http.Header) time.Duration {

@@ -11,7 +11,7 @@ import (
 // duplicate-heavy traffic, N concurrent identical requests that miss the
 // cache would all run the same solve; the flight group elects the first as
 // leader and parks the rest on its result, so exactly one solve runs per
-// (key) at a time. Flight keys are the canonical cache keys, which embed the
+// (key) at a time. Flight keys are the cache keys, which embed the
 // context version — and because every explain holds the state read-lock for
 // its solve, the version cannot move under a flight: all members would have
 // solved byte-identical problems.
@@ -51,11 +51,11 @@ type flightCall struct {
 // flightGroup coalesces concurrent solves by key.
 type flightGroup struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall // guarded by mu
+	calls map[cacheKey]*flightCall // guarded by mu
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: make(map[string]*flightCall)}
+	return &flightGroup{calls: make(map[cacheKey]*flightCall)}
 }
 
 // do runs solve once per key among concurrent callers. The first caller
@@ -69,7 +69,7 @@ func newFlightGroup() *flightGroup {
 // cleaned up, so one poisoned request cannot strand its waiters or wedge
 // the key: waiters receive errFlightPanic and fall back to solving
 // themselves.
-func (g *flightGroup) do(ctx context.Context, key string, budget time.Duration, solve func() solveOutcome) (out solveOutcome, leaderBudget time.Duration, coalesced bool) {
+func (g *flightGroup) do(ctx context.Context, key cacheKey, budget time.Duration, solve func() solveOutcome) (out solveOutcome, leaderBudget time.Duration, coalesced bool) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()

@@ -117,7 +117,9 @@ func TestCoalesceStress(t *testing.T) {
 // TestCoalesceWaiterDeadline pins the deadline contract: a coalesced waiter
 // never extends the leader's solve, and a waiter whose own deadline fires
 // first abandons the flight and completes degraded on its expired context
-// instead of hanging until the leader finishes.
+// instead of hanging until the leader finishes. The counters follow the
+// X-RK-Cache header: the abandoning waiter solved for itself, so it is a
+// miss, not a coalesced answer.
 func TestCoalesceWaiterDeadline(t *testing.T) {
 	schema := robustSchema(t)
 	var calls atomic.Int64
@@ -139,6 +141,10 @@ func TestCoalesceWaiterDeadline(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
+	// Cleanups run last-in first-out, so a failed check still releases the
+	// leader before ts.Close waits for its request.
+	release := sync.OnceFunc(func() { close(block) })
+	t.Cleanup(release)
 
 	req := ExplainRequest{
 		Values:     map[string]string{"Income": "3-4K", "Credit": "poor", "Area": "Urban"},
@@ -172,12 +178,15 @@ func TestCoalesceWaiterDeadline(t *testing.T) {
 	if !wresp.Degraded || src != "miss" {
 		t.Fatalf("abandoning waiter: degraded=%v source=%q, want degraded fallback solve", wresp.Degraded, src)
 	}
+	if misses, coalesced := srv.metrics.cacheMiss.Value(), srv.metrics.cacheCoalesced.Value(); misses != 1 || coalesced != 0 {
+		t.Fatalf("after the fallback: misses %d coalesced %d, want 1 and 0", misses, coalesced)
+	}
 	select {
 	case <-leaderDone:
 		t.Fatal("leader finished before its solve was released")
 	default:
 	}
-	close(block)
+	release()
 	select {
 	case lbody := <-leaderDone:
 		var lresp ExplainResponse
@@ -189,6 +198,9 @@ func TestCoalesceWaiterDeadline(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("leader never finished")
+	}
+	if misses := srv.metrics.cacheMiss.Value(); misses != 2 {
+		t.Fatalf("after the leader: misses %d, want 2", misses)
 	}
 }
 

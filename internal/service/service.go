@@ -76,8 +76,8 @@ type Config struct {
 	MaxInFlight     int           // concurrent explains; 0 = unbounded
 
 	// Explanation cache + request coalescing (DESIGN.md §15). The cache
-	// memoizes rendered explain responses under the canonical (context
-	// version, solver config, alpha, instance) key; concurrent identical
+	// memoizes rendered explain responses under the (context version,
+	// solver config, alpha, instance) key; concurrent identical
 	// misses coalesce onto one solve. CacheOff disables both. CacheEntries
 	// and CacheBytes bound the cache (0 = defaults: 8192 entries, 32 MiB).
 	// SolverTag fingerprints the solver configuration inside cache keys; ""
@@ -438,14 +438,6 @@ func (s *Server) snapshotLocked() error {
 		return nil
 	}
 	return persist.SaveSnapshot(s.snapPath, s.schema, s.ctx.Items(), s.seq)
-}
-
-// Snapshot forces a snapshot of the current state to the configured state
-// directory; a no-op without persistence.
-func (s *Server) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotLocked()
 }
 
 // Close snapshots the final state, closes the observation log, and marks the
@@ -902,23 +894,19 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 // explainLocked answers one explain through the cache and flight group
 // (DESIGN.md §15): bypass (cache off or no_cache) solves directly; otherwise
-// the canonical key — context version, solver tag, alpha, instance — is
+// the cache key — context version, solver tag, alpha, label, instance — is
 // looked up, and misses coalesce so concurrent identical requests run one
 // solve. source is the X-RK-Cache header value: "hit", "miss", "coalesced",
-// or "bypass". Callers hold s.mu (read); the version therefore cannot move
-// under the flight, so every member of a flight shares one solve problem.
+// or "bypass", and exactly that outcome's counter moves: a waiter that
+// falls back to its own solve counts as a miss, not as coalesced. Callers
+// hold s.mu (read); the version therefore cannot move under the flight, so
+// every member of a flight shares one solve problem.
 func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha float64, budget time.Duration, noCache bool) (solveOutcome, string) {
 	if s.cache == nil || noCache {
 		s.metrics.cacheBypass.Inc()
 		return s.solveEntryLocked(ctx, li, alpha, budget), "bypass"
 	}
-	ckey := EncodeCacheKey(CacheKey{
-		Version: s.ctx.Version(),
-		Config:  s.solverTag,
-		Alpha:   alpha,
-		Y:       li.Y,
-		X:       li.X,
-	})
+	ckey := cacheKeyOf(s.ctx.Version(), s.solverTag, alpha, li)
 	if e, ok := s.cache.get(ckey, budget); ok {
 		s.metrics.cacheHit.Inc()
 		return solveOutcome{e: e}, "hit"
@@ -938,7 +926,6 @@ func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha fl
 		s.metrics.cacheMiss.Inc()
 		return out, "miss"
 	}
-	s.metrics.cacheCoalesced.Inc()
 	// The leader's outcome may not be usable here: the leader erred or
 	// panicked, this waiter's deadline fired first, or the result degraded
 	// under a shorter budget than this request carries. All of those fall
@@ -946,8 +933,10 @@ func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha fl
 	// solver completes on its cheap degraded path, so the fallback cannot
 	// blow the deadline it just missed.
 	if out.err != nil || !out.e.servableFor(budget) {
+		s.metrics.cacheMiss.Inc()
 		return s.solveEntryLocked(ctx, li, alpha, budget), "miss"
 	}
+	s.metrics.cacheCoalesced.Inc()
 	return out, "coalesced"
 }
 

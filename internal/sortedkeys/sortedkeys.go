@@ -20,14 +20,3 @@ func Of[K cmp.Ordered, V any](m map[K]V) []K {
 	slices.Sort(keys)
 	return keys
 }
-
-// OfFunc returns the keys of m ordered by less, for key types that are not
-// cmp.Ordered or need a domain ordering.
-func OfFunc[K comparable, V any](m map[K]V, less func(a, b K) int) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m { //rkvet:ignore maporder collecting keys to sort is the sanctioned sink
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, less)
-	return keys
-}

@@ -1,9 +1,6 @@
 package sortedkeys
 
-import (
-	"cmp"
-	"testing"
-)
+import "testing"
 
 func TestOf(t *testing.T) {
 	m := map[int]string{3: "c", 1: "a", 2: "b"}
@@ -33,17 +30,6 @@ func TestOfStableAcrossRuns(t *testing.T) {
 			if again[j] != first[j] {
 				t.Fatalf("iteration %d gave %v, first gave %v", i, again, first)
 			}
-		}
-	}
-}
-
-func TestOfFunc(t *testing.T) {
-	m := map[int]string{1: "a", 2: "b", 3: "c"}
-	got := OfFunc(m, func(a, b int) int { return cmp.Compare(b, a) }) // descending
-	want := []int{3, 2, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("OfFunc returned %v, want %v", got, want)
 		}
 	}
 }
