@@ -104,8 +104,9 @@ loadgen-smoke:
 # (testdata/fuzz/): bitset vs naive model, bucketing round-trips, incremental
 # context vs rebuilt, retained context vs a last-N model, the served SRK
 # engine vs the eager loop, SAT solver vs its own CNF, replication WAL-record
-# decode round trip, and the shared log replay scanner over WAL and job-log
-# bytes. go test -fuzz accepts one target per invocation, hence the fan-out.
+# decode round trip, the shared log replay scanner over WAL and job-log
+# bytes, and the snapshot decoder a follower runs on /snapshot bodies.
+# go test -fuzz accepts one target per invocation, hence the fan-out.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSetOps          -fuzztime=$(FUZZTIME) ./internal/bitset/
 	$(GO) test -run=NONE -fuzz=FuzzBucketer        -fuzztime=$(FUZZTIME) ./internal/feature/
@@ -115,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSolver          -fuzztime=$(FUZZTIME) ./internal/sat/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) ./internal/persist/
 	$(GO) test -run=NONE -fuzz=FuzzReplayLog       -fuzztime=$(FUZZTIME) ./internal/persist/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeSnapshot  -fuzztime=$(FUZZTIME) ./internal/persist/
 
 # The fault-injection suite under the race detector: deadline degradation,
 # crash recovery from torn logs, load shedding, panic survival, the

@@ -39,7 +39,14 @@ func FuzzBucketer(f *testing.F) {
 			return
 		}
 		for i := 0; i < b.K; i++ {
+			// A bucket only ulps wide can have its computed center round onto
+			// a computed bound, where Bucket rightly answers the neighbour;
+			// the round-trip holds only for a center strictly inside.
+			lower, upper := b.Lo+float64(i)*width, b.Lo+float64(i+1)*width
 			center := b.Lo + (float64(i)+0.5)*width
+			if !(lower < center && center < upper) {
+				continue
+			}
 			if got := b.Bucket(center); int(got) != i {
 				t.Fatalf("round-trip: center of bucket %d maps to %d (lo=%v hi=%v k=%d)", i, got, b.Lo, b.Hi, b.K)
 			}

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -76,33 +77,58 @@ func TestSnapshotRejectsTruncated(t *testing.T) {
 }
 
 func TestSnapshotRejectsBitFlip(t *testing.T) {
-	s := crashSchema(t)
 	path := filepath.Join(t.TempDir(), "ctx.snap")
-	if err := SaveSnapshot(path, s, crashItems(), 4); err != nil {
-		t.Fatal(err)
+	assertRejected := func(t *testing.T, mut []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := LoadSnapshot(path); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("bit flip: want ErrCorruptSnapshot, got %v", err)
+		}
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	t.Run("v3", func(t *testing.T) {
+		if err := SaveSnapshot(path, crashSchema(t), crashItems(), 4); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Flip a bit of the first row's first value: still in its domain,
+		// wrong content.
+		mut := append([]byte(nil), b...)
+		mut[snapshotRowsOffset(t, b)] ^= 1
+		assertRejected(t, mut)
+	})
+	t.Run("v2", func(t *testing.T) {
+		b := readGolden(t, "context.snap")
+		// Flip a digit inside the rows payload: still valid JSON, wrong
+		// content.
+		i := bytes.Index(b, []byte(`"rows":[[`))
+		if i < 0 {
+			t.Fatal("rows marker not found")
+		}
+		mut := append([]byte(nil), b...)
+		pos := i + len(`"rows":[[`)
+		if mut[pos] == '0' {
+			mut[pos] = '1'
+		} else {
+			mut[pos] = '0'
+		}
+		assertRejected(t, mut)
+	})
+}
+
+// snapshotRowsOffset is the offset of the first row value in the v3
+// snapshot b: the fixed header, the schema section, the row count and both
+// widths precede it.
+func snapshotRowsOffset(t *testing.T, b []byte) int {
+	t.Helper()
+	if !bytes.HasPrefix(b, []byte(snapshotMagic)) {
+		t.Fatalf("not a v3 snapshot: %q", b)
 	}
-	// Flip a digit inside the rows payload: still valid JSON, wrong content.
-	i := bytes.Index(b, []byte(`"rows":[[`))
-	if i < 0 {
-		t.Fatal("rows marker not found")
-	}
-	mut := append([]byte(nil), b...)
-	pos := i + len(`"rows":[[`)
-	if mut[pos] == '0' {
-		mut[pos] = '1'
-	} else {
-		mut[pos] = '0'
-	}
-	if err := os.WriteFile(path, mut, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := LoadSnapshot(path); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("bit flip: want ErrCorruptSnapshot, got %v", err)
-	}
+	return 20 + int(binary.LittleEndian.Uint32(b[16:])) + 10
 }
 
 func TestSnapshotMissingFileIsNotExist(t *testing.T) {

@@ -23,7 +23,7 @@ var (
 	}
 )
 
-func readGolden(t *testing.T, name string) []byte {
+func readGolden(t testing.TB, name string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", "golden", name))
 	if err != nil {
@@ -68,7 +68,7 @@ func TestGoldenBytes(t *testing.T) {
 		}
 	})
 	t.Run("snapshot", func(t *testing.T) {
-		want := readGolden(t, "context.snap")
+		want := readGolden(t, "context.v3.snap")
 		var got bytes.Buffer
 		if err := EncodeSnapshot(&got, crashSchema(t), goldenRows, 17); err != nil {
 			t.Fatal(err)
@@ -76,17 +76,29 @@ func TestGoldenBytes(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("encoded snapshot\n%q\nwant golden\n%q", got.Bytes(), want)
 		}
-		schema, items, seq, err := LoadSnapshot(filepath.Join("testdata", "golden", "context.snap"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != 17 || schema.NumFeatures() != 2 || len(items) != len(goldenRows) {
-			t.Fatalf("golden snapshot decoded to seq=%d, %d features, %d rows", seq, schema.NumFeatures(), len(items))
-		}
-		for i, li := range items {
-			if li.Y != goldenRows[i].Y || !slices.Equal(li.X, goldenRows[i].X) {
-				t.Fatalf("golden snapshot row %d = %v, want %v", i, li, goldenRows[i])
-			}
-		}
+		assertGoldenSnapshot(t, "context.v3.snap")
 	})
+	// v2 is read-only: nothing writes it any more, but state directories
+	// and primaries from before v3 still hold it.
+	t.Run("snapshot v2", func(t *testing.T) {
+		assertGoldenSnapshot(t, "context.snap")
+	})
+}
+
+// assertGoldenSnapshot checks that the named golden snapshot loads to
+// goldenRows at seq 17.
+func assertGoldenSnapshot(t *testing.T, name string) {
+	t.Helper()
+	schema, items, seq, err := LoadSnapshot(filepath.Join("testdata", "golden", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != 17 || schema.NumFeatures() != 2 || len(items) != len(goldenRows) {
+		t.Fatalf("golden snapshot decoded to seq=%d, %d features, %d rows", seq, schema.NumFeatures(), len(items))
+	}
+	for i, li := range items {
+		if li.Y != goldenRows[i].Y || !slices.Equal(li.X, goldenRows[i].X) {
+			t.Fatalf("golden snapshot row %d = %v, want %v", i, li, goldenRows[i])
+		}
+	}
 }

@@ -1,19 +1,44 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"time"
 
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
-// snapshotVersion marks the checksummed, sequence-stamped snapshot format
-// used by the crash-safe service state (DESIGN.md §9).
-const snapshotVersion = 2
+// The snapshot formats (DESIGN.md §9). Every writer emits v3: a binary
+// layout, little-endian throughout,
+//
+//	"RKSN" | u32 version | u64 seq | u32 len | schema JSON (len bytes)
+//	| u64 rows | u8 value width | u8 label width
+//	| rows×attrs values in row order | rows labels | u32 CRC32-IEEE
+//
+// where each width is 1, 2 or 4 bytes, the narrowest that holds the largest
+// attribute cardinality (values) or the label count (labels), and the CRC
+// covers every byte before it. v2 is checksummed JSON; it is read, never
+// written, so state directories and primaries from before v3 keep working.
+const (
+	snapshotMagic   = "RKSN"
+	snapshotVersion = 3
+	// snapshotVersionJSON is the last JSON format.
+	snapshotVersionJSON = 2
+	// snapshotMinLen is the length of a v3 snapshot with an empty schema
+	// section and no rows: the fixed fields plus the trailing CRC.
+	snapshotMinLen = len(snapshotMagic) + 4 + 8 + 4 + 8 + 1 + 1 + 4
+)
+
+// errSnapshotVersion marks a well-formed snapshot of a format version this
+// build does not read.
+var errSnapshotVersion = errors.New("persist: snapshot format version")
 
 // ErrCorruptSnapshot marks a snapshot file that is truncated, fails its
 // checksum, or is otherwise undecodable. Callers treat it as "damaged state"
@@ -21,11 +46,11 @@ const snapshotVersion = 2
 // context.
 var ErrCorruptSnapshot = errors.New("persist: snapshot truncated or corrupt")
 
-// snapshotFile is the on-disk layout: the retained rows in arrival order
-// (order matters — retention evicts oldest-first after recovery), the
-// observation sequence number the snapshot covers (the WAL replay watermark),
-// and the log records' checksum (record.go) over everything else.
-type snapshotFile struct {
+// snapshotJSON is the v2 layout: the retained rows in arrival order (order
+// matters — retention evicts oldest-first after recovery), the observation
+// sequence number the snapshot covers (the WAL replay watermark), and the
+// log records' checksum (record.go) over everything else.
+type snapshotJSON struct {
 	Version int        `json:"version"`
 	Seq     uint64     `json:"seq"`
 	Schema  schemaJSON `json:"schema"`
@@ -34,29 +59,105 @@ type snapshotFile struct {
 	CRC     uint32     `json:"crc"`
 }
 
-func (f *snapshotFile) crc() *uint32 { return &f.CRC }
+func (f *snapshotJSON) crc() *uint32 { return &f.CRC }
 
-// EncodeSnapshot writes the checksummed snapshot encoding of the retained
-// observations (in arrival order) plus the sequence watermark seq to w. It is
-// the wire/disk-agnostic half of SaveSnapshot: the replication primary
+// codeWidth is the byte width v3 stores codes below n in.
+func codeWidth(n int) int {
+	switch {
+	case n <= 1<<8:
+		return 1
+	case n <= 1<<16:
+		return 2
+	default:
+		return 4
+	}
+}
+
+// widths derives the v3 value and label widths from schema.
+func widths(schema *feature.Schema) (value, label int) {
+	maxCard := 0
+	for i := range schema.Attrs {
+		maxCard = max(maxCard, schema.Attrs[i].Cardinality())
+	}
+	return codeWidth(maxCard), codeWidth(len(schema.Labels))
+}
+
+// appendCode appends v as width little-endian bytes.
+func appendCode(b []byte, v uint32, width int) []byte {
+	switch width {
+	case 1:
+		return append(b, byte(v))
+	case 2:
+		return binary.LittleEndian.AppendUint16(b, uint16(v))
+	default:
+		return binary.LittleEndian.AppendUint32(b, v)
+	}
+}
+
+// readCode reads a width-byte little-endian code from the front of b.
+func readCode(b []byte, width int) uint32 {
+	switch width {
+	case 1:
+		return uint32(b[0])
+	case 2:
+		return uint32(binary.LittleEndian.Uint16(b))
+	default:
+		return binary.LittleEndian.Uint32(b)
+	}
+}
+
+// encodeSnapshot renders the v3 encoding of the retained observations (in
+// arrival order) and the watermark seq into one buffer of exactly its size.
+// A row whose arity, value or label lies outside schema is an error: a width
+// never truncates a code.
+func encodeSnapshot(schema *feature.Schema, items []feature.Labeled, seq uint64) ([]byte, error) {
+	sj, err := json.Marshal(schemaJSON{Attrs: schema.Attrs, Labels: schema.Labels})
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(sj)) > math.MaxUint32 {
+		return nil, fmt.Errorf("persist: snapshot schema of %d bytes exceeds the format", len(sj))
+	}
+	k := schema.NumFeatures()
+	vw, lw := widths(schema)
+	size := snapshotMinLen + len(sj) + len(items)*(k*vw+lw)
+	b := make([]byte, 0, size)
+	b = append(b, snapshotMagic...)
+	b = binary.LittleEndian.AppendUint32(b, snapshotVersion)
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(sj)))
+	b = append(b, sj...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(items)))
+	b = append(b, byte(vw), byte(lw))
+	for r, li := range items {
+		if err := schema.Validate(li.X); err != nil {
+			return nil, fmt.Errorf("persist: snapshot row %d: %w", r, err)
+		}
+		for _, v := range li.X {
+			b = appendCode(b, uint32(v), vw)
+		}
+	}
+	for r, li := range items {
+		if li.Y < 0 || int(li.Y) >= len(schema.Labels) {
+			return nil, fmt.Errorf("persist: snapshot row %d: label %d outside the %d labels", r, li.Y, len(schema.Labels))
+		}
+		b = appendCode(b, uint32(li.Y), lw)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+}
+
+// EncodeSnapshot writes the snapshot encoding of the retained observations
+// (in arrival order) plus the sequence watermark seq to w, in one Write. It
+// is the wire/disk-agnostic half of SaveSnapshot: the replication primary
 // streams exactly these bytes from /snapshot so a follower's catch-up file is
 // bit-compatible with a local snapshot.
 func EncodeSnapshot(w io.Writer, schema *feature.Schema, items []feature.Labeled, seq uint64) error {
-	f := snapshotFile{
-		Version: snapshotVersion,
-		Seq:     seq,
-		Schema:  schemaJSON{Attrs: schema.Attrs, Labels: schema.Labels},
-	}
-	for _, li := range items {
-		f.Rows = append(f.Rows, append([]int32(nil), li.X...))
-		f.Labels = append(f.Labels, li.Y)
-	}
-	crc, err := checksum(&f)
+	b, err := encodeSnapshot(schema, items, seq)
 	if err != nil {
 		return err
 	}
-	f.CRC = crc
-	return json.NewEncoder(w).Encode(&f)
+	_, err = w.Write(b)
+	return err
 }
 
 // SaveSnapshot atomically writes the retained observations (in arrival
@@ -65,38 +166,27 @@ func EncodeSnapshot(w io.Writer, schema *feature.Schema, items []feature.Labeled
 // intact.
 func SaveSnapshot(path string, schema *feature.Schema, items []feature.Labeled, seq uint64) error {
 	start := time.Now()
-	var written int64
-	err := WriteFileAtomic(path, func(w io.Writer) error {
-		cw := &countingWriter{w: w}
-		err := EncodeSnapshot(cw, schema, items, seq)
-		written = cw.n
+	b, err := encodeSnapshot(schema, items, seq)
+	if err != nil {
+		return err
+	}
+	err = WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(b)
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	snapshotBytes.Add(written)
+	snapshotBytes.Add(int64(len(b)))
 	snapshotSaveSeconds.ObserveSince(start)
 	return nil
 }
 
-// countingWriter tallies bytes passed through to w.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// LoadSnapshot reads a snapshot written by SaveSnapshot, verifying version,
-// row/label arity, and checksum. Truncation and corruption both surface as
-// ErrCorruptSnapshot; a missing file surfaces as the underlying
-// fs.ErrNotExist so callers can distinguish "first boot" from "damaged
-// state".
+// LoadSnapshot reads a snapshot written by SaveSnapshot, verifying its
+// checksum and version and, for v3, every row against its schema.
+// Truncation and corruption both surface as ErrCorruptSnapshot; a missing
+// file surfaces as the underlying fs.ErrNotExist so callers can distinguish
+// "first boot" from "damaged state".
 func LoadSnapshot(path string) (*feature.Schema, []feature.Labeled, uint64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -117,12 +207,92 @@ func DecodeSnapshot(r io.Reader) (*feature.Schema, []feature.Labeled, uint64, er
 }
 
 func decodeSnapshotBytes(b []byte) (*feature.Schema, []feature.Labeled, uint64, error) {
-	var f snapshotFile
+	if bytes.HasPrefix(b, []byte(snapshotMagic)) {
+		return decodeSnapshotV3(b)
+	}
+	return decodeSnapshotJSON(b)
+}
+
+// corrupt wraps a decode failure as ErrCorruptSnapshot.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorruptSnapshot}, args...)...)
+}
+
+// decodeSnapshotV3 checks everything the layout declares before it
+// allocates for the rows: the checksum, the version, the schema, both widths
+// against the schema, and the declared row count against the bytes present.
+// The rows then share one backing array, each a capped slice of it.
+func decodeSnapshotV3(b []byte) (*feature.Schema, []feature.Labeled, uint64, error) {
+	if len(b) < snapshotMinLen {
+		return nil, nil, 0, corrupt("%d bytes is shorter than the %d-byte header", len(b), snapshotMinLen)
+	}
+	body := b[:len(b)-4]
+	if got, stored := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(b[len(body):]); got != stored {
+		return nil, nil, 0, corrupt("checksum %08x, stored %08x", got, stored)
+	}
+	p := body[len(snapshotMagic):]
+	if v := binary.LittleEndian.Uint32(p); v != snapshotVersion {
+		return nil, nil, 0, fmt.Errorf("%w %d, want %d", errSnapshotVersion, v, snapshotVersion)
+	}
+	seq := binary.LittleEndian.Uint64(p[4:])
+	schemaLen := uint64(binary.LittleEndian.Uint32(p[12:]))
+	p = p[16:]
+	// The fixed fields after the schema: row count and both widths.
+	if schemaLen > uint64(len(p)-10) {
+		return nil, nil, 0, corrupt("schema of %d bytes overruns the snapshot", schemaLen)
+	}
+	var sj schemaJSON
+	if err := json.Unmarshal(p[:schemaLen], &sj); err != nil {
+		return nil, nil, 0, corrupt("schema: %v", err)
+	}
+	schema, err := feature.NewSchema(sj.Attrs, sj.Labels)
+	if err != nil {
+		return nil, nil, 0, corrupt("schema: %v", err)
+	}
+	p = p[schemaLen:]
+	n := binary.LittleEndian.Uint64(p)
+	vw, lw := int(p[8]), int(p[9])
+	p = p[10:]
+	if wantV, wantL := widths(schema); vw != wantV || lw != wantL {
+		return nil, nil, 0, corrupt("code widths %d/%d, schema implies %d/%d", vw, lw, wantV, wantL)
+	}
+	k := schema.NumFeatures()
+	rowBytes := uint64(k*vw + lw)
+	if n > uint64(len(p))/rowBytes || n*rowBytes != uint64(len(p)) {
+		return nil, nil, 0, corrupt("%d rows of %d bytes do not fill the %d bytes present", n, rowBytes, len(p))
+	}
+	flat := make([]int32, int(n)*k)
+	for r := 0; r < int(n); r++ {
+		row := flat[r*k : (r+1)*k]
+		for a := range row {
+			v := readCode(p, vw)
+			if uint64(v) >= uint64(schema.Attrs[a].Cardinality()) {
+				return nil, nil, 0, corrupt("row %d: value %d out of domain for attribute %q", r, v, schema.Attrs[a].Name)
+			}
+			row[a] = int32(v)
+			p = p[vw:]
+		}
+	}
+	items := make([]feature.Labeled, n)
+	for i := range items {
+		y := readCode(p, lw)
+		if uint64(y) >= uint64(len(schema.Labels)) {
+			return nil, nil, 0, corrupt("row %d: label %d outside the %d labels", i, y, len(schema.Labels))
+		}
+		items[i] = feature.Labeled{X: flat[i*k : (i+1)*k : (i+1)*k], Y: int32(y)}
+		p = p[lw:]
+	}
+	return schema, items, seq, nil
+}
+
+// decodeSnapshotJSON reads the v2 JSON format.
+func decodeSnapshotJSON(b []byte) (*feature.Schema, []feature.Labeled, uint64, error) {
+	var f snapshotJSON
 	if err := json.Unmarshal(b, &f); err != nil {
 		return nil, nil, 0, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
-	if f.Version != snapshotVersion {
-		return nil, nil, 0, fmt.Errorf("persist: snapshot format version %d, want %d", f.Version, snapshotVersion)
+	if f.Version != snapshotVersionJSON {
+		return nil, nil, 0, fmt.Errorf("%w %d, want %d", errSnapshotVersion, f.Version, snapshotVersionJSON)
 	}
 	if len(f.Rows) != len(f.Labels) {
 		return nil, nil, 0, fmt.Errorf("%w: %d rows but %d labels", ErrCorruptSnapshot, len(f.Rows), len(f.Labels))

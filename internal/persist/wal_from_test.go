@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -231,9 +232,23 @@ func TestEncodeDecodeSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("decode gave seq=%d items=%d", seq, len(gotItems))
 	}
 	// Follower catch-up refuses a damaged stream the same way LoadSnapshot
-	// refuses a damaged file.
-	mut := bytes.Replace(buf.Bytes(), []byte(`"seq":17`), []byte(`"seq":18`), 1)
+	// refuses a damaged file: here the seq field, bytes 8–15 of v3.
+	mut := append([]byte(nil), buf.Bytes()...)
+	if binary.LittleEndian.Uint64(mut[8:]) != 17 {
+		t.Fatalf("seq 17 not at offset 8 of %q", mut)
+	}
+	binary.LittleEndian.PutUint64(mut[8:], 18)
 	if _, _, _, err := DecodeSnapshot(bytes.NewReader(mut)); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("decode of tampered snapshot = %v, want ErrCorruptSnapshot", err)
+	}
+	// A v2 stream, from a primary not yet upgraded, decodes and is refused
+	// the same way.
+	v2 := readGolden(t, "context.snap")
+	if _, got, seq, err := DecodeSnapshot(bytes.NewReader(v2)); err != nil || seq != 17 || len(got) != 2 {
+		t.Fatalf("decode of v2 snapshot: seq=%d rows=%d err=%v", seq, len(got), err)
+	}
+	mut = bytes.Replace(v2, []byte(`"seq":17`), []byte(`"seq":18`), 1)
+	if _, _, _, err := DecodeSnapshot(bytes.NewReader(mut)); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("decode of tampered v2 snapshot = %v, want ErrCorruptSnapshot", err)
 	}
 }

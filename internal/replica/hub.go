@@ -270,7 +270,7 @@ func (h *Hub) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(EpochHeader, h.cfg.Epoch)
 	w.Header().Set(SeqHeader, strconv.FormatUint(h.cfg.Seq(), 10))
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := h.cfg.WriteSnapshot(w); err != nil {
 		h.cfg.Logger.Warn("snapshot stream failed", "err", err)
 	}

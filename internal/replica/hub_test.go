@@ -232,6 +232,9 @@ func TestHubSnapshotEndpoint(t *testing.T) {
 	if resp.Header.Get(EpochHeader) == "" {
 		t.Fatal("snapshot carries no epoch")
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("/snapshot Content-Type = %q, want application/octet-stream", ct)
+	}
 	schema, items, seq, err := persist.DecodeSnapshot(resp.Body)
 	if err != nil {
 		t.Fatal(err)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,6 +49,67 @@ func TestFollowerRefusesObserveAndWarm(t *testing.T) {
 	}
 	if _, err := srv.Warm(robustSeed()); err == nil {
 		t.Fatal("Warm on a follower succeeded; replicas must only apply replicated rows")
+	}
+}
+
+// enterWriter closes entered on its first Write, so a test can act while a
+// writer is known to be blocked inside it.
+type enterWriter struct {
+	w       io.Writer
+	once    sync.Once
+	entered chan struct{}
+}
+
+func (e *enterWriter) Write(p []byte) (int, error) {
+	e.once.Do(func() { close(e.entered) })
+	return e.w.Write(p)
+}
+
+// A follower that stops reading /snapshot must not stall the observe path:
+// the primary encodes and writes the stream after releasing its state lock.
+func TestReplicaSnapshotStreamDoesNotBlockObserve(t *testing.T) {
+	schema := robustSchema(t)
+	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := srv.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	if _, err := srv.Warm(robustSeed()); err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	stalled := &enterWriter{w: pw, entered: make(chan struct{})}
+	streamed := make(chan error, 1)
+	go func() { streamed <- srv.WriteSnapshotTo(stalled) }()
+	<-stalled.entered
+
+	warmed := make(chan error, 1)
+	go func() {
+		_, err := srv.Warm(robustSeed()[:1])
+		warmed <- err
+	}()
+	var warmErr error
+	blocked := false
+	select {
+	case warmErr = <-warmed:
+	case <-time.After(2 * time.Second):
+		blocked = true
+	}
+	// The follower goes away; both goroutines finish either way.
+	pr.CloseWithError(errors.New("follower gone"))
+	if err := <-streamed; err == nil {
+		t.Error("snapshot stream to a closed follower reported success")
+	}
+	if blocked {
+		<-warmed
+		t.Fatal("a 1-row observe waited over 2s behind a snapshot stream nobody reads")
+	}
+	if warmErr != nil {
+		t.Fatal(warmErr)
 	}
 }
 

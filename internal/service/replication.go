@@ -217,9 +217,14 @@ func (s *Server) WALPath() string { return s.walPath }
 
 // WriteSnapshotTo streams the current rows and watermark in the snapshot
 // encoding — the payload of the primary's /snapshot catch-up endpoint,
-// bit-compatible with an on-disk snapshot.
+// bit-compatible with an on-disk snapshot. Only the copy of the row list and
+// the watermark happen under the state lock; encoding and writing happen
+// after it, so a follower that stops reading cannot stall observes (nor, via
+// the waiting writer, explains). The copy is consistent because admitted
+// rows are never mutated in place.
 func (s *Server) WriteSnapshotTo(w io.Writer) error {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return persist.EncodeSnapshot(w, s.schema, s.ctx.Items(), s.seq)
+	items, seq := s.ctx.Items(), s.seq
+	s.mu.RUnlock()
+	return persist.EncodeSnapshot(w, s.schema, items, seq)
 }
