@@ -5,7 +5,7 @@ GO ?= go
 # One ~10s native-fuzz burst per target; see fuzz-smoke.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet lint lint-fast lint-deep race bench bench-json bench-json-smoke bench-gate perfbench-check tier1 fuzz-smoke chaos-smoke replica-chaos-smoke obs-smoke loadgen-smoke ci
+.PHONY: all build test vet lint lint-fast lint-deep race bench bench-json bench-json-smoke bench-gate perfbench-check tier1 fuzz-smoke chaos-smoke replica-chaos-smoke e2e-smoke ci
 
 # Committed perf baseline the bench gate compares against (see bench-gate).
 BENCH_BASELINE ?= BENCH_2026-08-07.json
@@ -83,22 +83,19 @@ bench-gate:
 perfbench-check:
 	cd _perfbench && GOTOOLCHAIN=local $(GO) vet . && GOTOOLCHAIN=local $(GO) test .
 
-# End-to-end observability smoke: build cceserver, boot it with tracing and a
-# separate ops listener, drive observe/explain traffic through the retrying
-# client, then scrape /metrics and /healthz and assert the core series moved.
-obs-smoke:
-	$(GO) run ./cmd/obssmoke
-
-# End-to-end load-generator gate: build cceserver and ccebench, boot the
-# server with the explanation cache on, run a duplicate-heavy ccebench pass
-# plus forced coalescing bursts, and assert the cache-hit and coalesced
-# counters moved in /stats and /metrics. The ccebench JSON artifact lands at
-# LOADGEN_ARTIFACT ($TMPDIR by default; CI points it into the checkout and
-# uploads it).
+# End-to-end gate: build cceserver and ccebench once, then run two scenarios.
+# Observability: boot a primary with tracing and a separate ops listener,
+# drive observe/explain traffic through the retrying client, scrape /metrics,
+# /healthz and /debug/traces and assert the core series moved, then boot a
+# follower and check the replication series and the staleness contract.
+# Load: run a duplicate-heavy ccebench pass with one async batch and assert
+# cache hits, a completed job, and /stats equal to /metrics. The ccebench JSON
+# artifact lands at LOADGEN_ARTIFACT ($TMPDIR by default; CI points it into
+# the checkout and uploads it).
 LOADGEN_ARTIFACT ?= $${TMPDIR:-/tmp}/ccebench-smoke.json
 
-loadgen-smoke:
-	$(GO) run ./cmd/loadgensmoke -artifact $(LOADGEN_ARTIFACT)
+e2e-smoke:
+	$(GO) run ./cmd/e2esmoke -artifact $(LOADGEN_ARTIFACT)
 
 # Short native-fuzz burst per target, on top of the committed seed corpora
 # (testdata/fuzz/): bitset vs naive model, bucketing round-trips, incremental
@@ -122,12 +119,13 @@ fuzz-smoke:
 # crash recovery from torn logs, load shedding, panic survival, the
 # concurrent refusal invariant, the concurrent-solve stress/chaos tests
 # (solves racing window advances, injector-timed mid-round cancellation),
-# and the request-plane suites — coalescing under injected
-# solver panics/errors, cache differential + degraded serve rules, and job
-# resume from torn checkpoint logs — all with injected solver/monitor/log
-# faults (internal/faultinject). -short keeps the request volume CI-sized.
+# and the request-plane suites — the cache under injected solver
+# panics/errors and a herd of identical misses, cache differential + degraded
+# serve rules, and job resume from torn checkpoint logs — all with injected
+# solver/monitor/log faults (internal/faultinject). -short keeps the request
+# volume CI-sized.
 chaos-smoke:
-	$(GO) test -race -short -run 'Chaos|Robust|Recovery|Degrade|Shed|Panic|Torn|Deadline|Closed|ParallelStress|Coalesce|Job|Cache' \
+	$(GO) test -race -short -run 'Chaos|Robust|Recovery|Degrade|Shed|Panic|Torn|Deadline|Closed|ParallelStress|Job|Cache' \
 		./internal/service/ ./internal/faultinject/ ./internal/persist/ ./internal/cce/
 
 # The replication failover suite under the race detector (DESIGN.md §14):

@@ -105,23 +105,22 @@ func merge(path string, res *loadgen.Result) error {
 		return err
 	}
 	rec := benchsuite.ServingRecord{
-		Name:           res.Name,
-		Targets:        res.Targets,
-		Concurrency:    res.Concurrency,
-		DupRate:        res.DupRate,
-		Requests:       res.Requests,
-		Errors:         res.Errors,
-		Seconds:        res.Seconds,
-		Throughput:     res.Throughput,
-		P50MS:          res.P50MS,
-		P90MS:          res.P90MS,
-		P99MS:          res.P99MS,
-		MaxMS:          res.MaxMS,
-		CacheHits:      res.CacheHits,
-		CacheMisses:    res.CacheMisses,
-		CacheCoalesced: res.CacheCoalesced,
-		CacheBypassed:  res.CacheBypassed,
-		JobItems:       res.JobItems,
+		Name:          res.Name,
+		Targets:       res.Targets,
+		Concurrency:   res.Concurrency,
+		DupRate:       res.DupRate,
+		Requests:      res.Requests,
+		Errors:        res.Errors,
+		Seconds:       res.Seconds,
+		Throughput:    res.Throughput,
+		P50MS:         res.P50MS,
+		P90MS:         res.P90MS,
+		P99MS:         res.P99MS,
+		MaxMS:         res.MaxMS,
+		CacheHits:     res.CacheHits,
+		CacheMisses:   res.CacheMisses,
+		CacheBypassed: res.CacheBypassed,
+		JobItems:      res.JobItems,
 	}
 	replaced := false
 	for i := range doc.Serving {

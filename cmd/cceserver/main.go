@@ -43,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/xai-db/relativekeys/internal/core"
 	"github.com/xai-db/relativekeys/internal/dataset"
 	"github.com/xai-db/relativekeys/internal/feature"
 	"github.com/xai-db/relativekeys/internal/model"
@@ -62,8 +61,7 @@ func main() {
 		retain = flag.Int("retain", 0, "keep only the most recent N observations in the context (0 = unbounded)")
 		warm   = flag.Bool("warm", false, "pre-populate the context with a trained model's inference log")
 
-		explainCache = flag.String("explain-cache", "on", "explanation cache + request coalescing: on or off (DESIGN.md §15)")
-		solveStall   = flag.Duration("solve-stall", 0, "inject this much latency before every solve (chaos/load drills: makes coalescing windows and deadline degradation reproducible on fast contexts; 0 = off)")
+		explainCache = flag.String("explain-cache", "on", "versioned explanation cache: on or off (DESIGN.md §15)")
 		cacheEntries = flag.Int("explain-cache-entries", 0, "explanation-cache entry cap (0 = 8192)")
 		cacheBytes   = flag.Int64("explain-cache-bytes", 0, "explanation-cache approximate byte cap (0 = 32 MiB)")
 
@@ -118,28 +116,6 @@ func main() {
 	default:
 		fatal("parse flags", errors.New("-explain-cache must be on or off"))
 	}
-	// The service solves with core.SRKAnytimePar when Solve is nil; only the
-	// -solve-stall drill wraps it.
-	var solveFn service.SolveFunc
-	solverTag := ""
-	if *solveStall > 0 {
-		// The stall honours the request context: when a deadline fires
-		// mid-stall the solver runs immediately on the expired context and
-		// degrades, exactly like real long solves under load. The stall does
-		// not change results, so the cache-key fingerprint stays the engine's.
-		stall := *solveStall
-		solveFn = func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
-			t := time.NewTimer(stall)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-			case <-t.C:
-			}
-			return core.SRKAnytimePar(ctx, c, x, y, alpha, 1)
-		}
-		solverTag = service.DefaultSolverTag
-	}
-
 	follower := *follow != ""
 	if follower && *warm {
 		fatal("parse flags", errors.New("-warm and -follow are mutually exclusive: a replica warms from its primary"))
@@ -197,14 +173,12 @@ func main() {
 		Alpha:           *alpha,
 		PanelSize:       *panel,
 		Retain:          *retain,
-		Solve:           solveFn,
 		DefaultDeadline: *deadline,
 		MinDeadline:     *minDeadline,
 		MaxInFlight:     *maxInflight,
 		CacheOff:        cacheOff,
 		CacheEntries:    *cacheEntries,
 		CacheBytes:      *cacheBytes,
-		SolverTag:       solverTag,
 		StateDir:        *stateDir,
 		SnapshotEvery:   *snapshotEvery,
 		WALSyncEvery:    *walSyncEvery,

@@ -1,18 +1,32 @@
-// Command obssmoke is the end-to-end observability gate (`make obs-smoke`):
-// it builds the real cceserver binary, boots it with tracing and a separate
-// ops listener, drives observe/explain traffic through the retrying client,
-// then scrapes /metrics, /healthz and /debug/traces and asserts the core
-// series actually moved, that /metrics and /healthz report the same failure
-// counters, and that each scrape serves every metric family once. It
-// exercises the full wiring — solver stage timers, WAL instruments, request
-// middleware, the server's own registry on the ops listener, trace
-// propagation — not the packages in isolation.
+// Command e2esmoke is the end-to-end gate (`make e2e-smoke`): it builds the
+// real cceserver and ccebench binaries once and runs two scenarios against
+// them, exercising the full wiring — solver stage timers, WAL instruments,
+// request middleware, the server's own registry, trace propagation, the
+// explanation cache and the job runner — not the packages in isolation.
+//
+//   - observability: a primary booted with tracing and a separate ops
+//     listener takes observe/explain traffic through the retrying client;
+//     /metrics, /healthz and /debug/traces must show the core series moved,
+//     /metrics and /healthz must report the same failure counters, and each
+//     scrape must serve every metric family once. A follower of that primary
+//     must then catch up, answer a bounded read with its staleness contract,
+//     and expose the replication series.
+//   - load: a ccebench pass (duplicate-heavy interactive traffic plus one
+//     async batch) must produce cache hits, a completed job and a written
+//     JSON artifact, and /metrics must report the same cache and job counts
+//     as /stats.
+//
+// The artifact path defaults to ccebench-smoke.json in the working directory
+// (override with -artifact); CI uploads it so every green run carries its
+// numbers.
 //
 // Exits 0 on success; prints the failed assertion and exits 1 otherwise.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -24,27 +38,48 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "obs-smoke:", err)
+	artifact := flag.String("artifact", "ccebench-smoke.json", "path for the ccebench JSON artifact")
+	flag.Parse()
+	if err := run(*artifact); err != nil {
+		fmt.Fprintln(os.Stderr, "e2e-smoke:", err)
 		os.Exit(1)
 	}
-	fmt.Println("obs-smoke: PASS")
+	fmt.Println("e2e-smoke: PASS")
 }
 
-func run() error {
-	tmp, err := os.MkdirTemp("", "obssmoke")
+func run(artifact string) error {
+	tmp, err := os.MkdirTemp("", "e2esmoke")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(tmp) //rkvet:ignore dropperr best-effort temp cleanup
 
-	bin := filepath.Join(tmp, "cceserver")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/cceserver")
-	build.Stdout, build.Stderr = os.Stdout, os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build cceserver: %w", err)
+	serverBin := filepath.Join(tmp, "cceserver")
+	benchBin := filepath.Join(tmp, "ccebench")
+	for _, b := range []struct{ bin, pkg string }{
+		{serverBin, "./cmd/cceserver"},
+		{benchBin, "./cmd/ccebench"},
+	} {
+		build := exec.Command("go", "build", "-o", b.bin, b.pkg)
+		build.Stdout, build.Stderr = os.Stdout, os.Stderr
+		if err := build.Run(); err != nil {
+			return fmt.Errorf("build %s: %w", b.pkg, err)
+		}
 	}
 
+	if err := observability(tmp, serverBin); err != nil {
+		return fmt.Errorf("observability: %w", err)
+	}
+	if err := load(tmp, serverBin, benchBin, artifact); err != nil {
+		return fmt.Errorf("load: %w", err)
+	}
+	return nil
+}
+
+// observability boots a traced primary with an ops listener, drives traffic
+// through the retrying client, asserts the ops plane shows it, and then runs
+// the follower checks against that primary.
+func observability(tmp, bin string) error {
 	opsAddr, err := e2e.FreeAddr()
 	if err != nil {
 		return err
@@ -181,15 +216,15 @@ func run() error {
 		return fmt.Errorf("no explain trace with an srk.greedy span:\n%s", traces)
 	}
 
-	return replicaSmoke(tmp, bin, base, values, prediction)
+	return follower(tmp, bin, base, values, prediction)
 }
 
-// replicaSmoke boots a follower against the already-running primary and
-// asserts the replication plane is observable end to end: the rk_replica_*
-// series exist on the follower's ops listener, /healthz reports the follower
-// role with the primary's epoch and watermark, and a bounded /explain carries
-// the staleness contract fields.
-func replicaSmoke(tmp, bin, primaryBase string, values map[string]string, prediction string) error {
+// follower boots a follower against the already-running primary and asserts
+// the replication plane is observable end to end: the rk_replica_* series
+// exist on the follower's ops listener, /healthz reports the follower role
+// with the primary's epoch and watermark, and a bounded /explain carries the
+// staleness contract fields.
+func follower(tmp, bin, primaryBase string, values map[string]string, prediction string) error {
 	opsAddr, err := e2e.FreeAddr()
 	if err != nil {
 		return err
@@ -270,6 +305,114 @@ func replicaSmoke(tmp, bin, primaryBase string, values map[string]string, predic
 	}
 	if v, _ := e2e.SeriesValue(metrics, "rk_replica_lag_entries"); v != 0 { //rkvet:ignore floateq the gauge is an integer entry count; a caught-up follower must report exactly zero
 		return fmt.Errorf("caught-up follower reports lag_entries = %v, want 0", v)
+	}
+	return nil
+}
+
+// load boots a server with the explanation cache on and the drift monitor
+// off, runs a ccebench pass against it, and asserts the cache and the job
+// runner worked and that /metrics and /stats agree on their counts.
+func load(tmp, serverBin, benchBin, artifact string) error {
+	srv, err := e2e.Boot(serverBin, tmp, "serving",
+		"-state", filepath.Join(tmp, "state-serving"),
+		"-panel", "0")
+	if err != nil {
+		return err
+	}
+	defer srv.Stop()
+	base := srv.Base
+
+	// The ccebench pass: duplicate-heavy interactive traffic plus one small
+	// async batch, merged into the JSON artifact.
+	var out bytes.Buffer
+	bench := exec.Command(benchBin,
+		"-targets", base,
+		"-duration", "3s",
+		"-concurrency", "8",
+		"-dup", "0.9",
+		"-hot", "8",
+		"-warm", "150",
+		"-batch", "16",
+		"-name", "serving/smoke",
+		"-bench-json", artifact)
+	bench.Stdout, bench.Stderr = &out, os.Stderr
+	if err := bench.Run(); err != nil {
+		return fmt.Errorf("ccebench: %w\nserver log:\n%s", err, srv.Log())
+	}
+	var res struct {
+		Requests  int64 `json:"requests"`
+		Errors    int64 `json:"errors"`
+		CacheHits int64 `json:"cache_hits"`
+		JobItems  int64 `json:"job_items"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &res); err != nil {
+		return fmt.Errorf("ccebench output decode: %w (%s)", err, out.String())
+	}
+	if res.Requests == 0 {
+		return fmt.Errorf("ccebench drove no requests: %s", out.String())
+	}
+	if res.Errors != 0 {
+		return fmt.Errorf("ccebench saw %d errors: %s", res.Errors, out.String())
+	}
+	if res.CacheHits == 0 {
+		return fmt.Errorf("no cache hits under a 90%% duplicate workload: %s", out.String())
+	}
+	if res.JobItems != 16 {
+		return fmt.Errorf("batch job completed %d items, want 16: %s", res.JobItems, out.String())
+	}
+	if _, err := os.Stat(artifact); err != nil {
+		return fmt.Errorf("ccebench artifact missing: %w", err)
+	}
+
+	// The serving counters must be visible on the metrics plane, not just in
+	// /stats, and both must read the same counters.
+	metrics, err := e2e.Get(base + "/metrics")
+	if err != nil {
+		return err
+	}
+	for _, series := range []string{
+		`rk_explain_cache_total{outcome="hit"}`,
+		`rk_explain_cache_total{outcome="miss"}`,
+		`rk_jobs_total{event="completed"}`,
+		`rk_job_items_total`,
+	} {
+		v, ok := e2e.SeriesValue(metrics, series)
+		if !ok {
+			return fmt.Errorf("/metrics missing series %s", series)
+		}
+		if v < 1 {
+			return fmt.Errorf("series %s = %v, want >= 1", series, v)
+		}
+	}
+	raw, err := e2e.Get(base + "/stats")
+	if err != nil {
+		return err
+	}
+	var st struct {
+		Hits     int64 `json:"cache_hits"`
+		Misses   int64 `json:"cache_misses"`
+		Bypassed int64 `json:"cache_bypassed"`
+		Jobs     struct {
+			Completed int64 `json:"completed"`
+			ItemsDone int64 `json:"items_done"`
+		} `json:"jobs"`
+	}
+	if err := json.Unmarshal([]byte(raw), &st); err != nil {
+		return fmt.Errorf("stats decode: %w (%s)", err, raw)
+	}
+	for _, c := range []struct {
+		series string
+		stats  int64
+	}{
+		{`rk_explain_cache_total{outcome="hit"}`, st.Hits},
+		{`rk_explain_cache_total{outcome="miss"}`, st.Misses},
+		{`rk_explain_cache_total{outcome="bypass"}`, st.Bypassed},
+		{`rk_jobs_total{event="completed"}`, st.Jobs.Completed},
+		{`rk_job_items_total`, st.Jobs.ItemsDone},
+	} {
+		if v, ok := e2e.SeriesValue(metrics, c.series); !ok || int64(v) != c.stats {
+			return fmt.Errorf("/metrics %s = %v (present %v), /stats says %d", c.series, v, ok, c.stats)
+		}
 	}
 	return nil
 }

@@ -64,11 +64,10 @@ type ServingRecord struct {
 	P99MS       float64 `json:"p99_ms"`
 	MaxMS       float64 `json:"max_ms"`
 
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheCoalesced int64 `json:"cache_coalesced"`
-	CacheBypassed  int64 `json:"cache_bypassed"`
-	JobItems       int64 `json:"job_items,omitempty"`
+	CacheHits     int64 `json:"cache_hits"`
+	CacheMisses   int64 `json:"cache_misses"`
+	CacheBypassed int64 `json:"cache_bypassed"`
+	JobItems      int64 `json:"job_items,omitempty"`
 }
 
 // Arch reports the document's recorded architecture, falling back to the arch

@@ -1,9 +1,8 @@
-// Package e2e holds the helpers the end-to-end gates (cmd/obssmoke,
-// cmd/loadgensmoke) share: booting a server binary on a free loopback port
-// and stopping it, waiting for it to answer, fetching a page, building an
-// instance from the served schema, reading one Prometheus series, finding
-// families a scrape serves more than once, and dumping a server log into a
-// failure message.
+// Package e2e holds the helpers of the end-to-end gate (cmd/e2esmoke):
+// booting a server binary on a free loopback port and stopping it, waiting
+// for it to answer, fetching a page, building an instance from the served
+// schema, reading one Prometheus series, finding families a scrape serves
+// more than once, and dumping a server log into a failure message.
 package e2e
 
 import (

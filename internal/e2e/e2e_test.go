@@ -80,7 +80,7 @@ rk_replica_lag_entries 0
 		{`rk_explain_cache_total{outcome="miss"}`, 3, true},
 		{`rk_explain_cache_total`, 40, true}, // a bare name matches its first labeled child
 		{`rk_replica_lag_entries`, 0, true},
-		{`rk_explain_cache_total{outcome="coalesced"}`, 0, false},
+		{`rk_explain_cache_total{outcome="bypass"}`, 0, false},
 		{`rk_job_items`, 0, false}, // a prefix is not a series
 	} {
 		got, ok := SeriesValue(exposition, c.series)

@@ -81,10 +81,9 @@ type Result struct {
 	Sources map[string]int64 `json:"sources"`
 
 	// Server-side /stats deltas summed across targets over the run.
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheCoalesced int64 `json:"cache_coalesced"`
-	CacheBypassed  int64 `json:"cache_bypassed"`
+	CacheHits     int64 `json:"cache_hits"`
+	CacheMisses   int64 `json:"cache_misses"`
+	CacheBypassed int64 `json:"cache_bypassed"`
 
 	JobID    string `json:"job_id,omitempty"`
 	JobItems int64  `json:"job_items,omitempty"`
@@ -101,10 +100,9 @@ type schemaDoc struct {
 
 // statsDoc is the slice of GET /stats the generator reads.
 type statsDoc struct {
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheCoalesced int64 `json:"cache_coalesced"`
-	CacheBypassed  int64 `json:"cache_bypassed"`
+	CacheHits     int64 `json:"cache_hits"`
+	CacheMisses   int64 `json:"cache_misses"`
+	CacheBypassed int64 `json:"cache_bypassed"`
 }
 
 // item is one pool member: the request bodies are pre-marshaled so the
@@ -182,7 +180,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.CacheHits = after.CacheHits - before.CacheHits
 	res.CacheMisses = after.CacheMisses - before.CacheMisses
-	res.CacheCoalesced = after.CacheCoalesced - before.CacheCoalesced
 	res.CacheBypassed = after.CacheBypassed - before.CacheBypassed
 	return res, nil
 }
@@ -421,7 +418,6 @@ func readStats(ctx context.Context, client *http.Client, targets []string) (stat
 		}
 		sum.CacheHits += s.CacheHits
 		sum.CacheMisses += s.CacheMisses
-		sum.CacheCoalesced += s.CacheCoalesced
 		sum.CacheBypassed += s.CacheBypassed
 	}
 	return sum, nil

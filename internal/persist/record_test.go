@@ -107,7 +107,8 @@ var logKinds = []logKind{
 // replays whole and untouched (and is exactly the appender's bytes), a
 // missing file is first boot, a torn final line is dropped and truncated
 // from the file, and mid-file damage is ErrCorruptLog with the file left as
-// it was.
+// it was — whether the damaged record no longer parses or parses and fails
+// only its checksum.
 func TestLogRecovery(t *testing.T) {
 	for _, kind := range logKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -117,6 +118,11 @@ func TestLogRecovery(t *testing.T) {
 			torn := append(append([]byte(nil), prefix2...), lines[2][:len(lines[2])/2]...)
 			midDamage := append(append([]byte(nil), lines[0]...), "XX"...)
 			midDamage = append(append(midDamage, lines[1][2:]...), lines[2]...)
+			// The second record with its first value (a one-digit seq or
+			// index) bumped: still valid JSON, caught only by the CRC.
+			altered := append([]byte(nil), lines[1]...)
+			altered[bytes.IndexByte(altered, ':')+1]++
+			crcDamage := bytes.Join([][]byte{lines[0], altered, lines[2]}, nil)
 
 			cases := []struct {
 				name     string
@@ -131,6 +137,7 @@ func TestLogRecovery(t *testing.T) {
 				{name: "missing file"},
 				{name: "torn tail", input: torn, applied: 2, torn: true, wantFile: prefix2},
 				{name: "mid-file damage", input: midDamage, applied: 1, wantErr: ErrCorruptLog, wantFile: midDamage},
+				{name: "checksum mismatch", input: crcDamage, applied: 1, wantErr: ErrCorruptLog, wantFile: crcDamage},
 			}
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {

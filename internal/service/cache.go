@@ -26,13 +26,13 @@ import (
 // deadline treats it as a miss, and a fresh non-degraded result then upgrades
 // the entry in place. A degraded result never overwrites a non-degraded one.
 
-// cacheKey identifies one explain problem. Two requests share a cache entry,
-// and a flight, exactly when they would run byte-identical solves: same
-// context version (the retained context's mutation stamp), solver tag,
-// conformity bound, label and instance. Struct equality compares field by
-// field, so distinct tuples never share a key; alpha compares as a float64,
-// so bounds one ulp apart stay apart, as they do in the solver. Callers run
-// core.ValidateAlpha first, so NaN, which equals nothing, never reaches a key.
+// cacheKey identifies one explain problem. Two requests share a cache entry
+// exactly when they would run byte-identical solves: same context version
+// (the retained context's mutation stamp), solver tag, conformity bound,
+// label and instance. Struct equality compares field by field, so distinct
+// tuples never share a key; alpha compares as a float64, so bounds one ulp
+// apart stay apart, as they do in the solver. Callers run core.ValidateAlpha
+// first, so NaN, which equals nothing, never reaches a key.
 type cacheKey struct {
 	version uint64
 	solver  string

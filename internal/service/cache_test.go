@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/xai-db/relativekeys/internal/core"
+	"github.com/xai-db/relativekeys/internal/faultinject"
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
@@ -33,6 +37,22 @@ func explainRaw(t *testing.T, url string, req ExplainRequest) (int, []byte, stri
 	if err != nil {
 		t.Fatal(err)
 	}
+	return resp.StatusCode, body, resp.Header.Get("X-RK-Cache")
+}
+
+// explainRawErr is explainRaw for goroutines other than the test's: a
+// transport failure returns status 0 instead of failing the test.
+func explainRawErr(url string, req ExplainRequest) (int, []byte, string) {
+	b, err := json.Marshal(req)
+	if err != nil {
+		return 0, nil, ""
+	}
+	resp, err := http.Post(url+"/explain", "application/json", bytes.NewReader(b))
+	if err != nil {
+		return 0, nil, ""
+	}
+	defer resp.Body.Close()          //rkvet:ignore dropperr test teardown
+	body, _ := io.ReadAll(resp.Body) //rkvet:ignore dropperr best-effort read; callers assert on status
 	return resp.StatusCode, body, resp.Header.Get("X-RK-Cache")
 }
 
@@ -240,22 +260,235 @@ func TestCacheDisconnectDegradedNotOverCredited(t *testing.T) {
 	cancel()
 	budget := 30 * time.Second
 	srv.mu.RLock()
-	out, _ := srv.explainLocked(gone, li, 1.0, budget, false)
+	e, _, err := srv.explainLocked(gone, li, 1.0, budget, false)
 	srv.mu.RUnlock()
-	if out.err != nil || !out.e.resp.Degraded {
-		t.Fatalf("disconnected solve: err=%v degraded=%v, want a degraded result", out.err, out.e != nil && out.e.resp.Degraded)
+	if err != nil || !e.resp.Degraded {
+		t.Fatalf("disconnected solve: err=%v degraded=%v, want a degraded result", err, e != nil && e.resp.Degraded)
 	}
 
 	// A live request with the SAME budget must not be served that entry: the
 	// full 30s could produce the exact key.
 	srv.mu.RLock()
-	out, src := srv.explainLocked(context.Background(), li, 1.0, budget, false)
+	e, src, err := srv.explainLocked(context.Background(), li, 1.0, budget, false)
 	srv.mu.RUnlock()
-	if out.err != nil {
-		t.Fatal(out.err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if src == "hit" || out.e.resp.Degraded {
-		t.Fatalf("full-budget request after a disconnect-degraded solve: source=%q degraded=%v, want a fresh exact solve", src, out.e.resp.Degraded)
+	if src == "hit" || e.resp.Degraded {
+		t.Fatalf("full-budget request after a disconnect-degraded solve: source=%q degraded=%v, want a fresh exact solve", src, e.resp.Degraded)
+	}
+}
+
+// TestCacheConcurrentIdenticalMisses is the miss path under a herd: N
+// identical explains released together at a fresh context version each get
+// the body a no_cache request gets, every request counts as exactly one hit
+// or one miss, each miss ran exactly one solve, and the misses' puts of one
+// key leave one entry. The solver holds every solve until all N requests are
+// inside the handler, so the requests that miss do so together and race
+// their puts.
+func TestCacheConcurrentIdenticalMisses(t *testing.T) {
+	workers := 200
+	if testing.Short() {
+		workers = 60
+	}
+	schema := robustSchema(t)
+	var solves, entered atomic.Int64
+	admit := make(chan struct{})
+	release := sync.OnceFunc(func() { close(admit) })
+	// A generous fallback, so a lost request fails the counts instead of
+	// hanging the solves.
+	defer time.AfterFunc(10*time.Second, release).Stop()
+	solve := func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
+		solves.Add(1)
+		<-admit
+		return core.SRKAnytime(ctx, c, x, y, alpha)
+	}
+	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0, Solve: solve, SolverTag: "gated"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Warm(robustSeed()); err != nil {
+		t.Fatal(err)
+	}
+	gate := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if entered.Add(1) >= int64(workers) {
+			release()
+		}
+		srv.Handler().ServeHTTP(w, r)
+	})
+	ts := httptest.NewServer(gate)
+	t.Cleanup(ts.Close)
+	// Cleanups run last-in first-out: a failed check releases the solves
+	// before ts.Close waits for their requests.
+	t.Cleanup(release)
+
+	req := ExplainRequest{
+		Values:     map[string]string{"Income": "3-4K", "Credit": "poor", "Area": "Urban"},
+		Prediction: "Denied",
+	}
+	start := make(chan struct{})
+	bodies := make([][]byte, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			code, body, _ := explainRawErr(ts.URL, req)
+			if code != http.StatusOK {
+				t.Errorf("request %d: status %d", i, code)
+			}
+			bodies[i] = body
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	hits, misses := srv.metrics.cacheHit.Value(), srv.metrics.cacheMiss.Value()
+	if hits+misses != int64(workers) || misses != solves.Load() {
+		t.Fatalf("%d requests: %d hits + %d misses, %d solves; want hits+misses = requests and one solve per miss", workers, hits, misses, solves.Load())
+	}
+	t.Logf("%d requests: %d misses, %d hits", workers, misses, hits)
+	bypass := req
+	bypass.NoCache = true
+	code, ref, _ := explainRaw(t, ts.URL, bypass)
+	if code != http.StatusOK {
+		t.Fatalf("no_cache reference: status %d", code)
+	}
+	for i, b := range bodies {
+		if !bytes.Equal(b, ref) {
+			t.Fatalf("response %d differs from the no_cache body:\n%s\nvs\n%s", i, b, ref)
+		}
+	}
+	if entries, _ := srv.cache.stats(); entries != 1 {
+		t.Fatalf("cache holds %d entries after one key's misses, want 1", entries)
+	}
+}
+
+// errInjectedSolve is the solver error TestChaosCache injects: an error that
+// is neither ErrNoKey nor a context error, so the server must answer 500 and
+// must not cache it.
+var errInjectedSolve = errors.New("faultinject: solver error")
+
+// TestChaosCache floods the cache plane with duplicate-heavy concurrent
+// traffic while the solver panics, errors, and stalls on an injected
+// schedule. The contract: every request completes with a documented status,
+// nothing wedges, and the cache is never poisoned — once the faults stop,
+// every instance explains identically to a cache-bypassed solve.
+func TestChaosCache(t *testing.T) {
+	schema := robustSchema(t)
+	inj := faultinject.New(42)
+	var faultsOn atomic.Bool
+	faultsOn.Store(true)
+	solve := func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
+		if faultsOn.Load() {
+			if inj.Roll(0.15) {
+				panic("faultinject: solver panic")
+			}
+			if inj.Roll(0.15) {
+				return nil, false, errInjectedSolve
+			}
+			if inj.Roll(0.3) {
+				t := time.NewTimer(5 * time.Millisecond)
+				select {
+				case <-ctx.Done():
+					t.Stop()
+				case <-t.C:
+				}
+			}
+		}
+		return core.SRKAnytimePar(ctx, c, x, y, alpha, 2)
+	}
+	srv, err := NewServer(Config{
+		Schema:          schema,
+		Alpha:           1.0,
+		Solve:           solve,
+		SolverTag:       "chaotic",
+		DefaultDeadline: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Warm(robustSeed()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	rows := []ExplainRequest{
+		{Values: map[string]string{"Income": "3-4K", "Credit": "poor", "Area": "Urban"}, Prediction: "Denied"},
+		{Values: map[string]string{"Income": "5-6K", "Credit": "good", "Area": "Rural"}, Prediction: "Approved"},
+		{Values: map[string]string{"Income": "1-2K", "Credit": "poor", "Area": "Urban"}, Prediction: "Denied"},
+	}
+	workers, iters := 16, 40
+	if testing.Short() {
+		workers, iters = 8, 15
+	}
+	allowed := map[int]bool{200: true, 409: true, 500: true, 503: true}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				req := rows[(w+i)%len(rows)]
+				if i%5 == 0 {
+					req.DeadlineMS = 5 // mixed budgets race the degraded serve rule
+				}
+				code, _, _ := explainRawErr(ts.URL, req)
+				if code == 0 {
+					t.Errorf("worker %d: transport error", w)
+					return
+				}
+				if !allowed[code] {
+					t.Errorf("worker %d: status %d outside the contract", w, code)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(120 * time.Second):
+		t.Fatal("chaos load wedged")
+	}
+
+	// Faults off: the cache must now serve only correct, byte-identical
+	// explanations. Bump the context version first — chaos-era entries
+	// (including legitimately degraded ones) are then unreachable, so any
+	// disagreement below means an injected error or panic leaked into the
+	// cache, not that a valid degraded entry answered within its budget.
+	faultsOn.Store(false)
+	obs, err := json.Marshal(ObserveRequest{
+		Values:     map[string]string{"Income": "1-2K", "Credit": "good", "Area": "Rural"},
+		Prediction: "Approved",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oresp, err := http.Post(ts.URL+"/observe", "application/json", bytes.NewReader(obs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oresp.Body.Close() //rkvet:ignore dropperr test teardown
+	if oresp.StatusCode != http.StatusOK {
+		t.Fatalf("post-chaos observe: %s", oresp.Status)
+	}
+	for _, req := range rows {
+		bypass := req
+		bypass.NoCache = true
+		refCode, refBody, _ := explainRawErr(ts.URL, bypass)
+		if refCode != http.StatusOK && refCode != http.StatusConflict {
+			t.Fatalf("post-chaos bypass status %d", refCode)
+		}
+		for i := 0; i < 3; i++ {
+			code, body, src := explainRawErr(ts.URL, req)
+			if code != refCode || !bytes.Equal(body, refBody) {
+				t.Fatalf("post-chaos %s (%d) differs from bypass (%d):\n%s\nvs\n%s", src, code, refCode, body, refBody)
+			}
+		}
 	}
 }
 

@@ -28,8 +28,8 @@ import (
 // The runner is a single goroutine that solves items sequentially, taking the
 // state read-lock once per item, so a running batch interleaves with
 // interactive traffic instead of starving it; each item goes through the
-// explanation cache and flight group like any other explain, so batches and
-// interactive requests share work.
+// explanation cache like any other explain, so batches and interactive
+// requests share work.
 //
 // With a state directory configured, the job spec is written atomically at
 // submit and every completed item is checkpointed to a per-job CRC log before
@@ -429,7 +429,7 @@ func (st *jobStore) run() {
 // runJob solves the job's unfinished suffix item by item, checkpointing each
 // result before acking it. The state read-lock is taken once per item, so a
 // long batch never starves interactive explains; each item rides the
-// explanation cache and flight group like interactive traffic.
+// explanation cache like interactive traffic.
 func (st *jobStore) runJob(j *job) {
 	j.setState(jobRunning, "")
 	start := len(j.results) // runner owns the job; no concurrent writer
@@ -494,19 +494,19 @@ func (st *jobStore) solveItem(j *job, idx int) (json.RawMessage, error) {
 	}
 	s := st.srv
 	s.mu.RLock()
-	out, _ := s.explainLocked(ctx, j.items[idx], j.alpha, j.deadline, false)
+	e, _, err := s.explainLocked(ctx, j.items[idx], j.alpha, j.deadline, false)
 	s.mu.RUnlock()
 	res := JobItemResult{Index: idx}
 	switch {
-	case out.err != nil:
-		res.Error = out.err.Error()
-	case out.e.noKey:
+	case err != nil:
+		res.Error = err.Error()
+	case e.noKey:
 		res.NoKey = true
 	default:
-		if out.e.resp.Degraded {
+		if e.resp.Degraded {
 			s.metrics.explainDegraded.Inc()
 		}
-		resp := out.e.resp
+		resp := e.resp
 		res.Resp = &resp
 	}
 	return json.Marshal(&res)

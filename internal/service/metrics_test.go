@@ -32,7 +32,6 @@ var serverCounters = []string{
 	`rk_snapshot_failures_total`,
 	`rk_explain_cache_total{outcome="hit"}`,
 	`rk_explain_cache_total{outcome="miss"}`,
-	`rk_explain_cache_total{outcome="coalesced"}`,
 	`rk_explain_cache_total{outcome="bypass"}`,
 	`rk_explain_cache_evictions_total`,
 	`rk_jobs_total{event="submitted"}`,
@@ -139,7 +138,6 @@ func checkAgree(t *testing.T, name, base string, m map[string]float64) {
 		{"stats degraded_total", st.DegradedTotal, n(`rk_explain_degraded_total`)},
 		{"stats cache_hits", st.CacheHits, n(`rk_explain_cache_total{outcome="hit"}`)},
 		{"stats cache_misses", st.CacheMisses, n(`rk_explain_cache_total{outcome="miss"}`)},
-		{"stats cache_coalesced", st.CacheCoalesced, n(`rk_explain_cache_total{outcome="coalesced"}`)},
 		{"stats cache_bypassed", st.CacheBypassed, n(`rk_explain_cache_total{outcome="bypass"}`)},
 		{"stats context_size", int64(st.ContextSize), n(`rk_context_rows`)},
 		{"stats observe_rollbacks_monitor", st.RollbacksMonitor, n(`rk_observe_rollbacks_total{cause="monitor"}`)},

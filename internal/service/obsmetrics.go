@@ -35,7 +35,7 @@ type serverMetrics struct {
 
 	panicsRecovered, walSyncFailures, snapshotFailures *obs.Counter
 
-	cacheHit, cacheMiss, cacheCoalesced, cacheBypass, cacheEvictions *obs.Counter
+	cacheHit, cacheMiss, cacheBypass, cacheEvictions *obs.Counter
 
 	jobSubmitted, jobCompleted, jobFailed, jobResumed, jobItemsDone *obs.Counter
 }
@@ -77,10 +77,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.rollbackMonitor, m.rollbackWAL = rollbacks.With("monitor"), rollbacks.With("wal")
 
 	cache := r.NewCounterVec("rk_explain_cache_total",
-		"Explain requests through the explanation cache, by outcome: hit (served from cache), miss (solved and stored), coalesced (waited on an identical in-flight solve), bypass (cache off or no_cache).",
+		"Explain requests through the explanation cache, by outcome: hit (served from cache), miss (solved and stored), bypass (cache off or no_cache).",
 		"outcome")
-	m.cacheHit, m.cacheMiss = cache.With("hit"), cache.With("miss")
-	m.cacheCoalesced, m.cacheBypass = cache.With("coalesced"), cache.With("bypass")
+	m.cacheHit, m.cacheMiss, m.cacheBypass = cache.With("hit"), cache.With("miss"), cache.With("bypass")
 
 	jobs := r.NewCounterVec("rk_jobs_total",
 		"Async ExplainAll job lifecycle events: submitted, completed, failed, resumed (picked up after a restart).",

@@ -40,10 +40,9 @@ type DriftObserver interface {
 	Arrivals() int
 }
 
-// DefaultSolverTag is the cache-key fingerprint of the default solver,
-// core.SRKAnytimePar. A Solve wrapper that leaves results unchanged, such as
-// a latency drill, passes it as Config.SolverTag.
-const DefaultSolverTag = "srk"
+// defaultSolverTag is the cache-key fingerprint of the default solver,
+// core.SRKAnytimePar.
+const defaultSolverTag = "srk"
 
 // SolveFunc is the anytime solver seam, matching core.SRKAnytime: it returns
 // the key, whether the deadline degraded it, and an error.
@@ -63,8 +62,7 @@ type Config struct {
 	// served engine (DESIGN.md §11), which returns byte-identical keys to the
 	// eager reference while scanning only the survivors' nonzero words after
 	// the first pick. Tests set it to core.SRKAnytime to run the eager path,
-	// or to a fault-injecting wrapper; cceserver sets it only for its
-	// -solve-stall drill.
+	// or to a fault-injecting or timing wrapper.
 	Solve SolveFunc
 
 	// Parallelism is ignored: the served engine solves each explain
@@ -75,15 +73,14 @@ type Config struct {
 	MinDeadline     time.Duration // floor: shorter requests shed with 503
 	MaxInFlight     int           // concurrent explains; 0 = unbounded
 
-	// Explanation cache + request coalescing (DESIGN.md §15). The cache
-	// memoizes rendered explain responses under the (context version,
-	// solver config, alpha, instance) key; concurrent identical
-	// misses coalesce onto one solve. CacheOff disables both. CacheEntries
-	// and CacheBytes bound the cache (0 = defaults: 8192 entries, 32 MiB).
-	// SolverTag fingerprints the solver configuration inside cache keys; ""
-	// means DefaultSolverTag when Solve is nil and "custom" otherwise. Two
-	// servers sharing persisted state but configured with different solvers
-	// must carry different tags.
+	// Explanation cache (DESIGN.md §15). The cache memoizes rendered explain
+	// responses under the (context version, solver config, alpha, instance)
+	// key; a miss solves and stores its outcome. CacheOff disables it.
+	// CacheEntries and CacheBytes bound the cache (0 = defaults: 8192
+	// entries, 32 MiB). SolverTag fingerprints the solver configuration
+	// inside cache keys; "" means "srk" (the default engine's tag) when Solve
+	// is nil and "custom" otherwise. Two servers sharing persisted state but
+	// configured with different solvers must carry different tags.
 	CacheOff     bool
 	CacheEntries int
 	CacheBytes   int64
@@ -137,10 +134,9 @@ type Server struct {
 	snapPath        string        // "" = snapshots off
 	sem             chan struct{} // nil = unbounded explains
 
-	// Explanation cache + coalescing (DESIGN.md §15); immutable after
-	// construction. cache nil = caching and coalescing off.
+	// Explanation cache (DESIGN.md §15); immutable after construction.
+	// cache nil = caching off.
 	cache     *explainCache
-	flights   *flightGroup
 	solverTag string
 
 	jobs *jobStore // nil = jobs disabled (never in practice; see NewServer)
@@ -222,7 +218,7 @@ func NewServer(cfg Config) (*Server, error) {
 			return core.SRKAnytimePar(ctx, c, x, y, alpha, 1)
 		}
 		if s.solverTag == "" {
-			s.solverTag = DefaultSolverTag
+			s.solverTag = defaultSolverTag
 		}
 	}
 	if s.solverTag == "" {
@@ -233,7 +229,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if !cfg.CacheOff {
 		s.cache = newExplainCache(cfg.CacheEntries, cfg.CacheBytes)
 		s.cache.evictions = s.metrics.cacheEvictions
-		s.flights = newFlightGroup()
 	}
 	if s.snapshotEvery <= 0 {
 		s.snapshotEvery = defaultSnapshotEvery
@@ -613,10 +608,10 @@ type ExplainRequest struct {
 	DeadlineMS     int64             `json:"deadline_ms,omitempty"`
 	MaxStalenessMS int64             `json:"max_staleness_ms,omitempty"`
 
-	// NoCache bypasses the explanation cache and request coalescing for this
-	// request: the solve always runs. The response body is byte-identical to
-	// the cached path at the same context version (the differential suite
-	// enforces this); only the X-RK-Cache header differs.
+	// NoCache bypasses the explanation cache for this request: the solve
+	// always runs. The response body is byte-identical to the cached path at
+	// the same context version (the differential suite enforces this); only
+	// the X-RK-Cache header differs.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
@@ -657,15 +652,14 @@ type StatsResponse struct {
 	Seq              uint64  `json:"seq,omitempty"`
 	PersistenceOn    bool    `json:"persistence_active,omitempty"`
 
-	// Explanation cache and coalescing (DESIGN.md §15). CacheActive is false
-	// when the server runs with CacheOff.
-	CacheActive    bool  `json:"cache_active"`
-	CacheHits      int64 `json:"cache_hits,omitempty"`
-	CacheMisses    int64 `json:"cache_misses,omitempty"`
-	CacheCoalesced int64 `json:"cache_coalesced,omitempty"`
-	CacheBypassed  int64 `json:"cache_bypassed,omitempty"`
-	CacheEntries   int   `json:"cache_entries,omitempty"`
-	CacheBytes     int64 `json:"cache_bytes,omitempty"`
+	// Explanation cache (DESIGN.md §15). CacheActive is false when the
+	// server runs with CacheOff.
+	CacheActive   bool  `json:"cache_active"`
+	CacheHits     int64 `json:"cache_hits,omitempty"`
+	CacheMisses   int64 `json:"cache_misses,omitempty"`
+	CacheBypassed int64 `json:"cache_bypassed,omitempty"`
+	CacheEntries  int   `json:"cache_entries,omitempty"`
+	CacheBytes    int64 `json:"cache_bytes,omitempty"`
 
 	// Async batch jobs (DESIGN.md §15): aggregate counters plus per-job
 	// progress for every unfinished job.
@@ -860,20 +854,20 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		unavailable(w, errDraining.Error())
 		return
 	}
-	out, source := s.explainLocked(ctx, li, alpha, deadline, req.NoCache)
-	if out.err != nil {
-		http.Error(w, out.err.Error(), http.StatusInternalServerError)
+	e, source, err := s.explainLocked(ctx, li, alpha, deadline, req.NoCache)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("X-RK-Cache", source)
-	if out.e.noKey {
+	if e.noKey {
 		http.Error(w, "no α-conformant key exists for this instance", http.StatusConflict)
 		return
 	}
-	if out.e.resp.Degraded {
+	if e.resp.Degraded {
 		s.metrics.explainDegraded.Inc()
 	}
-	resp := out.e.resp
+	resp := e.resp
 	if s.follower {
 		// Re-check the bound after the solve: a long solve (or a stream that
 		// died mid-request) must not convert an in-bound admission into an
@@ -892,52 +886,35 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// explainLocked answers one explain through the cache and flight group
-// (DESIGN.md §15): bypass (cache off or no_cache) solves directly; otherwise
-// the cache key — context version, solver tag, alpha, label, instance — is
-// looked up, and misses coalesce so concurrent identical requests run one
-// solve. source is the X-RK-Cache header value: "hit", "miss", "coalesced",
-// or "bypass", and exactly that outcome's counter moves: a waiter that
-// falls back to its own solve counts as a miss, not as coalesced. Callers
-// hold s.mu (read); the version therefore cannot move under the flight, so
-// every member of a flight shares one solve problem.
-func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha float64, budget time.Duration, noCache bool) (solveOutcome, string) {
+// explainLocked answers one explain through the explanation cache (DESIGN.md
+// §15): bypass (cache off or no_cache) solves directly; otherwise the cache
+// key — context version, solver tag, alpha, label, instance — is looked up,
+// and a miss solves and stores its outcome. source is the X-RK-Cache header
+// value: "hit", "miss" or "bypass", and exactly that outcome's counter moves.
+// Callers hold s.mu (read), so the version cannot move between the lookup and
+// the put: every entry is stored under the version it was solved at.
+// Concurrent identical misses each solve and put the same bytes.
+func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha float64, budget time.Duration, noCache bool) (*cachedExplain, string, error) {
 	if s.cache == nil || noCache {
 		s.metrics.cacheBypass.Inc()
-		return s.solveEntryLocked(ctx, li, alpha, budget), "bypass"
+		e, err := s.solveEntryLocked(ctx, li, alpha, budget)
+		return e, "bypass", err
 	}
 	ckey := cacheKeyOf(s.ctx.Version(), s.solverTag, alpha, li)
 	if e, ok := s.cache.get(ckey, budget); ok {
 		s.metrics.cacheHit.Inc()
-		return solveOutcome{e: e}, "hit"
+		return e, "hit", nil
 	}
-	out, _, coalesced := s.flights.do(ctx, ckey, budget, func() solveOutcome {
-		o := s.solveEntryLocked(ctx, li, alpha, budget)
-		// Cache every deterministic outcome. A degraded result is cached only
-		// with a positive budget attached (so the serve rule can compare); a
-		// solve degraded by a client disconnect on an unbounded request is
-		// servable to nobody and is not stored.
-		if o.err == nil && (!o.e.degraded || o.e.budget > 0) {
-			s.cache.put(ckey, o.e)
-		}
-		return o
-	})
-	if !coalesced {
-		s.metrics.cacheMiss.Inc()
-		return out, "miss"
+	e, err := s.solveEntryLocked(ctx, li, alpha, budget)
+	s.metrics.cacheMiss.Inc()
+	// Cache every deterministic outcome. A degraded result is cached only
+	// with a positive budget attached (so the serve rule can compare); a
+	// solve degraded by a client disconnect on an unbounded request is
+	// servable to nobody and is not stored.
+	if err == nil && (!e.degraded || e.budget > 0) {
+		s.cache.put(ckey, e)
 	}
-	// The leader's outcome may not be usable here: the leader erred or
-	// panicked, this waiter's deadline fired first, or the result degraded
-	// under a shorter budget than this request carries. All of those fall
-	// back to a direct solve — on an expired waiter context the anytime
-	// solver completes on its cheap degraded path, so the fallback cannot
-	// blow the deadline it just missed.
-	if out.err != nil || !out.e.servableFor(budget) {
-		s.metrics.cacheMiss.Inc()
-		return s.solveEntryLocked(ctx, li, alpha, budget), "miss"
-	}
-	s.metrics.cacheCoalesced.Inc()
-	return out, "coalesced"
+	return e, "miss", err
 }
 
 // solveEntryLocked runs one solve and renders the cacheable outcome: the
@@ -949,17 +926,17 @@ func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha fl
 // request's deadline, and stamping the nominal value would let that entry
 // satisfy every later request up to the full deadline without a re-solve.
 // Callers hold s.mu (read).
-func (s *Server) solveEntryLocked(ctx context.Context, li feature.Labeled, alpha float64, budget time.Duration) solveOutcome {
+func (s *Server) solveEntryLocked(ctx context.Context, li feature.Labeled, alpha float64, budget time.Duration) (*cachedExplain, error) {
 	start := time.Now()
 	c := s.ctx.Context()
 	key, degraded, err := s.solve(ctx, c, li.X, li.Y, alpha)
 	if err == core.ErrNoKey {
 		// The no-key verdict is exact (never deadline-degraded), so it caches
 		// as a first-class deterministic answer.
-		return solveOutcome{e: &cachedExplain{noKey: true, resp: ExplainResponse{Context: c.Len()}}}
+		return &cachedExplain{noKey: true, resp: ExplainResponse{Context: c.Len()}}, nil
 	}
 	if err != nil {
-		return solveOutcome{err: err}
+		return nil, err
 	}
 	violations, coverage := core.ViolationsCoverage(c, li.X, li.Y, key)
 	resp := ExplainResponse{
@@ -978,7 +955,7 @@ func (s *Server) solveEntryLocked(ctx context.Context, li feature.Labeled, alpha
 			stamp = elapsed
 		}
 	}
-	return solveOutcome{e: &cachedExplain{resp: resp, degraded: degraded, budget: stamp}}
+	return &cachedExplain{resp: resp, degraded: degraded, budget: stamp}, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1009,7 +986,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.CacheActive = true
 		resp.CacheHits = m.cacheHit.Value()
 		resp.CacheMisses = m.cacheMiss.Value()
-		resp.CacheCoalesced = m.cacheCoalesced.Value()
 		resp.CacheBypassed = m.cacheBypass.Value()
 		resp.CacheEntries, resp.CacheBytes = s.cache.stats()
 	}
