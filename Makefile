@@ -120,10 +120,10 @@ fuzz-smoke:
 # concurrent refusal invariant, the concurrent-solve stress/chaos tests
 # (solves racing window advances, injector-timed mid-round cancellation),
 # and the request-plane suites — the cache under injected solver
-# panics/errors and a herd of identical misses, cache differential + degraded
-# serve rules, and job resume from torn checkpoint logs — all with injected
-# solver/monitor/log faults (internal/faultinject). -short keeps the request
-# volume CI-sized.
+# panics/errors and a herd of identical misses, cache differential + the
+# exact-only rule (degraded keys are never stored), and job resume from torn
+# checkpoint logs — all with injected solver/monitor/log faults
+# (internal/faultinject). -short keeps the request volume CI-sized.
 chaos-smoke:
 	$(GO) test -race -short -run 'Chaos|Robust|Recovery|Degrade|Shed|Panic|Torn|Deadline|Closed|ParallelStress|Job|Cache' \
 		./internal/service/ ./internal/faultinject/ ./internal/persist/ ./internal/cce/

@@ -197,9 +197,9 @@ func (w *Window) Version() int {
 // core.Retained.Version): it advances with every row the sliding window adds
 // or retires and with every Reset, a finer grain than Version, which ticks
 // once per ΔI-step. Equal stamps guarantee identical context content, which
-// is what lets a service tier cache explanations keyed on (stamp, instance,
-// solver config) and have window movement invalidate them for free
-// (DESIGN.md §15).
+// is what lets a service tier cache explanations keyed on (stamp, alpha,
+// instance) and have window movement invalidate them for free (DESIGN.md
+// §15).
 func (w *Window) ContextVersion() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()

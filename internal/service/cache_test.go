@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,7 +66,7 @@ func TestExplainCacheDifferential(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"eager", Config{Schema: schema, Alpha: 1.0, Solve: SolveFunc(core.SRKAnytime), SolverTag: "eager"}},
+		{"eager", Config{Schema: schema, Alpha: 1.0, Solve: SolveFunc(core.SRKAnytime)}},
 		// The default engine; Parallelism is ignored, and the lazy_p* names
 		// date from the retired lazy engine.
 		{"lazy_p1", Config{Schema: schema, Alpha: 1.0, Parallelism: 1}},
@@ -146,24 +145,22 @@ func TestExplainCacheDifferential(t *testing.T) {
 	}
 }
 
-// TestCacheDegradedServeRule pins the degraded-entry contract end to end: a
-// result degraded under budget B is served from cache only to requests whose
-// budget is ≤ B; a longer-deadline (or unbounded) request re-solves, and a
-// non-degraded result then upgrades the entry for everyone.
+// TestCacheDegradedServeRule pins the exact-only rule end to end: a result
+// degraded by its deadline goes back to the request that paid for it and is
+// never stored, so the same request misses again; an unbounded request then
+// stores the exact key, which every later bounded request hits.
 func TestCacheDegradedServeRule(t *testing.T) {
 	schema := robustSchema(t)
 	solve := func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
 		if _, bounded := ctx.Deadline(); bounded {
 			// Run until the deadline genuinely fires, then yield a valid but
-			// larger key — the honest anytime-degradation shape. (An instant
-			// degraded return would model a cut-short solve, which the cache
-			// deliberately credits with only its elapsed time.)
+			// larger key — the honest anytime-degradation shape.
 			<-ctx.Done()
 			return core.Key{0, 1}, true, nil
 		}
 		return core.Key{0}, false, nil
 	}
-	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0, Solve: solve, SolverTag: "fake"})
+	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0, Solve: solve})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +173,7 @@ func TestCacheDegradedServeRule(t *testing.T) {
 	req := ExplainRequest{
 		Values:     map[string]string{"Income": "3-4K", "Credit": "poor", "Area": "Urban"},
 		Prediction: "Denied",
-		DeadlineMS: 200,
+		DeadlineMS: 50,
 	}
 	decode := func(body []byte) ExplainResponse {
 		var r ExplainResponse
@@ -185,52 +182,47 @@ func TestCacheDegradedServeRule(t *testing.T) {
 		}
 		return r
 	}
+	entries := func() int {
+		n, _ := srv.cache.stats()
+		return n
+	}
 
-	// Degraded solve under 200ms lands in the cache with that budget.
-	_, body, src := explainRaw(t, ts.URL, req)
-	if src != "miss" || !decode(body).Degraded {
-		t.Fatalf("first request: source %q, body %s", src, body)
+	// The degraded answer is served to its request but not stored: the same
+	// request misses again and the cache stays empty.
+	for i := 0; i < 2; i++ {
+		_, body, src := explainRaw(t, ts.URL, req)
+		if src != "miss" || !decode(body).Degraded {
+			t.Fatalf("bounded request %d: source %q, body %s", i, src, body)
+		}
+		if n := entries(); n != 0 {
+			t.Fatalf("bounded request %d: cache holds %d entries, want 0", i, n)
+		}
 	}
-	// A shorter budget is served the degraded entry.
-	shorter := req
-	shorter.DeadlineMS = 100
-	_, body, src = explainRaw(t, ts.URL, shorter)
-	if src != "hit" || !decode(body).Degraded {
-		t.Fatalf("shorter budget: source %q, body %s", src, body)
-	}
-	// A longer budget must NOT be served it: it re-solves (still degraded
-	// here, since the fake solver degrades any bounded request) and the entry
-	// upgrades to the longer budget.
-	longer := req
-	longer.DeadlineMS = 500
-	_, body, src = explainRaw(t, ts.URL, longer)
-	if src != "miss" || !decode(body).Degraded {
-		t.Fatalf("longer budget: source %q, body %s", src, body)
-	}
-	_, _, src = explainRaw(t, ts.URL, shorter)
-	if src != "hit" {
-		t.Fatalf("shorter budget after upgrade: source %q", src)
-	}
-	// An unbounded request re-solves non-degraded and upgrades the entry;
-	// bounded requests now hit the non-degraded result.
+	// An unbounded request solves the exact key and stores it.
 	unbounded := req
 	unbounded.DeadlineMS = 0
-	_, body, src = explainRaw(t, ts.URL, unbounded)
+	_, body, src := explainRaw(t, ts.URL, unbounded)
 	if src != "miss" || decode(body).Degraded {
 		t.Fatalf("unbounded: source %q, body %s", src, body)
 	}
-	_, body, src = explainRaw(t, ts.URL, shorter)
-	if src != "hit" || decode(body).Degraded {
-		t.Fatalf("post-upgrade hit: source %q, body %s", src, body)
+	if n := entries(); n != 1 {
+		t.Fatalf("after the exact solve: cache holds %d entries, want 1", n)
+	}
+	// Bounded requests, whatever their budget, now hit the exact key.
+	for _, ms := range []int64{50, 1, 500} {
+		bounded := req
+		bounded.DeadlineMS = ms
+		_, body, src = explainRaw(t, ts.URL, bounded)
+		if src != "hit" || decode(body).Degraded {
+			t.Fatalf("deadline_ms %d after the exact solve: source %q, body %s", ms, src, body)
+		}
 	}
 }
 
-// TestCacheDisconnectDegradedNotOverCredited pins the effective-budget stamp:
-// a solve degraded because the client disconnected (request context canceled
-// long before the deadline) ran under a tiny effective budget, and the cached
-// entry must not be credited with the request's nominal deadline — a later
-// request carrying the same deadline re-solves instead of inheriting the
-// cut-short result.
+// TestCacheDisconnectDegradedNotOverCredited pins the disconnect case: a
+// solve degraded because the client disconnected (request context canceled
+// long before the deadline) is not stored, so a later live request with the
+// same deadline re-solves instead of inheriting the cut-short result.
 func TestCacheDisconnectDegradedNotOverCredited(t *testing.T) {
 	schema := robustSchema(t)
 	solve := func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
@@ -242,7 +234,7 @@ func TestCacheDisconnectDegradedNotOverCredited(t *testing.T) {
 			return core.Key{0}, false, nil
 		}
 	}
-	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0, Solve: solve, SolverTag: "fake"})
+	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0, Solve: solve})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,28 +246,29 @@ func TestCacheDisconnectDegradedNotOverCredited(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The disconnect: a request with a generous 30s budget whose context is
+	// The disconnect: a request with a generous 30s deadline whose context is
 	// already canceled when the solve starts.
-	gone, cancel := context.WithCancel(context.Background())
+	gone, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	cancel()
-	budget := 30 * time.Second
 	srv.mu.RLock()
-	e, _, err := srv.explainLocked(gone, li, 1.0, budget, false)
+	e, _, err := srv.explainLocked(gone, li, 1.0, false)
 	srv.mu.RUnlock()
 	if err != nil || !e.resp.Degraded {
 		t.Fatalf("disconnected solve: err=%v degraded=%v, want a degraded result", err, e != nil && e.resp.Degraded)
 	}
 
-	// A live request with the SAME budget must not be served that entry: the
-	// full 30s could produce the exact key.
+	// A live request with the same deadline must not be served that result:
+	// the full 30s can produce the exact key.
+	live, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	srv.mu.RLock()
-	e, src, err := srv.explainLocked(context.Background(), li, 1.0, budget, false)
+	e, src, err := srv.explainLocked(live, li, 1.0, false)
 	srv.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if src == "hit" || e.resp.Degraded {
-		t.Fatalf("full-budget request after a disconnect-degraded solve: source=%q degraded=%v, want a fresh exact solve", src, e.resp.Degraded)
+		t.Fatalf("full-deadline request after a disconnect-degraded solve: source=%q degraded=%v, want a fresh exact solve", src, e.resp.Degraded)
 	}
 }
 
@@ -303,7 +296,7 @@ func TestCacheConcurrentIdenticalMisses(t *testing.T) {
 		<-admit
 		return core.SRKAnytime(ctx, c, x, y, alpha)
 	}
-	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0, Solve: solve, SolverTag: "gated"})
+	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0, Solve: solve})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +396,6 @@ func TestChaosCache(t *testing.T) {
 		Schema:          schema,
 		Alpha:           1.0,
 		Solve:           solve,
-		SolverTag:       "chaotic",
 		DefaultDeadline: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -433,7 +425,7 @@ func TestChaosCache(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				req := rows[(w+i)%len(rows)]
 				if i%5 == 0 {
-					req.DeadlineMS = 5 // mixed budgets race the degraded serve rule
+					req.DeadlineMS = 5 // mixed budgets: degraded answers race exact ones
 				}
 				code, _, _ := explainRawErr(ts.URL, req)
 				if code == 0 {
@@ -456,26 +448,10 @@ func TestChaosCache(t *testing.T) {
 	}
 
 	// Faults off: the cache must now serve only correct, byte-identical
-	// explanations. Bump the context version first — chaos-era entries
-	// (including legitimately degraded ones) are then unreachable, so any
-	// disagreement below means an injected error or panic leaked into the
-	// cache, not that a valid degraded entry answered within its budget.
+	// explanations, chaos-era entries included. Only exact outcomes are
+	// stored, so any disagreement below means an injected error, a panic or
+	// a degraded key leaked into the cache.
 	faultsOn.Store(false)
-	obs, err := json.Marshal(ObserveRequest{
-		Values:     map[string]string{"Income": "1-2K", "Credit": "good", "Area": "Rural"},
-		Prediction: "Approved",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oresp, err := http.Post(ts.URL+"/observe", "application/json", bytes.NewReader(obs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oresp.Body.Close() //rkvet:ignore dropperr test teardown
-	if oresp.StatusCode != http.StatusOK {
-		t.Fatalf("post-chaos observe: %s", oresp.Status)
-	}
 	for _, req := range rows {
 		bypass := req
 		bypass.NoCache = true
@@ -559,32 +535,28 @@ func TestCacheOff(t *testing.T) {
 func TestCacheKeyInjective(t *testing.T) {
 	type tuple struct {
 		version uint64
-		solver  string
 		alpha   float64
 		y       feature.Label
 		x       feature.Instance
 	}
 	fixtures := []tuple{
 		{},
-		{1, "lazy/p=1", 1.0, 0, feature.Instance{0, 0, 0}},
-		{1, "lazy/p=1", 1.0, 1, feature.Instance{0, 0, 0}},
-		{2, "lazy/p=1", 1.0, 0, feature.Instance{0, 0, 0}},
-		{1, "lazy/p=4", 1.0, 0, feature.Instance{0, 0, 0}},
-		{1, "eager", 1.0, 0, feature.Instance{0, 0, 0}},
-		{1, "lazy/p=1", 0.9, 0, feature.Instance{0, 0, 0}},
+		{1, 1.0, 0, feature.Instance{0, 0, 0}},
+		{1, 1.0, 1, feature.Instance{0, 0, 0}},
+		{2, 1.0, 0, feature.Instance{0, 0, 0}},
+		{1, 0.9, 0, feature.Instance{0, 0, 0}},
 		// One ulp below 0.9: the bound the solver distinguishes, the key must too.
-		{1, "lazy/p=1", 0.8999999999999999, 0, feature.Instance{0, 0, 0}},
-		{1, "lazy/p=1", 1.0, 0, feature.Instance{0, 0, 1}},
-		{1, "lazy/p=1", 1.0, 0, feature.Instance{0, 0}},
-		{1, "lazy/p=1", 1.0, 0, nil},
-		{1 << 40, strings.Repeat("c", 300), -1, 1<<31 - 1, feature.Instance{1<<31 - 1, 0}},
-		// A solver tag that embeds bytes resembling an instance encoding.
-		{7, "\x01\x00\xff", 0, -1, feature.Instance{3}},
+		{1, 0.8999999999999999, 0, feature.Instance{0, 0, 0}},
+		{1, 1.0, 0, feature.Instance{0, 0, 1}},
+		{1, 1.0, 0, feature.Instance{0, 0}},
+		{1, 1.0, 0, nil},
+		{1 << 40, -1, 1<<31 - 1, feature.Instance{1<<31 - 1, 0}},
+		{7, 0, -1, feature.Instance{3}},
 	}
 	seen := make(map[cacheKey]int)
 	for i, f := range fixtures {
-		k := cacheKeyOf(f.version, f.solver, f.alpha, feature.Labeled{X: f.x, Y: f.y})
-		if again := cacheKeyOf(f.version, f.solver, f.alpha, feature.Labeled{X: f.x.Clone(), Y: f.y}); again != k {
+		k := cacheKeyOf(f.version, f.alpha, feature.Labeled{X: f.x, Y: f.y})
+		if again := cacheKeyOf(f.version, f.alpha, feature.Labeled{X: f.x.Clone(), Y: f.y}); again != k {
 			t.Fatalf("fixture %d: rebuilding the key gave %+v, want %+v", i, again, k)
 		}
 		if j, dup := seen[k]; dup {
@@ -601,17 +573,17 @@ func TestExplainCacheLRU(t *testing.T) {
 	entry := func(rule string) *cachedExplain {
 		return &cachedExplain{resp: ExplainResponse{Rule: rule}}
 	}
-	a, b := cacheKey{solver: "a"}, cacheKey{solver: "b"}
+	a, b := cacheKey{x: "a"}, cacheKey{x: "b"}
 	c.put(a, entry("A"))
 	c.put(b, entry("B"))
-	if _, ok := c.get(a, 0); !ok { // promote a; b is now coldest
+	if _, ok := c.get(a); !ok { // promote a; b is now coldest
 		t.Fatal("a missing")
 	}
-	c.put(cacheKey{solver: "c"}, entry("C"))
-	if _, ok := c.get(b, 0); ok {
+	c.put(cacheKey{x: "c"}, entry("C"))
+	if _, ok := c.get(b); ok {
 		t.Fatal("b survived past the entry cap")
 	}
-	if _, ok := c.get(a, 0); !ok {
+	if _, ok := c.get(a); !ok {
 		t.Fatal("promoted entry evicted")
 	}
 	entries, bytes := c.stats()
@@ -623,47 +595,72 @@ func TestExplainCacheLRU(t *testing.T) {
 	tiny := newExplainCache(100, 150)
 	tiny.put(a, entry("a long rendered rule body that dominates the budget"))
 	tiny.put(b, entry("another long rendered rule body that dominates it too"))
-	if _, ok := tiny.get(a, 0); ok {
+	if _, ok := tiny.get(a); ok {
 		t.Fatal("byte cap did not evict")
 	}
-	if _, ok := tiny.get(b, 0); !ok {
+	if _, ok := tiny.get(b); !ok {
 		t.Fatal("newest entry evicted instead of oldest")
 	}
 }
 
-// TestCacheDegradedEntryRules covers the put-side degraded lattice: degraded
-// never overwrites non-degraded, and among degraded the longer budget wins.
+// TestCacheDegradedEntryRules covers the store side of the exact-only rule
+// in explainLocked: neither a deadline-degraded nor a disconnect-degraded
+// outcome is stored, and once an exact entry exists it keeps serving those
+// same requests.
 func TestCacheDegradedEntryRules(t *testing.T) {
-	c := newExplainCache(8, 1<<20)
-	k := cacheKey{solver: "k"}
-	full := &cachedExplain{resp: ExplainResponse{Rule: "full"}}
-	deg1 := &cachedExplain{resp: ExplainResponse{Rule: "deg1", Degraded: true}, degraded: true, budget: 100 * time.Millisecond}
-	deg2 := &cachedExplain{resp: ExplainResponse{Rule: "deg2", Degraded: true}, degraded: true, budget: 200 * time.Millisecond}
+	solve := func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
+		if ctx.Err() != nil {
+			return core.Key{0, 1}, true, nil
+		}
+		return core.Key{0}, false, nil
+	}
+	srv, err := NewServer(Config{Schema: robustSchema(t), Alpha: 1.0, Solve: solve})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Warm(robustSeed()); err != nil {
+		t.Fatal(err)
+	}
+	li, err := srv.decode(map[string]string{"Income": "3-4K", "Credit": "poor", "Area": "Urban"}, "Denied")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	explain := func(ctx context.Context) (*cachedExplain, string) {
+		t.Helper()
+		srv.mu.RLock()
+		defer srv.mu.RUnlock()
+		e, src, err := srv.explainLocked(ctx, li, 1.0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, src
+	}
+	degraded := []struct {
+		name string
+		ctx  context.Context
+	}{{"deadline-degraded", expired}, {"disconnect-degraded", gone}}
 
-	c.put(k, deg1)
-	if e, ok := c.get(k, 50*time.Millisecond); !ok || e.resp.Rule != "deg1" {
-		t.Fatalf("degraded entry not served to shorter budget: %v %v", e, ok)
+	for _, tc := range degraded {
+		if e, src := explain(tc.ctx); src != "miss" || !e.resp.Degraded {
+			t.Fatalf("%s solve: source %q degraded %v, want a degraded miss", tc.name, src, e.resp.Degraded)
+		}
+		if n, _ := srv.cache.stats(); n != 0 {
+			t.Fatalf("%s outcome stored: cache holds %d entries", tc.name, n)
+		}
 	}
-	if _, ok := c.get(k, 150*time.Millisecond); ok {
-		t.Fatal("degraded entry served past its budget")
+	if e, src := explain(context.Background()); src != "miss" || e.resp.Degraded {
+		t.Fatalf("exact solve: source %q degraded %v, want an exact miss", src, e.resp.Degraded)
 	}
-	if _, ok := c.get(k, 0); ok {
-		t.Fatal("degraded entry served to an unbounded request")
+	for _, tc := range degraded {
+		if e, src := explain(tc.ctx); src != "hit" || e.resp.Degraded {
+			t.Fatalf("%s request after the exact solve: source %q degraded %v, want an exact hit", tc.name, src, e.resp.Degraded)
+		}
 	}
-	c.put(k, deg2) // longer budget wins
-	if e, ok := c.get(k, 150*time.Millisecond); !ok || e.resp.Rule != "deg2" {
-		t.Fatalf("longer-budget degraded did not win: %v %v", e, ok)
-	}
-	c.put(k, deg1) // shorter budget must not downgrade
-	if e, ok := c.get(k, 150*time.Millisecond); !ok || e.resp.Rule != "deg2" {
-		t.Fatalf("shorter-budget degraded downgraded the entry: %v %v", e, ok)
-	}
-	c.put(k, full)
-	if e, ok := c.get(k, 0); !ok || e.resp.Rule != "full" {
-		t.Fatalf("non-degraded upgrade missing: %v %v", e, ok)
-	}
-	c.put(k, deg2)
-	if e, ok := c.get(k, 0); !ok || e.resp.Rule != "full" {
-		t.Fatalf("degraded overwrote non-degraded: %v %v", e, ok)
+	if n, _ := srv.cache.stats(); n != 1 {
+		t.Fatalf("cache holds %d entries, want the one exact entry", n)
 	}
 }

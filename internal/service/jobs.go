@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/xai-db/relativekeys/internal/core"
 	"github.com/xai-db/relativekeys/internal/feature"
 	"github.com/xai-db/relativekeys/internal/persist"
 )
@@ -494,7 +493,7 @@ func (st *jobStore) solveItem(j *job, idx int) (json.RawMessage, error) {
 	}
 	s := st.srv
 	s.mu.RLock()
-	e, _, err := s.explainLocked(ctx, j.items[idx], j.alpha, j.deadline, false)
+	e, _, err := s.explainLocked(ctx, j.items[idx], j.alpha, false)
 	s.mu.RUnlock()
 	res := JobItemResult{Index: idx}
 	switch {
@@ -609,21 +608,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("job carries %d items, the service caps batches at %d", len(req.Items), s.jobs.maxItems), http.StatusRequestEntityTooLarge)
 		return
 	}
-	alpha := s.alpha
-	if req.Alpha != 0 { //rkvet:ignore floateq 0 is the JSON omitted-field sentinel
-		if err := core.ValidateAlpha(req.Alpha); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		alpha = req.Alpha
-	}
-	if req.DeadlineMS < 0 {
-		http.Error(w, "deadline_ms must be positive", http.StatusBadRequest)
+	alpha, deadline, err := s.resolveAlphaDeadline(req.Alpha, req.DeadlineMS)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	deadline := s.defaultDeadline
-	if req.DeadlineMS != 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
 	items := make([]feature.Labeled, 0, len(req.Items))
 	for i, it := range req.Items {

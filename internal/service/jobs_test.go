@@ -208,7 +208,7 @@ func TestJobStreamTailsRunningJob(t *testing.T) {
 		<-step
 		return core.SRKAnytime(ctx, c, x, y, alpha)
 	}
-	srv, err := NewServer(Config{Schema: robustSchema(t), Alpha: 1.0, Solve: solve, SolverTag: "stepped"})
+	srv, err := NewServer(Config{Schema: robustSchema(t), Alpha: 1.0, Solve: solve})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +282,11 @@ func TestJobValidation(t *testing.T) {
 		{"over the item cap", JobSubmitRequest{Items: []ExplainItem{ok, ok, ok}}, http.StatusRequestEntityTooLarge},
 		{"bad alpha", JobSubmitRequest{Items: []ExplainItem{ok}, Alpha: 2}, http.StatusBadRequest},
 		{"negative deadline", JobSubmitRequest{Items: []ExplainItem{ok}, DeadlineMS: -1}, http.StatusBadRequest},
+		// Past math.MaxInt64/1e6 a millisecond count overflows a time.Duration:
+		// this one would wrap to a positive 448.384µs, the next to a negative
+		// budget (no deadline at all).
+		{"deadline wraps positive", JobSubmitRequest{Items: []ExplainItem{ok}, DeadlineMS: 18446744073710}, http.StatusBadRequest},
+		{"deadline wraps negative", JobSubmitRequest{Items: []ExplainItem{ok}, DeadlineMS: 9223372036855}, http.StatusBadRequest},
 		{"undecodable item", JobSubmitRequest{Items: []ExplainItem{{Values: map[string]string{"Income": "nope"}, Prediction: "Denied"}}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -52,15 +52,7 @@ func (s *Server) ApplyReplicated(ctx context.Context, seq uint64, li feature.Lab
 	}
 	s.seq = seq
 	s.markSyncedLocked()
-	s.sinceSnapshot++
-	if s.snapPath != "" && s.sinceSnapshot >= s.snapshotEvery {
-		s.sinceSnapshot = 0
-		if err := s.snapshotLocked(); err != nil {
-			// Non-fatal: the follower re-syncs a longer tail after a crash.
-			s.metrics.snapshotFailures.Inc()
-			s.logger.Warn("follower snapshot failed", "err", err)
-		}
-	}
+	s.maybeSnapshotLocked()
 	return nil
 }
 
@@ -80,8 +72,8 @@ func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, it
 	if s.closed {
 		return errDraining
 	}
-	if schema.NumFeatures() != s.schema.NumFeatures() || len(schema.Labels) != len(s.schema.Labels) {
-		return fmt.Errorf("service: snapshot schema (%d attrs, %d labels) does not match the replica schema", schema.NumFeatures(), len(schema.Labels))
+	if err := s.checkSnapshotSchema(schema); err != nil {
+		return err
 	}
 	if err := s.ctx.Replace(items); err != nil {
 		return fmt.Errorf("service: snapshot install: %w", err)

@@ -156,6 +156,17 @@ func TestDeadlineFloorSheds(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
+	// A deadline_ms that overflows a time.Duration (here it would wrap to
+	// 448.384µs) is the client's error, not a floor shed.
+	huge := postJSON(t, ts.URL+"/explain", ExplainRequest{
+		Values:     map[string]string{"Income": "5-6K", "Credit": "good", "Area": "Rural"},
+		Prediction: "Approved",
+		DeadlineMS: 18446744073710,
+	})
+	defer huge.Body.Close()
+	if huge.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing deadline_ms: status %d, want 400", huge.StatusCode)
+	}
 	// At or above the floor the request goes through.
 	ok := postJSON(t, ts.URL+"/explain", ExplainRequest{
 		Values:     map[string]string{"Income": "5-6K", "Credit": "good", "Area": "Rural"},

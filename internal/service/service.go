@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -39,10 +40,6 @@ type DriftObserver interface {
 	AvgSuccinctness() float64
 	Arrivals() int
 }
-
-// defaultSolverTag is the cache-key fingerprint of the default solver,
-// core.SRKAnytimePar.
-const defaultSolverTag = "srk"
 
 // SolveFunc is the anytime solver seam, matching core.SRKAnytime: it returns
 // the key, whether the deadline degraded it, and an error.
@@ -74,17 +71,18 @@ type Config struct {
 	MaxInFlight     int           // concurrent explains; 0 = unbounded
 
 	// Explanation cache (DESIGN.md §15). The cache memoizes rendered explain
-	// responses under the (context version, solver config, alpha, instance)
-	// key; a miss solves and stores its outcome. CacheOff disables it.
+	// responses under the (context version, alpha, instance) key; a miss
+	// solves and stores its outcome when it is exact. CacheOff disables it.
 	// CacheEntries and CacheBytes bound the cache (0 = defaults: 8192
-	// entries, 32 MiB). SolverTag fingerprints the solver configuration
-	// inside cache keys; "" means "srk" (the default engine's tag) when Solve
-	// is nil and "custom" otherwise. Two servers sharing persisted state but
-	// configured with different solvers must carry different tags.
+	// entries, 32 MiB).
 	CacheOff     bool
 	CacheEntries int
 	CacheBytes   int64
-	SolverTag    string
+
+	// SolverTag is ignored: the cache lives and dies with one server, whose
+	// solver is fixed here, so its keys carry no solver. It stays until the
+	// repository benchmark stops setting it.
+	SolverTag string
 
 	// Async ExplainAll jobs (DESIGN.md §15). MaxJobItems caps one batch
 	// (0 = 100000); the newest 64 finished jobs stay pollable. With StateDir
@@ -136,8 +134,7 @@ type Server struct {
 
 	// Explanation cache (DESIGN.md §15); immutable after construction.
 	// cache nil = caching off.
-	cache     *explainCache
-	solverTag string
+	cache *explainCache
 
 	jobs *jobStore // nil = jobs disabled (never in practice; see NewServer)
 
@@ -212,19 +209,10 @@ func NewServer(cfg Config) (*Server, error) {
 		start:           time.Now(),
 	}
 	s.metrics = newServerMetrics(s)
-	s.solverTag = cfg.SolverTag
 	if s.solve == nil {
 		s.solve = func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
 			return core.SRKAnytimePar(ctx, c, x, y, alpha, 1)
 		}
-		if s.solverTag == "" {
-			s.solverTag = defaultSolverTag
-		}
-	}
-	if s.solverTag == "" {
-		// An injected solver with no declared tag: fingerprint it as custom so
-		// it never shares entries with the stock engines.
-		s.solverTag = "custom"
 	}
 	if !cfg.CacheOff {
 		s.cache = newExplainCache(cfg.CacheEntries, cfg.CacheBytes)
@@ -296,8 +284,8 @@ func (s *Server) recoverLocked(walPath string) error {
 	schema, items, seq, err := persist.LoadSnapshot(s.snapPath)
 	switch {
 	case err == nil:
-		if schema.NumFeatures() != s.schema.NumFeatures() || len(schema.Labels) != len(s.schema.Labels) {
-			return fmt.Errorf("service: snapshot schema (%d attrs, %d labels) does not match the configured schema", schema.NumFeatures(), len(schema.Labels))
+		if err := s.checkSnapshotSchema(schema); err != nil {
+			return err
 		}
 		s.seq = seq
 		for _, li := range items {
@@ -333,6 +321,15 @@ func (s *Server) recoverLocked(walPath string) error {
 		return nil
 	})
 	return err
+}
+
+// checkSnapshotSchema refuses a snapshot, recovered from disk or fetched
+// from a primary, whose schema does not have the configured shape.
+func (s *Server) checkSnapshotSchema(schema *feature.Schema) error {
+	if schema.NumFeatures() != s.schema.NumFeatures() || len(schema.Labels) != len(s.schema.Labels) {
+		return fmt.Errorf("service: snapshot schema (%d attrs, %d labels) does not match the configured schema", schema.NumFeatures(), len(schema.Labels))
+	}
+	return nil
 }
 
 // checkLocked runs the admission checks that can refuse a row — the schema
@@ -404,25 +401,35 @@ func (s *Server) observeLocked(ctx context.Context, li feature.Labeled) error {
 		// must never apply a row its primary could forget in a crash.
 		s.onReplicate(s.seq, li)
 	}
+	s.maybeSnapshotLocked()
+	return nil
+}
+
+// maybeSnapshotLocked counts one admitted row toward the periodic snapshot
+// and writes one every snapshotEvery rows. A failed snapshot is not fatal: a primary's WAL
+// still covers everything since the last good one, and a follower re-syncs a
+// longer tail after a crash. With compaction on, a good snapshot lets the
+// primary's log start over (a follower has no log). Callers hold s.mu.
+func (s *Server) maybeSnapshotLocked() {
 	s.sinceSnapshot++
-	if s.snapPath != "" && s.sinceSnapshot >= s.snapshotEvery {
-		s.sinceSnapshot = 0
-		if err := s.snapshotLocked(); err != nil {
-			// The WAL still covers everything since the last good snapshot;
-			// recovery just replays more.
-			s.metrics.snapshotFailures.Inc()
-			s.logger.Warn("periodic snapshot failed", "err", err)
-		} else if s.compactWAL && s.wal != nil {
-			// The snapshot covers every logged record, so the log can start
-			// over; followers below the new base catch up from the snapshot.
-			if err := s.wal.Truncate(); err != nil {
-				s.logger.Warn("wal compaction failed", "err", err)
-			} else {
-				s.walBase = s.seq
-			}
+	if s.snapPath == "" || s.sinceSnapshot < s.snapshotEvery {
+		return
+	}
+	s.sinceSnapshot = 0
+	if err := s.snapshotLocked(); err != nil {
+		s.metrics.snapshotFailures.Inc()
+		s.logger.Warn("periodic snapshot failed", "err", err)
+		return
+	}
+	if s.compactWAL && s.wal != nil {
+		// The snapshot covers every logged record; followers below the new
+		// base catch up from the snapshot.
+		if err := s.wal.Truncate(); err != nil {
+			s.logger.Warn("wal compaction failed", "err", err)
+		} else {
+			s.walBase = s.seq
 		}
 	}
-	return nil
 }
 
 // snapshotLocked atomically writes the current rows, oldest first so a
@@ -486,18 +493,12 @@ func (s *Server) Seq() uint64 {
 // Warm bulk-loads labeled instances into the context (and the drift monitor
 // and observation log, when active); returns the number loaded.
 func (s *Server) Warm(items []feature.Labeled) (int, error) {
-	return s.WarmCtx(context.Background(), items) //rkvet:ignore ctxflow Warm is the sanctioned pre-serving specialization used by boot-time wiring; WarmCtx is the deadline-aware path
-}
-
-// WarmCtx is Warm with the caller's context threaded through the observation
-// pipeline, so a warm launched under a deadline traces and degrades like live
-// traffic.
-func (s *Server) WarmCtx(ctx context.Context, items []feature.Labeled) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.follower {
 		return 0, errors.New("service: a read replica warms from its primary, not from local data")
 	}
+	ctx := context.Background() //rkvet:ignore ctxflow Warm is boot-time wiring that runs before serving; no request bounds it
 	for i, li := range items {
 		if err := s.observeLocked(ctx, li); err != nil {
 			return i, err
@@ -791,23 +792,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	alpha := s.alpha
-	// 0 is encoding/json's omitted-field value: "use the server default".
-	// Any explicitly sent alpha, valid or not, goes through validation.
-	if req.Alpha != 0 { //rkvet:ignore floateq 0 is the JSON omitted-field sentinel
-		if err := core.ValidateAlpha(req.Alpha); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		alpha = req.Alpha
-	}
-	deadline := s.defaultDeadline
-	if req.DeadlineMS != 0 {
-		if req.DeadlineMS < 0 {
-			http.Error(w, "deadline_ms must be positive", http.StatusBadRequest)
-			return
-		}
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
+	alpha, deadline, err := s.resolveAlphaDeadline(req.Alpha, req.DeadlineMS)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	// The hard floor: below it the degraded answer would be all features —
 	// useless as an explanation — so shed instead of wasting the work.
@@ -854,7 +842,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		unavailable(w, errDraining.Error())
 		return
 	}
-	e, source, err := s.explainLocked(ctx, li, alpha, deadline, req.NoCache)
+	e, source, err := s.explainLocked(ctx, li, alpha, req.NoCache)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -886,53 +874,68 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// maxDeadlineMS is the largest deadline_ms a time.Duration can hold.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
+// resolveAlphaDeadline resolves the alpha and deadline_ms fields /explain and
+// /jobs share. 0 is encoding/json's omitted-field value for both: "use the
+// server default". Any explicitly sent alpha, valid or not, goes through
+// validation; a sent deadline must be positive and fit a time.Duration. An
+// error is the client's (400).
+func (s *Server) resolveAlphaDeadline(alpha float64, deadlineMS int64) (float64, time.Duration, error) {
+	if alpha == 0 { //rkvet:ignore floateq 0 is the JSON omitted-field sentinel
+		alpha = s.alpha
+	} else if err := core.ValidateAlpha(alpha); err != nil {
+		return 0, 0, err
+	}
+	switch {
+	case deadlineMS == 0:
+		return alpha, s.defaultDeadline, nil
+	case deadlineMS < 0:
+		return 0, 0, errors.New("deadline_ms must be positive")
+	case deadlineMS > maxDeadlineMS:
+		return 0, 0, fmt.Errorf("deadline_ms %d exceeds the largest supported deadline %d", deadlineMS, maxDeadlineMS)
+	}
+	return alpha, time.Duration(deadlineMS) * time.Millisecond, nil
+}
+
 // explainLocked answers one explain through the explanation cache (DESIGN.md
 // §15): bypass (cache off or no_cache) solves directly; otherwise the cache
-// key — context version, solver tag, alpha, label, instance — is looked up,
-// and a miss solves and stores its outcome. source is the X-RK-Cache header
-// value: "hit", "miss" or "bypass", and exactly that outcome's counter moves.
-// Callers hold s.mu (read), so the version cannot move between the lookup and
-// the put: every entry is stored under the version it was solved at.
-// Concurrent identical misses each solve and put the same bytes.
-func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha float64, budget time.Duration, noCache bool) (*cachedExplain, string, error) {
+// key — context version, alpha, label, instance — is looked up, and a miss
+// solves and stores its outcome when it is exact. source is the X-RK-Cache
+// header value: "hit", "miss" or "bypass", and exactly that outcome's counter
+// moves. Callers hold s.mu (read), so the version cannot move between the
+// lookup and the put: every entry is stored under the version it was solved
+// at. Concurrent identical misses each solve and put the same bytes.
+func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha float64, noCache bool) (*cachedExplain, string, error) {
 	if s.cache == nil || noCache {
 		s.metrics.cacheBypass.Inc()
-		e, err := s.solveEntryLocked(ctx, li, alpha, budget)
+		e, err := s.solveEntryLocked(ctx, li, alpha)
 		return e, "bypass", err
 	}
-	ckey := cacheKeyOf(s.ctx.Version(), s.solverTag, alpha, li)
-	if e, ok := s.cache.get(ckey, budget); ok {
+	ckey := cacheKeyOf(s.ctx.Version(), alpha, li)
+	if e, ok := s.cache.get(ckey); ok {
 		s.metrics.cacheHit.Inc()
 		return e, "hit", nil
 	}
-	e, err := s.solveEntryLocked(ctx, li, alpha, budget)
+	e, err := s.solveEntryLocked(ctx, li, alpha)
 	s.metrics.cacheMiss.Inc()
-	// Cache every deterministic outcome. A degraded result is cached only
-	// with a positive budget attached (so the serve rule can compare); a
-	// solve degraded by a client disconnect on an unbounded request is
-	// servable to nobody and is not stored.
-	if err == nil && (!e.degraded || e.budget > 0) {
+	// Store exact outcomes only: a key or a no-key verdict. A degraded key
+	// depends on how long this solve ran, so it answers this request alone.
+	if err == nil && !e.resp.Degraded {
 		s.cache.put(ckey, e)
 	}
 	return e, "miss", err
 }
 
-// solveEntryLocked runs one solve and renders the cacheable outcome: the
-// response body fields (shared verbatim between cached and uncached serving,
-// so the two are byte-identical), the no-key verdict, and the degraded
-// stamp with the budget it effectively ran under. A degraded entry is
-// stamped with min(nominal deadline, elapsed solve time): a solve cut short
-// by the client disconnecting ran under a smaller effective budget than the
-// request's deadline, and stamping the nominal value would let that entry
-// satisfy every later request up to the full deadline without a re-solve.
-// Callers hold s.mu (read).
-func (s *Server) solveEntryLocked(ctx context.Context, li feature.Labeled, alpha float64, budget time.Duration) (*cachedExplain, error) {
-	start := time.Now()
+// solveEntryLocked runs one solve and renders its outcome: the response body
+// fields (shared verbatim between cached and uncached serving, so the two are
+// byte-identical) or the no-key verdict. Callers hold s.mu (read).
+func (s *Server) solveEntryLocked(ctx context.Context, li feature.Labeled, alpha float64) (*cachedExplain, error) {
 	c := s.ctx.Context()
 	key, degraded, err := s.solve(ctx, c, li.X, li.Y, alpha)
 	if err == core.ErrNoKey {
-		// The no-key verdict is exact (never deadline-degraded), so it caches
-		// as a first-class deterministic answer.
+		// The no-key verdict is exact (never deadline-degraded).
 		return &cachedExplain{noKey: true, resp: ExplainResponse{Context: c.Len()}}, nil
 	}
 	if err != nil {
@@ -949,13 +952,7 @@ func (s *Server) solveEntryLocked(ctx context.Context, li feature.Labeled, alpha
 	for _, a := range key {
 		resp.Features = append(resp.Features, s.schema.Attrs[a].Name)
 	}
-	stamp := budget
-	if degraded && budget > 0 {
-		if elapsed := time.Since(start); elapsed < stamp {
-			stamp = elapsed
-		}
-	}
-	return &cachedExplain{resp: resp, degraded: degraded, budget: stamp}, nil
+	return &cachedExplain{resp: resp}, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
