@@ -100,9 +100,10 @@ e2e-smoke:
 # Short native-fuzz burst per target, on top of the committed seed corpora
 # (testdata/fuzz/): bitset vs naive model, bucketing round-trips, incremental
 # context vs rebuilt, retained context vs a last-N model, the served SRK
-# engine vs the eager loop, SAT solver vs its own CNF, replication WAL-record
-# decode round trip, the shared log replay scanner over WAL and job-log
-# bytes, and the snapshot decoder a follower runs on /snapshot bodies.
+# engine vs the eager loop, the drift panel's batch replay vs per-row
+# observes, SAT solver vs its own CNF, replication WAL-record decode round
+# trip, the shared log replay scanner over WAL and job-log bytes, and the
+# snapshot decoder a follower runs on /snapshot bodies.
 # go test -fuzz accepts one target per invocation, hence the fan-out.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSetOps          -fuzztime=$(FUZZTIME) ./internal/bitset/
@@ -110,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzContextRemoveAdd -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzRetained        -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzLazyGreedy      -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzObserveAll      -fuzztime=$(FUZZTIME) ./internal/cce/
 	$(GO) test -run=NONE -fuzz=FuzzSolver          -fuzztime=$(FUZZTIME) ./internal/sat/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) ./internal/persist/
 	$(GO) test -run=NONE -fuzz=FuzzReplayLog       -fuzztime=$(FUZZTIME) ./internal/persist/

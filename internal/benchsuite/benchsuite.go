@@ -102,8 +102,9 @@ func benchOSRKObserve(b *testing.B) {
 
 // benchDriftObserve feeds the loan inference stream to a full 10-member drift
 // panel, cceserver's default -panel 10: one op is one arrival across the
-// whole panel, the per-row cost of /observe's monitor stage and of the panel
-// replay at boot.
+// whole panel, the per-row cost of /observe's monitor stage. The panel
+// replay at boot takes the batch path (DriftMonitor.ObserveAll), which this
+// row does not time.
 func benchDriftObserve(b *testing.B) {
 	_, inference, schema := loanContext(b)
 	d, err := cce.NewDriftMonitor(schema, 1.0, 10, 1)

@@ -3,6 +3,7 @@ package cce
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/xai-db/relativekeys/internal/core"
@@ -86,6 +87,71 @@ func (d *DriftMonitor) ObserveCtx(ctx context.Context, li feature.Labeled) (int,
 		monitorDegraded.Add(int64(numDegraded))
 	}
 	return numDegraded, nil
+}
+
+// ObserveAll feeds a batch of arrivals in order, leaving the monitor
+// bit-identical to ObserveCtx called on each under a context that never
+// expires: the same keys, History, Arrivals, and every member's RNG position.
+// Every arrival is validated before any member sees one, so a batch updates
+// the panel whole or, on an error, not at all.
+//
+// It is the bulk path for rebuilding a panel from a stored stream (service
+// recovery and snapshot install): each member runs over its arrivals in one
+// plain loop (core.OSRK.Replay) that re-validates nothing and reads no clock,
+// so the osrk_observe stage histogram times live arrivals only, while
+// rk_monitor_observations_total counts the batch. History is rebuilt from the
+// points at which each member's key grew.
+func (d *DriftMonitor) ObserveAll(items []feature.Labeled) error {
+	for _, li := range items {
+		if err := core.ValidateLabeled(d.schema, li); err != nil {
+			return err
+		}
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	// While the panel fills, every arrival enrolls one member, which then
+	// watches the stream from its own arrival on: member first+i enrolls at
+	// items[i]. NewOSRK can refuse only what was validated above.
+	first := len(d.monitors)
+	var enrolled []*core.OSRK
+	for i := 0; i < len(items) && first+len(enrolled) < d.panelSz; i++ {
+		m, err := core.NewOSRK(d.schema, items[i].X, items[i].Y, d.alpha, d.seed+int64(first+i))
+		if err != nil {
+			return err
+		}
+		enrolled = append(enrolled, m)
+	}
+	d.monitors = append(d.monitors, enrolled...)
+	sum := 0
+	for _, m := range d.monitors[:first] {
+		sum += m.Succinctness()
+	}
+	// grew holds, for every feature any member's key gained, the index of
+	// the arrival that added it.
+	var grew []int
+	for j, m := range d.monitors {
+		from := max(j-first, 0)
+		at := len(grew)
+		grew = m.Replay(items[from:], grew)
+		for k := at; k < len(grew); k++ {
+			grew[k] += from
+		}
+	}
+	slices.Sort(grew)
+	d.history = slices.Grow(d.history, len(items))
+	for i := range items {
+		for len(grew) > 0 && grew[0] == i {
+			sum++
+			grew = grew[1:]
+		}
+		// The same integer sum over the same members as
+		// avgSuccinctnessLocked after a per-arrival update.
+		members := first + min(i+1, len(enrolled))
+		d.history = append(d.history, float64(sum)/float64(members))
+	}
+	d.arrivals += len(items)
+	monitorObservations.Add(int64(len(items)))
+	return nil
 }
 
 // AvgSuccinctness returns the mean key size over the panel.

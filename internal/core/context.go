@@ -63,15 +63,16 @@ func NewContext(schema *feature.Schema, items []feature.Labeled) (*Context, erro
 	return NewContextSized(schema, items, len(items))
 }
 
-// NewContextSized builds an indexed context whose bitsets reserve storage for
-// at least capacity rows, avoiding growth reallocations when the eventual
-// occupancy is known up front (e.g. a sliding window of fixed size). The
-// reserve is storage only: the kernels still scan just the occupied slots.
+// NewContextSized builds an indexed context whose row slice and bitsets
+// reserve storage for at least capacity rows, so adding up to capacity rows
+// allocates nothing when the eventual occupancy is known up front (a sliding
+// window of fixed size, a bulk load). The reserve is storage only: the
+// kernels still scan just the occupied slots.
 func NewContextSized(schema *feature.Schema, items []feature.Labeled, capacity int) (*Context, error) {
 	if capacity < len(items) {
 		capacity = len(items)
 	}
-	c := &Context{Schema: schema}
+	c := &Context{Schema: schema, items: make([]feature.Labeled, 0, capacity)}
 	c.initIndex(capacity)
 	for _, li := range items {
 		if err := c.Add(li); err != nil {

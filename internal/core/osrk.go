@@ -130,7 +130,7 @@ func (o *OSRK) ObserveCtx(ctx context.Context, li feature.Labeled) (degraded boo
 	}
 	start := time.Now()
 	sp := obs.StartSpan(ctx, "osrk.observe")
-	degraded = o.grow(ctx, li.X)
+	degraded = o.grow(ctx.Done(), li.X)
 	sp.End()
 	osrkObserveSeconds.ObserveSince(start)
 	if degraded {
@@ -139,28 +139,56 @@ func (o *OSRK) ObserveCtx(ctx context.Context, li feature.Labeled) (degraded boo
 	return degraded, nil
 }
 
-// admit validates an arrival and counts it into |I_t|. For an arrival whose
-// prediction differs from x₀'s it also counts p_t and enrolls x_t in V_t when
-// it agrees with x₀ on E, then reports true: the caller continues at line 3.
-// A rejected arrival changes nothing.
+// Replay feeds arrivals the caller has already validated (ValidateLabeled),
+// in order, leaving the monitor exactly as ObserveCtx would one at a time
+// under a context that never expires: the same key, counts, violators and
+// RNG position. It is the bulk path for rebuilding a monitor from a stored
+// stream, so it re-validates nothing, reads no clock, and records no span or
+// osrk_observe time. It appends to grew the index in items of the arrival at
+// which each feature joined the key, one entry per feature, ascending, and
+// returns the extended slice.
+func (o *OSRK) Replay(items []feature.Labeled, grew []int) []int {
+	for i, li := range items {
+		if !o.count(li) {
+			continue
+		}
+		before := len(o.key)
+		o.grow(nil, li.X)
+		for k := before; k < len(o.key); k++ {
+			grew = append(grew, i)
+		}
+	}
+	return grew
+}
+
+// admit validates an arrival and counts it (count). A rejected arrival
+// changes nothing.
 func (o *OSRK) admit(li feature.Labeled) (bool, error) {
 	if err := ValidateLabeled(o.schema, li); err != nil {
 		return false, err
 	}
+	return o.count(li), nil
+}
+
+// count adds a valid arrival to |I_t|. For an arrival whose prediction
+// differs from x₀'s it also counts p_t and enrolls x_t in V_t when it agrees
+// with x₀ on E, then reports true: the caller continues at line 3.
+func (o *OSRK) count(li feature.Labeled) bool {
 	o.n++
 	if li.Y == o.y0 {
-		return false, nil // line 2: nothing to do
+		return false // line 2: nothing to do
 	}
 	o.p++
 	if li.X.AgreesOn(o.x0, o.key) {
 		o.violators = append(o.violators, li.X)
 	}
-	return true, nil
+	return true
 }
 
 // grow runs lines 3-15 for an admitted arrival x_t that predicts differently
-// from x₀, reporting whether ctx expired before V_t fit the budget.
-func (o *OSRK) grow(ctx context.Context, x feature.Instance) (degraded bool) {
+// from x₀, reporting whether done closed before V_t fit the budget. A nil
+// done never closes.
+func (o *OSRK) grow(done <-chan struct{}, x feature.Instance) (degraded bool) {
 	// Lines 3-6: first differing instance seeds E randomly.
 	if !o.seeded && len(o.key) == 0 {
 		o.seeded = true
@@ -174,8 +202,10 @@ func (o *OSRK) grow(ctx context.Context, x feature.Instance) (degraded bool) {
 	budget := Budget(o.alpha, o.n)
 	// Lines 8-15: grow E until the violators fit the budget.
 	for len(o.violators) > budget {
-		if ctx.Err() != nil {
+		select {
+		case <-done:
 			return true
+		default:
 		}
 		st := o.differingOutsideE(x)
 		if len(st) == 0 {

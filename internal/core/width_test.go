@@ -111,6 +111,42 @@ func TestPreSizedContextWidth(t *testing.T) {
 	checkWidth(t, c, 16, "1000 rows in a 2^16-row reserve")
 }
 
+// TestPreSizedContextAddsAllocFree: NewContextSized reserves the row slice
+// along with the bitsets, so filling the reserve allocates nothing. A bulk
+// load (Retained.Replace) builds at its final size and so allocates its rows
+// once, not through append growth.
+func TestPreSizedContextAddsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates in Set.Grow")
+	}
+	rng := rand.New(rand.NewSource(331))
+	schema := randomContext(t, rng, 0, 4, 3, 2).Schema
+	const n = 1000
+	rows := randomRows(rng, schema, n)
+	// AllocsPerRun calls fill once to warm up and once measured, each on a
+	// fresh reserve built outside the measurement.
+	var fresh []*Context
+	for i := 0; i < 2; i++ {
+		c, err := NewContextSized(schema, nil, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh = append(fresh, c)
+	}
+	fill := func() {
+		c := fresh[0]
+		fresh = fresh[1:]
+		for _, li := range rows {
+			if err := c.Add(li); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, fill); allocs != 0 {
+		t.Fatalf("%d Adds into NewContextSized(schema, nil, %d) allocated %v times, want 0", n, n, allocs)
+	}
+}
+
 // TestGrownContextMatchesBuilt: however a context reached its rows — built in
 // one call, grown row by row, or grown inside a reserve — it answers with the
 // same SRK keys, precision and coverage.

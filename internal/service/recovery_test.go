@@ -2,16 +2,21 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/xai-db/relativekeys/internal/cce"
 	"github.com/xai-db/relativekeys/internal/core"
 	"github.com/xai-db/relativekeys/internal/faultinject"
 	"github.com/xai-db/relativekeys/internal/feature"
+	"github.com/xai-db/relativekeys/internal/obs"
 	"github.com/xai-db/relativekeys/internal/persist"
 )
 
@@ -279,6 +284,119 @@ func TestCloseSnapshotsFinalState(t *testing.T) {
 	if srvB.ctx.Len() != 7 || srvB.Seq() != 7 {
 		t.Fatalf("clean-shutdown recovery: len=%d seq=%d, want 7/7", srvB.ctx.Len(), srvB.Seq())
 	}
+}
+
+// processSeries reads the process-global series (obs.Default) as /metrics
+// renders them.
+func processSeries(t *testing.T) map[string]float64 {
+	t.Helper()
+	ts := httptest.NewServer(obs.Handler(obs.Default))
+	defer ts.Close()
+	return scrape(t, ts.URL)
+}
+
+// TestRecoveryRebuildsMonitor: boot recovery (snapshot plus WAL tail, with
+// and without retention) and a follower's snapshot install rebuild the drift
+// panel exactly as a monitor fed the same rows one at a time, and do it on
+// the bulk path: the replayed rows count in rk_monitor_observations_total
+// while the osrk_observe stage histogram, which times live arrivals, does
+// not move.
+func TestRecoveryRebuildsMonitor(t *testing.T) {
+	schema := robustSchema(t)
+	const (
+		panel = 4
+		n     = 300
+		every = 64 // the last snapshot is at seq 256; the WAL holds 257..300
+	)
+	rows := randomRows(41, n, schema)
+	const observations = "rk_monitor_observations_total"
+	const osrkTimed = `rk_solver_stage_seconds_count{stage="osrk_observe"}`
+
+	// checkMonitor compares srv's /stats panel fields with a monitor fed
+	// want one row at a time, and the process series moved by load with
+	// the rows load replayed.
+	checkMonitor := func(t *testing.T, srv *Server, want []feature.Labeled, before, after map[string]float64, replayed int) {
+		t.Helper()
+		ref, err := cce.NewDriftMonitor(schema, 1.0, panel, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, li := range want {
+			if err := ref.Observe(li); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		st, err := NewClient(ts.URL).Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.MonitorArrivals != ref.Arrivals() || math.Float64bits(st.AvgSuccinctness) != math.Float64bits(ref.AvgSuccinctness()) {
+			t.Fatalf("/stats monitor_arrivals %d, monitor_avg_succinctness %v; a per-row monitor reads %d, %v",
+				st.MonitorArrivals, st.AvgSuccinctness, ref.Arrivals(), ref.AvgSuccinctness())
+		}
+		if got := after[observations] - before[observations]; got != float64(replayed) {
+			t.Fatalf("%s rose by %v, want the %d rows replayed", observations, got, replayed)
+		}
+		if _, ok := after[osrkTimed]; !ok {
+			t.Fatalf("/metrics has no %s series", osrkTimed)
+		}
+		if got := after[osrkTimed] - before[osrkTimed]; got != 0 {
+			t.Fatalf("%s moved by %v during the replay; it times live arrivals only", osrkTimed, got)
+		}
+	}
+
+	for _, retain := range []int{0, 50} {
+		t.Run(fmt.Sprintf("retain=%d", retain), func(t *testing.T) {
+			cfg := Config{Schema: schema, Alpha: 1.0, PanelSize: panel, Retain: retain, StateDir: t.TempDir(), SnapshotEvery: every}
+			srvA, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srvA.Warm(rows); err != nil {
+				t.Fatal(err)
+			}
+			// kill -9: no Close. The snapshot at seq 256 holds the rows
+			// retention kept then; the WAL tail follows it.
+			replayed := rows
+			if retain > 0 {
+				replayed = rows[256-retain:]
+			}
+			before := processSeries(t)
+			srvB, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srvB.Close() //rkvet:ignore dropperr test cleanup
+			after := processSeries(t)
+			if srvB.Seq() != n {
+				t.Fatalf("recovered seq %d, want %d", srvB.Seq(), n)
+			}
+			checkMonitor(t, srvB, replayed, before, after, len(replayed))
+		})
+	}
+
+	t.Run("follower-install", func(t *testing.T) {
+		srv, err := NewServer(Config{Schema: schema, Alpha: 1.0, PanelSize: panel, Follower: true, StateDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close() //rkvet:ignore dropperr test cleanup
+		ctx := context.Background()
+		// Two streamed rows half-fill the panel before the install.
+		for i, li := range rows[:2] {
+			if err := srv.ApplyReplicated(ctx, uint64(i+1), li); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := processSeries(t)
+		if err := srv.InstallSnapshot(ctx, schema, rows, n); err != nil {
+			t.Fatal(err)
+		}
+		after := processSeries(t)
+		checkMonitor(t, srv, append(append([]feature.Labeled{}, rows[:2]...), rows...), before, after, n)
+	})
 }
 
 // valuesOf renders an instance back to the wire format.

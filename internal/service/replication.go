@@ -47,7 +47,10 @@ func (s *Server) ApplyReplicated(ctx context.Context, seq uint64, li feature.Lab
 	if seq != s.seq+1 {
 		return fmt.Errorf("%w: got seq %d with watermark %d", ErrReplicaGap, seq, s.seq)
 	}
-	if err := s.admitLocked(ctx, li); err != nil {
+	if err := s.checkLocked(ctx, li); err != nil {
+		return err
+	}
+	if err := s.ctx.Add(li); err != nil {
 		return err
 	}
 	s.seq = seq
@@ -58,11 +61,12 @@ func (s *Server) ApplyReplicated(ctx context.Context, seq uint64, li feature.Lab
 
 // InstallSnapshot replaces the follower's entire context with a snapshot
 // fetched from the primary — the catch-up path when the WAL tail is gone
-// (primary restarted, or the follower lagged past compaction). The swap is
-// atomic (core.Retained.Replace): nothing changes unless every row is
-// accepted, so a failed install leaves the previous state serving, and the
-// context version climbs past every earlier value, so no pre-snapshot cache
-// entry can answer for post-snapshot content.
+// (primary restarted, or the follower lagged past compaction). It is the
+// same bulk load as boot recovery (loadLocked), and the swap is atomic
+// (core.Retained.Replace): nothing changes unless every row is accepted, so
+// a failed install leaves the previous state serving, and the context
+// version climbs past every earlier value, so no pre-snapshot cache entry
+// can answer for post-snapshot content.
 func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, items []feature.Labeled, seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -75,19 +79,16 @@ func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, it
 	if err := s.checkSnapshotSchema(schema); err != nil {
 		return err
 	}
-	if err := s.ctx.Replace(items); err != nil {
-		return fmt.Errorf("service: snapshot install: %w", err)
-	}
-	if s.monitor != nil {
+	if err := s.loadLocked(ctx, items); err != nil {
 		// The drift panel is a statistic of the stream, not ground truth:
-		// feed it the snapshot rows so drift estimates keep their history,
-		// but a monitor hiccup must not abort catch-up.
-		for _, li := range items {
-			if _, merr := s.monitor.ObserveCtx(ctx, li); merr != nil {
-				s.logger.Warn("monitor skipped a snapshot row during catch-up", "err", merr)
-				break
-			}
+		// it is fed the snapshot rows so drift estimates keep their history,
+		// but a monitor hiccup, which comes after the swap, must not abort
+		// catch-up.
+		var merr monitorError
+		if !errors.As(err, &merr) {
+			return fmt.Errorf("service: snapshot install: %w", err)
 		}
+		s.logger.Warn("monitor skipped snapshot rows during catch-up", "err", merr.err)
 	}
 	s.seq = seq
 	s.sinceSnapshot = 0

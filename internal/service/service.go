@@ -35,10 +35,22 @@ import (
 // DriftObserver is the slice of cce.DriftMonitor the server depends on; a
 // seam so tests and the fault-injection harness can interpose failing or
 // slow monitors when exercising the observe refusal path.
+//
+// A monitor may also implement ObserveAll(items []feature.Labeled) error, as
+// cce.DriftMonitor does: the server detects it the way io.Copy detects
+// io.WriterTo and feeds boot recovery and snapshot install through it in one
+// batch. A monitor without it is fed those rows one at a time.
 type DriftObserver interface {
 	ObserveCtx(ctx context.Context, li feature.Labeled) (int, error)
 	AvgSuccinctness() float64
 	Arrivals() int
+}
+
+// batchObserver is the optional bulk entry of a DriftObserver: it feeds rows
+// in order, all or none, leaving the monitor as ObserveCtx would one row at a
+// time.
+type batchObserver interface {
+	ObserveAll(items []feature.Labeled) error
 }
 
 // SolveFunc is the anytime solver seam, matching core.SRKAnytime: it returns
@@ -54,7 +66,10 @@ type Config struct {
 	PanelSize int // drift-monitor panel; 0 = no monitor
 	Retain    int // max live context rows; 0 = grow forever
 
-	Monitor DriftObserver // overrides PanelSize construction when non-nil
+	// Monitor overrides PanelSize construction when non-nil. Its optional
+	// ObserveAll, detected like io.WriterTo, takes the rows of boot recovery
+	// and snapshot install in one batch; without it they arrive one at a time.
+	Monitor DriftObserver
 	// Solve overrides the explain solver. nil = core.SRKAnytimePar, the
 	// served engine (DESIGN.md §11), which returns byte-identical keys to the
 	// eager reference while scanning only the survivors' nonzero words after
@@ -275,11 +290,11 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // recoverLocked rebuilds the context from the snapshot plus the observation
-// log: snapshot rows are re-admitted in arrival order, then log records with
-// a sequence number past the snapshot watermark are replayed. The drift
-// monitor is rebuilt from the recovered rows rather than persisted — its
-// panel is a statistic of the stream, not ground truth. Called from
-// NewServer before the server is shared, hence no locking.
+// log: the snapshot rows in arrival order, then the log records with a
+// sequence number past the snapshot watermark, bulk-loaded in one pass
+// (loadLocked). The drift monitor is rebuilt from the recovered rows rather
+// than persisted — its panel is a statistic of the stream, not ground truth.
+// Called from NewServer before the server is shared, hence no locking.
 func (s *Server) recoverLocked(walPath string) error {
 	schema, items, seq, err := persist.LoadSnapshot(s.snapPath)
 	switch {
@@ -288,39 +303,72 @@ func (s *Server) recoverLocked(walPath string) error {
 			return err
 		}
 		s.seq = seq
-		for _, li := range items {
-			//rkvet:ignore ctxflow snapshot replay runs inside NewServer before any request exists; recovery must complete, not degrade to a partial context
-			if err := s.admitLocked(context.Background(), li); err != nil {
-				return fmt.Errorf("service: snapshot replay: %w", err)
-			}
-		}
 	case os.IsNotExist(err):
 		// First boot: nothing to recover.
 	default:
 		return err
 	}
-	if walPath == "" {
-		return nil
-	}
-	// With compaction on, records at or below the snapshot watermark may have
-	// been truncated away in a previous life; advertise the snapshot seq as
-	// the replication base so a follower asking for history below it is sent
-	// to snapshot catch-up instead of silently missing rows. Without a
-	// snapshot the log is complete from zero.
-	if s.compactWAL {
-		s.walBase = s.seq
-	}
-	// A torn tail is truncated from the file by RecoverWAL; mid-file damage
-	// (persist.ErrCorruptLog) refuses the boot.
-	_, err = persist.RecoverWAL(walPath, s.seq, func(seq uint64, li feature.Labeled) error {
-		//rkvet:ignore ctxflow WAL replay runs inside NewServer before any request exists; a torn replay would lose acknowledged observations
-		if err := s.admitLocked(context.Background(), li); err != nil {
+	if walPath != "" {
+		// With compaction on, records at or below the snapshot watermark may
+		// have been truncated away in a previous life; advertise the snapshot
+		// seq as the replication base so a follower asking for history below
+		// it is sent to snapshot catch-up instead of silently missing rows.
+		// Without a snapshot the log is complete from zero.
+		if s.compactWAL {
+			s.walBase = s.seq
+		}
+		// A torn tail is truncated from the file by RecoverWAL; mid-file
+		// damage (persist.ErrCorruptLog) refuses the boot.
+		if _, err := persist.RecoverWAL(walPath, s.seq, func(seq uint64, li feature.Labeled) error {
+			items = append(items, li)
+			s.seq = seq
+			return nil
+		}); err != nil {
 			return err
 		}
-		s.seq = seq
-		return nil
-	})
-	return err
+	}
+	if len(items) == 0 {
+		return nil // nothing to load: keep the empty context NewServer built
+	}
+	//rkvet:ignore ctxflow recovery runs inside NewServer before any request exists; only a monitor without ObserveAll reads this context, row by row, and its replay must complete
+	if err := s.loadLocked(context.Background(), items); err != nil {
+		return fmt.Errorf("service: recovery: %w", err)
+	}
+	return nil
+}
+
+// loadLocked replaces the context with items, oldest first, and feeds them to
+// the drift monitor: the one bulk load behind boot recovery and snapshot
+// install. Every row is validated once up front, so neither half can refuse
+// a row the other took. A monitor with ObserveAll replays its panel in one
+// goroutine beside the context build, joined before loadLocked returns; any
+// other monitor is fed row by row under ctx once the context is in place. A
+// monitor failure comes back as a monitorError, after the context swap.
+// Callers hold s.mu.
+func (s *Server) loadLocked(ctx context.Context, items []feature.Labeled) error {
+	for _, li := range items {
+		if err := core.ValidateLabeled(s.schema, li); err != nil {
+			return err
+		}
+	}
+	if bm, ok := s.monitor.(batchObserver); ok {
+		panel := make(chan error, 1)
+		go func() { panel <- bm.ObserveAll(items) }()
+		err := s.ctx.Replace(items)
+		if merr := <-panel; merr != nil && err == nil {
+			err = monitorError{merr}
+		}
+		return err
+	}
+	if err := s.ctx.Replace(items); err != nil || s.monitor == nil {
+		return err
+	}
+	for _, li := range items {
+		if _, err := s.monitor.ObserveCtx(ctx, li); err != nil {
+			return monitorError{err}
+		}
+	}
+	return nil
 }
 
 // checkSnapshotSchema refuses a snapshot, recovered from disk or fetched
@@ -346,15 +394,6 @@ func (s *Server) checkLocked(ctx context.Context, li feature.Labeled) error {
 		}
 	}
 	return nil
-}
-
-// admitLocked checks a replayed or replicated row and adds it to the
-// context. Callers hold s.mu.
-func (s *Server) admitLocked(ctx context.Context, li feature.Labeled) error {
-	if err := s.checkLocked(ctx, li); err != nil {
-		return err
-	}
-	return s.ctx.Add(li)
 }
 
 // observeLocked runs the full observation pipeline: check (schema and
