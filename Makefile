@@ -102,8 +102,9 @@ e2e-smoke:
 # context vs rebuilt, retained context vs a last-N model, the served SRK
 # engine vs the eager loop, the drift panel's batch replay vs per-row
 # observes, SAT solver vs its own CNF, replication WAL-record decode round
-# trip, the shared log replay scanner over WAL and job-log bytes, and the
-# snapshot decoder a follower runs on /snapshot bodies.
+# trip, the shared log replay scanner over WAL and job-log bytes, the
+# snapshot decoder a follower runs on /snapshot bodies, and the HTTP request
+# bodies of /observe, /explain and /jobs.
 # go test -fuzz accepts one target per invocation, hence the fan-out.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSetOps          -fuzztime=$(FUZZTIME) ./internal/bitset/
@@ -116,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) ./internal/persist/
 	$(GO) test -run=NONE -fuzz=FuzzReplayLog       -fuzztime=$(FUZZTIME) ./internal/persist/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSnapshot  -fuzztime=$(FUZZTIME) ./internal/persist/
+	$(GO) test -run=NONE -fuzz=FuzzRequestBodies   -fuzztime=$(FUZZTIME) ./internal/service/
 
 # The fault-injection suite under the race detector: deadline degradation,
 # crash recovery from torn logs, load shedding, panic survival, the

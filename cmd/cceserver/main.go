@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -80,11 +81,20 @@ func main() {
 		traceSample = flag.Int("trace-sample", 0, "sample 1 in N requests into /debug/traces (0 disables tracing)")
 		traceKeep   = flag.Int("trace-keep", 32, "completed traces retained in the ring")
 		pprofOn     = flag.Bool("pprof", false, "expose /debug/pprof/* on the ops listener")
-		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	)
+	var logLevel slog.Level
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "minimum log level: debug, info, warn or error, in any case")
 	flag.Parse()
 
-	logger := obs.NewLogger(os.Stderr, obs.ParseLevel(*logLevel)).With("component", "cceserver")
+	// Each subsystem's logger binds its component to root, not to logger,
+	// so a record carries one component key.
+	root := obs.NewLogger(os.Stderr, logLevel)
+	logger := root.With("component", "cceserver")
+	// net/http writes its server errors through the log package, which the
+	// default slog logger takes over; at error level they survive -log-level
+	// warn.
+	slog.SetDefault(logger)
+	slog.SetLogLoggerLevel(slog.LevelError)
 	fatal := func(msg string, err error) {
 		logger.Error(msg, "err", err)
 		os.Exit(1)
@@ -162,7 +172,7 @@ func main() {
 				return f, err
 			},
 			WriteSnapshot: func(w io.Writer) error { return srv.WriteSnapshotTo(w) },
-			Logger:        logger.With("component", "replica-hub"),
+			Logger:        root.With("component", "replica-hub"),
 		})
 		onReplicate = hub.Publish
 	}
@@ -187,7 +197,7 @@ func main() {
 		Epoch:           epoch,
 		OnReplicate:     onReplicate,
 		Tracer:          tracer,
-		Logger:          logger.With("component", "service"),
+		Logger:          root.With("component", "service"),
 	})
 	if err != nil {
 		fatal("build server", err)
@@ -240,7 +250,7 @@ func main() {
 		fol, ferr := replica.NewFollower(replica.Config{
 			PrimaryURL: *follow,
 			StateDir:   *stateDir,
-			Logger:     logger.With("component", "replica-follower"),
+			Logger:     root.With("component", "replica-follower"),
 		}, srv)
 		if ferr != nil {
 			fatal("build follower", ferr)

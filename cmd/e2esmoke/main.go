@@ -16,6 +16,10 @@
 //     JSON artifact, and /metrics must report the same cache and job counts
 //     as /stats.
 //
+// Every server's log, read once it has stopped, must hold JSON records only
+// (ts in RFC 3339 UTC, a lower-case level, msg), and the primary's must hold
+// its listening record.
+//
 // The artifact path defaults to ccebench-smoke.json in the working directory
 // (override with -artifact); CI uploads it so every green run carries its
 // numbers.
@@ -216,7 +220,22 @@ func observability(tmp, bin string) error {
 		return fmt.Errorf("no explain trace with an srk.greedy span:\n%s", traces)
 	}
 
-	return follower(tmp, bin, base, values, prediction)
+	if err := follower(tmp, bin, base, values, prediction); err != nil {
+		return err
+	}
+	// Stopped, the primary's log holds its drain records too. Every line
+	// must be a JSON record, and the boot must have logged where it listens.
+	srv.Stop()
+	recs, err := srv.LogRecords()
+	if err != nil {
+		return fmt.Errorf("primary %w", err)
+	}
+	for _, rec := range recs {
+		if rec["msg"] == "listening" && rec["component"] == "cceserver" {
+			return nil
+		}
+	}
+	return fmt.Errorf("primary log has no listening record from component cceserver:\n%s", srv.Log())
 }
 
 // follower boots a follower against the already-running primary and asserts
@@ -305,6 +324,10 @@ func follower(tmp, bin, primaryBase string, values map[string]string, prediction
 	}
 	if v, _ := e2e.SeriesValue(metrics, "rk_replica_lag_entries"); v != 0 { //rkvet:ignore floateq the gauge is an integer entry count; a caught-up follower must report exactly zero
 		return fmt.Errorf("caught-up follower reports lag_entries = %v, want 0", v)
+	}
+	fol.Stop()
+	if _, err := fol.LogRecords(); err != nil {
+		return fmt.Errorf("follower %w", err)
 	}
 	return nil
 }
@@ -413,6 +436,10 @@ func load(tmp, serverBin, benchBin, artifact string) error {
 		if v, ok := e2e.SeriesValue(metrics, c.series); !ok || int64(v) != c.stats {
 			return fmt.Errorf("/metrics %s = %v (present %v), /stats says %d", c.series, v, ok, c.stats)
 		}
+	}
+	srv.Stop()
+	if _, err := srv.LogRecords(); err != nil {
+		return fmt.Errorf("serving %w", err)
 	}
 	return nil
 }

@@ -73,16 +73,18 @@ func (r *Retained) Add(li feature.Labeled) error {
 }
 
 // Replace swaps in a fresh context holding the newest limit of items, oldest
-// first. Every item is validated, including those the limit drops; on any
-// error nothing changes. Version moves past every earlier value even when
-// items is empty.
+// first. Every item is validated, including those the limit drops; on an
+// invalid item nothing changes, and the error is the first invalid item's.
+// Version moves past every earlier value even when items is empty.
 func (r *Retained) Replace(items []feature.Labeled) error {
-	for _, li := range items {
-		if err := ValidateLabeled(r.ctx.Schema, li); err != nil {
-			return err
-		}
-	}
 	if r.limit > 0 && len(items) > r.limit {
+		// The dropped rows are validated here; NewContextSized validates the
+		// kept ones as it adds them, into a context not yet swapped in.
+		for _, li := range items[:len(items)-r.limit] {
+			if err := ValidateLabeled(r.ctx.Schema, li); err != nil {
+				return err
+			}
+		}
 		items = items[len(items)-r.limit:]
 	}
 	ctx, err := NewContextSized(r.ctx.Schema, items, r.limit)

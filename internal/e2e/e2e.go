@@ -2,7 +2,8 @@
 // booting a server binary on a free loopback port and stopping it, waiting
 // for it to answer, fetching a page, building an instance from the served
 // schema, reading one Prometheus series, finding families a scrape serves
-// more than once, and dumping a server log into a failure message.
+// more than once, checking that a server log holds JSON records only, and
+// dumping a server log into a failure message.
 package e2e
 
 import (
@@ -54,8 +55,12 @@ func Boot(bin, dir, name string, args ...string) (*Server, error) {
 	return s, nil
 }
 
-// Stop sends SIGTERM, waits for the process to exit and closes its log.
+// Stop sends SIGTERM, waits for the process to exit and closes its log. A
+// second call does nothing.
 func (s *Server) Stop() {
+	if s.cmd.ProcessState != nil {
+		return
+	}
 	_ = s.cmd.Process.Signal(syscall.SIGTERM) //rkvet:ignore dropperr teardown signal; Wait below reports the real outcome
 	_ = s.cmd.Wait()                          //rkvet:ignore dropperr SIGTERM exit status is expected nonzero
 	s.log.Close()                             //rkvet:ignore dropperr write-side close at exit; the log is diagnostic only
@@ -63,6 +68,37 @@ func (s *Server) Stop() {
 
 // Log returns the server's log so far, for a failure message.
 func (s *Server) Log() string { return ReadLog(s.logPath) }
+
+// LogRecords decodes the server's log, which must be one JSON object per
+// line, each with ts (RFC 3339 in UTC), a lower-case level and msg. Call it
+// after Stop, so the drain records are in.
+func (s *Server) LogRecords() ([]map[string]any, error) {
+	b, err := os.ReadFile(s.logPath)
+	if err != nil {
+		return nil, err
+	}
+	var recs []map[string]any
+	for i, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			return nil, fmt.Errorf("log line %d is not a JSON object (%v): %s", i+1, err, line)
+		}
+		ts, _ := rec["ts"].(string)
+		if _, err := time.Parse(time.RFC3339Nano, ts); err != nil || !strings.HasSuffix(ts, "Z") {
+			return nil, fmt.Errorf("log line %d: ts %q is not RFC 3339 in UTC: %s", i+1, ts, line)
+		}
+		switch rec["level"] {
+		case "debug", "info", "warn", "error":
+		default:
+			return nil, fmt.Errorf("log line %d: level %v is not debug, info, warn or error: %s", i+1, rec["level"], line)
+		}
+		if _, ok := rec["msg"].(string); !ok {
+			return nil, fmt.Errorf("log line %d has no msg: %s", i+1, line)
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
+}
 
 // FirstInstance builds an instance from the schema served at base: every
 // attribute's first value, predicted as the first label.

@@ -56,6 +56,10 @@ func TestBootFirstInstanceStop(t *testing.T) {
 	if log := srv.Log(); !strings.Contains(log, "fake server up") {
 		t.Fatalf("log %q lacks the startup line", log)
 	}
+	srv.Stop() // a second Stop does nothing
+	if _, err := srv.LogRecords(); err == nil || !strings.Contains(err.Error(), "not a JSON object") {
+		t.Fatalf("LogRecords on a plain-text log: %v, want a not-a-JSON-object error", err)
+	}
 }
 
 func TestBootReportsStartFailure(t *testing.T) {

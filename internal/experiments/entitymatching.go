@@ -106,6 +106,16 @@ func (e *Env) EMPipeline(name string) (*EMPipeline, error) {
 // EMMethods lists the §7.5 methods.
 func EMMethods() []string { return []string{"CCE", "Anchor", "CERTA"} }
 
+// A method's loop over the EM sample takes microseconds per instance, so one
+// preemption or GC pause inside a single timed pass can outweigh the whole
+// solve. Each method's loop is therefore timed over up to emTimingPasses
+// passes and the fastest is reported; passes stop once together they have
+// taken emTimingBudget, so a slow method is timed once.
+const (
+	emTimingPasses = 5
+	emTimingBudget = 50 * time.Millisecond
+)
+
 // Run executes (and caches) one method over the EM sample.
 func (p *EMPipeline) Run(method string) (*MethodRun, error) {
 	if r, ok := p.runs[method]; ok {
@@ -118,43 +128,53 @@ func (p *EMPipeline) Run(method string) (*MethodRun, error) {
 	if method == "CCE" {
 		return ccer, nil
 	}
-	run := &MethodRun{Method: method}
-	start := time.Now()
+	var pass func() ([]metrics.Explained, error)
 	switch method {
 	case "Anchor":
-		for i, li := range p.Sample {
-			cfg := anchor.Config{Seed: p.env.cfg.Seed + int64(i)}
-			if p.env.cfg.Quick {
-				cfg.BatchSize = 15
-				cfg.MaxBatches = 6
+		pass = func() ([]metrics.Explained, error) {
+			var out []metrics.Explained
+			for i, li := range p.Sample {
+				cfg := anchor.Config{Seed: p.env.cfg.Seed + int64(i)}
+				if p.env.cfg.Quick {
+					cfg.BatchSize = 15
+					cfg.MaxBatches = 6
+				}
+				if size := ccer.Explained[i].Key.Succinctness(); size > 0 {
+					cfg.MaxAnchor = size
+				}
+				exp, err := anchor.New(p.Model, p.Bg, cfg).Explain(li.X)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, metrics.Explained{X: li.X, Y: li.Y, Key: exp.Features})
 			}
-			if size := ccer.Explained[i].Key.Succinctness(); size > 0 {
-				cfg.MaxAnchor = size
-			}
-			exp, err := anchor.New(p.Model, p.Bg, cfg).Explain(li.X)
-			if err != nil {
-				return nil, err
-			}
-			run.Explained = append(run.Explained, metrics.Explained{X: li.X, Y: li.Y, Key: exp.Features})
+			return out, nil
 		}
 	case "CERTA":
-		for i, li := range p.Sample {
-			cfg := certa.Config{Seed: p.env.cfg.Seed + int64(i)}
-			if p.env.cfg.Quick {
-				cfg.Rounds = 15
+		pass = func() ([]metrics.Explained, error) {
+			var out []metrics.Explained
+			for i, li := range p.Sample {
+				cfg := certa.Config{Seed: p.env.cfg.Seed + int64(i)}
+				if p.env.cfg.Quick {
+					cfg.Rounds = 15
+				}
+				exp, err := certa.New(p.Model, p.Bg, cfg).Explain(li.X)
+				if err != nil {
+					return nil, err
+				}
+				size := ccer.Explained[i].Key.Succinctness()
+				key := explain.DeriveKey(exp.Scores, size)
+				out = append(out, metrics.Explained{X: li.X, Y: li.Y, Key: key})
 			}
-			exp, err := certa.New(p.Model, p.Bg, cfg).Explain(li.X)
-			if err != nil {
-				return nil, err
-			}
-			size := ccer.Explained[i].Key.Succinctness()
-			key := explain.DeriveKey(exp.Scores, size)
-			run.Explained = append(run.Explained, metrics.Explained{X: li.X, Y: li.Y, Key: key})
+			return out, nil
 		}
 	default:
 		return nil, fmt.Errorf("experiments: unknown EM method %q", method)
 	}
-	run.AvgMillis = amortized(0, time.Since(start), len(p.Sample))
+	run, err := p.timedRun(method, pass)
+	if err != nil {
+		return nil, err
+	}
 	p.runs[method] = run
 	return run, nil
 }
@@ -168,19 +188,46 @@ func (p *EMPipeline) cceRun() (*MethodRun, error) {
 		return nil, err
 	}
 	b.Ctx = p.Ctx
-	run := &MethodRun{Method: "CCE"}
-	start := time.Now()
-	for _, li := range p.Sample {
-		key, err := b.Explain(li.X, li.Y)
-		if err == core.ErrNoKey {
-			key = core.NewKey()
-		} else if err != nil {
+	run, err := p.timedRun("CCE", func() ([]metrics.Explained, error) {
+		var out []metrics.Explained
+		for _, li := range p.Sample {
+			key, err := b.Explain(li.X, li.Y)
+			if err == core.ErrNoKey {
+				key = core.NewKey()
+			} else if err != nil {
+				return nil, err
+			}
+			out = append(out, metrics.Explained{X: li.X, Y: li.Y, Key: key})
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.runs["CCE"] = run
+	return run, nil
+}
+
+// timedRun runs pass as emTimingPasses and emTimingBudget allow and keeps the
+// first pass's explanations with the fastest pass's per-instance time. Every
+// method seeds each instance alike, so the passes explain alike.
+func (p *EMPipeline) timedRun(method string, pass func() ([]metrics.Explained, error)) (*MethodRun, error) {
+	run := &MethodRun{Method: method}
+	var fastest, total time.Duration
+	for i := 0; i < emTimingPasses && total < emTimingBudget; i++ {
+		start := time.Now()
+		explained, err := pass()
+		took := time.Since(start)
+		if err != nil {
 			return nil, err
 		}
-		run.Explained = append(run.Explained, metrics.Explained{X: li.X, Y: li.Y, Key: key})
+		if i == 0 {
+			run.Explained, fastest = explained, took
+		}
+		fastest = min(fastest, took)
+		total += took
 	}
-	run.AvgMillis = amortized(0, time.Since(start), len(p.Sample))
-	p.runs["CCE"] = run
+	run.AvgMillis = amortized(0, fastest, len(p.Sample))
 	return run, nil
 }
 

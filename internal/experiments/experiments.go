@@ -138,8 +138,10 @@ func fmtMS(ms float64) string {
 		return fmt.Sprintf("%.0f", ms)
 	case ms >= 1:
 		return fmt.Sprintf("%.1f", ms)
-	default:
+	case ms >= 0.01:
 		return fmt.Sprintf("%.3f", ms)
+	default: // a sub-microsecond solve must not print as 0.000
+		return fmt.Sprintf("%.4f", ms)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package obs is the repo's stdlib-only observability layer (DESIGN.md §10):
 // a metrics registry with lock-free hot-path increments exposed in Prometheus
 // text exposition format, lightweight span tracing with per-request trace IDs,
-// and a leveled structured JSON logger. It exists so the serving stack —
-// solvers, CCE, persistence, cceserver — emits machine-readable numbers that
-// later scaling work can be measured against, without adding a dependency
-// (go.mod stays empty).
+// and the log/slog JSON handler cceserver's records go through. It exists so
+// the serving stack — solvers, CCE, persistence, cceserver — emits
+// machine-readable numbers that later scaling work can be measured against,
+// without adding a dependency (go.mod stays empty).
 //
 // Hot-path discipline: a Counter increment is one atomic add (< 20 ns,
 // benchmarked in bench_test.go), a Histogram observation is a bounds search
@@ -211,7 +211,10 @@ func labelPairs(names, values []string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", n, escapeLabelValue(values[i]))
+		b.WriteString(n)
+		b.WriteString(`="`)
+		b.WriteString(escapeLabelValue(values[i]))
+		b.WriteByte('"')
 	}
 	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestDuplicateRegistrationPanics pins the init-time contract: a copy-pasted
@@ -84,9 +86,6 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	sp := tr.Start("x").StartSpan("y")
 	sp.End()
 	tr.Start("x").Finish()
-	var lg *Logger
-	lg.Info("dropped")
-	lg.With("k", "v").Error("dropped")
 }
 
 // TestHotPathConcurrency is the -race hot-path test the ISSUE asks for:
@@ -241,9 +240,15 @@ func TestExpositionWellFormed(t *testing.T) {
 	r.NewCounter("rk_wf_total", "c").Add(5)
 	r.NewHistogramVec("rk_wf_seconds", "h", nil, "stage").With("greedy").Observe(0.25)
 	r.NewGaugeFunc("rk_wf_rows", "g", func() float64 { return 0.5 })
+	r.NewCounterVec("rk_wf_escaped_total", "c", "l").With("a\"b\\c\nd").Inc()
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
 		t.Fatalf("WriteProm: %v", err)
+	}
+	// The quote, backslash and newline are escaped once, so a scraper reads
+	// the value back as written.
+	if want := `rk_wf_escaped_total{l="a\"b\\c\nd"} 1` + "\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("escaped label line missing; want %q in:\n%s", want, buf.String())
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) < 10 {
@@ -366,39 +371,97 @@ func TestUnsampledPathAllocates0(t *testing.T) {
 	}
 }
 
-// TestLogger checks record shape, leveling, field binding, and JSON validity.
+// TestLogger pins the record shape cceserver writes: one JSON object per
+// line keyed ts (RFC 3339, UTC), level (lower case) and msg, then the fields
+// With bound, then the call's own fields, in call order; records below the
+// level are dropped. slog.New(DiscardHandler) drops everything.
 func TestLogger(t *testing.T) {
 	var buf bytes.Buffer
-	lg := NewLogger(&buf, LevelInfo)
+	lg := NewLogger(&buf, slog.LevelInfo)
 	lg.Debug("dropped below level")
 	lg.Info("listening", "addr", ":8080", "alpha", 0.95)
 	bound := lg.With("component", "wal")
 	bound.Warn("fsync slow", "ms", 125)
 	bound.Error("append failed", "err", errString("disk full"))
+	lg.Info("clock", "time", "later") // a call field named time holds no time
 
+	want := []string{
+		`"level":"info","msg":"listening","addr":":8080","alpha":0.95}`,
+		`"level":"warn","msg":"fsync slow","component":"wal","ms":125}`,
+		`"level":"error","msg":"append failed","component":"wal","err":"disk full"}`,
+		`"level":"info","msg":"clock","time":"later"}`,
+	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d records, want 3:\n%s", len(lines), buf.String())
+	if len(lines) != len(want) {
+		t.Fatalf("got %d records, want %d:\n%s", len(lines), len(want), buf.String())
 	}
-	for _, line := range lines {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("record is not valid JSON: %v\n%s", err, line)
+	for i, line := range lines {
+		rest, ok := strings.CutPrefix(line, `{"ts":"`)
+		ts, rest, cut := strings.Cut(rest, `",`)
+		if !ok || !cut {
+			t.Fatalf("record does not open with ts: %s", line)
 		}
-		for _, k := range []string{"ts", "level", "msg"} {
-			if _, ok := rec[k]; !ok {
-				t.Errorf("record missing %q: %s", k, line)
+		if _, err := time.Parse(time.RFC3339Nano, ts); err != nil || !strings.HasSuffix(ts, "Z") {
+			t.Errorf("ts %q is not RFC 3339 in UTC (%v)", ts, err)
+		}
+		if rest != want[i] {
+			t.Errorf("record %d after ts:\n got %s\nwant %s", i, rest, want[i])
+		}
+		if !json.Valid([]byte(line)) {
+			t.Errorf("record is not valid JSON: %s", line)
+		}
+	}
+
+	discard := slog.New(DiscardHandler)
+	if discard.Enabled(context.Background(), slog.LevelError) {
+		t.Error("DiscardHandler is enabled at error level")
+	}
+	discard.With("k", "v").WithGroup("g").Error("dropped", "err", errString("x"))
+}
+
+// TestLoggerWithSharesSink: a root logger and the loggers With derives from
+// it write through one sink. Logging concurrently from all three into a
+// bytes.Buffer, which is not safe for concurrent use, must neither race nor
+// interleave records, and each record keeps its own logger's component.
+func TestLoggerWithSharesSink(t *testing.T) {
+	var buf bytes.Buffer
+	root := NewLogger(&buf, slog.LevelInfo)
+	loggers := []*slog.Logger{root, root.With("component", "a"), root.With("component", "b")}
+	const perLogger = 200
+	var wg sync.WaitGroup
+	for _, l := range loggers {
+		wg.Add(1)
+		go func(l *slog.Logger) {
+			defer wg.Done()
+			for i := 0; i < perLogger; i++ {
+				l.Info("record", "i", i)
 			}
+		}(l)
+	}
+	wg.Wait()
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if want := len(loggers) * perLogger; len(lines) != want {
+		t.Fatalf("got %d lines, want %d", len(lines), want)
+	}
+	perComponent := map[string]int{}
+	for _, line := range lines {
+		var rec struct {
+			Level     string `json:"level"`
+			Msg       string `json:"msg"`
+			Component string `json:"component"`
 		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("line is not one JSON record: %v\n%s", err, line)
+		}
+		if rec.Level != "info" || rec.Msg != "record" {
+			t.Fatalf("interleaved record: %s", line)
+		}
+		perComponent[rec.Component]++
 	}
-	if !strings.Contains(lines[0], `"msg":"listening"`) || !strings.Contains(lines[0], `"addr":":8080"`) {
-		t.Errorf("info record malformed: %s", lines[0])
-	}
-	if !strings.Contains(lines[1], `"component":"wal"`) || !strings.Contains(lines[1], `"level":"warn"`) {
-		t.Errorf("bound fields missing: %s", lines[1])
-	}
-	if !strings.Contains(lines[2], `"err":"disk full"`) {
-		t.Errorf("error value not rendered as string: %s", lines[2])
+	for _, c := range []string{"", "a", "b"} {
+		if perComponent[c] != perLogger {
+			t.Errorf("component %q wrote %d records, want %d", c, perComponent[c], perLogger)
+		}
 	}
 }
 
@@ -406,77 +469,6 @@ func TestLogger(t *testing.T) {
 type errString string
 
 func (e errString) Error() string { return string(e) }
-
-// TestLoggerOddPairs: a trailing value without a key is surfaced, not lost.
-func TestLoggerOddPairs(t *testing.T) {
-	var buf bytes.Buffer
-	lg := NewLogger(&buf, LevelDebug)
-	lg.Info("oops", "only-a-value")
-	if !strings.Contains(buf.String(), `"!missing-key":"only-a-value"`) {
-		t.Fatalf("odd pair dropped: %s", buf.String())
-	}
-	var rec map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatalf("odd-pair record is invalid JSON: %v", err)
-	}
-}
-
-// TestLoggerWithSharesSink: a root logger and the loggers With derives from
-// it write through one sink. Logging concurrently from all three into a
-// bytes.Buffer, which is not safe for concurrent use, must neither race nor
-// interleave records, and the root's WriteErrors counts its children's
-// failed writes.
-func TestLoggerWithSharesSink(t *testing.T) {
-	var buf bytes.Buffer
-	root := NewLogger(&buf, LevelInfo)
-	loggers := []*Logger{root, root.With("component", "a"), root.With("component", "b")}
-	const perLogger = 200
-	var wg sync.WaitGroup
-	for _, lg := range loggers {
-		wg.Add(1)
-		go func(lg *Logger) {
-			defer wg.Done()
-			for i := 0; i < perLogger; i++ {
-				lg.Info("record", "i", i)
-			}
-		}(lg)
-	}
-	wg.Wait()
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if want := len(loggers) * perLogger; len(lines) != want {
-		t.Fatalf("got %d lines, want %d", len(lines), want)
-	}
-	for _, line := range lines {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line is not one JSON record: %v\n%s", err, line)
-		}
-	}
-
-	failing := NewLogger(failWriter{}, LevelInfo)
-	failing.With("component", "a").Info("lost")
-	if got := failing.WriteErrors(); got != 1 {
-		t.Fatalf("root WriteErrors = %d after a child's failed write, want 1", got)
-	}
-}
-
-// failWriter fails every write.
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, errString("sink closed") }
-
-// TestParseLevel covers the flag spellings.
-func TestParseLevel(t *testing.T) {
-	cases := map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn,
-		"warning": LevelWarn, "error": LevelError, "bogus": LevelInfo,
-	}
-	for _, s := range []string{"debug", "info", "warn", "warning", "error", "bogus"} {
-		if got := ParseLevel(s); got != cases[s] {
-			t.Errorf("ParseLevel(%q) = %v, want %v", s, got, cases[s])
-		}
-	}
-}
 
 // TestHandlerSortsAcrossRegistries: one scrape of several registries is a
 // single exposition sorted by family name across them. Every family of every

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -44,7 +45,7 @@ type Config struct {
 	// rides in the server's atomic snapshots, not here.
 	StateDir string
 
-	Logger *obs.Logger // nil = silent
+	Logger *slog.Logger // nil = silent
 }
 
 // errNeedSnapshot classifies stream failures that resuming the WAL cannot
@@ -70,6 +71,9 @@ type Follower struct {
 func NewFollower(cfg Config, app Applier) (*Follower, error) {
 	if cfg.HTTP == nil {
 		cfg.HTTP = http.DefaultClient
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(obs.DiscardHandler)
 	}
 	f := &Follower{cfg: cfg, app: app}
 	if cfg.StateDir != "" {

@@ -3,6 +3,7 @@ package replica
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -31,7 +32,7 @@ type HubConfig struct {
 
 	HeartbeatEvery time.Duration // stream heartbeat cadence; 0 = 1s
 	FollowerBuffer int           // per-subscriber line buffer; 0 = 256; overflow drops the subscriber
-	Logger         *obs.Logger   // nil = silent
+	Logger         *slog.Logger  // nil = silent
 }
 
 // pub is one published record: the seq lets subscribers dedupe the overlap
@@ -61,6 +62,9 @@ func NewHub(cfg HubConfig) *Hub {
 	}
 	if cfg.FollowerBuffer <= 0 {
 		cfg.FollowerBuffer = 256
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(obs.DiscardHandler)
 	}
 	return &Hub{cfg: cfg, subs: make(map[int]chan pub)}
 }

@@ -677,7 +677,11 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if status.State == jobFailed {
-			fmt.Fprintf(w, "{\"error\":%q}\n", status.Error)
+			// encoding/json, not %q: Go quoting writes a byte such as 0x7f as
+			// \x7f, which no JSON decoder reads.
+			if line, err := json.Marshal(map[string]string{"error": status.Error}); err == nil {
+				fmt.Fprintf(w, "%s\n", line)
+			}
 			return
 		}
 		select {

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -650,5 +651,86 @@ func TestJobPruneKeepsNewest(t *testing.T) {
 		if status := pollJob(t, ts.URL, id); status.State != jobDone || len(status.Results) != 1 {
 			t.Fatalf("kept job %s = %+v", id, status)
 		}
+	}
+}
+
+// TestJobFailedStream fails a job's first checkpoint: the runner solves under
+// the state read-lock, so holding the write lock across the submit parks it
+// while the test closes the job's checkpoint log. The state dir's 0x7f byte
+// reaches the failure message, which Go quoting would write as \x7f; the
+// stream's final line must still decode as JSON, and the poll, /stats and
+// /metrics must each report the one failure.
+func TestJobFailedStream(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "st\x7fate")
+	srv, err := NewServer(Config{Schema: robustSchema(t), Alpha: 1.0, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := srv.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	if _, err := srv.Warm(robustSeed()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	srv.mu.Lock()
+	id, err := srv.jobs.submit(robustSeed()[:1], 1.0, 0)
+	if err == nil {
+		j, _ := srv.jobs.get(id)
+		err = j.log.Close()
+	}
+	srv.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	status := pollJob(t, ts.URL, id)
+	if status.State != jobFailed || !strings.Contains(status.Error, "st\x7fate") || status.Done != 0 {
+		t.Fatalf("status = %+v, want failed with the state dir in the message", status)
+	}
+
+	resp, err := http.Get(ts.URL + "/jobs/stream?id=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(body), "\n"), "\n")
+	var last struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatalf("final stream line does not decode: %v\n%s", err, lines[len(lines)-1])
+	}
+	if last.Error != status.Error {
+		t.Fatalf("stream error %q, poll error %q", last.Error, status.Error)
+	}
+
+	resp, err = http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats StatsResponse
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Jobs == nil || stats.Jobs.Failed != 1 || stats.Jobs.Completed != 0 {
+		t.Fatalf("stats.jobs = %+v, want one failed job", stats.Jobs)
+	}
+	if v := scrape(t, ts.URL)[`rk_jobs_total{event="failed"}`]; v != 1 {
+		t.Fatalf(`rk_jobs_total{event="failed"} = %v, want 1`, v)
 	}
 }

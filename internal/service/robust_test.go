@@ -15,7 +15,7 @@ import (
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
-func robustSchema(t *testing.T) *feature.Schema {
+func robustSchema(t testing.TB) *feature.Schema {
 	t.Helper()
 	return feature.MustSchema([]feature.Attribute{
 		{Name: "Income", Values: []string{"1-2K", "3-4K", "5-6K"}},

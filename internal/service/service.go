@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"os"
@@ -48,7 +49,8 @@ type DriftObserver interface {
 
 // batchObserver is the optional bulk entry of a DriftObserver: it feeds rows
 // in order, all or none, leaving the monitor as ObserveCtx would one row at a
-// time.
+// time. It refuses a batch holding a row core.ValidateLabeled refuses, as
+// cce.DriftMonitor does, since loadLocked validates nothing itself.
 type batchObserver interface {
 	ObserveAll(items []feature.Labeled) error
 }
@@ -124,8 +126,8 @@ type Config struct {
 	OnReplicate func(seq uint64, li feature.Labeled)
 	CompactWAL  bool
 
-	Tracer *obs.Tracer // nil = no request sampling
-	Logger *obs.Logger // nil = silent
+	Tracer *obs.Tracer  // nil = no request sampling
+	Logger *slog.Logger // nil = silent
 }
 
 const (
@@ -180,8 +182,8 @@ type Server struct {
 	// counter /stats, /healthz and /metrics report.
 	metrics *serverMetrics
 
-	tracer *obs.Tracer // nil = no sampling
-	logger *obs.Logger // nil = silent
+	tracer *obs.Tracer  // nil = no sampling
+	logger *slog.Logger // never nil: NewServer substitutes a discarding logger
 	start  time.Time
 }
 
@@ -222,6 +224,9 @@ func NewServer(cfg Config) (*Server, error) {
 		tracer:          cfg.Tracer,
 		logger:          cfg.Logger,
 		start:           time.Now(),
+	}
+	if s.logger == nil {
+		s.logger = slog.New(obs.DiscardHandler)
 	}
 	s.metrics = newServerMetrics(s)
 	if s.solve == nil {
@@ -339,18 +344,14 @@ func (s *Server) recoverLocked(walPath string) error {
 
 // loadLocked replaces the context with items, oldest first, and feeds them to
 // the drift monitor: the one bulk load behind boot recovery and snapshot
-// install. Every row is validated once up front, so neither half can refuse
-// a row the other took. A monitor with ObserveAll replays its panel in one
-// goroutine beside the context build, joined before loadLocked returns; any
-// other monitor is fed row by row under ctx once the context is in place. A
-// monitor failure comes back as a monitorError, after the context swap.
-// Callers hold s.mu.
+// install. Neither half can take a row the other refuses: Retained.Replace
+// and ObserveAll each refuse an invalid batch whole, by core.ValidateLabeled,
+// before changing anything. A monitor with ObserveAll replays its panel in
+// one goroutine beside the context build, joined before loadLocked returns;
+// any other monitor is fed row by row under ctx once the context is in
+// place. A monitor failure comes back as a monitorError, after the context
+// swap. Callers hold s.mu.
 func (s *Server) loadLocked(ctx context.Context, items []feature.Labeled) error {
-	for _, li := range items {
-		if err := core.ValidateLabeled(s.schema, li); err != nil {
-			return err
-		}
-	}
 	if bm, ok := s.monitor.(batchObserver); ok {
 		panel := make(chan error, 1)
 		go func() { panel <- bm.ObserveAll(items) }()
