@@ -98,26 +98,24 @@ e2e-smoke:
 	$(GO) run ./cmd/e2esmoke -artifact $(LOADGEN_ARTIFACT)
 
 # Short native-fuzz burst per target, on top of the committed seed corpora
-# (testdata/fuzz/): bitset vs naive model, bucketing round-trips, incremental
-# context vs rebuilt, retained context vs a last-N model, the served SRK
-# engine vs the eager loop, the drift panel's batch replay vs per-row
-# observes, SAT solver vs its own CNF, replication WAL-record decode round
-# trip, the shared log replay scanner over WAL and job-log bytes, the
-# snapshot decoder a follower runs on /snapshot bodies, and the HTTP request
-# bodies of /observe, /explain and /jobs.
-# go test -fuzz accepts one target per invocation, hence the fan-out.
+# (testdata/fuzz/). The targets are enumerated, not listed: every package's
+# `go test -list '^Fuzz'` names its targets, so a new one gets its burst
+# without a Makefile change. They cover the bitset vs naive model, bucketing
+# round-trips, CSV parsing, incremental context vs rebuilt, retained context
+# vs a last-N model, the served SRK engine vs the eager loop, the drift
+# panel's batch replay vs per-row observes, SAT solver vs its own CNF,
+# replication WAL-record decode round trip, the shared log replay scanner
+# over WAL and job-log bytes, the snapshot decoder a follower runs on
+# /snapshot bodies, and the HTTP request bodies of /observe, /explain and
+# /jobs. go test -fuzz accepts one target per invocation, hence the fan-out.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzSetOps          -fuzztime=$(FUZZTIME) ./internal/bitset/
-	$(GO) test -run=NONE -fuzz=FuzzBucketer        -fuzztime=$(FUZZTIME) ./internal/feature/
-	$(GO) test -run=NONE -fuzz=FuzzContextRemoveAdd -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -run=NONE -fuzz=FuzzRetained        -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -run=NONE -fuzz=FuzzLazyGreedy      -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -run=NONE -fuzz=FuzzObserveAll      -fuzztime=$(FUZZTIME) ./internal/cce/
-	$(GO) test -run=NONE -fuzz=FuzzSolver          -fuzztime=$(FUZZTIME) ./internal/sat/
-	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) ./internal/persist/
-	$(GO) test -run=NONE -fuzz=FuzzReplayLog       -fuzztime=$(FUZZTIME) ./internal/persist/
-	$(GO) test -run=NONE -fuzz=FuzzDecodeSnapshot  -fuzztime=$(FUZZTIME) ./internal/persist/
-	$(GO) test -run=NONE -fuzz=FuzzRequestBodies   -fuzztime=$(FUZZTIME) ./internal/service/
+	@set -e; pkgs=$$($(GO) list ./...); for pkg in $$pkgs; do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for target in $$(echo "$$list" | grep '^Fuzz' || true); do \
+			echo "fuzz-smoke: $$target ($$pkg)"; \
+			$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # The fault-injection suite under the race detector: deadline degradation,
 # crash recovery from torn logs, load shedding, panic survival, the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 
 	"github.com/xai-db/relativekeys/internal/core"
@@ -26,8 +27,29 @@ type DriftMonitor struct {
 
 	mu       sync.RWMutex
 	monitors []*core.OSRK // guarded by mu
-	history  []float64    // guarded by mu; average succinctness after each arrival
-	arrivals int          // guarded by mu
+	// history is the average-succinctness curve as change points, one per
+	// arrival that enrolled a member or grew a key; the curve holds each
+	// point's value until the next. History expands it.
+	history  []changePoint // guarded by mu
+	arrivals int           // guarded by mu
+}
+
+// changePoint records the panel after arrival at (0-based): members keys
+// whose sizes sum to sum, an average of float64(sum)/float64(members).
+type changePoint struct {
+	at, members, sum int
+}
+
+// value is the panel's average succinctness at the point.
+func (p changePoint) value() float64 { return float64(p.sum) / float64(p.members) }
+
+// recordLocked notes the panel state after arrival at when it differs from
+// the last change point. Callers hold d.mu.
+func (d *DriftMonitor) recordLocked(at, members, sum int) {
+	if n := len(d.history); n > 0 && d.history[n-1].members == members && d.history[n-1].sum == sum {
+		return
+	}
+	d.history = append(d.history, changePoint{at: at, members: members, sum: sum})
 }
 
 // NewDriftMonitor monitors the keys of the first panelSize distinct-enough
@@ -56,7 +78,7 @@ func (d *DriftMonitor) Observe(li feature.Labeled) error {
 // The arrival is validated before it can enroll a panel member, and every
 // member validates it the same way, so an arrival updates all members or
 // none. Once the panel is full the per-arrival path allocates nothing but the
-// amortized history append.
+// amortized change-point append when a key grows.
 func (d *DriftMonitor) ObserveCtx(ctx context.Context, li feature.Labeled) (int, error) {
 	if err := core.ValidateLabeled(d.schema, li); err != nil {
 		return 0, err
@@ -80,8 +102,8 @@ func (d *DriftMonitor) ObserveCtx(ctx context.Context, li feature.Labeled) (int,
 			numDegraded++
 		}
 	}
+	d.recordLocked(d.arrivals, len(d.monitors), keySum(d.monitors))
 	d.arrivals++
-	d.history = append(d.history, d.avgSuccinctnessLocked())
 	monitorObservations.Inc()
 	if numDegraded > 0 {
 		monitorDegraded.Add(int64(numDegraded))
@@ -89,68 +111,80 @@ func (d *DriftMonitor) ObserveCtx(ctx context.Context, li feature.Labeled) (int,
 	return numDegraded, nil
 }
 
-// ObserveAll feeds a batch of arrivals in order, leaving the monitor
-// bit-identical to ObserveCtx called on each under a context that never
-// expires: the same keys, History, Arrivals, and every member's RNG position.
-// Every arrival is validated before any member sees one, so a batch updates
-// the panel whole or, on an error, not at all.
-//
-// It is the bulk path for rebuilding a panel from a stored stream (service
-// recovery and snapshot install): each member runs over its arrivals in one
-// plain loop (core.OSRK.Replay) that re-validates nothing and reads no clock,
-// so the osrk_observe stage histogram times live arrivals only, while
-// rk_monitor_observations_total counts the batch. History is rebuilt from the
-// points at which each member's key grew.
+// ObserveAll is ObserveRows over a slice of arrivals: every arrival is
+// validated (core.ValidateLabeled) before any member sees one, and the error
+// is the first invalid arrival's.
 func (d *DriftMonitor) ObserveAll(items []feature.Labeled) error {
+	rows := feature.NewRows(d.schema, len(items))
 	for _, li := range items {
 		if err := core.ValidateLabeled(d.schema, li); err != nil {
 			return err
 		}
+		rows.Append(li)
 	}
+	return d.observeRows(rows)
+}
+
+// ObserveRows feeds a table of arrivals in order, leaving the monitor
+// bit-identical to ObserveCtx called on each row under a context that never
+// expires: the same keys, History, Arrivals, and every member's RNG
+// position. The table is validated (feature.Rows.Validate) before any
+// member sees a row, so a batch updates the panel whole or, on an error,
+// not at all.
+//
+// It is the bulk path for rebuilding a panel from a stored stream (service
+// recovery and snapshot install): each member runs over its arrivals in one
+// plain loop (core.OSRK.Replay) that reads labels and key codes in place,
+// re-validates nothing and reads no clock, so the osrk_observe stage
+// histogram times live arrivals only, while rk_monitor_observations_total
+// counts the batch. History gains a change point wherever a member enrolled
+// or a key grew.
+func (d *DriftMonitor) ObserveRows(rows *feature.Rows) error {
+	if err := rows.Validate(d.schema); err != nil {
+		return fmt.Errorf("cce: %w", err)
+	}
+	return d.observeRows(rows)
+}
+
+// observeRows is ObserveRows over a table already validated for the schema.
+func (d *DriftMonitor) observeRows(rows *feature.Rows) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// While the panel fills, every arrival enrolls one member, which then
 	// watches the stream from its own arrival on: member first+i enrolls at
-	// items[i]. NewOSRK can refuse only what was validated above.
+	// row i. NewOSRK clones its target, so one scratch row serves them all,
+	// and refuses nothing a validated table holds.
 	first := len(d.monitors)
 	var enrolled []*core.OSRK
-	for i := 0; i < len(items) && first+len(enrolled) < d.panelSz; i++ {
-		m, err := core.NewOSRK(d.schema, items[i].X, items[i].Y, d.alpha, d.seed+int64(first+i))
+	var x feature.Instance
+	for i := 0; i < rows.Len() && first+len(enrolled) < d.panelSz; i++ {
+		x = rows.AppendInstance(x[:0], i)
+		m, err := core.NewOSRK(d.schema, x, rows.Label(i), d.alpha, d.seed+int64(first+i))
 		if err != nil {
 			return err
 		}
 		enrolled = append(enrolled, m)
 	}
 	d.monitors = append(d.monitors, enrolled...)
-	sum := 0
-	for _, m := range d.monitors[:first] {
-		sum += m.Succinctness()
-	}
-	// grew holds, for every feature any member's key gained, the index of
-	// the arrival that added it.
+	sum := keySum(d.monitors[:first])
+	// grew holds, for every feature any member's key gained, the row that
+	// added it.
 	var grew []int
 	for j, m := range d.monitors {
-		from := max(j-first, 0)
-		at := len(grew)
-		grew = m.Replay(items[from:], grew)
-		for k := at; k < len(grew); k++ {
-			grew[k] += from
-		}
+		grew = m.Replay(rows, max(j-first, 0), grew)
 	}
 	slices.Sort(grew)
-	d.history = slices.Grow(d.history, len(items))
-	for i := range items {
+	for i := 0; i < rows.Len(); i++ {
 		for len(grew) > 0 && grew[0] == i {
 			sum++
 			grew = grew[1:]
 		}
-		// The same integer sum over the same members as
-		// avgSuccinctnessLocked after a per-arrival update.
-		members := first + min(i+1, len(enrolled))
-		d.history = append(d.history, float64(sum)/float64(members))
+		// The same integers over the same members as ObserveCtx records
+		// after a per-arrival update.
+		d.recordLocked(d.arrivals+i, first+min(i+1, len(enrolled)), sum)
 	}
-	d.arrivals += len(items)
-	monitorObservations.Add(int64(len(items)))
+	d.arrivals += rows.Len()
+	monitorObservations.Add(int64(rows.Len()))
 	return nil
 }
 
@@ -166,18 +200,34 @@ func (d *DriftMonitor) avgSuccinctnessLocked() float64 {
 	if len(d.monitors) == 0 {
 		return 0
 	}
-	sum := 0
-	for _, m := range d.monitors {
-		sum += m.Succinctness()
-	}
-	return float64(sum) / float64(len(d.monitors))
+	return float64(keySum(d.monitors)) / float64(len(d.monitors))
 }
 
-// History returns the succinctness trajectory (one point per arrival).
+// keySum sums the key sizes of members; callers hold the monitor's lock.
+func keySum(members []*core.OSRK) int {
+	sum := 0
+	for _, m := range members {
+		sum += m.Succinctness()
+	}
+	return sum
+}
+
+// History returns the succinctness trajectory (one point per arrival),
+// expanded from the change points.
 func (d *DriftMonitor) History() []float64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return append([]float64(nil), d.history...)
+	out := make([]float64, d.arrivals)
+	for k, p := range d.history {
+		end := d.arrivals
+		if k+1 < len(d.history) {
+			end = d.history[k+1].at
+		}
+		for i := p.at; i < end; i++ {
+			out[i] = p.value()
+		}
+	}
+	return out
 }
 
 // Arrivals returns the number of observed instances.
@@ -192,7 +242,7 @@ func (d *DriftMonitor) Arrivals() int {
 func (d *DriftMonitor) CurveAt(fracs []float64) ([]float64, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if len(d.history) == 0 {
+	if d.arrivals == 0 {
 		return nil, fmt.Errorf("cce: no arrivals observed yet")
 	}
 	out := make([]float64, len(fracs))
@@ -200,11 +250,13 @@ func (d *DriftMonitor) CurveAt(fracs []float64) ([]float64, error) {
 		if f <= 0 || f > 1 {
 			return nil, fmt.Errorf("cce: fraction %v outside (0,1]", f)
 		}
-		idx := int(f*float64(len(d.history))) - 1
+		idx := int(f*float64(d.arrivals)) - 1
 		if idx < 0 {
 			idx = 0
 		}
-		out[i] = d.history[idx]
+		// The last change point at or before arrival idx.
+		k := sort.Search(len(d.history), func(k int) bool { return d.history[k].at > idx }) - 1
+		out[i] = d.history[k].value()
 	}
 	return out, nil
 }

@@ -23,17 +23,20 @@ import (
 // not the allocated storage, so a context grown row by row scans no more
 // words than one built at its final size.
 //
-// Rows live in slots. A context built by NewContext and grown only with Add
-// is append-only: slot i holds the i-th arrival and Len == NumSlots. Remove
+// Rows live in slots of one table at code width (feature.Rows), slot i in
+// row i. A context built by NewContext and grown only with Add is
+// append-only: slot i holds the i-th arrival and Len == NumSlots. Remove
 // retires a slot — its bits are cleared from every posting list and from the
-// live mask, and the slot is recycled by the next Add — which is what lets
-// Retained (cce.Window, service retention) slide without rebuilding the
-// index. While holes exist, Item and Items still expose retired rows;
-// iterate live rows with LiveItems or guard with Alive.
+// live mask, and the slot is recycled by the next Add, which overwrites its
+// row in place — which is what lets Retained (cce.Window, service retention)
+// slide without rebuilding the index. While holes exist, Item and Items
+// still expose retired rows; iterate live rows with LiveItems or guard with
+// Alive. All three return copies, so a row read out stays as it was when
+// its slot is reused.
 type Context struct {
 	Schema *feature.Schema
 
-	items []feature.Labeled
+	rows *feature.Rows
 	// post[attr][value] holds the live rows where x[attr] == value.
 	post [][]*bitset.Set
 	// labelCount[attr][value*L+y] counts the live rows with x[attr] == value
@@ -63,7 +66,7 @@ func NewContext(schema *feature.Schema, items []feature.Labeled) (*Context, erro
 	return NewContextSized(schema, items, len(items))
 }
 
-// NewContextSized builds an indexed context whose row slice and bitsets
+// NewContextSized builds an indexed context whose row table and bitsets
 // reserve storage for at least capacity rows, so adding up to capacity rows
 // allocates nothing when the eventual occupancy is known up front (a sliding
 // window of fixed size, a bulk load). The reserve is storage only: the
@@ -72,7 +75,7 @@ func NewContextSized(schema *feature.Schema, items []feature.Labeled, capacity i
 	if capacity < len(items) {
 		capacity = len(items)
 	}
-	c := &Context{Schema: schema, items: make([]feature.Labeled, 0, capacity)}
+	c := &Context{Schema: schema, rows: feature.NewRows(schema, capacity)}
 	c.initIndex(capacity)
 	for _, li := range items {
 		if err := c.Add(li); err != nil {
@@ -80,6 +83,36 @@ func NewContextSized(schema *feature.Schema, items []feature.Labeled, capacity i
 		}
 	}
 	return c, nil
+}
+
+// newContextRows builds an indexed context over a table of rows already
+// validated for the schema, row i in slot i, reserving storage for at least
+// capacity rows as NewContextSized does. When the table is at the schema's
+// code widths and capacity asks for no more rows, the context takes its
+// storage, and a later Add may overwrite a removed slot's row there, so the
+// caller must not read rows once the context is in use. Otherwise the rows
+// are copied, repacked to the schema's widths.
+func newContextRows(schema *feature.Schema, rows *feature.Rows, capacity int) *Context {
+	n := rows.Len()
+	capacity = max(capacity, n)
+	vw, lw := feature.Widths(schema)
+	if gotV, gotL := rows.Widths(); gotV == vw && gotL == lw && capacity == n {
+		rows = rows.Slice(0, n) // a header of its own: appends never reach the caller's
+	} else {
+		own := feature.NewRows(schema, capacity)
+		for i := 0; i < n; i++ {
+			own.AppendFrom(rows, i)
+		}
+		rows = own
+	}
+	c := &Context{Schema: schema, rows: rows}
+	c.initIndex(capacity)
+	// The whole words AddSlot would have grown to, one row at a time.
+	c.grow((n + 63) / 64 * 64)
+	for i := 0; i < n; i++ {
+		c.index(i)
+	}
+	return c
 }
 
 func (c *Context) initIndex(capacity int) {
@@ -117,42 +150,52 @@ func (c *Context) AddSlot(li feature.Labeled) (int, error) {
 	if n := len(c.free); n > 0 {
 		i = c.free[n-1]
 		c.free = c.free[:n-1]
-		c.items[i] = li
+		c.rows.Set(i, li)
 	} else {
-		i = len(c.items)
+		i = c.rows.Len()
 		if i >= c.live.Len() {
 			c.grow(i + 64)
 		}
-		c.items = append(c.items, li)
+		c.rows.Append(li)
 	}
+	c.index(i)
+	return i, nil
+}
+
+// index enters the row in slot i into the index: its postings, label set,
+// counts and the live mask, whose bitsets are already i+1 bits long or
+// longer.
+func (c *Context) index(i int) {
+	y := c.rows.Label(i)
 	nl := len(c.byLabel)
-	for a, v := range li.X {
+	for a := range c.post {
+		v := c.rows.Value(i, a)
 		c.post[a][v].Add(i)
-		c.labelCount[a][int(v)*nl+int(li.Y)]++
+		c.labelCount[a][int(v)*nl+int(y)]++
 	}
-	c.byLabel[li.Y].Add(i)
-	c.labelLive[li.Y]++
+	c.byLabel[y].Add(i)
+	c.labelLive[y]++
 	c.live.Add(i)
 	c.liveCount++
 	c.version++
-	return i, nil
 }
 
 // Remove retires the row in the given slot: O(attrs) bit clears, after which
 // no posting list, label set, or Disagreeing result contains it. The slot is
 // recycled by a later Add. Removing a dead or out-of-range slot errors.
 func (c *Context) Remove(slot int) error {
-	if slot < 0 || slot >= len(c.items) || !c.live.Contains(slot) {
+	if slot < 0 || slot >= c.rows.Len() || !c.live.Contains(slot) {
 		return fmt.Errorf("core: remove of dead or out-of-range slot %d", slot)
 	}
-	li := c.items[slot]
+	y := c.rows.Label(slot)
 	nl := len(c.byLabel)
-	for a, v := range li.X {
+	for a := range c.post {
+		v := c.rows.Value(slot, a)
 		c.post[a][v].Remove(slot)
-		c.labelCount[a][int(v)*nl+int(li.Y)]--
+		c.labelCount[a][int(v)*nl+int(y)]--
 	}
-	c.byLabel[li.Y].Remove(slot)
-	c.labelLive[li.Y]--
+	c.byLabel[y].Remove(slot)
+	c.labelLive[y]--
 	c.live.Remove(slot)
 	c.liveCount--
 	c.free = append(c.free, slot)
@@ -185,25 +228,25 @@ func (c *Context) Len() int { return c.liveCount }
 func (c *Context) Version() uint64 { return c.version }
 
 // NumSlots returns the physical slot count, ≥ Len when rows were removed.
-func (c *Context) NumSlots() int { return len(c.items) }
+func (c *Context) NumSlots() int { return c.rows.Len() }
 
 // Alive reports whether slot i holds a live row.
 func (c *Context) Alive(i int) bool { return c.live.Contains(i) }
 
-// Item returns the row in slot i. In a context that has seen removals the
-// slot may be dead (check Alive) or hold a later arrival than the i-th.
-func (c *Context) Item(i int) feature.Labeled { return c.items[i] }
+// Item returns a copy of the row in slot i. In a context that has seen
+// removals the slot may be dead (check Alive) or hold a later arrival than
+// the i-th.
+func (c *Context) Item(i int) feature.Labeled { return c.rows.Row(i) }
 
-// Items returns the backing slot array; callers must not mutate it. Dead
-// slots retain their last occupant — use LiveItems when removals may have
-// happened.
-func (c *Context) Items() []feature.Labeled { return c.items }
+// Items returns a copy of every slot's row, in slot order. Dead slots hold
+// their last occupant — use LiveItems when removals may have happened.
+func (c *Context) Items() []feature.Labeled { return c.rows.Labeled() }
 
-// LiveItems returns a fresh slice of the live rows in slot order.
+// LiveItems returns a copy of the live rows in slot order.
 func (c *Context) LiveItems() []feature.Labeled {
 	out := make([]feature.Labeled, 0, c.liveCount)
 	c.live.ForEach(func(i int) bool {
-		out = append(out, c.items[i])
+		out = append(out, c.rows.Row(i))
 		return true
 	})
 	return out

@@ -44,7 +44,7 @@ func exactMinKey(c *Context, x feature.Instance, y feature.Label, alpha float64)
 
 	// Precompute, per feature, the violator rows surviving that feature, as
 	// row index lists; subsets are then checked by intersecting counts.
-	violators := violatorRows(c, x, y)
+	violators := violatorRows(c, y)
 	if len(violators) <= budget {
 		return Key{}, nil
 	}
@@ -53,7 +53,7 @@ func exactMinKey(c *Context, x feature.Instance, y feature.Label, alpha float64)
 	for a := 0; a < n; a++ {
 		survives[a] = make([]bool, len(violators))
 		for r, i := range violators {
-			survives[a][r] = c.Item(i).X[a] == x[a]
+			survives[a][r] = c.rows.Value(i, a) == x[a]
 		}
 	}
 	all := make([]int, len(violators))
@@ -98,12 +98,14 @@ func exactMinKey(c *Context, x feature.Instance, y feature.Label, alpha float64)
 	return nil, ErrNoKey
 }
 
-func violatorRows(c *Context, x feature.Instance, y feature.Label) []int {
+// violatorRows returns the live slots predicted other than y.
+func violatorRows(c *Context, y feature.Label) []int {
 	var rows []int
-	for i, li := range c.Items() {
-		if li.Y != y {
+	c.live.ForEach(func(i int) bool {
+		if c.rows.Label(i) != y {
 			rows = append(rows, i)
 		}
-	}
+		return true
+	})
 	return rows
 }

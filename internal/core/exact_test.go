@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"github.com/xai-db/relativekeys/internal/feature"
 )
 
 func TestExactMinKeyOnLoan(t *testing.T) {
@@ -88,5 +90,39 @@ func TestExactVsGreedy(t *testing.T) {
 		if len(opt) > len(greedy) {
 			t.Fatalf("trial %d: exact %d larger than greedy %d", trial, len(opt), len(greedy))
 		}
+	}
+}
+
+// TestOraclesSkipRetiredRows: the exact solver and the brute-force violation
+// count read live rows only, as the budget counts them. Row 0, a twin of x
+// with another prediction, is retired; counted, it would be a conflict no
+// key excludes.
+func TestOraclesSkipRetiredRows(t *testing.T) {
+	s := feature.MustSchema([]feature.Attribute{
+		{Name: "a", Values: []string{"0", "1"}},
+		{Name: "b", Values: []string{"0", "1"}},
+	}, []string{"neg", "pos"})
+	c, err := NewContext(s, []feature.Labeled{
+		{X: feature.Instance{0, 0}, Y: 1},
+		{X: feature.Instance{0, 1}, Y: 1},
+		{X: feature.Instance{1, 0}, Y: 1},
+		{X: feature.Instance{0, 0}, Y: 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Remove(0); err != nil {
+		t.Fatal(err)
+	}
+	x, y, ab := feature.Instance{0, 0}, feature.Label(0), NewKey(0, 1)
+	for name, solve := range map[string]func(*Context, feature.Instance, feature.Label, float64) (Key, error){
+		"SRK": SRK, "SRKNaive": SRKNaive, "ExactMinKey": ExactMinKey,
+	} {
+		if key, err := solve(c, x, y, 1.0); err != nil || !key.Equal(ab) {
+			t.Errorf("%s = %v, %v; want {a,b}", name, key, err)
+		}
+	}
+	if got, want := ViolationsBrute(c, x, y, ab), Violations(c, x, y, ab); got != want || got != 0 {
+		t.Errorf("ViolationsBrute({a,b}) = %d, Violations = %d; want 0", got, want)
 	}
 }

@@ -106,17 +106,16 @@ func Violations(c *Context, x feature.Instance, y feature.Label, E Key) int {
 	return d.Count()
 }
 
-// ViolationsBrute is the reference O(|I|·|E|) implementation used by tests.
+// ViolationsBrute is the reference O(|I|·|E|) implementation used by tests:
+// it rescans the live rows in place instead of using the index.
 func ViolationsBrute(c *Context, x feature.Instance, y feature.Label, E Key) int {
 	n := 0
-	for _, li := range c.Items() {
-		if li.Y == y {
-			continue
-		}
-		if li.X.AgreesOn(x, E) {
+	c.live.ForEach(func(i int) bool {
+		if c.rows.Label(i) != y && c.rows.AgreesOn(i, x, E) {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 

@@ -34,8 +34,9 @@ type OSRK struct {
 	// n counts the arrivals so far, |I_t|; the budget is Budget(α, n).
 	n int
 	// violators holds V_t, the feature vectors of arrivals that agree with x₀
-	// on E and predict differently, maintained incrementally. They alias the
-	// caller's instances, as Context.Add does.
+	// on E and predict differently, maintained incrementally. An observed
+	// arrival's vector aliases the caller's instance; a replayed one is a
+	// copy of its row.
 	violators []feature.Instance
 	// p counts online instances whose prediction differs from x₀'s (the p_t
 	// of Algorithm 2).
@@ -139,21 +140,39 @@ func (o *OSRK) ObserveCtx(ctx context.Context, li feature.Labeled) (degraded boo
 	return degraded, nil
 }
 
-// Replay feeds arrivals the caller has already validated (ValidateLabeled),
-// in order, leaving the monitor exactly as ObserveCtx would one at a time
-// under a context that never expires: the same key, counts, violators and
-// RNG position. It is the bulk path for rebuilding a monitor from a stored
-// stream, so it re-validates nothing, reads no clock, and records no span or
-// osrk_observe time. It appends to grew the index in items of the arrival at
-// which each feature joined the key, one entry per feature, ascending, and
-// returns the extended slice.
-func (o *OSRK) Replay(items []feature.Labeled, grew []int) []int {
-	for i, li := range items {
-		if !o.count(li) {
-			continue
+// Replay feeds the table's rows from index from on, which the caller has
+// already validated (feature.Rows.Validate), in order, leaving the monitor
+// exactly as ObserveCtx would one at a time under a context that never
+// expires: the same key, counts, violators and RNG position. It is the bulk
+// path for rebuilding a monitor from a stored stream, so it re-validates
+// nothing, reads no clock, and records no span or osrk_observe time. It
+// reads each row's label and key codes in place and copies only the rows it
+// keeps as violators or grows the key on, so no later write to the table
+// reaches the monitor. It appends to grew the index in rows of the arrival
+// at which each feature joined the key, one entry per feature, ascending,
+// and returns the extended slice.
+func (o *OSRK) Replay(rows *feature.Rows, from int, grew []int) []int {
+	var scratch feature.Instance
+	for i := from; i < rows.Len(); i++ {
+		o.n++
+		if rows.Label(i) == o.y0 {
+			continue // line 2
+		}
+		o.p++
+		var x feature.Instance
+		if rows.AgreesOn(i, o.x0, o.key) {
+			x = rows.AppendInstance(make(feature.Instance, 0, len(o.x0)), i)
+			o.violators = append(o.violators, x)
 		}
 		before := len(o.key)
-		o.grow(nil, li.X)
+		o.seed()
+		if len(o.violators) > 0 && len(o.violators) > Budget(o.alpha, o.n) {
+			if x == nil {
+				scratch = rows.AppendInstance(scratch[:0], i)
+				x = scratch
+			}
+			o.augment(nil, x)
+		}
 		for k := before; k < len(o.key); k++ {
 			grew = append(grew, i)
 		}
@@ -189,7 +208,12 @@ func (o *OSRK) count(li feature.Labeled) bool {
 // from x₀, reporting whether done closed before V_t fit the budget. A nil
 // done never closes.
 func (o *OSRK) grow(done <-chan struct{}, x feature.Instance) (degraded bool) {
-	// Lines 3-6: first differing instance seeds E randomly.
+	o.seed()
+	return o.augment(done, x)
+}
+
+// seed runs lines 3-6: the first differing instance seeds E randomly.
+func (o *OSRK) seed() {
 	if !o.seeded && len(o.key) == 0 {
 		o.seeded = true
 		for i := range o.weights {
@@ -198,7 +222,11 @@ func (o *OSRK) grow(done <-chan struct{}, x feature.Instance) (degraded bool) {
 			}
 		}
 	}
+}
 
+// augment runs lines 7-15 for x_t: it grows E until V_t fits the budget,
+// reading x_t only while it does not, and reports whether done closed first.
+func (o *OSRK) augment(done <-chan struct{}, x feature.Instance) (degraded bool) {
 	budget := Budget(o.alpha, o.n)
 	// Lines 8-15: grow E until the violators fit the budget.
 	for len(o.violators) > budget {

@@ -286,3 +286,68 @@ func TestOSRKWeightAndSizeBounds(t *testing.T) {
 		t.Fatalf("adversarial stream left %d violations", v)
 	}
 }
+
+// TestOSRKReplaySurvivesRowReuse: a monitor replayed from a table equals one
+// fed the same rows one at a time, and stays equal to it after every row of
+// the table is overwritten, as a context's slot reuse overwrites rows: the
+// violators it kept are copies. The overwrite makes every row a twin of x₀
+// with another prediction, so a violator aliasing the table would survive
+// every later feature and grow the key further.
+func TestOSRKReplaySurvivesRowReuse(t *testing.T) {
+	s := loanSchema(t)
+	rng := rand.New(rand.NewSource(26))
+	x0 := feature.Labeled{X: feature.Instance{0, 0, 0, 0}, Y: 0}
+	rows := feature.NewRows(s, 0)
+	var stream []feature.Labeled
+	for i := 0; i < 200; i++ {
+		li := randomLoanRow(rng)
+		rows.Append(li)
+		stream = append(stream, li)
+	}
+	for _, alpha := range []float64{1.0, 0.8} {
+		replayed, err := NewOSRK(s, x0.X, x0.Y, alpha, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed, err := NewOSRK(s, x0.X, x0.Y, alpha, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed.Replay(rows, 0, nil)
+		for _, li := range stream {
+			if _, err := fed.Observe(feature.Labeled{X: li.X.Clone(), Y: li.Y}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		same := func(when string) {
+			t.Helper()
+			if !replayed.Key().Equal(fed.Key()) || replayed.Len() != fed.Len() || replayed.Conflicts() != fed.Conflicts() ||
+				len(replayed.violators) != len(fed.violators) {
+				t.Fatalf("α=%v %s: replayed key %v (%d violators, %d conflicts), fed %v (%d, %d)", alpha, when,
+					replayed.Key(), len(replayed.violators), replayed.Conflicts(), fed.Key(), len(fed.violators), fed.Conflicts())
+			}
+			for i := range fed.violators {
+				if !replayed.violators[i].Equal(fed.violators[i]) {
+					t.Fatalf("α=%v %s: violator %d = %v, fed %v", alpha, when, i, replayed.violators[i], fed.violators[i])
+				}
+			}
+		}
+		same("after the replay")
+		for i := 0; i < rows.Len(); i++ {
+			rows.Set(i, feature.Labeled{X: x0.X.Clone(), Y: 1})
+		}
+		for i := 0; i < 50; i++ {
+			li := randomLoanRow(rng)
+			if _, err := replayed.Observe(li); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fed.Observe(li); err != nil {
+				t.Fatal(err)
+			}
+		}
+		same("after the rows were reused")
+		for i, li := range stream { // restore the table for the next α
+			rows.Set(i, li)
+		}
+	}
+}

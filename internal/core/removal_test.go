@@ -211,3 +211,31 @@ func TestBudgetScaleAware(t *testing.T) {
 		t.Errorf("Budget(0.85, 9) = %d, want 1", got)
 	}
 }
+
+// TestReadRowsAreCopies: a row read out with Item, Items or LiveItems keeps
+// its values after its slot is retired and reused, whose row the context
+// overwrites in place.
+func TestReadRowsAreCopies(t *testing.T) {
+	c, _, _ := loanContext(t)
+	item, items, live := c.Item(2), c.Items(), c.LiveItems()
+	want := item.X.Clone()
+	if err := c.Remove(2); err != nil {
+		t.Fatal(err)
+	}
+	other := feature.Labeled{X: feature.Instance{1 - want[0], (want[1] + 1) % 3, 1 - want[2], (want[3] + 1) % 3}, Y: 1 - item.Y}
+	slot, err := c.AddSlot(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slot != 2 {
+		t.Fatalf("the arrival took slot %d, not the retired slot 2", slot)
+	}
+	if got := c.Item(2); !got.X.Equal(other.X) || got.Y != other.Y {
+		t.Fatalf("slot 2 holds %v, want the arrival %v", got, other)
+	}
+	for name, got := range map[string]feature.Labeled{"Item": item, "Items": items[2], "LiveItems": live[2]} {
+		if !got.X.Equal(want) || got.Y != 1-other.Y {
+			t.Errorf("%s row read before the reuse changed to %v, want %v", name, got, want)
+		}
+	}
+}

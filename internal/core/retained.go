@@ -72,38 +72,56 @@ func (r *Retained) Add(li feature.Labeled) error {
 	return nil
 }
 
-// Replace swaps in a fresh context holding the newest limit of items, oldest
-// first. Every item is validated, including those the limit drops; on an
-// invalid item nothing changes, and the error is the first invalid item's.
-// Version moves past every earlier value even when items is empty.
+// Replace is ReplaceRows over a slice of rows. Every item is validated
+// before any table is built, and the error is the first invalid item's.
 func (r *Retained) Replace(items []feature.Labeled) error {
-	if r.limit > 0 && len(items) > r.limit {
-		// The dropped rows are validated here; NewContextSized validates the
-		// kept ones as it adds them, into a context not yet swapped in.
-		for _, li := range items[:len(items)-r.limit] {
-			if err := ValidateLabeled(r.ctx.Schema, li); err != nil {
-				return err
-			}
+	rows := feature.NewRows(r.ctx.Schema, len(items))
+	for _, li := range items {
+		if err := ValidateLabeled(r.ctx.Schema, li); err != nil {
+			return err
 		}
-		items = items[len(items)-r.limit:]
+		rows.Append(li)
 	}
-	ctx, err := NewContextSized(r.ctx.Schema, items, r.limit)
-	if err != nil {
-		return err
-	}
-	r.base += r.ctx.Version() + 1
-	r.ctx = ctx
-	// A fresh context puts items[i] in slot i.
-	r.head = 0
-	if r.ring != nil {
-		for i := range items {
-			r.ring[i] = i
-		}
-	}
+	r.replaceRows(rows)
 	return nil
 }
 
-// Items returns the live rows oldest first, in a fresh slice.
+// ReplaceRows swaps in a fresh context holding the newest limit rows of the
+// table, oldest first. Every row is validated, including those the limit
+// drops; on an invalid row nothing changes, and the error names the first.
+// Version moves past every earlier value even when the table is empty. The
+// new context may take the table's storage as its own and later overwrite
+// rows in it, so the caller must not read rows after its next Add.
+func (r *Retained) ReplaceRows(rows *feature.Rows) error {
+	if err := rows.Validate(r.ctx.Schema); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	r.replaceRows(rows)
+	return nil
+}
+
+// replaceRows is ReplaceRows over a table already validated for the schema.
+func (r *Retained) replaceRows(rows *feature.Rows) {
+	if n := rows.Len(); r.limit > 0 && n > r.limit {
+		// Copy the kept rows, so the dropped ones are not held for life.
+		kept := feature.NewRows(r.ctx.Schema, r.limit)
+		for i := n - r.limit; i < n; i++ {
+			kept.AppendFrom(rows, i)
+		}
+		rows = kept
+	}
+	r.base += r.ctx.Version() + 1
+	r.ctx = newContextRows(r.ctx.Schema, rows, r.limit)
+	// A fresh context puts row i in slot i.
+	r.head = 0
+	if r.ring != nil {
+		for i := 0; i < rows.Len(); i++ {
+			r.ring[i] = i
+		}
+	}
+}
+
+// Items returns a copy of the live rows, oldest first.
 func (r *Retained) Items() []feature.Labeled {
 	if r.ring == nil {
 		return r.ctx.LiveItems()
@@ -112,6 +130,23 @@ func (r *Retained) Items() []feature.Labeled {
 	out := make([]feature.Labeled, n)
 	for i := range out {
 		out[i] = r.ctx.Item(r.ring[(r.head+i)%r.limit])
+	}
+	return out
+}
+
+// Rows returns the live rows oldest first as a table no later Add, Remove
+// or Replace writes to: the snapshot payload, safe to encode after the
+// caller's lock is released. Unbounded, slot order is arrival order and
+// slots are only ever appended, so it is a view of the context's own
+// storage; bounded, it is a copy in ring order.
+func (r *Retained) Rows() *feature.Rows {
+	n := r.ctx.Len()
+	if r.ring == nil {
+		return r.ctx.rows.Slice(0, n)
+	}
+	out := feature.NewRows(r.ctx.Schema, n)
+	for i := 0; i < n; i++ {
+		out.AppendFrom(r.ctx.rows, r.ring[(r.head+i)%r.limit])
 	}
 	return out
 }

@@ -84,8 +84,8 @@ func SRKNaive(c *Context, x feature.Instance, y feature.Label, alpha float64) (K
 
 	// live holds row indices agreeing with x on E with different prediction.
 	var live []int
-	for i, li := range c.Items() {
-		if c.Alive(i) && li.Y != y {
+	for i := 0; i < c.NumSlots(); i++ {
+		if c.Alive(i) && c.rows.Label(i) != y {
 			live = append(live, i)
 		}
 	}
@@ -102,13 +102,13 @@ func SRKNaive(c *Context, x feature.Instance, y feature.Label, alpha float64) (K
 			}
 			card := 0
 			for _, i := range live {
-				if c.Item(i).X[a] == x[a] {
+				if c.rows.Value(i, a) == x[a] {
 					card++
 				}
 			}
 			freq := 0
-			for i, li := range c.Items() {
-				if c.Alive(i) && li.X[a] == x[a] {
+			for i := 0; i < c.NumSlots(); i++ {
+				if c.Alive(i) && c.rows.Value(i, a) == x[a] {
 					freq++
 				}
 			}
@@ -123,7 +123,7 @@ func SRKNaive(c *Context, x feature.Instance, y feature.Label, alpha float64) (K
 		E = append(E, bestAttr)
 		kept := live[:0]
 		for _, i := range live {
-			if c.Item(i).X[bestAttr] == x[bestAttr] {
+			if c.rows.Value(i, bestAttr) == x[bestAttr] {
 				kept = append(kept, i)
 			}
 		}

@@ -35,10 +35,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := SaveSnapshot(path, s, crashItems(), 17); err != nil {
 		t.Fatal(err)
 	}
-	schema, gotItems, seq, err := LoadSnapshot(path)
+	schema, gotRows, seq, err := LoadSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotItems := gotRows.Labeled()
 	if seq != 17 {
 		t.Fatalf("seq = %d, want 17", seq)
 	}

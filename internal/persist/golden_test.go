@@ -89,10 +89,11 @@ func TestGoldenBytes(t *testing.T) {
 // goldenRows at seq 17.
 func assertGoldenSnapshot(t *testing.T, name string) {
 	t.Helper()
-	schema, items, seq, err := LoadSnapshot(filepath.Join("testdata", "golden", name))
+	schema, rows, seq, err := LoadSnapshot(filepath.Join("testdata", "golden", name))
 	if err != nil {
 		t.Fatal(err)
 	}
+	items := rows.Labeled()
 	if seq != 17 || schema.NumFeatures() != 2 || len(items) != len(goldenRows) {
 		t.Fatalf("golden snapshot decoded to seq=%d, %d features, %d rows", seq, schema.NumFeatures(), len(items))
 	}

@@ -61,56 +61,11 @@ type snapshotJSON struct {
 
 func (f *snapshotJSON) crc() *uint32 { return &f.CRC }
 
-// codeWidth is the byte width v3 stores codes below n in.
-func codeWidth(n int) int {
-	switch {
-	case n <= 1<<8:
-		return 1
-	case n <= 1<<16:
-		return 2
-	default:
-		return 4
-	}
-}
-
-// widths derives the v3 value and label widths from schema.
-func widths(schema *feature.Schema) (value, label int) {
-	maxCard := 0
-	for i := range schema.Attrs {
-		maxCard = max(maxCard, schema.Attrs[i].Cardinality())
-	}
-	return codeWidth(maxCard), codeWidth(len(schema.Labels))
-}
-
-// appendCode appends v as width little-endian bytes.
-func appendCode(b []byte, v uint32, width int) []byte {
-	switch width {
-	case 1:
-		return append(b, byte(v))
-	case 2:
-		return binary.LittleEndian.AppendUint16(b, uint16(v))
-	default:
-		return binary.LittleEndian.AppendUint32(b, v)
-	}
-}
-
-// readCode reads a width-byte little-endian code from the front of b.
-func readCode(b []byte, width int) uint32 {
-	switch width {
-	case 1:
-		return uint32(b[0])
-	case 2:
-		return uint32(binary.LittleEndian.Uint16(b))
-	default:
-		return binary.LittleEndian.Uint32(b)
-	}
-}
-
-// encodeSnapshot renders the v3 encoding of the retained observations (in
-// arrival order) and the watermark seq into one buffer of exactly its size.
-// A row whose arity, value or label lies outside schema is an error: a width
-// never truncates a code.
-func encodeSnapshot(schema *feature.Schema, items []feature.Labeled, seq uint64) ([]byte, error) {
+// encodeSnapshot renders the v3 encoding of rows (in arrival order) and the
+// watermark seq into one buffer of exactly its size. rows must be valid for
+// schema (Rows.Validate); a width never truncates a code, so rows at other
+// widths than schema's are an error.
+func encodeSnapshot(schema *feature.Schema, rows *feature.Rows, seq uint64) ([]byte, error) {
 	sj, err := json.Marshal(schemaJSON{Attrs: schema.Attrs, Labels: schema.Labels})
 	if err != nil {
 		return nil, err
@@ -118,41 +73,57 @@ func encodeSnapshot(schema *feature.Schema, items []feature.Labeled, seq uint64)
 	if uint64(len(sj)) > math.MaxUint32 {
 		return nil, fmt.Errorf("persist: snapshot schema of %d bytes exceeds the format", len(sj))
 	}
-	k := schema.NumFeatures()
-	vw, lw := widths(schema)
-	size := snapshotMinLen + len(sj) + len(items)*(k*vw+lw)
+	vw, lw := feature.Widths(schema)
+	if gotV, gotL := rows.Widths(); gotV != vw || gotL != lw {
+		return nil, fmt.Errorf("persist: snapshot rows at code widths %d/%d, schema implies %d/%d", gotV, gotL, vw, lw)
+	}
+	size := snapshotMinLen + len(sj) + rows.Len()*(schema.NumFeatures()*vw+lw)
 	b := make([]byte, 0, size)
 	b = append(b, snapshotMagic...)
 	b = binary.LittleEndian.AppendUint32(b, snapshotVersion)
 	b = binary.LittleEndian.AppendUint64(b, seq)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(sj)))
 	b = append(b, sj...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(items)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(rows.Len()))
 	b = append(b, byte(vw), byte(lw))
+	b = rows.AppendSections(b)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+}
+
+// validRows checks rows against schema for the encoders.
+func validRows(schema *feature.Schema, rows *feature.Rows) error {
+	if err := rows.Validate(schema); err != nil {
+		return fmt.Errorf("persist: snapshot %w", err)
+	}
+	return nil
+}
+
+// rowsOf builds the table of items for the []feature.Labeled encoders,
+// refusing a row whose arity, value or label lies outside schema.
+func rowsOf(schema *feature.Schema, items []feature.Labeled) (*feature.Rows, error) {
+	rows := feature.NewRows(schema, len(items))
 	for r, li := range items {
 		if err := schema.Validate(li.X); err != nil {
 			return nil, fmt.Errorf("persist: snapshot row %d: %w", r, err)
 		}
-		for _, v := range li.X {
-			b = appendCode(b, uint32(v), vw)
-		}
-	}
-	for r, li := range items {
 		if li.Y < 0 || int(li.Y) >= len(schema.Labels) {
 			return nil, fmt.Errorf("persist: snapshot row %d: label %d outside the %d labels", r, li.Y, len(schema.Labels))
 		}
-		b = appendCode(b, uint32(li.Y), lw)
+		rows.Append(li)
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+	return rows, nil
 }
 
-// EncodeSnapshot writes the snapshot encoding of the retained observations
-// (in arrival order) plus the sequence watermark seq to w, in one Write. It
-// is the wire/disk-agnostic half of SaveSnapshot: the replication primary
-// streams exactly these bytes from /snapshot so a follower's catch-up file is
-// bit-compatible with a local snapshot.
-func EncodeSnapshot(w io.Writer, schema *feature.Schema, items []feature.Labeled, seq uint64) error {
-	b, err := encodeSnapshot(schema, items, seq)
+// EncodeSnapshotRows writes the snapshot encoding of the retained rows (in
+// arrival order) plus the sequence watermark seq to w, in one Write. It is
+// the wire/disk-agnostic half of SaveSnapshotRows: the replication primary
+// streams exactly these bytes from /snapshot so a follower's catch-up file
+// is bit-compatible with a local snapshot. A row outside schema is an error.
+func EncodeSnapshotRows(w io.Writer, schema *feature.Schema, rows *feature.Rows, seq uint64) error {
+	if err := validRows(schema, rows); err != nil {
+		return err
+	}
+	b, err := encodeSnapshot(schema, rows, seq)
 	if err != nil {
 		return err
 	}
@@ -160,13 +131,44 @@ func EncodeSnapshot(w io.Writer, schema *feature.Schema, items []feature.Labeled
 	return err
 }
 
-// SaveSnapshot atomically writes the retained observations (in arrival
-// order) plus the observation sequence watermark seq: temp file, fsync,
-// rename, directory fsync. A crash mid-save leaves the previous snapshot
-// intact.
+// EncodeSnapshot is EncodeSnapshotRows over a slice of rows.
+func EncodeSnapshot(w io.Writer, schema *feature.Schema, items []feature.Labeled, seq uint64) error {
+	rows, err := rowsOf(schema, items)
+	if err != nil {
+		return err
+	}
+	b, err := encodeSnapshot(schema, rows, seq)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// SaveSnapshotRows atomically writes the retained rows (in arrival order)
+// plus the observation sequence watermark seq: temp file, fsync, rename,
+// directory fsync. A crash mid-save leaves the previous snapshot intact. A
+// row outside schema is an error.
+func SaveSnapshotRows(path string, schema *feature.Schema, rows *feature.Rows, seq uint64) error {
+	if err := validRows(schema, rows); err != nil {
+		return err
+	}
+	return saveSnapshot(path, schema, rows, seq)
+}
+
+// SaveSnapshot is SaveSnapshotRows over a slice of rows.
 func SaveSnapshot(path string, schema *feature.Schema, items []feature.Labeled, seq uint64) error {
+	rows, err := rowsOf(schema, items)
+	if err != nil {
+		return err
+	}
+	return saveSnapshot(path, schema, rows, seq)
+}
+
+// saveSnapshot is SaveSnapshotRows after validation.
+func saveSnapshot(path string, schema *feature.Schema, rows *feature.Rows, seq uint64) error {
 	start := time.Now()
-	b, err := encodeSnapshot(schema, items, seq)
+	b, err := encodeSnapshot(schema, rows, seq)
 	if err != nil {
 		return err
 	}
@@ -182,12 +184,13 @@ func SaveSnapshot(path string, schema *feature.Schema, items []feature.Labeled, 
 	return nil
 }
 
-// LoadSnapshot reads a snapshot written by SaveSnapshot, verifying its
-// checksum and version and, for v3, every row against its schema.
-// Truncation and corruption both surface as ErrCorruptSnapshot; a missing
-// file surfaces as the underlying fs.ErrNotExist so callers can distinguish
-// "first boot" from "damaged state".
-func LoadSnapshot(path string) (*feature.Schema, []feature.Labeled, uint64, error) {
+// LoadSnapshot reads a snapshot written by SaveSnapshotRows, verifying its
+// checksum, its version and every row against its schema, into a table at
+// the schema's code widths. Truncation and corruption both surface as
+// ErrCorruptSnapshot; a missing file surfaces as the underlying
+// fs.ErrNotExist so callers can distinguish "first boot" from "damaged
+// state".
+func LoadSnapshot(path string) (*feature.Schema, *feature.Rows, uint64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, 0, err
@@ -198,7 +201,7 @@ func LoadSnapshot(path string) (*feature.Schema, []feature.Labeled, uint64, erro
 // DecodeSnapshot reads one snapshot encoding from r — the receive side of
 // EncodeSnapshot, used by a follower ingesting /snapshot. Damage surfaces as
 // ErrCorruptSnapshot exactly as in LoadSnapshot.
-func DecodeSnapshot(r io.Reader) (*feature.Schema, []feature.Labeled, uint64, error) {
+func DecodeSnapshot(r io.Reader) (*feature.Schema, *feature.Rows, uint64, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
@@ -206,7 +209,7 @@ func DecodeSnapshot(r io.Reader) (*feature.Schema, []feature.Labeled, uint64, er
 	return decodeSnapshotBytes(b)
 }
 
-func decodeSnapshotBytes(b []byte) (*feature.Schema, []feature.Labeled, uint64, error) {
+func decodeSnapshotBytes(b []byte) (*feature.Schema, *feature.Rows, uint64, error) {
 	if bytes.HasPrefix(b, []byte(snapshotMagic)) {
 		return decodeSnapshotV3(b)
 	}
@@ -221,8 +224,9 @@ func corrupt(format string, args ...any) error {
 // decodeSnapshotV3 checks everything the layout declares before it
 // allocates for the rows: the checksum, the version, the schema, both widths
 // against the schema, and the declared row count against the bytes present.
-// The rows then share one backing array, each a capped slice of it.
-func decodeSnapshotV3(b []byte) (*feature.Schema, []feature.Labeled, uint64, error) {
+// The row sections are then copied into one table (feature.ReadRows), which
+// validates every code.
+func decodeSnapshotV3(b []byte) (*feature.Schema, *feature.Rows, uint64, error) {
 	if len(b) < snapshotMinLen {
 		return nil, nil, 0, corrupt("%d bytes is shorter than the %d-byte header", len(b), snapshotMinLen)
 	}
@@ -251,42 +255,16 @@ func decodeSnapshotV3(b []byte) (*feature.Schema, []feature.Labeled, uint64, err
 	}
 	p = p[schemaLen:]
 	n := binary.LittleEndian.Uint64(p)
-	vw, lw := int(p[8]), int(p[9])
-	p = p[10:]
-	if wantV, wantL := widths(schema); vw != wantV || lw != wantL {
-		return nil, nil, 0, corrupt("code widths %d/%d, schema implies %d/%d", vw, lw, wantV, wantL)
+	rows, err := feature.ReadRows(schema, n, int(p[8]), int(p[9]), p[10:])
+	if err != nil {
+		return nil, nil, 0, corrupt("%v", err)
 	}
-	k := schema.NumFeatures()
-	rowBytes := uint64(k*vw + lw)
-	if n > uint64(len(p))/rowBytes || n*rowBytes != uint64(len(p)) {
-		return nil, nil, 0, corrupt("%d rows of %d bytes do not fill the %d bytes present", n, rowBytes, len(p))
-	}
-	flat := make([]int32, int(n)*k)
-	for r := 0; r < int(n); r++ {
-		row := flat[r*k : (r+1)*k]
-		for a := range row {
-			v := readCode(p, vw)
-			if uint64(v) >= uint64(schema.Attrs[a].Cardinality()) {
-				return nil, nil, 0, corrupt("row %d: value %d out of domain for attribute %q", r, v, schema.Attrs[a].Name)
-			}
-			row[a] = int32(v)
-			p = p[vw:]
-		}
-	}
-	items := make([]feature.Labeled, n)
-	for i := range items {
-		y := readCode(p, lw)
-		if uint64(y) >= uint64(len(schema.Labels)) {
-			return nil, nil, 0, corrupt("row %d: label %d outside the %d labels", i, y, len(schema.Labels))
-		}
-		items[i] = feature.Labeled{X: flat[i*k : (i+1)*k : (i+1)*k], Y: int32(y)}
-		p = p[lw:]
-	}
-	return schema, items, seq, nil
+	return schema, rows, seq, nil
 }
 
-// decodeSnapshotJSON reads the v2 JSON format.
-func decodeSnapshotJSON(b []byte) (*feature.Schema, []feature.Labeled, uint64, error) {
+// decodeSnapshotJSON reads the v2 JSON format into a table, refusing a row
+// outside the snapshot's schema as corruption.
+func decodeSnapshotJSON(b []byte) (*feature.Schema, *feature.Rows, uint64, error) {
 	var f snapshotJSON
 	if err := json.Unmarshal(b, &f); err != nil {
 		return nil, nil, 0, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
@@ -313,5 +291,9 @@ func decodeSnapshotJSON(b []byte) (*feature.Schema, []feature.Labeled, uint64, e
 	for i := range f.Rows {
 		items[i] = feature.Labeled{X: feature.Instance(f.Rows[i]), Y: f.Labels[i]}
 	}
-	return schema, items, f.Seq, nil
+	rows, err := rowsOf(schema, items)
+	if err != nil {
+		return nil, nil, 0, corrupt("%v", err)
+	}
+	return schema, rows, f.Seq, nil
 }

@@ -77,7 +77,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(restamp(v3, func(m []byte) { binary.LittleEndian.PutUint32(m[16:], uint32(len(v3))) }))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		schema, items, seq, err := DecodeSnapshot(bytes.NewReader(b))
+		schema, rows, seq, err := DecodeSnapshot(bytes.NewReader(b))
 		if err != nil {
 			if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, errSnapshotVersion) {
 				t.Fatalf("refusal of %q is neither corruption nor a version mismatch: %v", b, err)
@@ -85,16 +85,17 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			return
 		}
 		var again bytes.Buffer
-		if err := EncodeSnapshot(&again, schema, items, seq); err != nil {
+		if err := EncodeSnapshotRows(&again, schema, rows, seq); err != nil {
 			t.Fatalf("re-encode of accepted %q: %v", b, err)
 		}
-		schema2, items2, seq2, err := DecodeSnapshot(&again)
+		schema2, rows2, seq2, err := DecodeSnapshot(&again)
 		if err != nil {
 			t.Fatalf("re-encoded %q of accepted %q rejected: %v", again.Bytes(), b, err)
 		}
 		if seq2 != seq || !reflect.DeepEqual(schema2.Attrs, schema.Attrs) || !reflect.DeepEqual(schema2.Labels, schema.Labels) {
 			t.Fatalf("round trip of %q changed seq %d→%d or the schema", b, seq, seq2)
 		}
+		items, items2 := rows.Labeled(), rows2.Labeled()
 		if len(items2) != len(items) {
 			t.Fatalf("round trip of %q: %d rows, want %d", b, len(items2), len(items))
 		}

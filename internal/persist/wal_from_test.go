@@ -228,8 +228,8 @@ func TestEncodeDecodeSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 17 || len(gotItems) != 2 || len(gotSchema.Attrs) != len(schema.Attrs) {
-		t.Fatalf("decode gave seq=%d items=%d", seq, len(gotItems))
+	if seq != 17 || gotItems.Len() != 2 || len(gotSchema.Attrs) != len(schema.Attrs) {
+		t.Fatalf("decode gave seq=%d items=%d", seq, gotItems.Len())
 	}
 	// Follower catch-up refuses a damaged stream the same way LoadSnapshot
 	// refuses a damaged file: here the seq field, bytes 8–15 of v3.
@@ -244,8 +244,8 @@ func TestEncodeDecodeSnapshotRoundTrip(t *testing.T) {
 	// A v2 stream, from a primary not yet upgraded, decodes and is refused
 	// the same way.
 	v2 := readGolden(t, "context.snap")
-	if _, got, seq, err := DecodeSnapshot(bytes.NewReader(v2)); err != nil || seq != 17 || len(got) != 2 {
-		t.Fatalf("decode of v2 snapshot: seq=%d rows=%d err=%v", seq, len(got), err)
+	if _, got, seq, err := DecodeSnapshot(bytes.NewReader(v2)); err != nil || seq != 17 || got.Len() != 2 {
+		t.Fatalf("decode of v2 snapshot: seq=%d rows=%d err=%v", seq, got.Len(), err)
 	}
 	mut = bytes.Replace(v2, []byte(`"seq":17`), []byte(`"seq":18`), 1)
 	if _, _, _, err := DecodeSnapshot(bytes.NewReader(mut)); !errors.Is(err, ErrCorruptSnapshot) {

@@ -23,7 +23,7 @@ import (
 // structurally satisfied by *service.Server in follower mode.
 type Applier interface {
 	ApplyReplicated(ctx context.Context, seq uint64, li feature.Labeled) error
-	InstallSnapshot(ctx context.Context, schema *feature.Schema, items []feature.Labeled, seq uint64) error
+	InstallSnapshot(ctx context.Context, schema *feature.Schema, rows *feature.Rows, seq uint64) error
 	ReplicaHeartbeat(primarySeq uint64)
 	SetReplicaEpoch(epoch string)
 	Epoch() string
@@ -234,7 +234,7 @@ func (f *Follower) snapshotCatchup(ctx context.Context) error {
 		return fmt.Errorf("replica: /snapshot: %s", resp.Status)
 	}
 	epoch := resp.Header.Get(EpochHeader)
-	schema, items, seq, err := persist.DecodeSnapshot(resp.Body)
+	schema, rows, seq, err := persist.DecodeSnapshot(resp.Body)
 	if err != nil {
 		return err
 	}
@@ -244,7 +244,8 @@ func (f *Follower) snapshotCatchup(ctx context.Context) error {
 			f.cfg.Logger.Warn("snapshot header/body watermark mismatch", "header", v, "body", seq)
 		}
 	}
-	if err := f.app.InstallSnapshot(ctx, schema, items, seq); err != nil {
+	n := rows.Len() // InstallSnapshot takes the table over
+	if err := f.app.InstallSnapshot(ctx, schema, rows, seq); err != nil {
 		return err
 	}
 	if epoch != "" && epoch != f.epoch {
@@ -255,7 +256,7 @@ func (f *Follower) snapshotCatchup(ctx context.Context) error {
 	f.app.ReplicaHeartbeat(seq)
 	f.snapshotCatchups.Add(1)
 	replSnapshotCatchups.Inc()
-	f.cfg.Logger.Info("snapshot catch-up complete", "seq", seq, "epoch", epoch, "rows", len(items))
+	f.cfg.Logger.Info("snapshot catch-up complete", "seq", seq, "epoch", epoch, "rows", n)
 	return nil
 }
 

@@ -239,8 +239,8 @@ func TestHubSnapshotEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 7 || len(items) != 7 {
-		t.Fatalf("snapshot seq=%d rows=%d, want 7/7", seq, len(items))
+	if seq != 7 || items.Len() != 7 {
+		t.Fatalf("snapshot seq=%d rows=%d, want 7/7", seq, items.Len())
 	}
 	if schema.NumFeatures() != p.schema.NumFeatures() {
 		t.Fatalf("snapshot schema arity %d, want %d", schema.NumFeatures(), p.schema.NumFeatures())

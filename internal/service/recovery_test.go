@@ -391,7 +391,7 @@ func TestRecoveryRebuildsMonitor(t *testing.T) {
 			}
 		}
 		before := processSeries(t)
-		if err := srv.InstallSnapshot(ctx, schema, rows, n); err != nil {
+		if err := srv.InstallSnapshot(ctx, schema, tableOf(schema, rows), n); err != nil {
 			t.Fatal(err)
 		}
 		after := processSeries(t)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"github.com/xai-db/relativekeys/internal/feature"
+	"github.com/xai-db/relativekeys/internal/persist"
 )
 
 // pint64 renders an optional response field for failure messages.
@@ -264,7 +266,7 @@ func TestInstallSnapshotSwapsAtomically(t *testing.T) {
 		}
 	}
 	// Install replaces everything: rows, watermark, and the durable snapshot.
-	if err := srv.InstallSnapshot(ctx, robustSchema(t), seed, 42); err != nil {
+	if err := srv.InstallSnapshot(ctx, robustSchema(t), tableOf(robustSchema(t), seed), 42); err != nil {
 		t.Fatal(err)
 	}
 	if srv.ContextSize() != len(seed) || srv.Seq() != 42 {
@@ -289,6 +291,78 @@ func TestInstallSnapshotSwapsAtomically(t *testing.T) {
 	}
 	if srv.ContextSize() != len(seed) || srv.Seq() != 42 {
 		t.Fatalf("failed install mutated state: size=%d seq=%d, want %d/42", srv.ContextSize(), srv.Seq(), len(seed))
+	}
+}
+
+// TestSnapshotWidthsRepackedOrRefused: a snapshot whose schema has the
+// configured shape but a wider Income domain stores its codes two bytes
+// wide. Install and boot recovery repack its rows to the configured one-byte
+// widths, and refuse, with the state untouched, a code those widths cannot
+// hold or one outside the configured domain: a code is never read at a
+// width it was not written in.
+func TestSnapshotWidthsRepackedOrRefused(t *testing.T) {
+	values := make([]string, 300)
+	for i := range values {
+		values[i] = fmt.Sprint("v", i)
+	}
+	wide := feature.MustSchema([]feature.Attribute{
+		{Name: "Income", Values: values},
+		{Name: "Credit", Values: []string{"poor", "good"}},
+		{Name: "Area", Values: []string{"Urban", "Rural"}},
+	}, []string{"Denied", "Approved"})
+	seed := robustSeed()
+	ctx := context.Background()
+	dir := t.TempDir()
+	srv := newFollowerServer(t, dir)
+	if err := srv.InstallSnapshot(ctx, wide, tableOf(wide, seed), 9); err != nil {
+		t.Fatal(err)
+	}
+	if srv.ContextSize() != len(seed) || srv.Seq() != 9 {
+		t.Fatalf("after install: size=%d seq=%d, want %d/9", srv.ContextSize(), srv.Seq(), len(seed))
+	}
+	_, rows, _, err := persist.LoadSnapshot(filepath.Join(dir, snapshotFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vw, lw := rows.Widths(); vw != 1 || lw != 1 {
+		t.Fatalf("installed snapshot written at widths %d/%d, want the configured 1/1", vw, lw)
+	}
+	for i, li := range seed {
+		if got := rows.Row(i); !got.X.Equal(li.X) || got.Y != li.Y {
+			t.Fatalf("installed row %d = %v, want %v", i, got, li)
+		}
+	}
+	for _, code := range []feature.Value{299, 200} { // too wide; outside Income's 3 values
+		bad := append([]feature.Labeled{{X: feature.Instance{code, 0, 0}, Y: 1}}, seed...)
+		if err := srv.InstallSnapshot(ctx, wide, tableOf(wide, bad), 50); err == nil {
+			t.Fatalf("install accepted Income code %d", code)
+		}
+		if srv.ContextSize() != len(seed) || srv.Seq() != 9 {
+			t.Fatalf("refused install of code %d changed the state: size=%d seq=%d", code, srv.ContextSize(), srv.Seq())
+		}
+		bootDir := t.TempDir()
+		if err := persist.SaveSnapshotRows(filepath.Join(bootDir, snapshotFileName), wide, tableOf(wide, bad), 3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewServer(Config{Schema: robustSchema(t), Alpha: 1.0, StateDir: bootDir}); err == nil {
+			t.Fatalf("boot recovered a snapshot holding Income code %d", code)
+		}
+	}
+	bootDir := t.TempDir()
+	if err := persist.SaveSnapshotRows(filepath.Join(bootDir, snapshotFileName), wide, tableOf(wide, seed), 3); err != nil {
+		t.Fatal(err)
+	}
+	booted, err := NewServer(Config{Schema: robustSchema(t), Alpha: 1.0, StateDir: bootDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := booted.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	if booted.ContextSize() != len(seed) || booted.Seq() != 3 {
+		t.Fatalf("boot on a wide snapshot: size=%d seq=%d, want %d/3", booted.ContextSize(), booted.Seq(), len(seed))
 	}
 }
 
@@ -320,7 +394,7 @@ func TestInstallSnapshotInvalidatesExplainCache(t *testing.T) {
 
 	// Install a snapshot of three DIFFERENT rows: the fresh context's version
 	// is again 3, the exact collision the version base must prevent.
-	if err := srv.InstallSnapshot(ctx, robustSchema(t), seed[3:], 42); err != nil {
+	if err := srv.InstallSnapshot(ctx, robustSchema(t), tableOf(robustSchema(t), seed[3:]), 42); err != nil {
 		t.Fatal(err)
 	}
 

@@ -62,12 +62,12 @@ func (s *Server) ApplyReplicated(ctx context.Context, seq uint64, li feature.Lab
 // InstallSnapshot replaces the follower's entire context with a snapshot
 // fetched from the primary — the catch-up path when the WAL tail is gone
 // (primary restarted, or the follower lagged past compaction). It is the
-// same bulk load as boot recovery (loadLocked), and the swap is atomic
-// (core.Retained.Replace): nothing changes unless every row is accepted, so
-// a failed install leaves the previous state serving, and the context
-// version climbs past every earlier value, so no pre-snapshot cache entry
-// can answer for post-snapshot content.
-func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, items []feature.Labeled, seq uint64) error {
+// same bulk load as boot recovery (loadLocked), which takes the table over,
+// and the swap is atomic (core.Retained.ReplaceRows): nothing changes unless
+// every row is accepted, so a failed install leaves the previous state
+// serving, and the context version climbs past every earlier value, so no
+// pre-snapshot cache entry can answer for post-snapshot content.
+func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, rows *feature.Rows, seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.follower {
@@ -76,10 +76,11 @@ func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, it
 	if s.closed {
 		return errDraining
 	}
-	if err := s.checkSnapshotSchema(schema); err != nil {
+	rows, err := s.fitSnapshot(schema, rows)
+	if err != nil {
 		return err
 	}
-	if err := s.loadLocked(ctx, items); err != nil {
+	if err := s.loadLocked(ctx, rows); err != nil {
 		// The drift panel is a statistic of the stream, not ground truth:
 		// it is fed the snapshot rows so drift estimates keep their history,
 		// but a monitor hiccup, which comes after the swap, must not abort
@@ -210,14 +211,14 @@ func (s *Server) WALPath() string { return s.walPath }
 
 // WriteSnapshotTo streams the current rows and watermark in the snapshot
 // encoding — the payload of the primary's /snapshot catch-up endpoint,
-// bit-compatible with an on-disk snapshot. Only the copy of the row list and
-// the watermark happen under the state lock; encoding and writing happen
-// after it, so a follower that stops reading cannot stall observes (nor, via
-// the waiting writer, explains). The copy is consistent because admitted
-// rows are never mutated in place.
+// bit-compatible with an on-disk snapshot. Only taking the row table
+// (core.Retained.Rows, which no later observe writes to) and the watermark
+// happen under the state lock; encoding and writing happen after it, so a
+// follower that stops reading cannot stall observes (nor, via the waiting
+// writer, explains).
 func (s *Server) WriteSnapshotTo(w io.Writer) error {
 	s.mu.RLock()
-	items, seq := s.ctx.Items(), s.seq
+	rows, seq := s.ctx.Rows(), s.seq
 	s.mu.RUnlock()
-	return persist.EncodeSnapshot(w, s.schema, items, seq)
+	return persist.EncodeSnapshotRows(w, s.schema, rows, seq)
 }

@@ -35,6 +35,16 @@ func robustSeed() []feature.Labeled {
 	}
 }
 
+// tableOf copies rows into a table over schema, the form InstallSnapshot
+// takes.
+func tableOf(schema *feature.Schema, rows []feature.Labeled) *feature.Rows {
+	t := feature.NewRows(schema, len(rows))
+	for _, li := range rows {
+		t.Append(li)
+	}
+	return t
+}
+
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
 	b, err := json.Marshal(body)

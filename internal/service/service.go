@@ -37,10 +37,10 @@ import (
 // seam so tests and the fault-injection harness can interpose failing or
 // slow monitors when exercising the observe refusal path.
 //
-// A monitor may also implement ObserveAll(items []feature.Labeled) error, as
+// A monitor may also implement ObserveRows(rows *feature.Rows) error, as
 // cce.DriftMonitor does: the server detects it the way io.Copy detects
 // io.WriterTo and feeds boot recovery and snapshot install through it in one
-// batch. A monitor without it is fed those rows one at a time.
+// batch. A monitor without it is fed those rows one at a time, each a copy.
 type DriftObserver interface {
 	ObserveCtx(ctx context.Context, li feature.Labeled) (int, error)
 	AvgSuccinctness() float64
@@ -49,10 +49,12 @@ type DriftObserver interface {
 
 // batchObserver is the optional bulk entry of a DriftObserver: it feeds rows
 // in order, all or none, leaving the monitor as ObserveCtx would one row at a
-// time. It refuses a batch holding a row core.ValidateLabeled refuses, as
-// cce.DriftMonitor does, since loadLocked validates nothing itself.
+// time. It refuses a table holding a row outside its schema
+// (feature.Rows.Validate), as cce.DriftMonitor does, since loadLocked
+// validates nothing itself. It only reads the table, and keeps no reference
+// into it once it returns.
 type batchObserver interface {
-	ObserveAll(items []feature.Labeled) error
+	ObserveRows(rows *feature.Rows) error
 }
 
 // SolveFunc is the anytime solver seam, matching core.SRKAnytime: it returns
@@ -69,7 +71,7 @@ type Config struct {
 	Retain    int // max live context rows; 0 = grow forever
 
 	// Monitor overrides PanelSize construction when non-nil. Its optional
-	// ObserveAll, detected like io.WriterTo, takes the rows of boot recovery
+	// ObserveRows, detected like io.WriterTo, takes the rows of boot recovery
 	// and snapshot install in one batch; without it they arrive one at a time.
 	Monitor DriftObserver
 	// Solve overrides the explain solver. nil = core.SRKAnytimePar, the
@@ -296,20 +298,22 @@ func NewServer(cfg Config) (*Server, error) {
 
 // recoverLocked rebuilds the context from the snapshot plus the observation
 // log: the snapshot rows in arrival order, then the log records with a
-// sequence number past the snapshot watermark, bulk-loaded in one pass
-// (loadLocked). The drift monitor is rebuilt from the recovered rows rather
-// than persisted — its panel is a statistic of the stream, not ground truth.
-// Called from NewServer before the server is shared, hence no locking.
+// sequence number past the snapshot watermark, appended to the snapshot's
+// table and bulk-loaded in one pass (loadLocked). The drift monitor is
+// rebuilt from the recovered rows rather than persisted — its panel is a
+// statistic of the stream, not ground truth. Called from NewServer before
+// the server is shared, hence no locking.
 func (s *Server) recoverLocked(walPath string) error {
-	schema, items, seq, err := persist.LoadSnapshot(s.snapPath)
+	schema, rows, seq, err := persist.LoadSnapshot(s.snapPath)
 	switch {
 	case err == nil:
-		if err := s.checkSnapshotSchema(schema); err != nil {
+		if rows, err = s.fitSnapshot(schema, rows); err != nil {
 			return err
 		}
 		s.seq = seq
 	case os.IsNotExist(err):
 		// First boot: nothing to recover.
+		rows = feature.NewRows(s.schema, 0)
 	default:
 		return err
 	}
@@ -323,62 +327,77 @@ func (s *Server) recoverLocked(walPath string) error {
 			s.walBase = s.seq
 		}
 		// A torn tail is truncated from the file by RecoverWAL; mid-file
-		// damage (persist.ErrCorruptLog) refuses the boot.
+		// damage (persist.ErrCorruptLog) refuses the boot, and so does a
+		// record outside the schema, which the table cannot hold.
 		if _, err := persist.RecoverWAL(walPath, s.seq, func(seq uint64, li feature.Labeled) error {
-			items = append(items, li)
+			if err := core.ValidateLabeled(s.schema, li); err != nil {
+				return fmt.Errorf("service: recovery: %w", err)
+			}
+			rows.Append(li)
 			s.seq = seq
 			return nil
 		}); err != nil {
 			return err
 		}
 	}
-	if len(items) == 0 {
+	if rows.Len() == 0 {
 		return nil // nothing to load: keep the empty context NewServer built
 	}
-	//rkvet:ignore ctxflow recovery runs inside NewServer before any request exists; only a monitor without ObserveAll reads this context, row by row, and its replay must complete
-	if err := s.loadLocked(context.Background(), items); err != nil {
+	//rkvet:ignore ctxflow recovery runs inside NewServer before any request exists; only a monitor without ObserveRows reads this context, row by row, and its replay must complete
+	if err := s.loadLocked(context.Background(), rows); err != nil {
 		return fmt.Errorf("service: recovery: %w", err)
 	}
 	return nil
 }
 
-// loadLocked replaces the context with items, oldest first, and feeds them to
-// the drift monitor: the one bulk load behind boot recovery and snapshot
-// install. Neither half can take a row the other refuses: Retained.Replace
-// and ObserveAll each refuse an invalid batch whole, by core.ValidateLabeled,
-// before changing anything. A monitor with ObserveAll replays its panel in
-// one goroutine beside the context build, joined before loadLocked returns;
-// any other monitor is fed row by row under ctx once the context is in
-// place. A monitor failure comes back as a monitorError, after the context
-// swap. Callers hold s.mu.
-func (s *Server) loadLocked(ctx context.Context, items []feature.Labeled) error {
+// loadLocked replaces the context with the table's rows, oldest first, and
+// feeds them to the drift monitor: the one bulk load behind boot recovery
+// and snapshot install. Neither half can take a row the other refuses:
+// Retained.ReplaceRows and ObserveRows each refuse a table holding a row
+// outside the schema, by feature.Rows.Validate, before changing anything. A
+// monitor with ObserveRows replays its panel in one goroutine beside the
+// context build, reading the same table, joined before loadLocked returns;
+// any other monitor is fed a copy of each row under ctx once the context is
+// in place. A monitor failure comes back as a monitorError, after the
+// context swap. The context may take the table's storage, so callers hand
+// it over. Callers hold s.mu.
+func (s *Server) loadLocked(ctx context.Context, rows *feature.Rows) error {
 	if bm, ok := s.monitor.(batchObserver); ok {
 		panel := make(chan error, 1)
-		go func() { panel <- bm.ObserveAll(items) }()
-		err := s.ctx.Replace(items)
+		go func() { panel <- bm.ObserveRows(rows) }()
+		err := s.ctx.ReplaceRows(rows)
 		if merr := <-panel; merr != nil && err == nil {
 			err = monitorError{merr}
 		}
 		return err
 	}
-	if err := s.ctx.Replace(items); err != nil || s.monitor == nil {
+	if err := s.ctx.ReplaceRows(rows); err != nil || s.monitor == nil {
 		return err
 	}
-	for _, li := range items {
-		if _, err := s.monitor.ObserveCtx(ctx, li); err != nil {
+	// No Add can write to the table before this loop ends: callers hold s.mu.
+	for i := 0; i < rows.Len(); i++ {
+		if _, err := s.monitor.ObserveCtx(ctx, rows.Row(i)); err != nil {
 			return monitorError{err}
 		}
 	}
 	return nil
 }
 
-// checkSnapshotSchema refuses a snapshot, recovered from disk or fetched
-// from a primary, whose schema does not have the configured shape.
-func (s *Server) checkSnapshotSchema(schema *feature.Schema) error {
+// fitSnapshot refuses a snapshot, recovered from disk or fetched from a
+// primary, whose schema does not have the configured shape, and returns its
+// rows at the configured schema's code widths: the table itself when the
+// widths agree, otherwise a repacked copy, refused when a code does not fit
+// them. A code is never reinterpreted at another width; domains are checked
+// when the rows load.
+func (s *Server) fitSnapshot(schema *feature.Schema, rows *feature.Rows) (*feature.Rows, error) {
 	if schema.NumFeatures() != s.schema.NumFeatures() || len(schema.Labels) != len(s.schema.Labels) {
-		return fmt.Errorf("service: snapshot schema (%d attrs, %d labels) does not match the configured schema", schema.NumFeatures(), len(schema.Labels))
+		return nil, fmt.Errorf("service: snapshot schema (%d attrs, %d labels) does not match the configured schema", schema.NumFeatures(), len(schema.Labels))
 	}
-	return nil
+	rows, err := rows.Repack(s.schema)
+	if err != nil {
+		return nil, fmt.Errorf("service: snapshot rows do not fit the configured schema: %w", err)
+	}
+	return rows, nil
 }
 
 // checkLocked runs the admission checks that can refuse a row — the schema
@@ -479,7 +498,7 @@ func (s *Server) snapshotLocked() error {
 	if s.snapPath == "" {
 		return nil
 	}
-	return persist.SaveSnapshot(s.snapPath, s.schema, s.ctx.Items(), s.seq)
+	return persist.SaveSnapshotRows(s.snapPath, s.schema, s.ctx.Rows(), s.seq)
 }
 
 // Close snapshots the final state, closes the observation log, and marks the
