@@ -60,7 +60,7 @@ func main() {
 		alpha  = flag.Float64("alpha", 1.0, "default conformity bound")
 		panel  = flag.Int("panel", 10, "drift-monitor panel size (0 disables)")
 		retain = flag.Int("retain", 0, "keep only the most recent N observations in the context (0 = unbounded)")
-		warm   = flag.Bool("warm", false, "pre-populate the context with a trained model's inference log")
+		warm   = flag.Bool("warm", false, "pre-populate an empty context (nothing recovered from -state) with a trained model's inference log")
 
 		explainCache = flag.String("explain-cache", "on", "versioned explanation cache: on or off (DESIGN.md §15)")
 		cacheEntries = flag.Int("explain-cache-entries", 0, "explanation-cache entry cap (0 = 8192)")
@@ -100,7 +100,12 @@ func main() {
 		os.Exit(1)
 	}
 
+	// A CSV file is read whole: it holds the schema and the warm-up rows.
+	// A built-in dataset is generated whole only to warm an empty context
+	// (below); otherwise its schema is all the server needs.
 	var ds *dataset.Dataset
+	var schema *feature.Schema
+	name := *dsName
 	var err error
 	if *csv != "" {
 		f, ferr := os.Open(*csv)
@@ -111,8 +116,11 @@ func main() {
 		if cerr := f.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
+		if err == nil {
+			schema, name = ds.Schema, ds.Name
+		}
 	} else {
-		ds, err = dataset.Load(*dsName, dataset.Options{})
+		schema, err = dataset.LoadSchema(*dsName)
 	}
 	if err != nil {
 		fatal("load dataset", err)
@@ -179,7 +187,7 @@ func main() {
 
 	tracer := obs.NewTracer(*traceSample, *traceKeep)
 	srv, err = service.NewServer(service.Config{
-		Schema:          ds.Schema,
+		Schema:          schema,
 		Alpha:           *alpha,
 		PanelSize:       *panel,
 		Retain:          *retain,
@@ -203,10 +211,19 @@ func main() {
 		fatal("build server", err)
 	}
 
-	if recovered := srv.Seq(); recovered > 0 {
+	recovered := srv.Seq()
+	if recovered > 0 {
 		logger.Info("recovered persisted state", "observations", recovered, "state_dir", *stateDir)
 	}
-	if *warm {
+	// -warm fills an empty context only: recovered state already holds the
+	// inference log an earlier warm-up wrote, and warming again would
+	// append it a second time.
+	if *warm && recovered == 0 {
+		if ds == nil {
+			if ds, err = dataset.Load(*dsName, dataset.Options{}); err != nil {
+				fatal("load dataset", err)
+			}
+		}
 		m, err := model.TrainForest(ds.Schema, ds.Train(), model.ForestConfig{Seed: 1})
 		if err != nil {
 			fatal("train warmup model", err)
@@ -229,8 +246,8 @@ func main() {
 	}
 
 	logger.Info("listening",
-		"addr", *addr, "dataset", ds.Name,
-		"features", ds.Schema.NumFeatures(), "alpha", *alpha,
+		"addr", *addr, "dataset", name,
+		"features", schema.NumFeatures(), "alpha", *alpha,
 		"trace_sample", *traceSample,
 		"role", srv.Role())
 

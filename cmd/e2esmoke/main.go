@@ -10,7 +10,9 @@
 //     /metrics and /healthz must report the same failure counters, and each
 //     scrape must serve every metric family once. A follower of that primary
 //     must then catch up, answer a bounded read with its staleness contract,
-//     and expose the replication series.
+//     and expose the replication series. Booted again on its state dir,
+//     the -warm primary must recover the same /healthz context_size and
+//     seq, warming nothing a second time.
 //   - load: a ccebench pass (duplicate-heavy interactive traffic plus one
 //     async batch) must produce cache hits, a completed job and a written
 //     JSON artifact, and /metrics must report the same cache and job counts
@@ -35,6 +37,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"github.com/xai-db/relativekeys/internal/e2e"
@@ -88,10 +91,11 @@ func observability(tmp, bin string) error {
 	if err != nil {
 		return err
 	}
+	stateDir := filepath.Join(tmp, "state")
 	srv, err := e2e.Boot(bin, tmp, "server",
 		"-metrics-addr", opsAddr,
 		"-trace-sample", "1",
-		"-state", filepath.Join(tmp, "state"),
+		"-state", stateDir,
 		"-warm")
 	if err != nil {
 		return err
@@ -223,6 +227,10 @@ func observability(tmp, bin string) error {
 	if err := follower(tmp, bin, base, values, prediction); err != nil {
 		return err
 	}
+	before, err := healthz(base)
+	if err != nil {
+		return err
+	}
 	// Stopped, the primary's log holds its drain records too. Every line
 	// must be a JSON record, and the boot must have logged where it listens.
 	srv.Stop()
@@ -230,12 +238,51 @@ func observability(tmp, bin string) error {
 	if err != nil {
 		return fmt.Errorf("primary %w", err)
 	}
-	for _, rec := range recs {
-		if rec["msg"] == "listening" && rec["component"] == "cceserver" {
-			return nil
-		}
+	if !slices.ContainsFunc(recs, func(rec map[string]any) bool {
+		return rec["msg"] == "listening" && rec["component"] == "cceserver"
+	}) {
+		return fmt.Errorf("primary log has no listening record from component cceserver:\n%s", srv.Log())
 	}
-	return fmt.Errorf("primary log has no listening record from component cceserver:\n%s", srv.Log())
+	return rewarm(tmp, bin, stateDir, before)
+}
+
+// recovered is the part of /healthz a restart must preserve.
+type recovered struct {
+	ContextSize int    `json:"context_size"`
+	Seq         uint64 `json:"seq"`
+}
+
+// healthz reads base's /healthz.
+func healthz(base string) (recovered, error) {
+	body, err := e2e.Get(base + "/healthz")
+	if err != nil {
+		return recovered{}, err
+	}
+	var h recovered
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		return recovered{}, fmt.Errorf("healthz decode: %w (%s)", err, body)
+	}
+	return h, nil
+}
+
+// rewarm boots the -warm primary a second time on its state dir: -warm
+// fills an empty context only, so the restart recovers the stopped
+// primary's rows and seq and appends no second inference log.
+func rewarm(tmp, bin, stateDir string, want recovered) error {
+	srv, err := e2e.Boot(bin, tmp, "server-restart", "-state", stateDir, "-warm")
+	if err != nil {
+		return err
+	}
+	defer srv.Stop()
+	got, err := healthz(srv.Base)
+	if err != nil {
+		return err
+	}
+	if got != want {
+		return fmt.Errorf("restarted -warm primary reads /healthz context_size %d seq %d, before the stop %d and %d",
+			got.ContextSize, got.Seq, want.ContextSize, want.Seq)
+	}
+	return nil
 }
 
 // follower boots a follower against the already-running primary and asserts

@@ -12,6 +12,7 @@ package benchsuite
 import (
 	"context"
 	"io"
+	"sync"
 	"testing"
 
 	"github.com/xai-db/relativekeys/internal/cce"
@@ -36,6 +37,7 @@ func Cases() []Case {
 		{Name: "core/srk_alpha09", Fn: benchSRK(0.9)},
 		{Name: "core/osrk_observe", Fn: benchOSRKObserve},
 		{Name: "cce/drift_observe", Fn: benchDriftObserve},
+		{Name: "core/bulk_load", Fn: benchBulkLoad},
 		{Name: "cce/window_advance", Fn: benchWindowAdvance},
 		{Name: "persist/wal_append", Fn: benchWALAppend},
 		{Name: "obs/counter_inc", Fn: benchCounterInc},
@@ -103,8 +105,8 @@ func benchOSRKObserve(b *testing.B) {
 // benchDriftObserve feeds the loan inference stream to a full 10-member drift
 // panel, cceserver's default -panel 10: one op is one arrival across the
 // whole panel, the per-row cost of /observe's monitor stage. The panel
-// replay at boot takes the batch path (DriftMonitor.ObserveAll), which this
-// row does not time.
+// replay at boot takes the batch path (DriftMonitor.ObserveIndex), which
+// core/bulk_load times.
 func benchDriftObserve(b *testing.B) {
 	_, inference, schema := loanContext(b)
 	d, err := cce.NewDriftMonitor(schema, 1.0, 10, 1)
@@ -120,6 +122,51 @@ func benchDriftObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := d.Observe(inference[i%len(inference)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// bulkLoadRows is the row count of the core/bulk_load table.
+const bulkLoadRows = 100_000
+
+// bulkLoadTable draws the core/bulk_load rows once per process.
+var bulkLoadTable = sync.OnceValues(func() (*dataset.Dataset, error) {
+	return dataset.Load("adult", dataset.Options{Seed: 28500, Size: bulkLoadRows})
+})
+
+// benchBulkLoad times what boot recovery and snapshot install do with the
+// recovered rows (service loadLocked): one op builds the context over a
+// 100k-row adult table with the generator's labels (Retained.ReplaceRows,
+// the column-at-a-time index build), then replays a fresh 10-member α=1
+// drift panel, cceserver's default, over that index
+// (DriftMonitor.ObserveIndex).
+func benchBulkLoad(b *testing.B) {
+	ds, err := bulkLoadTable()
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema := ds.Schema
+	rows := feature.NewRows(schema, len(ds.Instances))
+	for _, li := range ds.Instances {
+		rows.Append(li)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := core.NewRetained(schema, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The context takes the table's storage, but nothing adds to it.
+		if err := r.ReplaceRows(rows); err != nil {
+			b.Fatal(err)
+		}
+		d, err := cce.NewDriftMonitor(schema, 1.0, 10, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := d.ObserveIndex(r.Context()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,14 +27,17 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// NewReserved returns an empty set of length 0 whose backing array already
-// holds n bits, so growing it up to n bits never reallocates. The reserve is
-// storage only: the kernels scan NumWords(), which starts at 0.
-func NewReserved(n int) *Set {
-	if n < 0 {
-		n = 0
+// FromWords returns a set of length n bits over words, which it takes as its
+// storage: bit i is bit i%64 of words[i/64]. words must hold exactly
+// ⌈n/64⌉ words with no bit set at or past n. Capacity beyond that is a
+// reserve: growing the set into it never reallocates, and the kernels scan
+// only NumWords(). It is the bulk builder's constructor: a caller fills the
+// words a 64-bit word at a time, then wraps them.
+func FromWords(words []uint64, n int) *Set {
+	if len(words) != (n+63)/64 {
+		panic("bitset: FromWords length does not match the bit count")
 	}
-	return &Set{words: make([]uint64, 0, (n+63)/64)}
+	return &Set{words: words, n: n}
 }
 
 // Len returns the length of the set in bits: members lie in [0, Len).

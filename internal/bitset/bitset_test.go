@@ -92,12 +92,13 @@ func TestGrowAmortizes(t *testing.T) {
 	}
 }
 
-// TestNewReserved: a reserved set starts empty and zero words long, and
-// grows within its reserve without reallocating.
-func TestNewReserved(t *testing.T) {
-	s := NewReserved(1 << 16)
+// TestFromWords: a set over caller-filled words holds exactly their bits,
+// a zero-length set over a reserve starts empty and grows within the
+// reserve without reallocating, and words of the wrong length are refused.
+func TestFromWords(t *testing.T) {
+	s := FromWords(make([]uint64, 0, 1<<10), 0)
 	if s.Len() != 0 || s.NumWords() != 0 || s.Count() != 0 {
-		t.Fatalf("NewReserved: Len=%d NumWords=%d Count=%d, want an empty 0-word set", s.Len(), s.NumWords(), s.Count())
+		t.Fatalf("FromWords over a reserve: Len=%d NumWords=%d Count=%d, want an empty 0-word set", s.Len(), s.NumWords(), s.Count())
 	}
 	backing := cap(s.words)
 	s.Grow(1000)
@@ -105,6 +106,17 @@ func TestNewReserved(t *testing.T) {
 	if s.NumWords() != 16 || cap(s.words) != backing || !s.Contains(999) {
 		t.Fatalf("Grow(1000) in a 2^16-bit reserve: NumWords=%d cap %d→%d", s.NumWords(), backing, cap(s.words))
 	}
+
+	f := FromWords([]uint64{1<<3 | 1<<63, 1 << 1}, 66)
+	if got := f.Slice(); len(got) != 3 || got[0] != 3 || got[1] != 63 || got[2] != 65 || f.Len() != 66 {
+		t.Fatalf("FromWords = %v (Len %d), want [3 63 65] (Len 66)", got, f.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FromWords accepted 2 words for 200 bits")
+		}
+	}()
+	FromWords(make([]uint64, 2), 200)
 }
 
 func TestSetOps(t *testing.T) {

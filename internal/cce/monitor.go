@@ -111,9 +111,9 @@ func (d *DriftMonitor) ObserveCtx(ctx context.Context, li feature.Labeled) (int,
 	return numDegraded, nil
 }
 
-// ObserveAll is ObserveRows over a slice of arrivals: every arrival is
-// validated (core.ValidateLabeled) before any member sees one, and the error
-// is the first invalid arrival's.
+// ObserveAll is ObserveIndex over a slice of arrivals, indexed by
+// core.NewContextRows: every arrival is validated (core.ValidateLabeled)
+// before any member sees one, and the error is the first invalid arrival's.
 func (d *DriftMonitor) ObserveAll(items []feature.Labeled) error {
 	rows := feature.NewRows(d.schema, len(items))
 	for _, li := range items {
@@ -122,44 +122,47 @@ func (d *DriftMonitor) ObserveAll(items []feature.Labeled) error {
 		}
 		rows.Append(li)
 	}
-	return d.observeRows(rows)
-}
-
-// ObserveRows feeds a table of arrivals in order, leaving the monitor
-// bit-identical to ObserveCtx called on each row under a context that never
-// expires: the same keys, History, Arrivals, and every member's RNG
-// position. The table is validated (feature.Rows.Validate) before any
-// member sees a row, so a batch updates the panel whole or, on an error,
-// not at all.
-//
-// It is the bulk path for rebuilding a panel from a stored stream (service
-// recovery and snapshot install): each member runs over its arrivals in one
-// plain loop (core.OSRK.Replay) that reads labels and key codes in place,
-// re-validates nothing and reads no clock, so the osrk_observe stage
-// histogram times live arrivals only, while rk_monitor_observations_total
-// counts the batch. History gains a change point wherever a member enrolled
-// or a key grew.
-func (d *DriftMonitor) ObserveRows(rows *feature.Rows) error {
-	if err := rows.Validate(d.schema); err != nil {
+	c, err := core.NewContextRows(d.schema, rows)
+	if err != nil {
 		return fmt.Errorf("cce: %w", err)
 	}
-	return d.observeRows(rows)
+	return d.ObserveIndex(c)
 }
 
-// observeRows is ObserveRows over a table already validated for the schema.
-func (d *DriftMonitor) observeRows(rows *feature.Rows) error {
+// ObserveIndex feeds the rows of an indexed context in slot order, leaving
+// the monitor bit-identical to ObserveCtx called on each row under a
+// context that never expires: the same keys, History, Arrivals, and every
+// member's RNG position. c must hold its rows in slots 0..Len−1, as a
+// context built from a table (core.NewContextRows) or grown by Add alone
+// does, over a schema of the monitor's shape; ObserveIndex refuses any
+// other before any member sees a row, so a batch updates the panel whole
+// or not at all. It only reads c, and keeps no reference into it.
+//
+// It is the bulk path for rebuilding a panel from a stored stream (service
+// recovery and snapshot install): each member replays over the index
+// (core.OSRK.Replay), jumping from one of its violators to the next instead
+// of reading every row, re-validating nothing and reading no clock, so the
+// osrk_observe stage histogram times live arrivals only, while
+// rk_monitor_observations_total counts the batch. History gains a change
+// point wherever a member enrolled or a key grew.
+func (d *DriftMonitor) ObserveIndex(c *core.Context) error {
+	if c.Len() != c.NumSlots() {
+		return fmt.Errorf("cce: context of %d rows in %d slots: retired slots break arrival order", c.Len(), c.NumSlots())
+	}
+	if !sameShape(c.Schema, d.schema) {
+		return fmt.Errorf("cce: context schema does not have the monitor's shape")
+	}
+	n := c.Len()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// While the panel fills, every arrival enrolls one member, which then
 	// watches the stream from its own arrival on: member first+i enrolls at
-	// row i. NewOSRK clones its target, so one scratch row serves them all,
-	// and refuses nothing a validated table holds.
+	// row i. NewOSRK clones its target and refuses nothing c holds.
 	first := len(d.monitors)
 	var enrolled []*core.OSRK
-	var x feature.Instance
-	for i := 0; i < rows.Len() && first+len(enrolled) < d.panelSz; i++ {
-		x = rows.AppendInstance(x[:0], i)
-		m, err := core.NewOSRK(d.schema, x, rows.Label(i), d.alpha, d.seed+int64(first+i))
+	for i := 0; i < n && first+len(enrolled) < d.panelSz; i++ {
+		li := c.Item(i)
+		m, err := core.NewOSRK(d.schema, li.X, li.Y, d.alpha, d.seed+int64(first+i))
 		if err != nil {
 			return err
 		}
@@ -171,21 +174,45 @@ func (d *DriftMonitor) observeRows(rows *feature.Rows) error {
 	// added it.
 	var grew []int
 	for j, m := range d.monitors {
-		grew = m.Replay(rows, max(j-first, 0), grew)
+		grew = m.Replay(c, max(j-first, 0), grew)
 	}
 	slices.Sort(grew)
-	for i := 0; i < rows.Len(); i++ {
+	// The same integers over the same members as ObserveCtx records after a
+	// per-arrival update, at the arrivals that enrolled a member or grew a
+	// key: every other leaves both as they were, so adds no change point.
+	for i := 0; i < n; {
 		for len(grew) > 0 && grew[0] == i {
 			sum++
 			grew = grew[1:]
 		}
-		// The same integers over the same members as ObserveCtx records
-		// after a per-arrival update.
 		d.recordLocked(d.arrivals+i, first+min(i+1, len(enrolled)), sum)
+		switch {
+		case i+1 < len(enrolled):
+			i++
+		case len(grew) > 0:
+			i = grew[0]
+		default:
+			i = n
+		}
 	}
-	d.arrivals += rows.Len()
-	monitorObservations.Add(int64(rows.Len()))
+	d.arrivals += n
+	monitorObservations.Add(int64(n))
 	return nil
+}
+
+// sameShape reports whether schemas a and b have the same attribute count,
+// domain sizes and label count: whether the rows of one index the other's
+// postings.
+func sameShape(a, b *feature.Schema) bool {
+	if a.NumFeatures() != b.NumFeatures() || len(a.Labels) != len(b.Labels) {
+		return false
+	}
+	for i := range a.Attrs {
+		if a.Attrs[i].Cardinality() != b.Attrs[i].Cardinality() {
+			return false
+		}
+	}
+	return true
 }
 
 // AvgSuccinctness returns the mean key size over the panel.

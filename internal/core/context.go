@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/xai-db/relativekeys/internal/bitset"
 	"github.com/xai-db/relativekeys/internal/feature"
@@ -70,67 +71,166 @@ func NewContext(schema *feature.Schema, items []feature.Labeled) (*Context, erro
 // reserve storage for at least capacity rows, so adding up to capacity rows
 // allocates nothing when the eventual occupancy is known up front (a sliding
 // window of fixed size, a bulk load). The reserve is storage only: the
-// kernels still scan just the occupied slots.
+// kernels still scan just the occupied slots. Every item is validated, and
+// the error is the first invalid item's, before the table is indexed in one
+// pass (newContextRows).
 func NewContextSized(schema *feature.Schema, items []feature.Labeled, capacity int) (*Context, error) {
-	if capacity < len(items) {
-		capacity = len(items)
-	}
-	c := &Context{Schema: schema, rows: feature.NewRows(schema, capacity)}
-	c.initIndex(capacity)
+	rows := feature.NewRows(schema, len(items))
 	for _, li := range items {
-		if err := c.Add(li); err != nil {
+		if err := ValidateLabeled(schema, li); err != nil {
 			return nil, err
 		}
+		rows.Append(li)
+	}
+	return newContextRows(schema, rows, capacity)
+}
+
+// NewContextRows builds an indexed context over a table of rows, row i in
+// slot i: the bulk build (newContextRows) with no reserve beyond the rows.
+// A table holding a row outside the schema is refused with
+// feature.Rows.Validate's error, which names the first such row. The context
+// may take the table's storage, and an Add may then overwrite a removed
+// slot's row there, so the caller must not write rows, nor read them once it
+// adds to the context.
+func NewContextRows(schema *feature.Schema, rows *feature.Rows) (*Context, error) {
+	return newContextRows(schema, rows, 0)
+}
+
+// newContextRows builds an indexed context over a table of rows, row i in
+// slot i, reserving storage for at least capacity rows as NewContextSized
+// does, and leaves it exactly as Add would one row at a time (asserted in
+// TestBulkIndexDifferential). The index is built in one pass that also
+// validates every code (indexRows), before any storage is taken; on a
+// refusal the error is Validate's. When the table is at the schema's code
+// widths and capacity asks for no more rows, the context takes its storage,
+// and a later Add may overwrite a removed slot's row there, so the caller
+// must not read rows once the context is in use. Otherwise the rows are
+// copied, repacked to the schema's widths.
+func newContextRows(schema *feature.Schema, rows *feature.Rows, capacity int) (*Context, error) {
+	n := rows.Len()
+	capacity = max(capacity, n)
+	c := &Context{Schema: schema}
+	if rows.Arity() != schema.NumFeatures() || !c.indexRows(rows, capacity) {
+		// The pass stops at a bad code, not at the first bad row.
+		return nil, rows.Validate(schema)
+	}
+	vw, lw := feature.Widths(schema)
+	if gotV, gotL := rows.Widths(); gotV == vw && gotL == lw && capacity == n {
+		c.rows = rows.Slice(0, n) // a header of its own: appends never reach the caller's
+		return c, nil
+	}
+	// Every code is inside its domain, so it fits the schema's widths.
+	c.rows = feature.NewRows(schema, capacity)
+	for i := 0; i < n; i++ {
+		c.rows.AppendFrom(rows, i)
 	}
 	return c, nil
 }
 
-// newContextRows builds an indexed context over a table of rows already
-// validated for the schema, row i in slot i, reserving storage for at least
-// capacity rows as NewContextSized does. When the table is at the schema's
-// code widths and capacity asks for no more rows, the context takes its
-// storage, and a later Add may overwrite a removed slot's row there, so the
-// caller must not read rows once the context is in use. Otherwise the rows
-// are copied, repacked to the schema's widths.
-func newContextRows(schema *feature.Schema, rows *feature.Rows, capacity int) *Context {
-	n := rows.Len()
-	capacity = max(capacity, n)
-	vw, lw := feature.Widths(schema)
-	if gotV, gotL := rows.Widths(); gotV == vw && gotL == lw && capacity == n {
-		rows = rows.Slice(0, n) // a header of its own: appends never reach the caller's
-	} else {
-		own := feature.NewRows(schema, capacity)
-		for i := 0; i < n; i++ {
-			own.AppendFrom(rows, i)
-		}
-		rows = own
-	}
-	c := &Context{Schema: schema, rows: rows}
-	c.initIndex(capacity)
-	// The whole words AddSlot would have grown to, one row at a time.
-	c.grow((n + 63) / 64 * 64)
-	for i := 0; i < n; i++ {
-		c.index(i)
-	}
-	return c
-}
+// indexRows builds c's empty index over the rows of src, row i in slot i,
+// a column at a time: for each block of 64 rows, one word of every posting
+// list, label set and the live mask, each bitset as long as the whole words
+// AddSlot grows it to and reserving capacity bits. A domain whose posting
+// words, times the labels, fit one block's accumulators (acc) is scattered
+// there (feature.Rows.ScatterValues) and counted by popcounts of each
+// posting word ∧ label word; a wider one (2- and 4-byte codes) is written
+// straight into its postings and counted row by row, as Add does. It
+// reports false, leaving c unusable, at the first code outside its domain
+// or label outside the label space it meets.
+func (c *Context) indexRows(src *feature.Rows, capacity int) bool {
+	s := c.Schema
+	n, k, nl := src.Len(), s.NumFeatures(), len(s.Labels)
+	nw := (n + 63) / 64
+	capWords := (capacity + 63) / 64
+	newWords := func() []uint64 { return make([]uint64, nw, capWords) }
 
-func (c *Context) initIndex(capacity int) {
-	c.post = make([][]*bitset.Set, c.Schema.NumFeatures())
-	c.labelCount = make([][]int, c.Schema.NumFeatures())
-	for a := range c.post {
-		c.post[a] = make([]*bitset.Set, c.Schema.Attrs[a].Cardinality())
-		c.labelCount[a] = make([]int, c.Schema.Attrs[a].Cardinality()*len(c.Schema.Labels))
-		for v := range c.post[a] {
-			c.post[a][v] = bitset.NewReserved(capacity)
+	post := make([][][]uint64, k)
+	c.labelCount = make([][]int, k)
+	for a := range post {
+		post[a] = make([][]uint64, s.Attrs[a].Cardinality())
+		for v := range post[a] {
+			post[a][v] = newWords()
+		}
+		c.labelCount[a] = make([]int, s.Attrs[a].Cardinality()*nl)
+	}
+	byLabel := make([][]uint64, nl)
+	for y := range byLabel {
+		byLabel[y] = newWords()
+	}
+
+	var acc, lab [64]uint64 // one block's posting and label words
+	for w := 0; w < nw; w++ {
+		lo, hi := w*64, min(w*64+64, n)
+		if nl <= len(lab) {
+			clear(lab[:nl])
+			if !src.ScatterLabels(lab[:nl], lo, hi) {
+				return false
+			}
+			for y, l := range lab[:nl] {
+				byLabel[y][w] = l
+			}
+		} else {
+			for i := lo; i < hi; i++ {
+				y := uint32(src.Label(i))
+				if y >= uint32(nl) {
+					return false
+				}
+				byLabel[y][w] |= 1 << (i - lo)
+			}
+		}
+		for a := range k {
+			card, pa, cnt := s.Attrs[a].Cardinality(), post[a], c.labelCount[a]
+			if card*nl > len(acc) {
+				for i := lo; i < hi; i++ {
+					v := uint32(src.Value(i, a))
+					if v >= uint32(card) {
+						return false
+					}
+					pa[v][w] |= 1 << (i - lo)
+					cnt[int(v)*nl+int(src.Label(i))]++
+				}
+				continue
+			}
+			if !src.ScatterValues(acc[:card], a, lo, hi) {
+				return false
+			}
+			for v, m := range acc[:card] {
+				if m == 0 {
+					continue
+				}
+				pa[v][w], acc[v] = m, 0
+				for y, l := range lab[:nl] {
+					cnt[v*nl+y] += bits.OnesCount64(m & l)
+				}
+			}
 		}
 	}
-	c.byLabel = make([]*bitset.Set, len(c.Schema.Labels))
-	c.labelLive = make([]int, len(c.Schema.Labels))
-	for y := range c.byLabel {
-		c.byLabel[y] = bitset.NewReserved(capacity)
+
+	bitsLen := nw * 64
+	c.post = make([][]*bitset.Set, k)
+	for a := range post {
+		c.post[a] = make([]*bitset.Set, len(post[a]))
+		for v, words := range post[a] {
+			c.post[a][v] = bitset.FromWords(words, bitsLen)
+		}
 	}
-	c.live = bitset.NewReserved(capacity)
+	c.byLabel = make([]*bitset.Set, nl)
+	c.labelLive = make([]int, nl)
+	for y, words := range byLabel {
+		c.byLabel[y] = bitset.FromWords(words, bitsLen)
+		c.labelLive[y] = c.byLabel[y].Count()
+	}
+	live := newWords()
+	for w := range live {
+		live[w] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		live[nw-1] = 1<<r - 1
+	}
+	c.live = bitset.FromWords(live, bitsLen)
+	c.liveCount = n
+	c.version = uint64(n)
+	return true
 }
 
 // Add appends one labeled instance to the context (the online growth path).

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -140,35 +141,48 @@ func (o *OSRK) ObserveCtx(ctx context.Context, li feature.Labeled) (degraded boo
 	return degraded, nil
 }
 
-// Replay feeds the table's rows from index from on, which the caller has
-// already validated (feature.Rows.Validate), in order, leaving the monitor
-// exactly as ObserveCtx would one at a time under a context that never
-// expires: the same key, counts, violators and RNG position. It is the bulk
-// path for rebuilding a monitor from a stored stream, so it re-validates
-// nothing, reads no clock, and records no span or osrk_observe time. It
-// reads each row's label and key codes in place and copies only the rows it
-// keeps as violators or grows the key on, so no later write to the table
-// reaches the monitor. It appends to grew the index in rows of the arrival
-// at which each feature joined the key, one entry per feature, ascending,
-// and returns the extended slice.
-func (o *OSRK) Replay(rows *feature.Rows, from int, grew []int) []int {
+// Replay feeds the live rows of c from slot from on, in slot order, leaving
+// the monitor exactly as ObserveCtx would one at a time under a context that
+// never expires: the same key, counts, violators and RNG position. c must
+// be a context over the monitor's schema. It is the bulk path for
+// rebuilding a monitor from a stored stream, so it re-validates nothing,
+// reads no clock, and records no span or osrk_observe time. It appends to
+// grew the slot of the arrival at which each feature joined the key, one
+// entry per feature, ascending, and returns the extended slice.
+//
+// Replay reads the index, not every row. While V_t fits its budget, no
+// arrival before the next violator reaches the grow loop: one predicting y₀
+// ends at line 2, any other leaves V_t as it is, and the budget
+// ⌊(1−α)|I_t|⌋ never falls as |I_t| grows. So Replay jumps to the next
+// violator (skip), counting the rows it passes into |I_t| and p_t, and
+// steps one row at a time only while V_t is over budget. The rows it keeps
+// as violators are copies, so no later write to c's rows reaches the
+// monitor.
+func (o *OSRK) Replay(c *Context, from int, grew []int) []int {
 	var scratch feature.Instance
-	for i := from; i < rows.Len(); i++ {
+	for i := from; i < c.NumSlots(); i++ {
+		if len(o.violators) <= Budget(o.alpha, o.n) {
+			if i = o.skip(c, i); i == c.NumSlots() {
+				break
+			}
+		} else if !c.Alive(i) {
+			continue
+		}
 		o.n++
-		if rows.Label(i) == o.y0 {
+		if c.rows.Label(i) == o.y0 {
 			continue // line 2
 		}
 		o.p++
 		var x feature.Instance
-		if rows.AgreesOn(i, o.x0, o.key) {
-			x = rows.AppendInstance(make(feature.Instance, 0, len(o.x0)), i)
+		if c.rows.AgreesOn(i, o.x0, o.key) {
+			x = c.rows.AppendInstance(make(feature.Instance, 0, len(o.x0)), i)
 			o.violators = append(o.violators, x)
 		}
 		before := len(o.key)
 		o.seed()
 		if len(o.violators) > 0 && len(o.violators) > Budget(o.alpha, o.n) {
 			if x == nil {
-				scratch = rows.AppendInstance(scratch[:0], i)
+				scratch = c.rows.AppendInstance(scratch[:0], i)
 				x = scratch
 			}
 			o.augment(nil, x)
@@ -178,6 +192,34 @@ func (o *OSRK) Replay(rows *feature.Rows, from int, grew []int) []int {
 		}
 	}
 	return grew
+}
+
+// skip returns the first slot at or after i that holds a violator of the
+// current key, a live row predicted other than y₀ that agrees with x₀ on E:
+// the next set bit of live ∧ ¬label(y₀) ∧ ⋀_{a∈E} post(a, x₀[a]), or
+// NumSlots when none is left. It adds the live rows it passes to |I_t| and
+// those predicted other than y₀ to p_t, a popcount per word.
+func (o *OSRK) skip(c *Context, i int) int {
+	live, same := c.live.Words(), c.byLabel[o.y0].Words()
+	first := ^uint64(0) << (i & 63) // the bits at or after i in its word
+	for w := i >> 6; w < len(live); w, first = w+1, ^uint64(0) {
+		l := live[w] & first
+		d := l &^ same[w]
+		m := d
+		for _, a := range o.key {
+			m &= c.post[a][o.x0[a]].Words()[w]
+		}
+		if m != 0 {
+			b := bits.TrailingZeros64(m)
+			below := uint64(1)<<b - 1
+			o.n += bits.OnesCount64(l & below)
+			o.p += bits.OnesCount64(d & below)
+			return w<<6 + b
+		}
+		o.n += bits.OnesCount64(l)
+		o.p += bits.OnesCount64(d)
+	}
+	return c.NumSlots()
 }
 
 // admit validates an arrival and counts it (count). A rejected arrival

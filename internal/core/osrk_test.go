@@ -287,22 +287,19 @@ func TestOSRKWeightAndSizeBounds(t *testing.T) {
 	}
 }
 
-// TestOSRKReplaySurvivesRowReuse: a monitor replayed from a table equals one
-// fed the same rows one at a time, and stays equal to it after every row of
-// the table is overwritten, as a context's slot reuse overwrites rows: the
-// violators it kept are copies. The overwrite makes every row a twin of x₀
-// with another prediction, so a violator aliasing the table would survive
-// every later feature and grow the key further.
+// TestOSRKReplaySurvivesRowReuse: a monitor replayed over an index equals
+// one fed the same rows one at a time, and stays equal to it after every
+// slot of the context is retired and reused, which overwrites its rows: the
+// violators it kept are copies. The reuse makes every row a twin of x₀ with
+// another prediction, so a violator aliasing the table would survive every
+// later feature and grow the key further.
 func TestOSRKReplaySurvivesRowReuse(t *testing.T) {
 	s := loanSchema(t)
 	rng := rand.New(rand.NewSource(26))
 	x0 := feature.Labeled{X: feature.Instance{0, 0, 0, 0}, Y: 0}
-	rows := feature.NewRows(s, 0)
 	var stream []feature.Labeled
 	for i := 0; i < 200; i++ {
-		li := randomLoanRow(rng)
-		rows.Append(li)
-		stream = append(stream, li)
+		stream = append(stream, randomLoanRow(rng))
 	}
 	for _, alpha := range []float64{1.0, 0.8} {
 		replayed, err := NewOSRK(s, x0.X, x0.Y, alpha, 5)
@@ -313,7 +310,15 @@ func TestOSRKReplaySurvivesRowReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayed.Replay(rows, 0, nil)
+		rows := feature.NewRows(s, len(stream))
+		for _, li := range stream {
+			rows.Append(li)
+		}
+		c, err := NewContextRows(s, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed.Replay(c, 0, nil)
 		for _, li := range stream {
 			if _, err := fed.Observe(feature.Labeled{X: li.X.Clone(), Y: li.Y}); err != nil {
 				t.Fatal(err)
@@ -333,8 +338,16 @@ func TestOSRKReplaySurvivesRowReuse(t *testing.T) {
 			}
 		}
 		same("after the replay")
-		for i := 0; i < rows.Len(); i++ {
-			rows.Set(i, feature.Labeled{X: x0.X.Clone(), Y: 1})
+		for i := 0; i < c.NumSlots(); i++ {
+			if err := c.Remove(i); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Add(feature.Labeled{X: x0.X.Clone(), Y: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := c.rows.Row(c.NumSlots() - 1); !got.X.Equal(x0.X) || got.Y != 1 {
+			t.Fatalf("slot reuse left row %v; the case exercised nothing", got)
 		}
 		for i := 0; i < 50; i++ {
 			li := randomLoanRow(rng)
@@ -346,8 +359,5 @@ func TestOSRKReplaySurvivesRowReuse(t *testing.T) {
 			}
 		}
 		same("after the rows were reused")
-		for i, li := range stream { // restore the table for the next α
-			rows.Set(i, li)
-		}
 	}
 }

@@ -82,36 +82,37 @@ func (r *Retained) Replace(items []feature.Labeled) error {
 		}
 		rows.Append(li)
 	}
-	r.replaceRows(rows)
-	return nil
+	return r.ReplaceRows(rows)
 }
 
 // ReplaceRows swaps in a fresh context holding the newest limit rows of the
-// table, oldest first. Every row is validated, including those the limit
-// drops; on an invalid row nothing changes, and the error names the first.
-// Version moves past every earlier value even when the table is empty. The
-// new context may take the table's storage as its own and later overwrite
-// rows in it, so the caller must not read rows after its next Add.
+// table, oldest first, built in one pass (newContextRows). Every row is
+// validated, including those the limit drops; on an invalid row nothing
+// changes, and the error names the first. Version moves past every earlier
+// value even when the table is empty. The new context may take the table's
+// storage as its own and later overwrite rows in it, so the caller must not
+// read rows after its next Add.
 func (r *Retained) ReplaceRows(rows *feature.Rows) error {
-	if err := rows.Validate(r.ctx.Schema); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	r.replaceRows(rows)
-	return nil
-}
-
-// replaceRows is ReplaceRows over a table already validated for the schema.
-func (r *Retained) replaceRows(rows *feature.Rows) {
+	schema := r.ctx.Schema
 	if n := rows.Len(); r.limit > 0 && n > r.limit {
-		// Copy the kept rows, so the dropped ones are not held for life.
-		kept := feature.NewRows(r.ctx.Schema, r.limit)
+		// The build never sees the rows the limit drops, so check them all
+		// here; then copy the kept rows, so the dropped ones are not held
+		// for life.
+		if err := rows.Validate(schema); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		kept := feature.NewRows(schema, r.limit)
 		for i := n - r.limit; i < n; i++ {
 			kept.AppendFrom(rows, i)
 		}
 		rows = kept
 	}
+	ctx, err := newContextRows(schema, rows, r.limit)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	r.base += r.ctx.Version() + 1
-	r.ctx = newContextRows(r.ctx.Schema, rows, r.limit)
+	r.ctx = ctx
 	// A fresh context puts row i in slot i.
 	r.head = 0
 	if r.ring != nil {
@@ -119,6 +120,7 @@ func (r *Retained) replaceRows(rows *feature.Rows) {
 			r.ring[i] = i
 		}
 	}
+	return nil
 }
 
 // Items returns a copy of the live rows, oldest first.

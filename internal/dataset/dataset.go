@@ -112,6 +112,68 @@ func GeneralNames() []string {
 
 // Load materializes a dataset by name.
 func Load(name string, opt Options) (*Dataset, error) {
+	g, err := generate(name, opt, true)
+	if err != nil {
+		return nil, err
+	}
+	instances := make([]feature.Labeled, len(g.rows))
+	for i, row := range g.rows {
+		x := make(feature.Instance, len(g.refs))
+		for a, ref := range g.refs {
+			if ref.cat {
+				x[a] = feature.Value(row.cats[ref.idx])
+			} else {
+				x[a] = g.bucketers[ref.idx].Bucket(row.nums[ref.idx])
+			}
+		}
+		instances[i] = feature.Labeled{X: x, Y: feature.Label(row.label)}
+	}
+
+	d := &Dataset{Name: name, Schema: g.schema, Instances: instances}
+	// Deterministic 70/30 split via a seeded shuffle.
+	size := len(instances)
+	perm := rand.New(rand.NewSource(g.seed + 1)).Perm(size)
+	cut := size * 7 / 10
+	d.TrainIdx = append([]int(nil), perm[:cut]...)
+	d.TestIdx = append([]int(nil), perm[cut:]...)
+	sort.Ints(d.TrainIdx)
+	sort.Ints(d.TestIdx)
+	return d, nil
+}
+
+// LoadSchema returns the schema Load(name, Options{}) builds without
+// materializing its rows: the generator runs over one reused row, only to
+// find the ranges the numeric columns are bucketed over.
+func LoadSchema(name string) (*feature.Schema, error) {
+	g, err := generate(name, Options{}, false)
+	if err != nil {
+		return nil, err
+	}
+	return g.schema, nil
+}
+
+// generated is one run of a dataset's generator and the schema fitted to
+// it.
+type generated struct {
+	seed      int64
+	rows      []rawRow // every row when kept, else nil
+	schema    *feature.Schema
+	refs      []colRef            // the spec column of each schema attribute
+	bucketers []*feature.Bucketer // one per numeric column
+}
+
+// colRef names one schema column: categorical column idx or numeric column
+// idx of the spec.
+type colRef struct {
+	cat bool
+	idx int
+}
+
+// generate runs name's generator over the rows opt asks for, refusing a
+// categorical code or label outside its domain, and fits the schema: each
+// numeric column bucketed over its generated range, as feature.FitBuckets
+// fits a column. With keep it returns every row; otherwise it reuses one.
+func generate(name string, opt Options, keep bool) (*generated, error) {
 	s, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("dataset: unknown dataset %q (have %v)", name, Names())
@@ -120,66 +182,74 @@ func Load(name string, opt Options) (*Dataset, error) {
 	if opt.Size > 0 {
 		size = opt.Size
 	}
-	seed := s.seed
+	g := &generated{seed: s.seed}
 	if opt.Seed != 0 {
-		seed = opt.Seed
+		g.seed = opt.Seed
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(g.seed))
 
-	rows := make([]rawRow, size)
-	for i := range rows {
-		rows[i].cats = make([]int, len(s.cats))
-		rows[i].nums = make([]float64, len(s.nums))
-		s.gen(rng, &rows[i])
-		for c, v := range rows[i].cats {
+	if keep {
+		g.rows = make([]rawRow, 0, size)
+	}
+	lo, hi := make([]float64, len(s.nums)), make([]float64, len(s.nums))
+	var row rawRow
+	for i := 0; i < size; i++ {
+		if keep || i == 0 {
+			row = rawRow{cats: make([]int, len(s.cats)), nums: make([]float64, len(s.nums))}
+		}
+		s.gen(rng, &row)
+		for c, v := range row.cats {
 			if v < 0 || v >= len(s.cats[c].values) {
 				return nil, fmt.Errorf("dataset %s: generator produced value %d for %s", name, v, s.cats[c].name)
 			}
 		}
+		if row.label < 0 || row.label >= len(s.labels) {
+			return nil, fmt.Errorf("dataset %s: generator produced label %d", name, row.label)
+		}
+		for c, v := range row.nums {
+			if i == 0 || v < lo[c] {
+				lo[c] = v
+			}
+			if i == 0 || v > hi[c] {
+				hi[c] = v
+			}
+		}
+		if keep {
+			g.rows = append(g.rows, row)
+		}
 	}
 
-	// Fit bucketers over the generated numeric columns.
-	bucketers := make([]*feature.Bucketer, len(s.nums))
+	g.bucketers = make([]*feature.Bucketer, len(s.nums))
 	for c, nc := range s.nums {
 		k := nc.buckets
 		if k == 0 {
 			k = 10
 		}
-		if opt.Buckets != nil {
-			if kk, ok := opt.Buckets[nc.name]; ok {
-				k = kk
-			}
+		if kk, ok := opt.Buckets[nc.name]; ok {
+			k = kk
 		}
-		col := make([]float64, size)
-		for i := range rows {
-			col[i] = rows[i].nums[c]
-		}
-		b, err := feature.FitBuckets(col, k)
+		b, err := feature.NewBucketer(lo[c], hi[c], k)
 		if err != nil {
 			return nil, fmt.Errorf("dataset %s: bucketing %s: %w", name, nc.name, err)
 		}
-		bucketers[c] = b
+		g.bucketers[c] = b
 	}
 
 	// Assemble the schema in declared order.
-	type colRef struct {
-		cat bool
-		idx int
-	}
-	orderRefs := make([]colRef, 0, len(s.cats)+len(s.nums))
+	g.refs = make([]colRef, 0, len(s.cats)+len(s.nums))
 	if len(s.order) == 0 {
 		for i := range s.cats {
-			orderRefs = append(orderRefs, colRef{true, i})
+			g.refs = append(g.refs, colRef{true, i})
 		}
 		for i := range s.nums {
-			orderRefs = append(orderRefs, colRef{false, i})
+			g.refs = append(g.refs, colRef{false, i})
 		}
 	} else {
 		for _, n := range s.order {
 			found := false
 			for i, cc := range s.cats {
 				if cc.name == n {
-					orderRefs = append(orderRefs, colRef{true, i})
+					g.refs = append(g.refs, colRef{true, i})
 					found = true
 					break
 				}
@@ -189,7 +259,7 @@ func Load(name string, opt Options) (*Dataset, error) {
 			}
 			for i, nc := range s.nums {
 				if nc.name == n {
-					orderRefs = append(orderRefs, colRef{false, i})
+					g.refs = append(g.refs, colRef{false, i})
 					found = true
 					break
 				}
@@ -198,49 +268,25 @@ func Load(name string, opt Options) (*Dataset, error) {
 				return nil, fmt.Errorf("dataset %s: order references unknown column %q", name, n)
 			}
 		}
-		if len(orderRefs) != len(s.cats)+len(s.nums) {
-			return nil, fmt.Errorf("dataset %s: order lists %d of %d columns", name, len(orderRefs), len(s.cats)+len(s.nums))
+		if len(g.refs) != len(s.cats)+len(s.nums) {
+			return nil, fmt.Errorf("dataset %s: order lists %d of %d columns", name, len(g.refs), len(s.cats)+len(s.nums))
 		}
 	}
 
-	attrs := make([]feature.Attribute, len(orderRefs))
-	for a, ref := range orderRefs {
+	attrs := make([]feature.Attribute, len(g.refs))
+	for a, ref := range g.refs {
 		if ref.cat {
 			attrs[a] = feature.Attribute{Name: s.cats[ref.idx].name, Values: s.cats[ref.idx].values}
 		} else {
-			attrs[a] = bucketers[ref.idx].Attribute(s.nums[ref.idx].name)
+			attrs[a] = g.bucketers[ref.idx].Attribute(s.nums[ref.idx].name)
 		}
 	}
 	schema, err := feature.NewSchema(attrs, s.labels)
 	if err != nil {
 		return nil, fmt.Errorf("dataset %s: %w", name, err)
 	}
-
-	instances := make([]feature.Labeled, size)
-	for i, row := range rows {
-		x := make(feature.Instance, len(orderRefs))
-		for a, ref := range orderRefs {
-			if ref.cat {
-				x[a] = feature.Value(row.cats[ref.idx])
-			} else {
-				x[a] = bucketers[ref.idx].Bucket(row.nums[ref.idx])
-			}
-		}
-		if row.label < 0 || row.label >= len(s.labels) {
-			return nil, fmt.Errorf("dataset %s: generator produced label %d", name, row.label)
-		}
-		instances[i] = feature.Labeled{X: x, Y: feature.Label(row.label)}
-	}
-
-	d := &Dataset{Name: name, Schema: schema, Instances: instances}
-	// Deterministic 70/30 split via a seeded shuffle.
-	perm := rand.New(rand.NewSource(seed + 1)).Perm(size)
-	cut := size * 7 / 10
-	d.TrainIdx = append([]int(nil), perm[:cut]...)
-	d.TestIdx = append([]int(nil), perm[cut:]...)
-	sort.Ints(d.TrainIdx)
-	sort.Ints(d.TestIdx)
-	return d, nil
+	g.schema = schema
+	return g, nil
 }
 
 // choice draws an index from a weighted distribution (uniform when w is nil).

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/xai-db/relativekeys/internal/feature"
@@ -54,6 +55,29 @@ func TestGeneralNamesAllRegistered(t *testing.T) {
 func TestUnknownDataset(t *testing.T) {
 	if _, err := Load("nope", Options{}); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+}
+
+// TestLoadSchemaMatchesLoad: the schema LoadSchema derives from one reused
+// row equals the one Load builds over the materialized rows, attribute by
+// attribute, value string by value string, for every dataset, and an
+// unknown name is refused by both.
+func TestLoadSchemaMatchesLoad(t *testing.T) {
+	for _, name := range Names() {
+		d, err := Load(name, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := LoadSchema(name)
+		if err != nil {
+			t.Fatalf("%s: LoadSchema: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, d.Schema) {
+			t.Fatalf("%s: LoadSchema = %+v, Load's schema %+v", name, got, d.Schema)
+		}
+	}
+	if _, err := LoadSchema("nope"); err == nil {
+		t.Fatal("LoadSchema accepted an unknown dataset")
 	}
 }
 

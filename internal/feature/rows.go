@@ -62,6 +62,56 @@ func (r *Rows) Len() int { return len(r.labels) / r.lw }
 // Widths returns the table's value and label widths in bytes.
 func (r *Rows) Widths() (value, label int) { return r.vw, r.lw }
 
+// Arity returns the number of values a row holds.
+func (r *Rows) Arity() int { return r.k }
+
+// ScatterValues sets bit i−from of words[c] for every row i of [from, to),
+// which spans at most 64 rows, c the row's code of attribute a: one word of
+// each of the attribute's posting lists, built a column at a time. It
+// reports false, at once, on a code words cannot index.
+func (r *Rows) ScatterValues(words []uint64, a, from, to int) bool {
+	return scatter(words, r.vals, (from*r.k+a)*r.vw, r.k*r.vw, to-from, r.vw)
+}
+
+// ScatterLabels is ScatterValues over the rows' labels.
+func (r *Rows) ScatterLabels(words []uint64, from, to int) bool {
+	return scatter(words, r.labels, from*r.lw, r.lw, to-from, r.lw)
+}
+
+// scatter sets bit j of words[c] for the count width-byte codes c of b, code
+// j at byte off+j·stride, under one width switch, and reports false at the
+// first code words cannot index.
+func scatter(words []uint64, b []byte, off, stride, count, width int) bool {
+	n := uint32(len(words))
+	switch width {
+	case 1:
+		for j := 0; j < count; j, off = j+1, off+stride {
+			if c := uint32(b[off]); c < n {
+				words[c] |= 1 << j
+			} else {
+				return false
+			}
+		}
+	case 2:
+		for j := 0; j < count; j, off = j+1, off+stride {
+			if c := uint32(binary.LittleEndian.Uint16(b[off:])); c < n {
+				words[c] |= 1 << j
+			} else {
+				return false
+			}
+		}
+	default:
+		for j := 0; j < count; j, off = j+1, off+stride {
+			if c := binary.LittleEndian.Uint32(b[off:]); c < n {
+				words[c] |= 1 << j
+			} else {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Value returns the code of attribute a in row i.
 func (r *Rows) Value(i, a int) Value {
 	return Value(readCode(r.vals[(i*r.k+a)*r.vw:], r.vw))

@@ -37,24 +37,24 @@ import (
 // seam so tests and the fault-injection harness can interpose failing or
 // slow monitors when exercising the observe refusal path.
 //
-// A monitor may also implement ObserveRows(rows *feature.Rows) error, as
+// A monitor may also implement ObserveIndex(c *core.Context) error, as
 // cce.DriftMonitor does: the server detects it the way io.Copy detects
-// io.WriterTo and feeds boot recovery and snapshot install through it in one
-// batch. A monitor without it is fed those rows one at a time, each a copy.
+// io.WriterTo and replays boot recovery and snapshot install through it in
+// one batch over the context's index. A monitor without it is fed those
+// rows one at a time, each a copy.
 type DriftObserver interface {
 	ObserveCtx(ctx context.Context, li feature.Labeled) (int, error)
 	AvgSuccinctness() float64
 	Arrivals() int
 }
 
-// batchObserver is the optional bulk entry of a DriftObserver: it feeds rows
-// in order, all or none, leaving the monitor as ObserveCtx would one row at a
-// time. It refuses a table holding a row outside its schema
-// (feature.Rows.Validate), as cce.DriftMonitor does, since loadLocked
-// validates nothing itself. It only reads the table, and keeps no reference
-// into it once it returns.
-type batchObserver interface {
-	ObserveRows(rows *feature.Rows) error
+// indexObserver is the optional bulk entry of a DriftObserver: it feeds the
+// rows of an indexed context, which holds them in slots 0..Len−1, in slot
+// order, all or none, leaving the monitor as ObserveCtx would one row at a
+// time. It only reads the context, and keeps no reference into it once it
+// returns.
+type indexObserver interface {
+	ObserveIndex(c *core.Context) error
 }
 
 // SolveFunc is the anytime solver seam, matching core.SRKAnytime: it returns
@@ -71,8 +71,9 @@ type Config struct {
 	Retain    int // max live context rows; 0 = grow forever
 
 	// Monitor overrides PanelSize construction when non-nil. Its optional
-	// ObserveRows, detected like io.WriterTo, takes the rows of boot recovery
-	// and snapshot install in one batch; without it they arrive one at a time.
+	// ObserveIndex, detected like io.WriterTo, replays the rows of boot
+	// recovery and snapshot install in one batch; without it they arrive one
+	// at a time.
 	Monitor DriftObserver
 	// Solve overrides the explain solver. nil = core.SRKAnytimePar, the
 	// served engine (DESIGN.md §11), which returns byte-identical keys to the
@@ -343,7 +344,7 @@ func (s *Server) recoverLocked(walPath string) error {
 	if rows.Len() == 0 {
 		return nil // nothing to load: keep the empty context NewServer built
 	}
-	//rkvet:ignore ctxflow recovery runs inside NewServer before any request exists; only a monitor without ObserveRows reads this context, row by row, and its replay must complete
+	//rkvet:ignore ctxflow recovery runs inside NewServer before any request exists; only a monitor without ObserveIndex reads this context, row by row, and its replay must complete
 	if err := s.loadLocked(context.Background(), rows); err != nil {
 		return fmt.Errorf("service: recovery: %w", err)
 	}
@@ -352,29 +353,32 @@ func (s *Server) recoverLocked(walPath string) error {
 
 // loadLocked replaces the context with the table's rows, oldest first, and
 // feeds them to the drift monitor: the one bulk load behind boot recovery
-// and snapshot install. Neither half can take a row the other refuses:
-// Retained.ReplaceRows and ObserveRows each refuse a table holding a row
-// outside the schema, by feature.Rows.Validate, before changing anything. A
-// monitor with ObserveRows replays its panel in one goroutine beside the
-// context build, reading the same table, joined before loadLocked returns;
-// any other monitor is fed a copy of each row under ctx once the context is
-// in place. A monitor failure comes back as a monitorError, after the
-// context swap. The context may take the table's storage, so callers hand
-// it over. Callers hold s.mu.
+// and snapshot install, in sequence. Retained.ReplaceRows builds the new
+// context's index a column at a time and refuses a table holding a row
+// outside the schema before changing anything. A monitor with ObserveIndex
+// then replays its panel over that index or, when retention kept fewer rows
+// than the table holds, over a throwaway index of the whole table from the
+// same builder; any other monitor is fed a copy of each row under ctx. A
+// monitor failure comes back as a monitorError, after the context swap. The
+// context may take the table's storage, so callers hand it over; nothing
+// adds to the context before the monitor is fed, since callers hold s.mu.
 func (s *Server) loadLocked(ctx context.Context, rows *feature.Rows) error {
-	if bm, ok := s.monitor.(batchObserver); ok {
-		panel := make(chan error, 1)
-		go func() { panel <- bm.ObserveRows(rows) }()
-		err := s.ctx.ReplaceRows(rows)
-		if merr := <-panel; merr != nil && err == nil {
-			err = monitorError{merr}
-		}
-		return err
-	}
 	if err := s.ctx.ReplaceRows(rows); err != nil || s.monitor == nil {
 		return err
 	}
-	// No Add can write to the table before this loop ends: callers hold s.mu.
+	if im, ok := s.monitor.(indexObserver); ok {
+		idx := s.ctx.Context()
+		if idx.Len() < rows.Len() {
+			var err error
+			if idx, err = core.NewContextRows(s.schema, rows); err != nil {
+				return monitorError{err}
+			}
+		}
+		if err := im.ObserveIndex(idx); err != nil {
+			return monitorError{err}
+		}
+		return nil
+	}
 	for i := 0; i < rows.Len(); i++ {
 		if _, err := s.monitor.ObserveCtx(ctx, rows.Row(i)); err != nil {
 			return monitorError{err}
