@@ -10,8 +10,11 @@
 package benchsuite
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -37,6 +40,8 @@ func Cases() []Case {
 		{Name: "core/srk_alpha09", Fn: benchSRK(0.9)},
 		{Name: "core/osrk_observe", Fn: benchOSRKObserve},
 		{Name: "cce/drift_observe", Fn: benchDriftObserve},
+		{Name: "dataset/load_schema", Fn: benchLoadSchema},
+		{Name: "persist/snapshot_load", Fn: benchSnapshotLoad},
 		{Name: "core/bulk_load", Fn: benchBulkLoad},
 		{Name: "cce/window_advance", Fn: benchWindowAdvance},
 		{Name: "persist/wal_append", Fn: benchWALAppend},
@@ -122,6 +127,49 @@ func benchDriftObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := d.Observe(inference[i%len(inference)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchLoadSchema times boot's first stage without -warm: the built-in
+// adult schema from its recorded numeric ranges (dataset.LoadSchema).
+func benchLoadSchema(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := dataset.LoadSchema("adult"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// bulkLoadSnapshot encodes the core/bulk_load table once per process.
+var bulkLoadSnapshot = sync.OnceValues(func() ([]byte, error) {
+	ds, err := bulkLoadTable()
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = persist.EncodeSnapshot(&buf, ds.Schema, ds.Instances, bulkLoadRows)
+	return buf.Bytes(), err
+})
+
+// benchSnapshotLoad times boot's second stage: one op reads the
+// core/bulk_load table's snapshot file and decodes it, checking every code
+// (persist.LoadSnapshot), into the table core/bulk_load then builds from.
+func benchSnapshotLoad(b *testing.B) {
+	snap, err := bulkLoadSnapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "context.snap")
+	if err := os.WriteFile(path, snap, 0o600); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := persist.LoadSnapshot(path); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/xai-db/relativekeys/internal/feature"
@@ -77,19 +78,28 @@ func sameIndex(t *testing.T, got, want *Context, when string) {
 // TestBulkIndexDifferential: the column-at-a-time build behind ReplaceRows
 // and NewContextRows leaves a context identical to one grown row by row by
 // Add, at value widths 1, 2 and 4, with narrow and wide label spaces, for
-// row counts around the word boundary and with capacity at and above the
-// row count, and the two stay identical through later adds and removals. A
-// code outside its domain, or a label outside the label space, at the
-// first, a middle or the last row is refused with feature.Rows.Validate's
-// error, and ReplaceRows then leaves the context and its Version as they
-// were.
+// row counts around the word boundary and around splitBuildRows, where the
+// build splits the attributes across goroutines, and with capacity at and
+// above the row count, and the two stay identical through later adds and
+// removals. A code outside its domain, or a label outside the label space,
+// at the first, a middle or the last row is refused with
+// feature.Rows.Validate's error, and ReplaceRows then leaves the context and
+// its Version as they were; above splitBuildRows that includes a code of
+// the last attribute, which the last goroutine builds. GOMAXPROCS is raised
+// to at least 2 for the test, so the split runs on a one-CPU host too.
 func TestBulkIndexDifferential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	schemas := []struct {
 		card, labels int
 	}{{3, 3}, {300, 3}, {70000, 3}, {3, 70}}
 	for _, sc := range schemas {
 		s := bulkSchema(sc.card, sc.labels)
-		for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		for _, n := range []int{0, 1, 63, 64, 65, 1000, splitBuildRows - 1, splitBuildRows + 1} {
+			if sc.card > 1<<16 && n >= splitBuildRows-1 {
+				// 70,000 postings of n/64 words in each context; the 4-byte
+				// codes take the row-by-row path card 300 covers here.
+				continue
+			}
 			for _, extra := range []int{0, 100} {
 				name := fmt.Sprintf("card=%d/labels=%d/n=%d/capacity=n+%d", sc.card, sc.labels, n, extra)
 				t.Run(name, func(t *testing.T) {
@@ -134,7 +144,6 @@ func TestBulkIndexDifferential(t *testing.T) {
 	}
 
 	s := bulkSchema(300, 3)
-	rows := randomRows(rand.New(rand.NewSource(28401)), s, 1000)
 	bad := []struct {
 		name string
 		set  func(li *feature.Labeled)
@@ -144,51 +153,61 @@ func TestBulkIndexDifferential(t *testing.T) {
 		{"last value", func(li *feature.Labeled) { li.X[2] = 5 }},
 		{"label", func(li *feature.Labeled) { li.Y = 3 }},
 	}
-	for _, at := range []int{0, 517, 999} {
-		for _, b := range bad {
-			t.Run(fmt.Sprintf("refuse/%s/row=%d", b.name, at), func(t *testing.T) {
-				corrupt := append([]feature.Labeled(nil), rows...)
-				li := feature.Labeled{X: corrupt[at].X.Clone(), Y: corrupt[at].Y}
-				b.set(&li)
-				corrupt[at] = li
-				// A second bad row later on: the error names the first.
-				if at+1 < len(corrupt) {
-					last := feature.Labeled{X: corrupt[len(corrupt)-1].X.Clone(), Y: 3}
-					corrupt[len(corrupt)-1] = last
-				}
-				table := tableOf(s, corrupt)
-				wantErr := table.Validate(s)
-				if wantErr == nil {
-					t.Fatal("Validate accepted the corrupt table")
-				}
-				if _, err := NewContextRows(s, table); err == nil || err.Error() != wantErr.Error() {
-					t.Fatalf("NewContextRows error %v, want %v", err, wantErr)
-				}
-				for _, limit := range []int{0, 100} {
-					r, err := NewRetained(s, limit)
-					if err != nil {
-						t.Fatal(err)
+	for _, size := range []struct {
+		prefix string
+		rows   []feature.Labeled
+		at     []int
+	}{
+		{"refuse", randomRows(rand.New(rand.NewSource(28401)), s, 1000), []int{0, 517, 999}},
+		{"refuse-split", randomRows(rand.New(rand.NewSource(29301)), s, splitBuildRows+1), []int{0, splitBuildRows / 2, splitBuildRows}},
+	} {
+		rows := size.rows
+		for _, at := range size.at {
+			for _, b := range bad {
+				t.Run(fmt.Sprintf("%s/%s/row=%d", size.prefix, b.name, at), func(t *testing.T) {
+					corrupt := append([]feature.Labeled(nil), rows...)
+					li := feature.Labeled{X: corrupt[at].X.Clone(), Y: corrupt[at].Y}
+					b.set(&li)
+					corrupt[at] = li
+					// A second bad row later on: the error names the first.
+					if at+1 < len(corrupt) {
+						last := feature.Labeled{X: corrupt[len(corrupt)-1].X.Clone(), Y: 3}
+						corrupt[len(corrupt)-1] = last
 					}
-					for _, li := range rows[:150] {
-						if err := r.Add(li); err != nil {
+					table := tableOf(s, corrupt)
+					wantErr := table.Validate(s)
+					if wantErr == nil {
+						t.Fatal("Validate accepted the corrupt table")
+					}
+					if _, err := NewContextRows(s, table); err == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("NewContextRows error %v, want %v", err, wantErr)
+					}
+					for _, limit := range []int{0, 100} {
+						r, err := NewRetained(s, limit)
+						if err != nil {
 							t.Fatal(err)
 						}
-					}
-					version, before := r.Version(), r.Items()
-					err = r.ReplaceRows(table)
-					if err == nil || err.Error() != "core: "+wantErr.Error() {
-						t.Fatalf("limit %d: ReplaceRows error %v, want core: %v", limit, err, wantErr)
-					}
-					if r.Version() != version || r.Len() != len(before) {
-						t.Fatalf("limit %d: refused ReplaceRows moved Version %d → %d, Len %d → %d", limit, version, r.Version(), len(before), r.Len())
-					}
-					for i, li := range r.Items() {
-						if !li.X.Equal(before[i].X) || li.Y != before[i].Y {
-							t.Fatalf("limit %d: refused ReplaceRows changed row %d", limit, i)
+						for _, li := range rows[:150] {
+							if err := r.Add(li); err != nil {
+								t.Fatal(err)
+							}
+						}
+						version, before := r.Version(), r.Items()
+						err = r.ReplaceRows(table)
+						if err == nil || err.Error() != "core: "+wantErr.Error() {
+							t.Fatalf("limit %d: ReplaceRows error %v, want core: %v", limit, err, wantErr)
+						}
+						if r.Version() != version || r.Len() != len(before) {
+							t.Fatalf("limit %d: refused ReplaceRows moved Version %d → %d, Len %d → %d", limit, version, r.Version(), len(before), r.Len())
+						}
+						for i, li := range r.Items() {
+							if !li.X.Equal(before[i].X) || li.Y != before[i].Y {
+								t.Fatalf("limit %d: refused ReplaceRows changed row %d", limit, i)
+							}
 						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -24,11 +24,11 @@ func init() {
 			{name: "EducationTier", values: []string{"low", "mid", "high"}},
 		},
 		nums: []numCol{
-			{name: "Age", buckets: 10},
-			{name: "HoursPerWeek", buckets: 10},
-			{name: "CapitalGain", buckets: 10},
-			{name: "CapitalLoss", buckets: 10},
-			{name: "FnlWgt", buckets: 10},
+			{name: "Age", buckets: 10, lo: 17, hi: 83.65886067255492},
+			{name: "HoursPerWeek", buckets: 10, lo: 1, hi: 88.45104788402456},
+			{name: "CapitalGain", buckets: 10, lo: 0, hi: 22993.009195962568},
+			{name: "CapitalLoss", buckets: 10, lo: 0, hi: 3496.0552392911427},
+			{name: "FnlWgt", buckets: 10, lo: 12000.78604275095, hi: 311996.56092739216},
 		},
 		labels: []string{"<=50K", ">50K"},
 		order: []string{"Age", "Workclass", "FnlWgt", "Education", "EducationTier", "MaritalStatus",

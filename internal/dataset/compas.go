@@ -19,12 +19,12 @@ func init() {
 			{name: "Custody", values: []string{"jail", "prison", "none"}, weights: []float64{0.45, 0.20, 0.35}},
 		},
 		nums: []numCol{
-			{name: "Age", buckets: 10},
-			{name: "JuvFelCount", buckets: 4},
-			{name: "JuvMisdCount", buckets: 4},
-			{name: "JuvOtherCount", buckets: 4},
-			{name: "PriorsCount", buckets: 10},
-			{name: "DaysInCustody", buckets: 10},
+			{name: "Age", buckets: 10, lo: 18.28313472037791, hi: 70.53252821474807},
+			{name: "JuvFelCount", buckets: 4, lo: 0, hi: 3},
+			{name: "JuvMisdCount", buckets: 4, lo: 0, hi: 3},
+			{name: "JuvOtherCount", buckets: 4, lo: 0, hi: 3},
+			{name: "PriorsCount", buckets: 10, lo: 0.05255182450352693, hi: 19.31617520659325},
+			{name: "DaysInCustody", buckets: 10, lo: 0, hi: 100.99028284148503},
 		},
 		labels: []string{"low", "high"},
 		gen:    genCompas,

@@ -61,6 +61,11 @@ type catCol struct {
 type numCol struct {
 	name    string
 	buckets int // default bucket count
+	// lo and hi are the column's minimum and maximum over the rows the
+	// generator draws at the spec's default seed and size, the range Load
+	// buckets it over by default. LoadSchema reads them instead of running
+	// the generator; TestNumericRangesMatchGenerator checks them bit for bit.
+	lo, hi float64
 }
 
 // rawRow carries one generated row before discretization.
@@ -112,24 +117,32 @@ func GeneralNames() []string {
 
 // Load materializes a dataset by name.
 func Load(name string, opt Options) (*Dataset, error) {
-	g, err := generate(name, opt, true)
+	s, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	g, err := generate(s, opt)
+	if err != nil {
+		return nil, err
+	}
+	f, err := fitSchema(s, g.lo, g.hi, opt.Buckets)
 	if err != nil {
 		return nil, err
 	}
 	instances := make([]feature.Labeled, len(g.rows))
 	for i, row := range g.rows {
-		x := make(feature.Instance, len(g.refs))
-		for a, ref := range g.refs {
+		x := make(feature.Instance, len(f.refs))
+		for a, ref := range f.refs {
 			if ref.cat {
 				x[a] = feature.Value(row.cats[ref.idx])
 			} else {
-				x[a] = g.bucketers[ref.idx].Bucket(row.nums[ref.idx])
+				x[a] = f.bucketers[ref.idx].Bucket(row.nums[ref.idx])
 			}
 		}
 		instances[i] = feature.Labeled{X: x, Y: feature.Label(row.label)}
 	}
 
-	d := &Dataset{Name: name, Schema: g.schema, Instances: instances}
+	d := &Dataset{Name: name, Schema: f.schema, Instances: instances}
 	// Deterministic 70/30 split via a seeded shuffle.
 	size := len(instances)
 	perm := rand.New(rand.NewSource(g.seed + 1)).Perm(size)
@@ -142,21 +155,81 @@ func Load(name string, opt Options) (*Dataset, error) {
 }
 
 // LoadSchema returns the schema Load(name, Options{}) builds without
-// materializing its rows: the generator runs over one reused row, only to
-// find the ranges the numeric columns are bucketed over.
+// running the generator: each numeric column is bucketed over the range its
+// spec records for the default seed and size (numCol.lo, numCol.hi).
 func LoadSchema(name string) (*feature.Schema, error) {
-	g, err := generate(name, Options{}, false)
+	s, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return g.schema, nil
+	lo, hi := make([]float64, len(s.nums)), make([]float64, len(s.nums))
+	for c, nc := range s.nums {
+		lo[c], hi[c] = nc.lo, nc.hi
+	}
+	f, err := fitSchema(s, lo, hi, nil)
+	if err != nil {
+		return nil, err
+	}
+	return f.schema, nil
 }
 
-// generated is one run of a dataset's generator and the schema fitted to
-// it.
+// lookup returns the spec registered under name.
+func lookup(name string) (spec, error) {
+	s, ok := registry[name]
+	if !ok {
+		return spec{}, fmt.Errorf("dataset: unknown dataset %q (have %v)", name, Names())
+	}
+	return s, nil
+}
+
+// generated is one run of a dataset's generator: every row and the range
+// of each numeric column.
 type generated struct {
-	seed      int64
-	rows      []rawRow // every row when kept, else nil
+	seed   int64
+	rows   []rawRow
+	lo, hi []float64 // per numeric column of the spec
+}
+
+// generate runs s's generator over the rows opt asks for, refusing a
+// categorical code or label outside its domain, and records each numeric
+// column's range, as feature.FitBuckets fits a column.
+func generate(s spec, opt Options) (*generated, error) {
+	size := s.size
+	if opt.Size > 0 {
+		size = opt.Size
+	}
+	g := &generated{seed: s.seed, rows: make([]rawRow, size)}
+	if opt.Seed != 0 {
+		g.seed = opt.Seed
+	}
+	rng := rand.New(rand.NewSource(g.seed))
+	g.lo, g.hi = make([]float64, len(s.nums)), make([]float64, len(s.nums))
+	for i := range g.rows {
+		row := &g.rows[i]
+		*row = rawRow{cats: make([]int, len(s.cats)), nums: make([]float64, len(s.nums))}
+		s.gen(rng, row)
+		for c, v := range row.cats {
+			if v < 0 || v >= len(s.cats[c].values) {
+				return nil, fmt.Errorf("dataset %s: generator produced value %d for %s", s.name, v, s.cats[c].name)
+			}
+		}
+		if row.label < 0 || row.label >= len(s.labels) {
+			return nil, fmt.Errorf("dataset %s: generator produced label %d", s.name, row.label)
+		}
+		for c, v := range row.nums {
+			if i == 0 || v < g.lo[c] {
+				g.lo[c] = v
+			}
+			if i == 0 || v > g.hi[c] {
+				g.hi[c] = v
+			}
+		}
+	}
+	return g, nil
+}
+
+// fitted is a spec's schema fitted to numeric ranges.
+type fitted struct {
 	schema    *feature.Schema
 	refs      []colRef            // the spec column of each schema attribute
 	bucketers []*feature.Bucketer // one per numeric column
@@ -169,87 +242,40 @@ type colRef struct {
 	idx int
 }
 
-// generate runs name's generator over the rows opt asks for, refusing a
-// categorical code or label outside its domain, and fits the schema: each
-// numeric column bucketed over its generated range, as feature.FitBuckets
-// fits a column. With keep it returns every row; otherwise it reuses one.
-func generate(name string, opt Options, keep bool) (*generated, error) {
-	s, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("dataset: unknown dataset %q (have %v)", name, Names())
-	}
-	size := s.size
-	if opt.Size > 0 {
-		size = opt.Size
-	}
-	g := &generated{seed: s.seed}
-	if opt.Seed != 0 {
-		g.seed = opt.Seed
-	}
-	rng := rand.New(rand.NewSource(g.seed))
-
-	if keep {
-		g.rows = make([]rawRow, 0, size)
-	}
-	lo, hi := make([]float64, len(s.nums)), make([]float64, len(s.nums))
-	var row rawRow
-	for i := 0; i < size; i++ {
-		if keep || i == 0 {
-			row = rawRow{cats: make([]int, len(s.cats)), nums: make([]float64, len(s.nums))}
-		}
-		s.gen(rng, &row)
-		for c, v := range row.cats {
-			if v < 0 || v >= len(s.cats[c].values) {
-				return nil, fmt.Errorf("dataset %s: generator produced value %d for %s", name, v, s.cats[c].name)
-			}
-		}
-		if row.label < 0 || row.label >= len(s.labels) {
-			return nil, fmt.Errorf("dataset %s: generator produced label %d", name, row.label)
-		}
-		for c, v := range row.nums {
-			if i == 0 || v < lo[c] {
-				lo[c] = v
-			}
-			if i == 0 || v > hi[c] {
-				hi[c] = v
-			}
-		}
-		if keep {
-			g.rows = append(g.rows, row)
-		}
-	}
-
-	g.bucketers = make([]*feature.Bucketer, len(s.nums))
+// fitSchema assembles s's schema in declared order, each numeric column c
+// bucketed over [lo[c], hi[c]] into its default bucket count or the one
+// buckets names for it.
+func fitSchema(s spec, lo, hi []float64, buckets map[string]int) (*fitted, error) {
+	f := &fitted{bucketers: make([]*feature.Bucketer, len(s.nums))}
 	for c, nc := range s.nums {
 		k := nc.buckets
 		if k == 0 {
 			k = 10
 		}
-		if kk, ok := opt.Buckets[nc.name]; ok {
+		if kk, ok := buckets[nc.name]; ok {
 			k = kk
 		}
 		b, err := feature.NewBucketer(lo[c], hi[c], k)
 		if err != nil {
-			return nil, fmt.Errorf("dataset %s: bucketing %s: %w", name, nc.name, err)
+			return nil, fmt.Errorf("dataset %s: bucketing %s: %w", s.name, nc.name, err)
 		}
-		g.bucketers[c] = b
+		f.bucketers[c] = b
 	}
 
-	// Assemble the schema in declared order.
-	g.refs = make([]colRef, 0, len(s.cats)+len(s.nums))
+	f.refs = make([]colRef, 0, len(s.cats)+len(s.nums))
 	if len(s.order) == 0 {
 		for i := range s.cats {
-			g.refs = append(g.refs, colRef{true, i})
+			f.refs = append(f.refs, colRef{true, i})
 		}
 		for i := range s.nums {
-			g.refs = append(g.refs, colRef{false, i})
+			f.refs = append(f.refs, colRef{false, i})
 		}
 	} else {
 		for _, n := range s.order {
 			found := false
 			for i, cc := range s.cats {
 				if cc.name == n {
-					g.refs = append(g.refs, colRef{true, i})
+					f.refs = append(f.refs, colRef{true, i})
 					found = true
 					break
 				}
@@ -259,34 +285,34 @@ func generate(name string, opt Options, keep bool) (*generated, error) {
 			}
 			for i, nc := range s.nums {
 				if nc.name == n {
-					g.refs = append(g.refs, colRef{false, i})
+					f.refs = append(f.refs, colRef{false, i})
 					found = true
 					break
 				}
 			}
 			if !found {
-				return nil, fmt.Errorf("dataset %s: order references unknown column %q", name, n)
+				return nil, fmt.Errorf("dataset %s: order references unknown column %q", s.name, n)
 			}
 		}
-		if len(g.refs) != len(s.cats)+len(s.nums) {
-			return nil, fmt.Errorf("dataset %s: order lists %d of %d columns", name, len(g.refs), len(s.cats)+len(s.nums))
+		if len(f.refs) != len(s.cats)+len(s.nums) {
+			return nil, fmt.Errorf("dataset %s: order lists %d of %d columns", s.name, len(f.refs), len(s.cats)+len(s.nums))
 		}
 	}
 
-	attrs := make([]feature.Attribute, len(g.refs))
-	for a, ref := range g.refs {
+	attrs := make([]feature.Attribute, len(f.refs))
+	for a, ref := range f.refs {
 		if ref.cat {
 			attrs[a] = feature.Attribute{Name: s.cats[ref.idx].name, Values: s.cats[ref.idx].values}
 		} else {
-			attrs[a] = g.bucketers[ref.idx].Attribute(s.nums[ref.idx].name)
+			attrs[a] = f.bucketers[ref.idx].Attribute(s.nums[ref.idx].name)
 		}
 	}
 	schema, err := feature.NewSchema(attrs, s.labels)
 	if err != nil {
-		return nil, fmt.Errorf("dataset %s: %w", name, err)
+		return nil, fmt.Errorf("dataset %s: %w", s.name, err)
 	}
-	g.schema = schema
-	return g, nil
+	f.schema = schema
+	return f, nil
 }
 
 // choice draws an index from a weighted distribution (uniform when w is nil).

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"github.com/xai-db/relativekeys/internal/feature"
@@ -58,10 +59,10 @@ func TestUnknownDataset(t *testing.T) {
 	}
 }
 
-// TestLoadSchemaMatchesLoad: the schema LoadSchema derives from one reused
-// row equals the one Load builds over the materialized rows, attribute by
-// attribute, value string by value string, for every dataset, and an
-// unknown name is refused by both.
+// TestLoadSchemaMatchesLoad: the schema LoadSchema builds from the spec's
+// recorded ranges equals the one Load builds over the materialized rows,
+// attribute by attribute, value string by value string, for every dataset,
+// and an unknown name is refused by both.
 func TestLoadSchemaMatchesLoad(t *testing.T) {
 	for _, name := range Names() {
 		d, err := Load(name, Options{})
@@ -78,6 +79,28 @@ func TestLoadSchemaMatchesLoad(t *testing.T) {
 	}
 	if _, err := LoadSchema("nope"); err == nil {
 		t.Fatal("LoadSchema accepted an unknown dataset")
+	}
+}
+
+// TestNumericRangesMatchGenerator: the range each spec records for a
+// numeric column is, bit for bit, the minimum and maximum the generator
+// draws at the default seed and size. The bucket labels LoadSchema derives
+// print four significant digits, so TestLoadSchemaMatchesLoad alone would
+// pass a literal that is merely close. A failure prints the literals the
+// spec should hold.
+func TestNumericRangesMatchGenerator(t *testing.T) {
+	for _, name := range Names() {
+		s := registry[name]
+		g, err := generate(s, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for c, nc := range s.nums {
+			if math.Float64bits(nc.lo) != math.Float64bits(g.lo[c]) || math.Float64bits(nc.hi) != math.Float64bits(g.hi[c]) {
+				t.Errorf("%s: %s records [%v, %v], the generator draws {name: %q, buckets: %d, lo: %s, hi: %s}", name, nc.name, nc.lo, nc.hi,
+					nc.name, nc.buckets, strconv.FormatFloat(g.lo[c], 'g', -1, 64), strconv.FormatFloat(g.hi[c], 'g', -1, 64))
+			}
+		}
 	}
 }
 

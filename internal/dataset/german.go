@@ -28,13 +28,13 @@ func init() {
 			{name: "RiskTier", values: []string{"low", "mid", "high"}},
 		},
 		nums: []numCol{
-			{name: "Duration", buckets: 10},
-			{name: "CreditAmount", buckets: 10},
-			{name: "InstallmentRate", buckets: 4},
-			{name: "ResidenceSince", buckets: 4},
-			{name: "Age", buckets: 10},
-			{name: "ExistingCredits", buckets: 4},
-			{name: "NumDependents", buckets: 2},
+			{name: "Duration", buckets: 10, lo: 4, hi: 47.793422639007815},
+			{name: "CreditAmount", buckets: 10, lo: 550.5829579936329, hi: 10294.562871208114},
+			{name: "InstallmentRate", buckets: 4, lo: 1, hi: 4},
+			{name: "ResidenceSince", buckets: 4, lo: 1, hi: 4},
+			{name: "Age", buckets: 10, lo: 19, hi: 74.43059018148459},
+			{name: "ExistingCredits", buckets: 4, lo: 1, hi: 4},
+			{name: "NumDependents", buckets: 2, lo: 1, hi: 2},
 		},
 		labels: []string{"bad", "good"},
 		gen:    genGerman,

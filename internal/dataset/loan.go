@@ -24,9 +24,9 @@ func init() {
 			{name: "Area", values: []string{"Urban", "Semiurban", "Rural"}, weights: []float64{0.33, 0.38, 0.29}},
 		},
 		nums: []numCol{
-			{name: "Income", buckets: 10},
-			{name: "CoIncome", buckets: 10},
-			{name: "LoanAmount", buckets: 10},
+			{name: "Income", buckets: 10, lo: 0.5, hi: 12},
+			{name: "CoIncome", buckets: 10, lo: 0, hi: 5.445500743041488},
+			{name: "LoanAmount", buckets: 10, lo: 4.66833851569851, hi: 35.133726844711596},
 		},
 		labels: []string{"Denied", "Approved"},
 		order: []string{"Gender", "Married", "Dependents", "Education", "SelfEmployed",

@@ -24,11 +24,11 @@ func init() {
 			{name: "Male", values: []string{"no", "yes"}, weights: []float64{0.08, 0.92}},
 		},
 		nums: []numCol{
-			{name: "Priors", buckets: 10},
-			{name: "School", buckets: 10},
-			{name: "Rule", buckets: 10},
-			{name: "Age", buckets: 10},
-			{name: "TimeServed", buckets: 10},
+			{name: "Priors", buckets: 10, lo: 0.0016698473366994065, hi: 10.574758740379862},
+			{name: "School", buckets: 10, lo: 1, hi: 18.01701752176459},
+			{name: "Rule", buckets: 10, lo: 7.443384663444628e-05, hi: 2.981525144035864},
+			{name: "Age", buckets: 10, lo: 190, hi: 578.5695565646878},
+			{name: "TimeServed", buckets: 10, lo: 3.0002959330796393, hi: 22.823564352166695},
 		},
 		labels: []string{"no_recid", "recid"},
 		gen:    genRecid,

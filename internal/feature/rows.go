@@ -250,11 +250,13 @@ func (r *Rows) Validate(s *Schema) error {
 }
 
 // firstOutOfBounds returns the index of the first width-byte code in b not
-// below its bound, code j checked against bounds[j%len(bounds)], or -1. It
-// decodes each width in its own loop, the hot part of every bulk load.
+// below its bound, code j checked against bounds[j%len(bounds)], or -1. A
+// branch-free pass (inBounds) clears a table without such a code, the hot
+// part of every bulk load; only a table with one is walked again, code by
+// code, to name the first.
 func firstOutOfBounds(b []byte, width int, bounds []uint32) int {
-	if len(bounds) == 0 {
-		return -1 // rows of no values
+	if len(bounds) == 0 || inBounds(b, width, bounds) {
+		return -1 // rows of no values, or every code inside its bound
 	}
 	a := 0
 	next := func() {
@@ -288,6 +290,59 @@ func firstOutOfBounds(b []byte, width int, bounds []uint32) int {
 	return -1
 }
 
+// inBounds reports whether b holds whole rows of len(bounds) width-byte
+// codes, each below its column's bound, without a branch on any code. It
+// compares 8/width codes a word at a time: a block of that many rows is
+// len(bounds) words, each checked against a word of its lanes' tops, the
+// largest code each lane's column admits. The rows after the last whole
+// block are checked a code at a time, ORing top−code and testing the sign
+// once at the end.
+func inBounds(b []byte, width int, bounds []uint32) bool {
+	k := len(bounds)
+	if len(b)%(k*width) != 0 {
+		return false // a partial row: let the exact walk judge it
+	}
+	lanes, laneBits := 8/width, 8*width
+	var high uint64 // the top bit of every lane
+	for l := 0; l < lanes; l++ {
+		high |= 1 << (l*laneBits + laneBits - 1)
+	}
+	top := make([]uint64, k)
+	for a, n := range bounds {
+		if n == 0 {
+			return false // a column that admits no code
+		}
+		top[a] = min(uint64(n)-1, 1<<laneBits-1)
+	}
+	tops := make([]uint64, k) // tops[w]: the tops of a block's word w
+	for j := 0; j < lanes*k; j++ {
+		tops[j/lanes] |= top[j%k] << (j % lanes * laneBits)
+	}
+
+	// Lane by lane, with c the code and t its top: z's top bit is set when
+	// t's low bits are at least c's, and c > t when c has the top bit t
+	// lacks, or both agree on it and z's is clear. No borrow crosses a lane:
+	// t|high is at least high and c&^high below it.
+	var over uint64
+	i := 0
+	for block := 8 * k; i+block <= len(b); i += block {
+		words := b[i : i+block]
+		for w, t := range tops {
+			c := binary.LittleEndian.Uint64(words[8*w:])
+			z := (t | high) - (c &^ high)
+			over |= c&^t | ^(c ^ t | z)
+		}
+	}
+	if over&high != 0 {
+		return false
+	}
+	var acc int64
+	for j := 0; i < len(b); i, j = i+width, j+1 {
+		acc |= int64(top[j%k]) - int64(readCode(b[i:], width))
+	}
+	return acc >= 0
+}
+
 // AppendSections appends the table as a v3 snapshot stores its rows: the
 // value section, then the label section.
 func (r *Rows) AppendSections(b []byte) []byte {
@@ -296,7 +351,11 @@ func (r *Rows) AppendSections(b []byte) []byte {
 
 // ReadRows reads n rows over s laid out as AppendSections writes them at
 // widths vw and lw, which must be s's, and validates every code (Validate).
-// b must hold exactly the two sections; the table copies them.
+// b must hold exactly the two sections. The table adopts b rather than
+// copying it, so the caller hands b over: a decoder's own buffer, which
+// nothing else reads or writes. Each section is capped at its length, so an
+// Append reallocates rather than writing past it, into the label section
+// or whatever follows b in its backing array.
 func ReadRows(s *Schema, n uint64, vw, lw int, b []byte) (*Rows, error) {
 	if wantV, wantL := Widths(s); vw != wantV || lw != wantL {
 		return nil, fmt.Errorf("feature: code widths %d/%d, schema implies %d/%d", vw, lw, wantV, wantL)
@@ -307,7 +366,7 @@ func ReadRows(s *Schema, n uint64, vw, lw int, b []byte) (*Rows, error) {
 		return nil, fmt.Errorf("feature: %d rows of %d bytes do not fill the %d bytes present", n, rowBytes, len(b))
 	}
 	split := int(n) * k * vw
-	r := &Rows{k: k, vw: vw, lw: lw, vals: append([]byte(nil), b[:split]...), labels: append([]byte(nil), b[split:]...)}
+	r := &Rows{k: k, vw: vw, lw: lw, vals: b[:split:split], labels: b[split:len(b):len(b)]}
 	if err := r.Validate(s); err != nil {
 		return nil, err
 	}

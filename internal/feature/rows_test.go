@@ -209,3 +209,164 @@ func TestRowsOfNoValues(t *testing.T) {
 		t.Fatalf("ReadRows: %v", err)
 	}
 }
+
+// validateSchema has five attributes, the first of cardinality card, one
+// of a single value, and labels labels: card and labels 3, 300 and 70000
+// store codes in 1, 2 and 4 bytes. Five values a row span whole words of
+// the word-at-a-time check only every 8/width rows.
+func validateSchema(card, labels int) *Schema {
+	values := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprint(i)
+		}
+		return out
+	}
+	return MustSchema([]Attribute{
+		{Name: "A", Values: values(card)},
+		{Name: "B", Values: values(2)},
+		{Name: "C", Values: values(5)},
+		{Name: "D", Values: values(1)},
+		{Name: "E", Values: values(7)},
+	}, values(labels))
+}
+
+// codeAt reads the width-byte little-endian code at the front of b.
+func codeAt(b []byte, width int) uint32 {
+	var c uint32
+	for i := width - 1; i >= 0; i-- {
+		c = c<<8 | uint32(b[i])
+	}
+	return c
+}
+
+// setCodeAt writes c as width little-endian bytes at the front of b.
+func setCodeAt(b []byte, c uint32, width int) {
+	for i := 0; i < width; i++ {
+		b[i] = byte(c >> (8 * i))
+	}
+}
+
+// referenceValidate is Validate's contract read one code at a time: every
+// value of every row in row order, then every label, and the error for the
+// first code outside its domain.
+func referenceValidate(s *Schema, n, vw, lw int, b []byte) error {
+	k := s.NumFeatures()
+	for i := 0; i < n; i++ {
+		for a := 0; a < k; a++ {
+			if c := codeAt(b[(i*k+a)*vw:], vw); c >= uint32(s.Attrs[a].Cardinality()) {
+				return fmt.Errorf("feature: row %d: value %d out of domain for attribute %q", i, c, s.Attrs[a].Name)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if c := codeAt(b[n*k*vw+i*lw:], lw); c >= uint32(len(s.Labels)) {
+			return fmt.Errorf("feature: row %d: label %d outside the %d labels", i, c, len(s.Labels))
+		}
+	}
+	return nil
+}
+
+// TestValidateNamesFirstBadCode: Validate, through ReadRows, returns the
+// exact error a code-by-code reference gives for one code outside its
+// domain at the first, a middle or the last row, in every attribute and in
+// the label column, at code widths 1, 2 and 4. The bad code is the first
+// one outside the domain or the largest the width holds (at width 4 a
+// negative int32). A table of 1,003 rows ends in rows the word-at-a-time
+// check leaves to its tail loop; a table of one row has no whole block.
+// With a second bad code in a later row, the first is still the one named.
+func TestValidateNamesFirstBadCode(t *testing.T) {
+	for _, width := range []int{1, 2, 4} {
+		card := map[int]int{1: 3, 2: 300, 4: 70000}[width]
+		s := validateSchema(card, card)
+		if vw, lw := Widths(s); vw != width || lw != width {
+			t.Fatalf("Widths = %d/%d, want %d/%d", vw, lw, width, width)
+		}
+		k := s.NumFeatures()
+		for _, n := range []int{1, 1003} {
+			rng := rand.New(rand.NewSource(int64(29200 + width)))
+			valid := NewRows(s, n)
+			for i := 0; i < n; i++ {
+				valid.Append(randomRow(rng, s))
+			}
+			sections := valid.AppendSections(nil)
+			if _, err := ReadRows(s, uint64(n), width, width, slices.Clone(sections)); err != nil {
+				t.Fatalf("width %d, %d rows: valid table refused: %v", width, n, err)
+			}
+			for _, row := range []int{0, n / 2, n - 1} {
+				for col := 0; col <= k; col++ { // col k is the label
+					domain, off := len(s.Labels), n*k*width+row*width
+					if col < k {
+						domain, off = s.Attrs[col].Cardinality(), (row*k+col)*width
+					}
+					for _, bad := range []uint32{uint32(domain), uint32(1<<(8*width) - 1)} {
+						for _, second := range []bool{false, true} {
+							b := slices.Clone(sections)
+							setCodeAt(b[off:], bad, width)
+							if second {
+								if row == n-1 {
+									continue
+								}
+								setCodeAt(b[(n-1)*k*width:], uint32(card), width) // attribute A of the last row
+							}
+							want := referenceValidate(s, n, width, width, b)
+							if want == nil {
+								t.Fatalf("reference accepted code %d in column %d of row %d", bad, col, row)
+							}
+							_, err := ReadRows(s, uint64(n), width, width, b)
+							if err == nil || err.Error() != want.Error() {
+								t.Fatalf("width %d, %d rows, code %d in column %d of row %d (second bad code %v): ReadRows error %v, want %v",
+									width, n, bad, col, row, second, err, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInBoundsMatchesReference: the word-at-a-time check agrees with a
+// code-by-code one on random tables of every width and row count up to two
+// blocks past a whole one, with columns that admit one code, every code of
+// their width, or one fewer, and at most one code in a random row set to
+// its column's bound or just below it.
+func TestInBoundsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29205))
+	for trial := 0; trial < 3000; trial++ {
+		width := []int{1, 2, 4}[rng.Intn(3)]
+		k := 1 + rng.Intn(9)
+		n := rng.Intn(3*8/width + 1)
+		laneMax := uint64(1)<<(8*width) - 1
+		bounds := make([]uint32, k)
+		for a := range bounds {
+			switch rng.Intn(4) {
+			case 0:
+				bounds[a] = 1
+			case 1:
+				bounds[a] = uint32(min(laneMax+1, 1<<32-1))
+			case 2:
+				bounds[a] = uint32(laneMax)
+			default:
+				bounds[a] = 1 + uint32(rng.Intn(int(min(laneMax, 1000))))
+			}
+		}
+		b := make([]byte, n*k*width)
+		for j := 0; j < n*k; j++ {
+			setCodeAt(b[j*width:], uint32(rng.Int63n(int64(bounds[j%k]))), width)
+		}
+		if n > 0 && rng.Intn(2) == 0 {
+			j := rng.Intn(n * k)
+			setCodeAt(b[j*width:], bounds[j%k]-uint32(rng.Intn(2)), width)
+		}
+		want := true
+		for j := 0; j < n*k; j++ {
+			if codeAt(b[j*width:], width) >= bounds[j%k] {
+				want = false
+			}
+		}
+		if got := inBounds(b, width, bounds); got != want {
+			t.Fatalf("width %d, bounds %v, %d rows %x: inBounds %v, want %v", width, bounds, n, b, got, want)
+		}
+	}
+}

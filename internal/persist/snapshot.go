@@ -221,11 +221,13 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorruptSnapshot}, args...)...)
 }
 
-// decodeSnapshotV3 checks everything the layout declares before it
-// allocates for the rows: the checksum, the version, the schema, both widths
-// against the schema, and the declared row count against the bytes present.
-// The row sections are then copied into one table (feature.ReadRows), which
-// validates every code.
+// decodeSnapshotV3 checks everything the layout declares before it reads
+// the rows: the checksum, the version, the schema, both widths against the
+// schema, and the declared row count against the bytes present. The row
+// sections then become one table in place (feature.ReadRows), which
+// validates every code and adopts b as its storage, each section capped at
+// its length: b is the decoder's own buffer, and an append to the table
+// reallocates rather than writing over the label section or the CRC.
 func decodeSnapshotV3(b []byte) (*feature.Schema, *feature.Rows, uint64, error) {
 	if len(b) < snapshotMinLen {
 		return nil, nil, 0, corrupt("%d bytes is shorter than the %d-byte header", len(b), snapshotMinLen)

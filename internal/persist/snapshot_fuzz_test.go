@@ -64,8 +64,11 @@ func TestSnapshotRefusesOversizedRowCount(t *testing.T) {
 // parses the /snapshot body straight off the network, so no input may panic
 // it, every refusal is ErrCorruptSnapshot or a version mismatch, and an
 // accepted input re-encodes (as v3) to bytes that decode to the same schema,
-// rows and seq. The seeds are both goldens, v3 cut at three offsets, v3 with
-// its CRC flipped, v3 whose schema length runs past the end, and nothing.
+// rows and seq. The input is decoded as DecodeSnapshot decodes what it read,
+// from a buffer with spare capacity as io.ReadAll returns it, and one row is
+// appended to the table, which adopts that buffer: the input bytes must not
+// change. The seeds are both goldens, v3 cut at three offsets, v3 with its
+// CRC flipped, v3 whose schema length runs past the end, and nothing.
 func FuzzDecodeSnapshot(f *testing.F) {
 	v3 := readGolden(f, "context.v3.snap")
 	f.Add(v3)
@@ -77,7 +80,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(restamp(v3, func(m []byte) { binary.LittleEndian.PutUint32(m[16:], uint32(len(v3))) }))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		schema, rows, seq, err := DecodeSnapshot(bytes.NewReader(b))
+		in := append(make([]byte, 0, len(b)+64), b...)
+		schema, rows, seq, err := decodeSnapshotBytes(in)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, errSnapshotVersion) {
 				t.Fatalf("refusal of %q is neither corruption nor a version mismatch: %v", b, err)
@@ -103,6 +107,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if items2[i].Y != items[i].Y || !slices.Equal(items2[i].X, items[i].X) {
 				t.Fatalf("round trip of %q: row %d = %v, want %v", b, i, items2[i], items[i])
 			}
+		}
+		// Every code 0 is inside its domain: schemas have no empty domain.
+		rows.Append(feature.Labeled{X: make(feature.Instance, schema.NumFeatures())})
+		if !bytes.Equal(in, b) {
+			t.Fatalf("appending a row to the table decoded from %q wrote into the input: %q", b, in)
 		}
 	})
 }

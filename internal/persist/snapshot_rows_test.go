@@ -154,3 +154,71 @@ func TestSnapshotRowsRefusesMisfits(t *testing.T) {
 		t.Fatalf("encoded 2-byte codes under a 1-byte schema: %v", err)
 	}
 }
+
+// TestDecodedTableNeverWritesItsBuffer: a v3 decode adopts its buffer as
+// the table's storage, and that buffer has spare capacity: os.ReadFile
+// returns one on boot, and io.ReadAll one for a follower's /snapshot body.
+// Rows appended to the table must land in new storage, never past a
+// section into the labels, the CRC or the spare capacity: after the
+// appends the decoded rows and labels and the input bytes are unchanged,
+// the appended rows read back, and re-encoding the first n rows gives the
+// input back. At value widths 1 and 2.
+func TestDecodedTableNeverWritesItsBuffer(t *testing.T) {
+	values := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprint(i)
+		}
+		return out
+	}
+	wide := feature.MustSchema([]feature.Attribute{
+		{Name: "A", Values: values(300)},
+		{Name: "B", Values: values(3)},
+	}, values(3))
+	for _, schema := range []*feature.Schema{crashSchema(t), wide} {
+		vw, _ := feature.Widths(schema)
+		t.Run(fmt.Sprintf("width%d", vw), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(29400 + vw)))
+			draw := func(n int) []feature.Labeled {
+				out := make([]feature.Labeled, n)
+				for i := range out {
+					x := make(feature.Instance, schema.NumFeatures())
+					for a := range x {
+						x[a] = feature.Value(rng.Intn(schema.Attrs[a].Cardinality()))
+					}
+					out[i] = feature.Labeled{X: x, Y: feature.Label(rng.Intn(len(schema.Labels)))}
+				}
+				return out
+			}
+			items, more := draw(100), draw(5)
+			var enc bytes.Buffer
+			if err := EncodeSnapshot(&enc, schema, items, 29); err != nil {
+				t.Fatal(err)
+			}
+			want := enc.Bytes()
+			in := append(make([]byte, 0, len(want)+256), want...)
+			got, rows, seq, err := decodeSnapshotBytes(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, li := range more {
+				rows.Append(li)
+			}
+			if !bytes.Equal(in, want) || !bytes.Equal(in[len(in):cap(in)], make([]byte, cap(in)-len(in))) {
+				t.Fatal("appending to the decoded table wrote into its input buffer")
+			}
+			for i, li := range append(items, more...) {
+				if row := rows.Row(i); !row.X.Equal(li.X) || row.Y != li.Y {
+					t.Fatalf("row %d = %v after the appends, want %v", i, row, li)
+				}
+			}
+			var again bytes.Buffer
+			if err := EncodeSnapshotRows(&again, got, rows.Slice(0, len(items)), seq); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), want) {
+				t.Fatal("re-encoding the decoded rows does not give the input back")
+			}
+		})
+	}
+}
