@@ -12,6 +12,7 @@ package benchsuite
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -43,6 +44,7 @@ func Cases() []Case {
 		{Name: "dataset/load_schema", Fn: benchLoadSchema},
 		{Name: "persist/snapshot_load", Fn: benchSnapshotLoad},
 		{Name: "core/bulk_load", Fn: benchBulkLoad},
+		{Name: fmt.Sprintf("core/srk_adult/n=%d", bulkLoadRows), Fn: benchSRKAdult},
 		{Name: "cce/window_advance", Fn: benchWindowAdvance},
 		{Name: "persist/wal_append", Fn: benchWALAppend},
 		{Name: "obs/counter_inc", Fn: benchCounterInc},
@@ -215,6 +217,76 @@ func benchBulkLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := d.ObserveIndex(r.Context()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// srkAdultQueries is the number of distinct instances core/srk_adult cycles.
+const srkAdultQueries = 4096
+
+// srkAdultWarm is core/srk_adult's context and queries: the core/bulk_load
+// table indexed once, and srkAdultQueries distinct generator instances
+// (seed 30501) with the generator's labels. Before any op is timed, every
+// query is solved srkAdultWarmPasses times, so the pair-count tables the
+// served engine's rent-or-buy rule would build under this traffic are built
+// (DESIGN.md §11).
+var srkAdultWarm = sync.OnceValues(func() (*srkAdultData, error) {
+	ds, err := bulkLoadTable()
+	if err != nil {
+		return nil, err
+	}
+	ctx, err := core.NewContext(ds.Schema, ds.Instances)
+	if err != nil {
+		return nil, err
+	}
+	draw, err := dataset.Load("adult", dataset.Options{Seed: 30501, Size: 2 * srkAdultQueries})
+	if err != nil {
+		return nil, err
+	}
+	d := &srkAdultData{ctx: ctx}
+	seen := map[string]bool{}
+	for _, li := range draw.Instances {
+		if k := fmt.Sprint(li.X); !seen[k] && len(d.queries) < srkAdultQueries {
+			seen[k] = true
+			d.queries = append(d.queries, li)
+		}
+	}
+	if len(d.queries) < srkAdultQueries {
+		return nil, fmt.Errorf("only %d distinct adult instances drawn, want %d", len(d.queries), srkAdultQueries)
+	}
+	for pass := 0; pass < srkAdultWarmPasses; pass++ {
+		for _, li := range d.queries {
+			if _, err := core.SRKPar(ctx, li.X, li.Y, 1.0, 1); err != nil && err != core.ErrNoKey {
+				return nil, err
+			}
+		}
+	}
+	return d, nil
+})
+
+// srkAdultWarmPasses is the number of untimed passes over core/srk_adult's
+// queries.
+const srkAdultWarmPasses = 4
+
+type srkAdultData struct {
+	ctx     *core.Context
+	queries []feature.Labeled
+}
+
+// benchSRKAdult times one served α=1 solve over the 100k-row core/bulk_load
+// context, the benchmark's adult data at a third of its size, cycling
+// srkAdultQueries distinct instances.
+func benchSRKAdult(b *testing.B) {
+	d, err := srkAdultWarm()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		li := d.queries[i%len(d.queries)]
+		if _, err := core.SRKPar(d.ctx, li.X, li.Y, 1.0, 1); err != nil && err != core.ErrNoKey {
 			b.Fatal(err)
 		}
 	}

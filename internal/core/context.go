@@ -12,6 +12,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/xai-db/relativekeys/internal/bitset"
 	"github.com/xai-db/relativekeys/internal/feature"
@@ -61,6 +62,43 @@ type Context struct {
 	// see identical rows — the invalidation stamp the service-level explanation
 	// cache keys on (DESIGN.md §15).
 	version uint64
+	// pairs holds the pair-count tables the served engine scores its second
+	// greedy round from; nil for a schema over maxPairCells.
+	pairs *pairCounts
+}
+
+// pairCounts holds a context's pair-count tables (DESIGN.md §11). The table
+// of a first pick (a, v) has a cell (base[b]+w)·L+y for every value w of
+// every attribute b and label y: the live rows with x[a] = v and x[b] = w
+// predicted y. Tables are built lazily, each once the served engine's
+// round-two scans after picking (a, v) have read as many words as its build
+// reads (rent or buy), published by atomic pointer so solves read them
+// without a lock, and kept by AddSlot and Remove from then on.
+type pairCounts struct {
+	base   []int                   // (a, v)'s entry is base[a]+v: Σ cardinalities of the attributes before a
+	tables []atomic.Pointer[[]int] // by entry; nil until built
+	rent   []atomic.Int64          // by entry: round-two words scanned while unbuilt
+	build  sync.Mutex              // held by the one build in progress, taken with TryLock
+}
+
+// maxPairCells caps the cells of a schema's full set of pair-count tables,
+// (Σ cardinalities)²·L: a wider schema never builds one and scans every
+// round. Every built-in schema fits (german, the largest, has 18,050).
+const maxPairCells = 1 << 20
+
+// newPairCounts returns the empty tables of a schema, or nil over
+// maxPairCells.
+func newPairCounts(s *feature.Schema) *pairCounts {
+	base := make([]int, len(s.Attrs))
+	sum := 0
+	for a, at := range s.Attrs {
+		base[a] = sum
+		sum += at.Cardinality()
+	}
+	if sum > maxPairCells || sum*sum*len(s.Labels) > maxPairCells {
+		return nil
+	}
+	return &pairCounts{base: base, tables: make([]atomic.Pointer[[]int], sum), rent: make([]atomic.Int64, sum)}
 }
 
 // NewContext builds an indexed context. Instances are validated against the
@@ -113,7 +151,7 @@ func NewContextRows(schema *feature.Schema, rows *feature.Rows) (*Context, error
 func newContextRows(schema *feature.Schema, rows *feature.Rows, capacity int) (*Context, error) {
 	n := rows.Len()
 	capacity = max(capacity, n)
-	c := &Context{Schema: schema}
+	c := &Context{Schema: schema, pairs: newPairCounts(schema)}
 	if rows.Arity() != schema.NumFeatures() || !c.indexRows(rows, capacity) {
 		// The build stops at a bad code, not at the first bad row.
 		return nil, rows.Validate(schema)
@@ -349,6 +387,7 @@ func (c *Context) index(i int) {
 	c.labelLive[y]++
 	c.live.Add(i)
 	c.liveCount++
+	c.countPairs(i, 1)
 	c.version++
 }
 
@@ -370,9 +409,104 @@ func (c *Context) Remove(slot int) error {
 	c.labelLive[y]--
 	c.live.Remove(slot)
 	c.liveCount--
+	c.countPairs(slot, -1)
 	c.free = append(c.free, slot)
 	c.version++
 	return nil
+}
+
+// countPairs adds d to slot i's cells in every built pair-count table of its
+// own values (a, x[a]): at most k tables of k cells each.
+func (c *Context) countPairs(i, d int) {
+	p := c.pairs
+	if p == nil {
+		return
+	}
+	y, nl := int(c.rows.Label(i)), len(c.byLabel)
+	for a, base := range p.base {
+		t := p.tables[base+int(c.rows.Value(i, a))].Load()
+		if t == nil {
+			continue
+		}
+		for b, base := range p.base {
+			(*t)[(base+int(c.rows.Value(i, b)))*nl+y] += d
+		}
+	}
+}
+
+// pairTable returns the pair-count table of a first pick (a, v), or nil while
+// it is unbuilt.
+func (c *Context) pairTable(a int, v feature.Value) []int {
+	if c.pairs == nil {
+		return nil
+	}
+	if t := c.pairs.tables[c.pairs.base[a]+int(v)].Load(); t != nil {
+		return *t
+	}
+	return nil
+}
+
+// rentPairs charges words, read by a round-two scan after picking (a, v), to
+// (a, v)'s unbuilt table, and builds the table once the charges reach its
+// build cost: the ski-rental rule, which keeps round two's total work within
+// twice the better of always scanning and building first.
+func (c *Context) rentPairs(a int, v feature.Value, words int) {
+	p := c.pairs
+	if p == nil {
+		return
+	}
+	if p.rent[p.base[a]+int(v)].Add(int64(words)) >= int64(c.pairBuildWords(a, v)) {
+		c.buildPairs(a, v)
+	}
+}
+
+// pairBuildWords bounds the words buildPairs reads for (a, v): for each label
+// y with rows in the posting, one pass over the posting to list its words
+// labelled y, then one read of that list, at most min(words, rows) long, per
+// posting of the schema.
+func (c *Context) pairBuildWords(a int, v feature.Value) int {
+	nw, nl, postings := c.live.NumWords(), len(c.byLabel), len(c.pairs.tables)
+	total := 0
+	for _, n := range c.labelCount[a][int(v)*nl : (int(v)+1)*nl] {
+		if n > 0 {
+			total += nw + postings*min(nw, n)
+		}
+	}
+	return total
+}
+
+// buildPairs builds and publishes (a, v)'s pair-count table unless another
+// build is in progress, so a solve never waits for one. Solves read
+// concurrently while it runs, and the mutations that keep a published table
+// (AddSlot, Remove) need exclusive access, as for every other part of the
+// index.
+func (c *Context) buildPairs(a int, v feature.Value) {
+	p := c.pairs
+	if !p.build.TryLock() {
+		return
+	}
+	defer p.build.Unlock()
+	e := p.base[a] + int(v)
+	if p.tables[e].Load() != nil {
+		return
+	}
+	nl := len(c.byLabel)
+	t := make([]int, len(p.tables)*nl)
+	st := getSparseState(0, c.live.NumWords())
+	defer putSparseState(st)
+	post := c.post[a][v].Words()
+	for y, n := range c.labelCount[a][int(v)*nl : (int(v)+1)*nl] {
+		if n == 0 {
+			continue
+		}
+		st.list(post, c.byLabel[y].Words(), nil)
+		for b, base := range p.base {
+			for w, pw := range c.post[b] {
+				t[(base+w)*nl+y] = st.listedCount(pw.Words())
+			}
+		}
+	}
+	p.tables[e].Store(&t)
 }
 
 // grow lengthens every bitset of the index to n bits. AddSlot calls it once

@@ -31,9 +31,11 @@ func decodeInstance(b byte) feature.Labeled {
 // indistinguishable — SRK and SRKPar key bytes, violation counts,
 // disagreeing-set cardinality — from a context rebuilt from scratch over its
 // live rows. This is the invariant the sliding window (cce.Window) and the
-// service retention path stand on. SRKPar is the check on the count tables:
-// the eager SRK reads neither, so a missed decrement in Remove shows only in
-// the served engine's picks.
+// service retention path stand on. SRKPar is the check on the count tables
+// and the pair-count tables, every one force-built on both contexts (on the
+// incremental one before its first mutation, so each add and removal keeps
+// them), and each cell is held to the index: the eager SRK reads neither, so
+// a missed decrement in Remove shows only in the served engine's picks.
 func FuzzContextRemoveAdd(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, byte(0))
 	f.Add([]byte{10, 20, 3, 30, 7, 40, 11}, byte(17))
@@ -47,6 +49,7 @@ func FuzzContextRemoveAdd(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewContext: %v", err)
 		}
+		buildAllPairs(ctx)
 		var live []int
 		for _, b := range data {
 			if b%4 == 3 && len(live) > 0 {
@@ -72,6 +75,8 @@ func FuzzContextRemoveAdd(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rebuilding context: %v", err)
 		}
+		buildAllPairs(rebuilt)
+		checkPairs(t, ctx, "incremental")
 
 		target := decodeInstance(tb)
 		for _, alpha := range []float64{1.0, 0.7} {

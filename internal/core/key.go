@@ -155,21 +155,26 @@ const agreeBlock = 512
 // pass. It builds agree = live ∧ postings(E) a block of words at a time in a
 // stack buffer and counts each block twice, whole and under y's label set,
 // before moving on, so every input word is read once and nothing is
-// allocated. Every live row agreeing with x on E either is predicted y
-// (covered) or violates, so violations = |agree| − coverage. y must be a
-// label of the context's schema.
+// allocated. Posting lists hold live rows only, so a non-empty key starts
+// agree from its first posting and the live mask is read only for the empty
+// key. Every live row agreeing with x on E either is predicted y (covered)
+// or violates, so violations = |agree| − coverage. y must be a label of the
+// context's schema.
 //
 //rkvet:noalloc
 func ViolationsCoverage(c *Context, x feature.Instance, y feature.Label, E Key) (violations, coverage int) {
-	live := c.live.Words()
+	first, rest := c.live.Words(), E
+	if len(E) > 0 {
+		first, rest = c.post[E[0]][x[E[0]]].Words(), E[1:]
+	}
 	label := c.byLabel[y].Words()
 	var buf [agreeBlock]uint64
 	agree := 0
-	for lo := 0; lo < len(live); lo += agreeBlock {
-		blk := buf[:copy(buf[:], live[lo:])]
+	for lo := 0; lo < len(first); lo += agreeBlock {
+		blk := buf[:copy(buf[:], first[lo:])]
 		// Reslicing each operand to len(blk) lets the compiler drop the
 		// per-word bounds checks in the loops below.
-		for _, f := range E {
+		for _, f := range rest {
 			post := c.post[f][x[f]].Words()[lo:][:len(blk)]
 			for i := range blk {
 				blk[i] &= post[i]

@@ -13,14 +13,16 @@ import (
 // be byte-identical to the eager reference on every input — same key bytes,
 // same pick order, same error, same degraded flag — across alphas, ignored
 // worker counts, and adversarial tie structure. The eager loop (srkAnytime)
-// is the oracle; it reads neither the count tables nor the word list, so a
-// bug in either cannot hide by breaking both sides the same way. The Lazy
+// is the oracle; it reads neither the count tables, the pair-count tables
+// nor the word list, so a bug in any of them cannot hide by breaking both
+// sides the same way. Every suite runs on both of round two's paths
+// (roundTwoPaths): over the word list and from pair-count tables. The Lazy
 // names date from the CELF engine these suites were written for.
 
-// lazyTestAlphas is the sweep the acceptance matrix calls for: 0.99 makes
-// budgets tight (many rounds over the word list), 0.8 makes them loose (one
-// or two rounds, empty-key successes on small contexts).
-var lazyTestAlphas = []float64{0.8, 0.9, 0.95, 0.99}
+// lazyTestAlphas is the sweep the acceptance matrix calls for: 0.99 and 1
+// make budgets tight (many rounds over the word list), 0.8 makes them loose
+// (one or two rounds, empty-key successes on small contexts).
+var lazyTestAlphas = []float64{0.8, 0.9, 0.95, 0.99, 1}
 
 // TestDifferentialLazyEager sweeps random datasets × α × P ∈ {1,2,4,8},
 // comparing the served entry against the eager oracle. Odd trials use
@@ -30,6 +32,12 @@ var lazyTestAlphas = []float64{0.8, 0.9, 0.95, 0.99}
 // the count-seeded round or the word-list rounds compare differently from
 // the eager scan).
 func TestDifferentialLazyEager(t *testing.T) {
+	for _, path := range roundTwoPaths {
+		t.Run(path.name, func(t *testing.T) { differentialLazyEager(t, path.prepare) })
+	}
+}
+
+func differentialLazyEager(t *testing.T, prepare func(*Context)) {
 	rng := rand.New(rand.NewSource(311))
 	for trial := 0; trial < 120; trial++ {
 		var c *Context
@@ -38,6 +46,7 @@ func TestDifferentialLazyEager(t *testing.T) {
 		} else {
 			c = randomContext(t, rng, 5+rng.Intn(300), 2+rng.Intn(7), 2+rng.Intn(3), 2+rng.Intn(2))
 		}
+		prepare(c)
 		row := c.Item(rng.Intn(c.Len()))
 		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
 		want, wantDeg, wantErr := SRKAnytime(context.Background(), c, row.X, row.Y, alpha)
@@ -61,9 +70,16 @@ func TestDifferentialLazyEager(t *testing.T) {
 // sequence element by element, not just as a sorted set — the tie-break is
 // only correct if every individual round's argmin replays the eager scan.
 func TestDifferentialLazyPickOrder(t *testing.T) {
+	for _, path := range roundTwoPaths {
+		t.Run(path.name, func(t *testing.T) { differentialLazyPickOrder(t, path.prepare) })
+	}
+}
+
+func differentialLazyPickOrder(t *testing.T, prepare func(*Context)) {
 	rng := rand.New(rand.NewSource(313))
 	for trial := 0; trial < 100; trial++ {
 		c := randomContext(t, rng, 10+rng.Intn(300), 3+rng.Intn(6), 2+rng.Intn(2), 2)
+		prepare(c)
 		row := c.Item(rng.Intn(c.Len()))
 		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
 		want, wantDeg, wantErr := srkAnytime(context.Background(), c, row.X, row.Y, alpha)
@@ -87,9 +103,16 @@ func TestDifferentialLazyPickOrder(t *testing.T) {
 // engine's pick order (element-wise) on tie-heavy datasets, where the
 // historical duplicated greedy loop could silently drift from the shared one.
 func TestDifferentialSRKOrdered(t *testing.T) {
+	for _, path := range roundTwoPaths {
+		t.Run(path.name, func(t *testing.T) { differentialSRKOrdered(t, path.prepare) })
+	}
+}
+
+func differentialSRKOrdered(t *testing.T, prepare func(*Context)) {
 	rng := rand.New(rand.NewSource(317))
 	for trial := 0; trial < 80; trial++ {
 		c := randomContext(t, rng, 10+rng.Intn(250), 3+rng.Intn(4), 2, 2)
+		prepare(c)
 		row := c.Item(rng.Intn(c.Len()))
 		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
 		order, orderErr := SRKOrdered(c, row.X, row.Y, alpha)
@@ -142,11 +165,18 @@ func TestLazyEmptyKeySuccess(t *testing.T) {
 // same completion pass as the eager solver, from round zero — the only
 // cancellation timing deterministic enough to diff exactly.
 func TestLazyExpiredContext(t *testing.T) {
+	for _, path := range roundTwoPaths {
+		t.Run(path.name, func(t *testing.T) { lazyExpiredContext(t, path.prepare) })
+	}
+}
+
+func lazyExpiredContext(t *testing.T, prepare func(*Context)) {
 	rng := rand.New(rand.NewSource(337))
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
 	for trial := 0; trial < 40; trial++ {
 		c := randomContext(t, rng, 10+rng.Intn(200), 2+rng.Intn(5), 2+rng.Intn(2), 2)
+		prepare(c)
 		row := c.Item(rng.Intn(c.Len()))
 		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
 		want, wantDeg, wantErr := SRKAnytime(expired, c, row.X, row.Y, alpha)
@@ -184,20 +214,23 @@ func TestLazyFallbackDatasets(t *testing.T) {
 		}
 		items = append(items, feature.Labeled{X: x, Y: feature.Label(rng.Intn(2))})
 	}
-	c, err := NewContext(s, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alpha := range lazyTestAlphas {
-		row := c.Item(0)
-		want, wantErr := SRK(c, row.X, row.Y, alpha)
-		for _, p := range []int{1, 4} {
-			got, gotErr := SRKPar(c, row.X, row.Y, alpha, p)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("α=%v P=%d: err %v, eager %v", alpha, p, gotErr, wantErr)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("α=%v P=%d: key %v, eager %v", alpha, p, got, want)
+	for _, path := range roundTwoPaths {
+		c, err := NewContext(s, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path.prepare(c)
+		for _, alpha := range lazyTestAlphas {
+			row := c.Item(0)
+			want, wantErr := SRK(c, row.X, row.Y, alpha)
+			for _, p := range []int{1, 4} {
+				got, gotErr := SRKPar(c, row.X, row.Y, alpha, p)
+				if (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("%s α=%v P=%d: err %v, eager %v", path.name, alpha, p, gotErr, wantErr)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s α=%v P=%d: key %v, eager %v", path.name, alpha, p, got, want)
+				}
 			}
 		}
 	}
@@ -208,9 +241,16 @@ func TestLazyFallbackDatasets(t *testing.T) {
 // served engine must read that as "no rows labelled y" from its count table,
 // not index the table out of range, and return the eager answer.
 func TestLazyOutOfRangeLabel(t *testing.T) {
+	for _, path := range roundTwoPaths {
+		t.Run(path.name, func(t *testing.T) { lazyOutOfRangeLabel(t, path.prepare) })
+	}
+}
+
+func lazyOutOfRangeLabel(t *testing.T, prepare func(*Context)) {
 	rng := rand.New(rand.NewSource(349))
 	for trial := 0; trial < 40; trial++ {
 		c := randomContext(t, rng, 5+rng.Intn(200), 2+rng.Intn(5), 2+rng.Intn(3), 2)
+		prepare(c)
 		if trial%2 == 1 {
 			removeRandomThird(t, rng, c)
 		}
@@ -235,8 +275,8 @@ func TestLazyOutOfRangeLabel(t *testing.T) {
 }
 
 // FuzzLazyGreedy is the served-vs-eager oracle under arbitrary datasets,
-// targets, and alphas: any divergence in key bytes, pick order, or error
-// shape is a crash. The committed corpus pins the two regimes the sweep
+// targets, and alphas, on both of round two's paths: any divergence in key
+// bytes, pick order, or error shape is a crash. The committed corpus pins the two regimes the sweep
 // tests found most fragile: an all-ties dataset (identical instances with
 // mixed labels — every round decided by the tie-break, ErrNoKey reachable)
 // and a single-feature-key dataset (label perfectly correlated with one
@@ -256,40 +296,43 @@ func FuzzLazyGreedy(f *testing.F) {
 		for _, b := range data {
 			items = append(items, decodeInstance(b))
 		}
-		c, err := NewContext(schema, items)
-		if err != nil {
-			t.Fatalf("NewContext: %v", err)
-		}
 		target := decodeInstance(tb)
 		alpha := []float64{1.0, 0.99, 0.9, 0.8}[(tb>>5)&3]
-
-		wantPicks, wantDeg, wantErr := srkAnytime(context.Background(), c, target.X, target.Y, alpha)
-		gotPicks, gotDeg, gotErr := srkAnytimeSparse(context.Background(), c, target.X, target.Y, alpha)
-		if gotDeg != wantDeg || (gotErr == nil) != (wantErr == nil) ||
-			errors.Is(gotErr, ErrNoKey) != errors.Is(wantErr, ErrNoKey) {
-			t.Fatalf("α=%v: served (deg %v, err %v), eager (deg %v, err %v)", alpha, gotDeg, gotErr, wantDeg, wantErr)
-		}
-		if len(gotPicks) != len(wantPicks) {
-			t.Fatalf("α=%v: served picks %v, eager %v", alpha, gotPicks, wantPicks)
-		}
-		for i := range gotPicks {
-			if gotPicks[i] != wantPicks[i] {
-				t.Fatalf("α=%v: pick %d served %d, eager %d (served %v, eager %v)", alpha, i, gotPicks[i], wantPicks[i], gotPicks, wantPicks)
+		for _, path := range roundTwoPaths {
+			c, err := NewContext(schema, items)
+			if err != nil {
+				t.Fatalf("NewContext: %v", err)
 			}
-		}
+			path.prepare(c)
 
-		// The public entries must agree too (sorted key + empty-key shape).
-		wantKey, _, wantErr2 := SRKAnytime(context.Background(), c, target.X, target.Y, alpha)
-		gotKey, gotErr2 := SRKPar(c, target.X, target.Y, alpha, 1)
-		if (gotErr2 == nil) != (wantErr2 == nil) {
-			t.Fatalf("α=%v: SRKPar err %v, SRKAnytime err %v", alpha, gotErr2, wantErr2)
-		}
-		if gotErr2 == nil {
-			if !gotKey.Equal(wantKey) {
-				t.Fatalf("α=%v: SRKPar key %v, eager %v", alpha, gotKey, wantKey)
+			wantPicks, wantDeg, wantErr := srkAnytime(context.Background(), c, target.X, target.Y, alpha)
+			gotPicks, gotDeg, gotErr := srkAnytimeSparse(context.Background(), c, target.X, target.Y, alpha)
+			if gotDeg != wantDeg || (gotErr == nil) != (wantErr == nil) ||
+				errors.Is(gotErr, ErrNoKey) != errors.Is(wantErr, ErrNoKey) {
+				t.Fatalf("%s α=%v: served (deg %v, err %v), eager (deg %v, err %v)", path.name, alpha, gotDeg, gotErr, wantDeg, wantErr)
 			}
-			if (gotKey == nil) != (wantKey == nil) {
-				t.Fatalf("α=%v: key nilness diverges: served %#v, eager %#v", alpha, gotKey, wantKey)
+			if len(gotPicks) != len(wantPicks) {
+				t.Fatalf("%s α=%v: served picks %v, eager %v", path.name, alpha, gotPicks, wantPicks)
+			}
+			for i := range gotPicks {
+				if gotPicks[i] != wantPicks[i] {
+					t.Fatalf("%s α=%v: pick %d served %d, eager %d (served %v, eager %v)", path.name, alpha, i, gotPicks[i], wantPicks[i], gotPicks, wantPicks)
+				}
+			}
+
+			// The public entries must agree too (sorted key + empty-key shape).
+			wantKey, _, wantErr2 := SRKAnytime(context.Background(), c, target.X, target.Y, alpha)
+			gotKey, gotErr2 := SRKPar(c, target.X, target.Y, alpha, 1)
+			if (gotErr2 == nil) != (wantErr2 == nil) {
+				t.Fatalf("%s α=%v: SRKPar err %v, SRKAnytime err %v", path.name, alpha, gotErr2, wantErr2)
+			}
+			if gotErr2 == nil {
+				if !gotKey.Equal(wantKey) {
+					t.Fatalf("%s α=%v: SRKPar key %v, eager %v", path.name, alpha, gotKey, wantKey)
+				}
+				if (gotKey == nil) != (wantKey == nil) {
+					t.Fatalf("%s α=%v: key nilness diverges: served %#v, eager %#v", path.name, alpha, gotKey, wantKey)
+				}
 			}
 		}
 	})

@@ -18,12 +18,21 @@ import (
 //   - Round one reads no bitset. For the empty key every disagreeing row is a
 //     violator, so picking a leaves PostingCount(a, x[a]) minus the rows of
 //     that posting labelled y, both kept by the context's count table.
-//   - One fused pass then builds the pick-one survivor set, Posting \ label y,
-//     and lists its nonzero words.
-//   - Every later round scores the candidates over that list only, and its
+//   - Round two reads no bitset either once the first pick's pair-count
+//     table is built: picking b leaves that table's cells for x[b] not
+//     labelled y. One fused pass then lists the nonzero words of the
+//     pick-two survivor set, post(a₁) ∧ post(a₂) \ label y.
+//   - Until the table is built, one fused pass lists the pick-one survivor
+//     set, post \ label y, instead, round two scores the candidates over
+//     that list, and the words it reads are charged toward the table's
+//     build (Context.rentPairs).
+//   - Every later round scores the candidates over the list only, and its
 //     pick narrows the list, dropping words that become zero. The keys effect
 //     (a few features remove nearly all violators) leaves a small list after
 //     one or two picks, so later rounds cost a fraction of a full scan.
+//
+// A pick's count is exact, so the solve stops as soon as it fits the budget,
+// without narrowing the list.
 
 // SRKPar is SRK on the served engine; par is ignored. Its keys are
 // byte-identical to SRK's on every input.
@@ -90,18 +99,35 @@ func srkAnytimeSparse(ctx context.Context, c *Context, x feature.Instance, y fea
 	if dCount <= budget {
 		return nil, false, nil // the empty key already satisfies α
 	}
+	var label []uint64 // nil when the prediction is outside the label space: every row disagrees
+	if y >= 0 && int(y) < len(c.byLabel) {
+		label = c.byLabel[y].Words()
+	}
 
 	st := getSparseState(n, c.live.NumWords())
 	defer putSparseState(st)
+	var pairs []int // the first pick's pair-count table, when round two read one
 	for len(st.picks) < n {
 		if ctx.Err() != nil {
 			return st.complete(ctx, c, x, y, budget)
 		}
 		var a, card int
-		if len(st.picks) == 0 {
+		switch len(st.picks) {
+		case 0:
 			a, card = seedPick(c, x, y)
-		} else {
-			a, card = st.scorePick(c, x)
+		case 1:
+			first := st.picks[0]
+			if pairs = c.pairTable(first, x[first]); pairs != nil {
+				a, card = st.tablePick(c, pairs, x, y)
+				break
+			}
+			st.list(c.post[first][x[first]].Words(), nil, label)
+			var words int
+			a, card, words = st.scorePick(c, x)
+			lazyEvals.Add(int64(n - 1))
+			c.rentPairs(first, x[first], words)
+		default:
+			a, card, _ = st.scorePick(c, x)
 			lazyEvals.Add(int64(n - len(st.picks)))
 		}
 		// The best candidate removes no violator while D is over budget: no
@@ -112,18 +138,17 @@ func srkAnytimeSparse(ctx context.Context, c *Context, x feature.Instance, y fea
 		st.inE[a] = true
 		st.picks = append(st.picks, a)
 		lazyRounds.Inc()
-		post := c.post[a][x[a]].Words()
-		if len(st.picks) == 1 {
-			var label []uint64
-			if y >= 0 && int(y) < len(c.byLabel) {
-				label = c.byLabel[y].Words()
-			}
-			dCount = st.seed(post, label)
-		} else {
-			dCount = st.narrow(post)
-		}
-		if dCount <= budget {
+		if dCount = card; dCount <= budget {
 			return copyPicks(st.picks), false, nil
+		}
+		// After the first pick, round two reads a table or lists the
+		// survivors itself.
+		switch post := c.post[a][x[a]].Words(); {
+		case len(st.picks) == 2 && pairs != nil:
+			first := st.picks[0]
+			st.list(c.post[first][x[first]].Words(), post, label)
+		case len(st.picks) > 1:
+			st.narrow(post)
 		}
 	}
 	return nil, false, ErrNoKey // every feature used, still over budget
@@ -180,76 +205,119 @@ func seedPick(c *Context, x feature.Instance, y feature.Label) (int, int) {
 	return best, bestCard
 }
 
-// scorePick makes a later round's pick, scoring every unused candidate over
-// the survivor word list. A candidate's scan stops once its count passes the
-// best so far: it can no longer win, and its exact count is never needed.
+// tablePick makes round two's pick from the first pick's pair-count table t:
+// picking b leaves the cells of t for x[b] not labelled y, exactly the count
+// scorePick would find over the pick-one survivor list.
 //
 //rkvet:noalloc
-func (st *sparseState) scorePick(c *Context, x feature.Instance) (int, int) {
+func (st *sparseState) tablePick(c *Context, t []int, x feature.Instance, y feature.Label) (int, int) {
 	best, bestCard, bestFreq := -1, math.MaxInt, -1
-	vals := st.vals[:len(st.words)]
-	for a, used := range st.inE {
+	nl := len(c.byLabel)
+	for b, used := range st.inE {
 		if used {
 			continue
 		}
-		post := c.post[a][x[a]].Words()
 		card := 0
-		for i, w := range st.words {
-			card += bits.OnesCount64(vals[i] & post[w])
-			if card > bestCard {
-				break
+		for l, k := range t[(c.pairs.base[b]+int(x[b]))*nl:][:nl] {
+			if l != int(y) {
+				card += k
 			}
 		}
-		if freq := c.PostingCount(a, x[a]); better(card, freq, bestCard, bestFreq) {
-			best, bestCard, bestFreq = a, card, freq
+		if freq := c.PostingCount(b, x[b]); better(card, freq, bestCard, bestFreq) {
+			best, bestCard, bestFreq = b, card, freq
 		}
 	}
 	return best, bestCard
 }
 
-// seed builds the pick-one survivor set, post minus label (nil when the
-// prediction is outside the label space, so every row disagrees), in one
-// pass, listing its nonzero words. Posting lists hold live rows only, so no
-// live mask is needed. It returns the survivor count.
+// scorePick makes a later round's pick, scoring every unused candidate over
+// the survivor word list, and returns the words it read. A candidate's scan
+// stops once its count passes the best so far: it can no longer win, and its
+// exact count is never needed. The winner's count is exact.
 //
-// seed and narrow compact without a branch: every word is written at the
+//rkvet:noalloc
+func (st *sparseState) scorePick(c *Context, x feature.Instance) (int, int, int) {
+	best, bestCard, bestFreq := -1, math.MaxInt, -1
+	vals := st.vals[:len(st.words)]
+	read := 0
+	for a, used := range st.inE {
+		if used {
+			continue
+		}
+		post := c.post[a][x[a]].Words()
+		card, scanned := 0, len(st.words)
+		for i, w := range st.words {
+			card += bits.OnesCount64(vals[i] & post[w])
+			if card > bestCard {
+				scanned = i + 1
+				break
+			}
+		}
+		read += scanned
+		if freq := c.PostingCount(a, x[a]); better(card, freq, bestCard, bestFreq) {
+			best, bestCard, bestFreq = a, card, freq
+		}
+	}
+	return best, bestCard, read
+}
+
+// list builds a survivor list in one pass: the nonzero words of p ∧ q \ drop,
+// where a nil q keeps every word of p and a nil drop removes none. Posting
+// lists hold live rows only, so no live mask is needed.
+//
+// list and narrow compact without a branch: every word is written at the
 // list's end, which advances only past a nonzero word. About half the words
 // survive the first pick, so a branch there would mispredict constantly.
 //
 //rkvet:noalloc
-func (st *sparseState) seed(post, label []uint64) int {
-	words, vals := st.words[:len(post)], st.vals[:len(post)]
-	if label != nil {
-		label = label[:len(post)]
+func (st *sparseState) list(p, q, drop []uint64) {
+	words, vals := st.words[:len(p)], st.vals[:len(p)]
+	if q != nil {
+		q = q[:len(p)]
 	}
-	k, cnt := 0, 0
-	for w, v := range post {
-		if label != nil {
-			v &^= label[w]
+	if drop != nil {
+		drop = drop[:len(p)]
+	}
+	k := 0
+	for w, v := range p {
+		if q != nil {
+			v &= q[w]
+		}
+		if drop != nil {
+			v &^= drop[w]
 		}
 		words[k], vals[k] = int32(w), v
 		k += nonzero(v)
-		cnt += bits.OnesCount64(v)
 	}
 	st.words, st.vals = words[:k], vals[:k]
-	return cnt
 }
 
 // narrow intersects the listed survivor words with post, dropping the words
-// that become zero, and returns the survivor count.
+// that become zero.
 //
 //rkvet:noalloc
-func (st *sparseState) narrow(post []uint64) int {
+func (st *sparseState) narrow(post []uint64) {
 	words, vals := st.words, st.vals[:len(st.words)]
-	k, cnt := 0, 0
+	k := 0
 	for i, w := range words {
 		v := vals[i] & post[w]
 		words[k], vals[k] = w, v
 		k += nonzero(v)
-		cnt += bits.OnesCount64(v)
 	}
 	st.words, st.vals = words[:k], vals[:k]
-	return cnt
+}
+
+// listedCount returns the listed survivors in post: Σ popcount(vals[i] ∧
+// post[words[i]]).
+//
+//rkvet:noalloc
+func (st *sparseState) listedCount(post []uint64) int {
+	vals := st.vals[:len(st.words)]
+	n := 0
+	for i, w := range st.words {
+		n += bits.OnesCount64(vals[i] & post[w])
+	}
+	return n
 }
 
 // nonzero is 1 for v ≠ 0 and 0 for v = 0, without a branch.
