@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -123,12 +124,18 @@ func TestFixturesQuietForOtherCheckers(t *testing.T) {
 	}
 }
 
+// loadModule type-checks this repository's module once, for every test
+// that reads it.
+var loadModule = sync.OnceValues(func() (*Module, error) {
+	return Load(filepath.Join("..", ".."))
+})
+
 // TestModuleClean is the dogfood gate: the full suite over the real module
 // must report nothing — every true finding is fixed, every intentional
 // exception carries a reasoned //rkvet:ignore. This is the test-shaped twin
 // of `make lint`.
 func TestModuleClean(t *testing.T) {
-	mod, err := Load(filepath.Join("..", ".."))
+	mod, err := loadModule()
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}

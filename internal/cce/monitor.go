@@ -112,19 +112,12 @@ func (d *DriftMonitor) ObserveCtx(ctx context.Context, li feature.Labeled) (int,
 }
 
 // ObserveAll is ObserveIndex over a slice of arrivals, indexed by
-// core.NewContextRows: every arrival is validated (core.ValidateLabeled)
-// before any member sees one, and the error is the first invalid arrival's.
+// core.NewContext: every arrival is validated (core.ValidateLabeled) before
+// any member sees one, and the error is the first invalid arrival's.
 func (d *DriftMonitor) ObserveAll(items []feature.Labeled) error {
-	rows := feature.NewRows(d.schema, len(items))
-	for _, li := range items {
-		if err := core.ValidateLabeled(d.schema, li); err != nil {
-			return err
-		}
-		rows.Append(li)
-	}
-	c, err := core.NewContextRows(d.schema, rows)
+	c, err := core.NewContext(d.schema, items)
 	if err != nil {
-		return fmt.Errorf("cce: %w", err)
+		return err
 	}
 	return d.ObserveIndex(c)
 }

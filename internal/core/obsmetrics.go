@@ -30,12 +30,9 @@ var (
 	// eager loop's full scans). The first round scores from the count table
 	// and the second from a pair-count table once one is built, and neither
 	// counts here. The series keep the names of the lazy (CELF) engine they
-	// replaced; the fallback counter stays registered at 0 because the
-	// engine has no fallback.
+	// replaced.
 	lazyRounds = obs.NewCounter("rk_solver_lazy_rounds_total",
 		"SRK greedy picks made by the served engine (SRKPar/SRKAnytimePar).")
 	lazyEvals = obs.NewCounter("rk_solver_lazy_evals_total",
 		"Candidates the served engine scored over the survivor word list: rounds after the first, and the second only while its pair-count table is unbuilt.")
-	_ = obs.NewCounter("rk_solver_lazy_fallbacks_total",
-		"Always 0: the retired lazy engine's full-rescan fallbacks. The served engine has none.")
 )

@@ -192,7 +192,7 @@ type generated struct {
 
 // generate runs s's generator over the rows opt asks for, refusing a
 // categorical code or label outside its domain, and records each numeric
-// column's range, as feature.FitBuckets fits a column.
+// column's range, the span of its values that feature.NewBucketer cuts.
 func generate(s spec, opt Options) (*generated, error) {
 	size := s.size
 	if opt.Size > 0 {

@@ -8,7 +8,7 @@ import (
 // Bucketer discretizes a numeric feature into k equal-width buckets over the
 // observed range, as the paper does for numeric attributes (§7.3, "impact of
 // numerical features"). The zero value is unusable; construct with
-// NewBucketer or FitBuckets.
+// NewBucketer.
 type Bucketer struct {
 	Lo, Hi float64
 	K      int
@@ -23,23 +23,6 @@ func NewBucketer(lo, hi float64, k int) (*Bucketer, error) {
 		return nil, fmt.Errorf("feature: invalid bucket range [%v,%v]", lo, hi)
 	}
 	return &Bucketer{Lo: lo, Hi: hi, K: k}, nil
-}
-
-// FitBuckets builds a bucketer spanning the observed values.
-func FitBuckets(values []float64, k int) (*Bucketer, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("feature: cannot fit buckets on empty data")
-	}
-	lo, hi := values[0], values[0]
-	for _, v := range values[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return NewBucketer(lo, hi, k)
 }
 
 // Bucket maps a numeric value to its bucket code in [0, K). Values at or

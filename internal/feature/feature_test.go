@@ -134,19 +134,6 @@ func TestBucketerDegenerate(t *testing.T) {
 	if _, err := NewBucketer(2, 1, 3); err == nil {
 		t.Fatal("inverted range accepted")
 	}
-	if _, err := FitBuckets(nil, 3); err == nil {
-		t.Fatal("FitBuckets on empty data accepted")
-	}
-}
-
-func TestFitBuckets(t *testing.T) {
-	b, err := FitBuckets([]float64{5, 1, 9, 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Lo != 1 || b.Hi != 9 {
-		t.Fatalf("range [%v,%v], want [1,9]", b.Lo, b.Hi)
-	}
 }
 
 // Property: bucket codes are always in range, monotone in the input value.

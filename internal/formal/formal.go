@@ -108,14 +108,3 @@ func (e *Explainer) ExplainKey(x feature.Instance) (core.Key, error) {
 	}
 	return key, nil
 }
-
-// IsFormallyConformant verifies that fixing E to x's values forces the
-// prediction over the whole feature space (used by tests and metrics).
-func (e *Explainer) IsFormallyConformant(x feature.Instance, key core.Key) (bool, error) {
-	E := make([]bool, e.schema.NumFeatures())
-	for _, a := range key {
-		E[a] = true
-	}
-	ce, err := e.oracle.exists(x, E)
-	return !ce, err
-}

@@ -101,10 +101,6 @@ func TestTreeExplainerConformantAndMinimal(t *testing.T) {
 				t.Fatalf("trial %d: key %v not minimal (can drop %d)", trial, key, key[i])
 			}
 		}
-		// Explainer's own verification must agree.
-		if ok, err := ex.IsFormallyConformant(x, key); err != nil || !ok {
-			t.Fatalf("trial %d: self-verification failed: %v %v", trial, ok, err)
-		}
 	}
 }
 

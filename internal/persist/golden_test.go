@@ -2,9 +2,11 @@ package persist
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/xai-db/relativekeys/internal/feature"
@@ -76,30 +78,36 @@ func TestGoldenBytes(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("encoded snapshot\n%q\nwant golden\n%q", got.Bytes(), want)
 		}
-		assertGoldenSnapshot(t, "context.v3.snap")
+		schema, rows, seq, err := LoadSnapshot(filepath.Join("testdata", "golden", "context.v3.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := rows.Labeled()
+		if seq != 17 || schema.NumFeatures() != 2 || len(items) != len(goldenRows) {
+			t.Fatalf("golden snapshot decoded to seq=%d, %d features, %d rows", seq, schema.NumFeatures(), len(items))
+		}
+		for i, li := range items {
+			if li.Y != goldenRows[i].Y || !slices.Equal(li.X, goldenRows[i].X) {
+				t.Fatalf("golden snapshot row %d = %v, want %v", i, li, goldenRows[i])
+			}
+		}
 	})
-	// v2 is read-only: nothing writes it any more, but state directories
-	// and primaries from before v3 still hold it.
-	t.Run("snapshot v2", func(t *testing.T) {
-		assertGoldenSnapshot(t, "context.snap")
+	// v2 (checksummed JSON) is no longer read: a state directory from
+	// before v3 is refused as damaged state.
+	t.Run("snapshot v2 refused", func(t *testing.T) {
+		schema, rows, _, err := LoadSnapshot(filepath.Join("testdata", "golden", "context.snap"))
+		assertV2Refused(t, schema, rows, err)
 	})
 }
 
-// assertGoldenSnapshot checks that the named golden snapshot loads to
-// goldenRows at seq 17.
-func assertGoldenSnapshot(t *testing.T, name string) {
+// assertV2Refused checks a decode of the v2 golden snapshot: it must fail
+// as ErrCorruptSnapshot with a message that names v2, and build nothing.
+func assertV2Refused(t *testing.T, schema *feature.Schema, rows *feature.Rows, err error) {
 	t.Helper()
-	schema, rows, seq, err := LoadSnapshot(filepath.Join("testdata", "golden", name))
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "v2") {
+		t.Fatalf("v2 snapshot: err %v, want ErrCorruptSnapshot naming v2", err)
 	}
-	items := rows.Labeled()
-	if seq != 17 || schema.NumFeatures() != 2 || len(items) != len(goldenRows) {
-		t.Fatalf("golden snapshot decoded to seq=%d, %d features, %d rows", seq, schema.NumFeatures(), len(items))
-	}
-	for i, li := range items {
-		if li.Y != goldenRows[i].Y || !slices.Equal(li.X, goldenRows[i].X) {
-			t.Fatalf("golden snapshot row %d = %v, want %v", i, li, goldenRows[i])
-		}
+	if schema != nil || rows != nil {
+		t.Fatalf("refused v2 snapshot still built schema %v, rows %v", schema, rows)
 	}
 }

@@ -15,8 +15,8 @@ import (
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
-// The snapshot formats (DESIGN.md §9). Every writer emits v3: a binary
-// layout, little-endian throughout,
+// The snapshot format (DESIGN.md §9), v3, is a binary layout,
+// little-endian throughout,
 //
 //	"RKSN" | u32 version | u64 seq | u32 len | schema JSON (len bytes)
 //	| u64 rows | u8 value width | u8 label width
@@ -24,13 +24,12 @@ import (
 //
 // where each width is 1, 2 or 4 bytes, the narrowest that holds the largest
 // attribute cardinality (values) or the label count (labels), and the CRC
-// covers every byte before it. v2 is checksummed JSON; it is read, never
-// written, so state directories and primaries from before v3 keep working.
+// covers every byte before it. It is the only format read: input without
+// the magic, such as a v2 JSON snapshot from before v3, is refused as
+// corrupt.
 const (
 	snapshotMagic   = "RKSN"
 	snapshotVersion = 3
-	// snapshotVersionJSON is the last JSON format.
-	snapshotVersionJSON = 2
 	// snapshotMinLen is the length of a v3 snapshot with an empty schema
 	// section and no rows: the fixed fields plus the trailing CRC.
 	snapshotMinLen = len(snapshotMagic) + 4 + 8 + 4 + 8 + 1 + 1 + 4
@@ -45,21 +44,6 @@ var errSnapshotVersion = errors.New("persist: snapshot format version")
 // and refuse to start from it rather than silently recovering a wrong
 // context.
 var ErrCorruptSnapshot = errors.New("persist: snapshot truncated or corrupt")
-
-// snapshotJSON is the v2 layout: the retained rows in arrival order (order
-// matters — retention evicts oldest-first after recovery), the observation
-// sequence number the snapshot covers (the WAL replay watermark), and the
-// log records' checksum (record.go) over everything else.
-type snapshotJSON struct {
-	Version int        `json:"version"`
-	Seq     uint64     `json:"seq"`
-	Schema  schemaJSON `json:"schema"`
-	Rows    [][]int32  `json:"rows"`
-	Labels  []int32    `json:"labels"`
-	CRC     uint32     `json:"crc"`
-}
-
-func (f *snapshotJSON) crc() *uint32 { return &f.CRC }
 
 // encodeSnapshot renders the v3 encoding of rows (in arrival order) and the
 // watermark seq into one buffer of exactly its size. rows must be valid for
@@ -186,10 +170,10 @@ func saveSnapshot(path string, schema *feature.Schema, rows *feature.Rows, seq u
 
 // LoadSnapshot reads a snapshot written by SaveSnapshotRows, verifying its
 // checksum, its version and every row against its schema, into a table at
-// the schema's code widths. Truncation and corruption both surface as
-// ErrCorruptSnapshot; a missing file surfaces as the underlying
-// fs.ErrNotExist so callers can distinguish "first boot" from "damaged
-// state".
+// the schema's code widths. Truncation, corruption and the retired v2 JSON
+// format all surface as ErrCorruptSnapshot; a missing file surfaces as the
+// underlying fs.ErrNotExist so callers can distinguish "first boot" from
+// "damaged state".
 func LoadSnapshot(path string) (*feature.Schema, *feature.Rows, uint64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -209,26 +193,23 @@ func DecodeSnapshot(r io.Reader) (*feature.Schema, *feature.Rows, uint64, error)
 	return decodeSnapshotBytes(b)
 }
 
-func decodeSnapshotBytes(b []byte) (*feature.Schema, *feature.Rows, uint64, error) {
-	if bytes.HasPrefix(b, []byte(snapshotMagic)) {
-		return decodeSnapshotV3(b)
-	}
-	return decodeSnapshotJSON(b)
-}
-
 // corrupt wraps a decode failure as ErrCorruptSnapshot.
 func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorruptSnapshot}, args...)...)
 }
 
-// decodeSnapshotV3 checks everything the layout declares before it reads
-// the rows: the checksum, the version, the schema, both widths against the
-// schema, and the declared row count against the bytes present. The row
-// sections then become one table in place (feature.ReadRows), which
-// validates every code and adopts b as its storage, each section capped at
-// its length: b is the decoder's own buffer, and an append to the table
-// reallocates rather than writing over the label section or the CRC.
-func decodeSnapshotV3(b []byte) (*feature.Schema, *feature.Rows, uint64, error) {
+// decodeSnapshotBytes checks everything the layout declares before it
+// reads the rows: the magic, the checksum, the version, the schema, both
+// widths against the schema, and the declared row count against the bytes
+// present. The row sections then become one table in place
+// (feature.ReadRows), which validates every code and adopts b as its
+// storage, each section capped at its length: b is the decoder's own
+// buffer, and an append to the table reallocates rather than writing over
+// the label section or the CRC.
+func decodeSnapshotBytes(b []byte) (*feature.Schema, *feature.Rows, uint64, error) {
+	if !bytes.HasPrefix(b, []byte(snapshotMagic)) {
+		return nil, nil, 0, corrupt("no %q magic: not a v3 snapshot (the v2 JSON format is no longer read)", snapshotMagic)
+	}
 	if len(b) < snapshotMinLen {
 		return nil, nil, 0, corrupt("%d bytes is shorter than the %d-byte header", len(b), snapshotMinLen)
 	}
@@ -262,40 +243,4 @@ func decodeSnapshotV3(b []byte) (*feature.Schema, *feature.Rows, uint64, error) 
 		return nil, nil, 0, corrupt("%v", err)
 	}
 	return schema, rows, seq, nil
-}
-
-// decodeSnapshotJSON reads the v2 JSON format into a table, refusing a row
-// outside the snapshot's schema as corruption.
-func decodeSnapshotJSON(b []byte) (*feature.Schema, *feature.Rows, uint64, error) {
-	var f snapshotJSON
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil, nil, 0, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	if f.Version != snapshotVersionJSON {
-		return nil, nil, 0, fmt.Errorf("%w %d, want %d", errSnapshotVersion, f.Version, snapshotVersionJSON)
-	}
-	if len(f.Rows) != len(f.Labels) {
-		return nil, nil, 0, fmt.Errorf("%w: %d rows but %d labels", ErrCorruptSnapshot, len(f.Rows), len(f.Labels))
-	}
-	want := f.CRC
-	got, err := checksum(&f)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if got != want {
-		return nil, nil, 0, fmt.Errorf("%w: checksum %08x, stored %08x", ErrCorruptSnapshot, got, want)
-	}
-	schema, err := feature.NewSchema(f.Schema.Attrs, f.Schema.Labels)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	items := make([]feature.Labeled, len(f.Rows))
-	for i := range f.Rows {
-		items[i] = feature.Labeled{X: feature.Instance(f.Rows[i]), Y: f.Labels[i]}
-	}
-	rows, err := rowsOf(schema, items)
-	if err != nil {
-		return nil, nil, 0, corrupt("%v", err)
-	}
-	return schema, rows, f.Seq, nil
 }

@@ -67,8 +67,9 @@ func TestSnapshotRefusesOversizedRowCount(t *testing.T) {
 // rows and seq. The input is decoded as DecodeSnapshot decodes what it read,
 // from a buffer with spare capacity as io.ReadAll returns it, and one row is
 // appended to the table, which adopts that buffer: the input bytes must not
-// change. The seeds are both goldens, v3 cut at three offsets, v3 with its
-// CRC flipped, v3 whose schema length runs past the end, and nothing.
+// change. The seeds are both goldens (the v2 one must be refused: that
+// format is no longer read), v3 cut at three offsets, v3 with its CRC
+// flipped, v3 whose schema length runs past the end, and nothing.
 func FuzzDecodeSnapshot(f *testing.F) {
 	v3 := readGolden(f, "context.v3.snap")
 	f.Add(v3)

@@ -51,7 +51,7 @@ func FuzzSolver(f *testing.F) {
 				t.Fatalf("AddClause: %v", err)
 			}
 		}
-		model, sat := s.SolveModel()
+		sat := s.Solve()
 		if rootUnsat && sat {
 			t.Fatal("root-level UNSAT formula declared SAT")
 		}
@@ -61,7 +61,7 @@ func FuzzSolver(f *testing.F) {
 		for _, c := range cnf {
 			holds := false
 			for _, l := range c {
-				if (l > 0) == model[l.Var()-1] {
+				if (l > 0) == s.Value(l.Var()) {
 					holds = true
 					break
 				}

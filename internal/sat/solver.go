@@ -477,44 +477,12 @@ func (s *Solver) Value(v int) bool {
 	return s.lastModel[v-1]
 }
 
-// Model snapshots the current assignment as a slice indexed by variable-1.
-// Valid only immediately inside a SAT callback; after SolveAssume returns the
-// trail is unwound, so Model is primarily useful through SolveModel.
+// model snapshots the current assignment as a slice indexed by variable-1,
+// for Value: after SolveAssume returns, the trail is unwound.
 func (s *Solver) model() []bool {
 	m := make([]bool, s.NumVars())
 	for v := range m {
 		m[v] = s.assign[v] == valTrue
 	}
 	return m
-}
-
-// SolveModel is SolveAssume that also returns the satisfying assignment.
-func (s *Solver) SolveModel(assumps ...Lit) ([]bool, bool) {
-	if s.unsatEOF {
-		return nil, false
-	}
-	if s.propagate() >= 0 {
-		s.unsatEOF = true
-		return nil, false
-	}
-	conflictBudget := 100
-	for {
-		if !s.pushAssumptions(assumps) {
-			s.cancelUntil(0)
-			return nil, false
-		}
-		res := s.search(conflictBudget, len(assumps))
-		if res == 1 {
-			m := s.model()
-			s.lastModel = m
-			s.cancelUntil(0)
-			return m, true
-		}
-		if res == 0 {
-			s.cancelUntil(0)
-			return nil, false
-		}
-		s.cancelUntil(0)
-		conflictBudget = int(float64(conflictBudget) * 1.5)
-	}
 }

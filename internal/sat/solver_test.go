@@ -140,14 +140,10 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 		}
 		if got {
 			// Verify the model actually satisfies the formula.
-			model, sat := s.SolveModel()
-			if !sat {
-				t.Fatalf("trial %d: SolveModel disagrees with Solve", trial)
-			}
 			for _, cl := range cnf {
 				holds := false
 				for _, l := range cl {
-					if (l > 0) == model[l.Var()-1] {
+					if (l > 0) == s.Value(l.Var()) {
 						holds = true
 						break
 					}
@@ -248,13 +244,12 @@ func TestExactlyOne(t *testing.T) {
 	if err := s.AddExactlyOne(lits...); err != nil {
 		t.Fatal(err)
 	}
-	model, sat := s.SolveModel()
-	if !sat {
+	if !s.Solve() {
 		t.Fatal("exactly-one must be SAT")
 	}
 	count := 0
-	for _, m := range model[:5] {
-		if m {
+	for _, l := range lits {
+		if s.Value(l.Var()) {
 			count++
 		}
 	}

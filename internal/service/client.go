@@ -57,18 +57,6 @@ func (c *Client) Explain(values map[string]string, prediction string, alpha floa
 	return &out, nil
 }
 
-// ExplainDeadline is Explain with a per-request solve deadline: the server
-// answers within roughly the deadline, degrading to a larger-but-valid key
-// when the greedy solve cannot finish in time.
-func (c *Client) ExplainDeadline(values map[string]string, prediction string, alpha float64, deadline time.Duration) (*ExplainResponse, error) {
-	var out ExplainResponse
-	req := ExplainRequest{Values: values, Prediction: prediction, Alpha: alpha, DeadlineMS: deadline.Milliseconds()}
-	if err := c.post("/explain", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // ExplainStale is Explain with a staleness bound, for read replicas: a
 // follower whose applied state is older than maxStaleness sheds the request
 // (503 + Retry-After) instead of answering from it, and the client's retry

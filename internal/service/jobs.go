@@ -46,8 +46,8 @@ const (
 )
 
 const (
-	defaultMaxJobItems = 100000
-	jobsKept           = 64 // finished jobs retained for polling, newest first
+	defaultMaxJobItems = 100000 // items one batch may carry; more answer 413
+	jobsKept           = 64     // finished jobs retained for polling, newest first
 	jobSpecSuffix      = ".job"
 	jobLogSuffix       = ".results"
 )
@@ -186,7 +186,7 @@ func (j *job) snapshot(from int) (JobStatus, chan struct{}) {
 type jobStore struct {
 	srv      *Server
 	dir      string // "" = memory-only jobs
-	maxItems int
+	maxItems int    // defaultMaxJobItems
 
 	mu       sync.Mutex
 	jobs     map[string]*job // guarded by mu
@@ -201,14 +201,11 @@ type jobStore struct {
 }
 
 // newJobStore builds the store and resumes any unfinished persisted jobs.
-func newJobStore(srv *Server, dir string, maxItems int) (*jobStore, error) {
-	if maxItems <= 0 {
-		maxItems = defaultMaxJobItems
-	}
+func newJobStore(srv *Server, dir string) (*jobStore, error) {
 	st := &jobStore{
 		srv:      srv,
 		dir:      dir,
-		maxItems: maxItems,
+		maxItems: defaultMaxJobItems,
 		jobs:     make(map[string]*job),
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),

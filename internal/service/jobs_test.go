@@ -263,10 +263,11 @@ func TestJobStreamTailsRunningJob(t *testing.T) {
 
 func TestJobValidation(t *testing.T) {
 	schema := robustSchema(t)
-	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0, MaxJobItems: 2})
+	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.jobs.maxItems = 2
 	if _, err := srv.Warm(robustSeed()); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/xai-db/relativekeys/internal/cce"
@@ -186,10 +187,10 @@ func TestRecoveryRefusesCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// A state directory written before snapshot v3 boots in place: the v2
-// snapshot recovers its rows and watermark, and the next save rewrites it
-// as v3, which the following boot reads back to the same state.
-func TestRecoveryUpgradesV2Snapshot(t *testing.T) {
+// A state directory written before snapshot v3 is refused like a damaged
+// one: the error names the v2 format, no server is built, and the file is
+// left as found.
+func TestRecoveryRefusesV2Snapshot(t *testing.T) {
 	v2, err := os.ReadFile(filepath.Join("..", "persist", "testdata", "golden", "context.snap"))
 	if err != nil {
 		t.Fatal(err)
@@ -198,62 +199,20 @@ func TestRecoveryUpgradesV2Snapshot(t *testing.T) {
 		{Name: "A", Values: []string{"a0", "a1", "a2"}},
 		{Name: "B", Values: []string{"b0", "b1"}},
 	}, []string{"neg", "pos"})
-	golden := []feature.Labeled{
-		{X: feature.Instance{0, 1}, Y: 1},
-		{X: feature.Instance{2, 0}, Y: 0},
-	}
 	dir := t.TempDir()
 	snapPath := filepath.Join(dir, snapshotFileName)
 	if err := os.WriteFile(snapPath, v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	assertRecovered := func(t *testing.T, srv *Server) {
-		t.Helper()
-		if srv.Seq() != 17 {
-			t.Fatalf("recovered seq %d, want the golden's 17", srv.Seq())
-		}
-		items := srv.ctx.Items()
-		if len(items) != len(golden) {
-			t.Fatalf("recovered %d rows, want %d", len(items), len(golden))
-		}
-		for i, li := range items {
-			if li.Y != golden[i].Y || !li.X.Equal(golden[i].X) {
-				t.Fatalf("recovered row %d = %v, want %v", i, li, golden[i])
-			}
-		}
+	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0, StateDir: dir})
+	if !errors.Is(err, persist.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "v2") {
+		t.Fatalf("v2 snapshot: err %v, want ErrCorruptSnapshot naming v2", err)
 	}
-
-	srvA, err := NewServer(Config{Schema: schema, Alpha: 1.0, StateDir: dir})
-	if err != nil {
-		t.Fatal(err)
+	if srv != nil {
+		t.Fatal("a server was built over a refused v2 snapshot")
 	}
-	assertRecovered(t, srvA)
-	ref, err := New(schema, 1.0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Warm(golden); err != nil {
-		t.Fatal(err)
-	}
-	assertSameKeys(t, srvA.ctx.Context(), ref.ctx.Context(), randomRows(51, 20, schema), 1.0)
-	if err := srvA.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(b, []byte("RKSN")) {
-		t.Fatalf("snapshot after Close starts %q, want the v3 magic RKSN", b[:min(len(b), 8)])
-	}
-
-	srvB, err := NewServer(Config{Schema: schema, Alpha: 1.0, StateDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRecovered(t, srvB)
-	if err := srvB.Close(); err != nil {
-		t.Fatal(err)
+	if b, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(b, v2) {
+		t.Fatalf("refused v2 snapshot was rewritten (err %v)", err)
 	}
 }
 

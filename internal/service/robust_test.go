@@ -104,14 +104,14 @@ func TestExplainDeadlineDegrades(t *testing.T) {
 	row := map[string]string{"Income": "5-6K", "Credit": "good", "Area": "Rural"}
 	done := make(chan *ExplainResponse, 1)
 	go func() {
-		c := NewClient(ts.URL)
-		resp, err := c.ExplainDeadline(row, "Approved", 0, 30*time.Millisecond)
-		if err != nil {
+		var resp ExplainResponse
+		req := ExplainRequest{Values: row, Prediction: "Approved", DeadlineMS: 30}
+		if err := NewClient(ts.URL).post("/explain", req, &resp); err != nil {
 			t.Error(err)
 			done <- nil
 			return
 		}
-		done <- resp
+		done <- &resp
 	}()
 	var resp *ExplainResponse
 	select {

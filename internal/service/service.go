@@ -104,12 +104,6 @@ type Config struct {
 	// repository benchmark stops setting it.
 	SolverTag string
 
-	// Async ExplainAll jobs (DESIGN.md §15). MaxJobItems caps one batch
-	// (0 = 100000); the newest 64 finished jobs stay pollable. With StateDir
-	// set, job specs and per-item results persist under <StateDir>/jobs and
-	// incomplete jobs resume after a restart.
-	MaxJobItems int
-
 	StateDir      string       // "" = no persistence
 	WAL           *persist.WAL // overrides the StateDir log (fault-injection seam)
 	SnapshotEvery int          // observations per snapshot; 0 = 256
@@ -289,7 +283,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.StateDir != "" {
 		jobsDir = filepath.Join(cfg.StateDir, "jobs")
 	}
-	jobs, err := newJobStore(s, jobsDir, cfg.MaxJobItems)
+	jobs, err := newJobStore(s, jobsDir)
 	if err != nil {
 		return nil, err
 	}
