@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"github.com/xai-db/relativekeys/internal/cce"
 	"github.com/xai-db/relativekeys/internal/core"
@@ -106,16 +105,6 @@ func (e *Env) EMPipeline(name string) (*EMPipeline, error) {
 // EMMethods lists the §7.5 methods.
 func EMMethods() []string { return []string{"CCE", "Anchor", "CERTA"} }
 
-// A method's loop over the EM sample takes microseconds per instance, so one
-// preemption or GC pause inside a single timed pass can outweigh the whole
-// solve. Each method's loop is therefore timed over up to emTimingPasses
-// passes and the fastest is reported; passes stop once together they have
-// taken emTimingBudget, so a slow method is timed once.
-const (
-	emTimingPasses = 5
-	emTimingBudget = 50 * time.Millisecond
-)
-
 // Run executes (and caches) one method over the EM sample.
 func (p *EMPipeline) Run(method string) (*MethodRun, error) {
 	if r, ok := p.runs[method]; ok {
@@ -171,7 +160,7 @@ func (p *EMPipeline) Run(method string) (*MethodRun, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown EM method %q", method)
 	}
-	run, err := p.timedRun(method, pass)
+	run, err := timedRun(method, 0, len(p.Sample), pass)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +177,7 @@ func (p *EMPipeline) cceRun() (*MethodRun, error) {
 		return nil, err
 	}
 	b.Ctx = p.Ctx
-	run, err := p.timedRun("CCE", func() ([]metrics.Explained, error) {
+	run, err := timedRun("CCE", 0, len(p.Sample), func() ([]metrics.Explained, error) {
 		var out []metrics.Explained
 		for _, li := range p.Sample {
 			key, err := b.Explain(li.X, li.Y)
@@ -205,29 +194,6 @@ func (p *EMPipeline) cceRun() (*MethodRun, error) {
 		return nil, err
 	}
 	p.runs["CCE"] = run
-	return run, nil
-}
-
-// timedRun runs pass as emTimingPasses and emTimingBudget allow and keeps the
-// first pass's explanations with the fastest pass's per-instance time. Every
-// method seeds each instance alike, so the passes explain alike.
-func (p *EMPipeline) timedRun(method string, pass func() ([]metrics.Explained, error)) (*MethodRun, error) {
-	run := &MethodRun{Method: method}
-	var fastest, total time.Duration
-	for i := 0; i < emTimingPasses && total < emTimingBudget; i++ {
-		start := time.Now()
-		explained, err := pass()
-		took := time.Since(start)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			run.Explained, fastest = explained, took
-		}
-		fastest = min(fastest, took)
-		total += took
-	}
-	run.AvgMillis = amortized(0, fastest, len(p.Sample))
 	return run, nil
 }
 

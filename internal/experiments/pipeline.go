@@ -37,7 +37,6 @@ type Pipeline struct {
 	// method run cache: method name → result.
 	runs map[string]*MethodRun
 	// lazily built explainers.
-	batch   *cce.Batch
 	xreason *formal.Explainer
 	gamEx   *gam.Explainer
 }
@@ -209,28 +208,30 @@ func (p *Pipeline) cceRun() (*MethodRun, error) {
 	if r, ok := p.runs["CCE"]; ok {
 		return r, nil
 	}
-	setupStart := time.Now()
-	if p.batch == nil {
-		b, err := cce.NewBatch(p.DS.Schema, nil, 1.0)
-		if err != nil {
-			return nil, err
-		}
-		b.Ctx = p.Ctx // reuse the already-indexed context
-		p.batch = b
+	b, err := cce.NewBatch(p.DS.Schema, nil, 1.0)
+	if err != nil {
+		return nil, err
 	}
-	setup := time.Since(setupStart)
-	run := &MethodRun{Method: "CCE"}
-	start := time.Now()
-	for _, li := range p.Sample {
-		key, err := p.batch.Explain(li.X, li.Y)
-		if err == core.ErrNoKey {
-			key = core.NewKey() // conflict rows keep an empty key
-		} else if err != nil {
-			return nil, err
+	// The batch reuses the inference context the pipeline indexed, so CCE
+	// has no setup to amortize: wrapping the context is a few microseconds,
+	// and timing it once would let one preemption read as solve time.
+	b.Ctx = p.Ctx
+	run, err := timedRun("CCE", 0, len(p.Sample), func() ([]metrics.Explained, error) {
+		var out []metrics.Explained
+		for _, li := range p.Sample {
+			key, err := b.Explain(li.X, li.Y)
+			if err == core.ErrNoKey {
+				key = core.NewKey() // conflict rows keep an empty key
+			} else if err != nil {
+				return nil, err
+			}
+			out = append(out, metrics.Explained{X: li.X, Y: li.Y, Key: key})
 		}
-		run.Explained = append(run.Explained, metrics.Explained{X: li.X, Y: li.Y, Key: key})
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	run.AvgMillis = amortized(setup, time.Since(start), len(p.Sample))
 	p.runs["CCE"] = run
 	return run, nil
 }
@@ -238,20 +239,20 @@ func (p *Pipeline) cceRun() (*MethodRun, error) {
 // importanceRun explains with an importance method and derives keys
 // size-matched to CCE.
 func (p *Pipeline) importanceRun(name string, ccer *MethodRun, build func(seed int64) explain.Explainer, setupCost time.Duration) (*MethodRun, error) {
-	run := &MethodRun{Method: name}
-	start := time.Now()
-	for i, li := range p.Sample {
-		ex := build(p.env.cfg.Seed + int64(i))
-		exp, err := ex.Explain(li.X)
-		if err != nil {
-			return nil, err
+	return timedRun(name, setupCost, len(p.Sample), func() ([]metrics.Explained, error) {
+		var out []metrics.Explained
+		for i, li := range p.Sample {
+			ex := build(p.env.cfg.Seed + int64(i))
+			exp, err := ex.Explain(li.X)
+			if err != nil {
+				return nil, err
+			}
+			size := ccer.Explained[i].Key.Succinctness()
+			key := explain.DeriveKey(exp.Scores, size)
+			out = append(out, metrics.Explained{X: li.X, Y: li.Y, Key: key})
 		}
-		size := ccer.Explained[i].Key.Succinctness()
-		key := explain.DeriveKey(exp.Scores, size)
-		run.Explained = append(run.Explained, metrics.Explained{X: li.X, Y: li.Y, Key: key})
-	}
-	run.AvgMillis = amortized(setupCost, time.Since(start), len(p.Sample))
-	return run, nil
+		return out, nil
+	})
 }
 
 func (p *Pipeline) gamRun(ccer *MethodRun) (*MethodRun, error) {
@@ -272,45 +273,45 @@ func (p *Pipeline) gamRun(ccer *MethodRun) (*MethodRun, error) {
 		p.gamEx = g
 	}
 	setup := time.Since(setupStart)
-	run := &MethodRun{Method: "GAM"}
-	start := time.Now()
-	for i, li := range p.Sample {
-		exp, err := p.gamEx.Explain(li.X)
-		if err != nil {
-			return nil, err
+	return timedRun("GAM", setup, len(p.Sample), func() ([]metrics.Explained, error) {
+		var out []metrics.Explained
+		for i, li := range p.Sample {
+			exp, err := p.gamEx.Explain(li.X)
+			if err != nil {
+				return nil, err
+			}
+			size := ccer.Explained[i].Key.Succinctness()
+			key := explain.DeriveKey(exp.Scores, size)
+			out = append(out, metrics.Explained{X: li.X, Y: li.Y, Key: key})
 		}
-		size := ccer.Explained[i].Key.Succinctness()
-		key := explain.DeriveKey(exp.Scores, size)
-		run.Explained = append(run.Explained, metrics.Explained{X: li.X, Y: li.Y, Key: key})
-	}
-	run.AvgMillis = amortized(setup, time.Since(start), len(p.Sample))
-	return run, nil
+		return out, nil
+	})
 }
 
 func (p *Pipeline) anchorRun(ccer *MethodRun) (*MethodRun, error) {
-	run := &MethodRun{Method: "Anchor"}
-	start := time.Now()
-	for i, li := range p.Sample {
-		cfg := anchor.Config{Seed: p.env.cfg.Seed + int64(i)}
-		if p.env.cfg.Quick {
-			cfg.BatchSize = 15
-			cfg.MaxBatches = 6
+	return timedRun("Anchor", 0, len(p.Sample), func() ([]metrics.Explained, error) {
+		var out []metrics.Explained
+		for i, li := range p.Sample {
+			cfg := anchor.Config{Seed: p.env.cfg.Seed + int64(i)}
+			if p.env.cfg.Quick {
+				cfg.BatchSize = 15
+				cfg.MaxBatches = 6
+			}
+			// Size control via the threshold/size parameter (§7.1): cap the
+			// anchor at CCE's succinctness for this instance.
+			size := ccer.Explained[i].Key.Succinctness()
+			if size > 0 {
+				cfg.MaxAnchor = size
+			}
+			ex := anchor.New(p.Model, p.Bg, cfg)
+			exp, err := ex.Explain(li.X)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, metrics.Explained{X: li.X, Y: li.Y, Key: exp.Features})
 		}
-		// Size control via the threshold/size parameter (§7.1): cap the
-		// anchor at CCE's succinctness for this instance.
-		size := ccer.Explained[i].Key.Succinctness()
-		if size > 0 {
-			cfg.MaxAnchor = size
-		}
-		ex := anchor.New(p.Model, p.Bg, cfg)
-		exp, err := ex.Explain(li.X)
-		if err != nil {
-			return nil, err
-		}
-		run.Explained = append(run.Explained, metrics.Explained{X: li.X, Y: li.Y, Key: exp.Features})
-	}
-	run.AvgMillis = amortized(0, time.Since(start), len(p.Sample))
-	return run, nil
+		return out, nil
+	})
 }
 
 func (p *Pipeline) xreasonRun() (*MethodRun, error) {
@@ -323,16 +324,50 @@ func (p *Pipeline) xreasonRun() (*MethodRun, error) {
 		p.xreason = ex
 	}
 	setup := time.Since(setupStart)
-	run := &MethodRun{Method: "Xreason"}
-	start := time.Now()
-	for _, li := range p.Sample {
-		key, err := p.xreason.ExplainKey(li.X)
+	return timedRun("Xreason", setup, len(p.Sample), func() ([]metrics.Explained, error) {
+		var out []metrics.Explained
+		for _, li := range p.Sample {
+			key, err := p.xreason.ExplainKey(li.X)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, metrics.Explained{X: li.X, Y: li.Y, Key: key})
+		}
+		return out, nil
+	})
+}
+
+// A method's loop over a quick sample takes microseconds per instance, so
+// one preemption or GC pause inside a single timed pass can outweigh the
+// whole loop. Each method's loop is therefore timed over up to
+// timingPasses passes and the fastest is reported; passes stop once
+// together they have taken timingBudget, so a slow method is timed once.
+const (
+	timingPasses = 5
+	timingBudget = 50 * time.Millisecond
+)
+
+// timedRun runs pass as timingPasses and timingBudget allow and keeps the
+// first pass's explanations with the fastest pass's per-instance time, the
+// one-time setup amortized over the n explained instances. Every method
+// seeds each instance alike, so the passes explain alike.
+func timedRun(method string, setup time.Duration, n int, pass func() ([]metrics.Explained, error)) (*MethodRun, error) {
+	run := &MethodRun{Method: method}
+	var fastest, total time.Duration
+	for i := 0; i < timingPasses && total < timingBudget; i++ {
+		start := time.Now()
+		explained, err := pass()
+		took := time.Since(start)
 		if err != nil {
 			return nil, err
 		}
-		run.Explained = append(run.Explained, metrics.Explained{X: li.X, Y: li.Y, Key: key})
+		if i == 0 {
+			run.Explained, fastest = explained, took
+		}
+		fastest = min(fastest, took)
+		total += took
 	}
-	run.AvgMillis = amortized(setup, time.Since(start), len(p.Sample))
+	run.AvgMillis = amortized(setup, fastest, n)
 	return run, nil
 }
 
