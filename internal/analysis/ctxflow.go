@@ -17,7 +17,7 @@ import (
 //  1. A function that takes a context.Context must not call a module
 //     function that has a ctx-aware sibling — the variant whose name adds
 //     "Ctx" or "Anytime" (Explain → ExplainCtx, SRK → SRKAnytime,
-//     SRKPar → SRKAnytimePar). Calling the plain variant from
+//     ExplainAll → ExplainAllCtx). Calling the plain variant from
 //     ctx-carrying code severs the deadline right where it mattered.
 //
 //  2. context.Background() / context.TODO() manufactures a fresh root
@@ -28,8 +28,8 @@ import (
 //     ctx-taking callee, or inside a Background()-specialization wrapper
 //     (a function that has a ctx-aware sibling). Package main is exempt:
 //     composing the process root context is wiring's job. The sanctioned
-//     specialization wrappers (core.SRK, cce.Window.Explain, ...) document
-//     themselves with //rkvet:ignore ctxflow and a reason.
+//     specialization wrappers (cce.Batch.Explain, cce.Window.Explain, ...)
+//     document themselves with //rkvet:ignore ctxflow and a reason.
 //
 // CtxFlow is stateful (memoized sibling map and reachability closure per
 // module); obtain a fresh instance per run via NewCtxFlow.
@@ -214,7 +214,7 @@ func recvBaseName(t types.Type) string {
 }
 
 // stripCtxName removes the "Ctx" and "Anytime" name segments that mark the
-// context-aware variant: ExplainCtx → Explain, SRKAnytimePar → SRKPar,
+// context-aware variant: ExplainCtx → Explain, SRKAnytime → SRK,
 // ExplainAllCtx → ExplainAll.
 func stripCtxName(name string) string {
 	name = strings.ReplaceAll(name, "Anytime", "")

@@ -34,30 +34,35 @@ var unusedExports = map[string]string{
 	"replica.Follower.SnapshotCatchups":   "test hook: the catch-up count the follower tests assert",
 	"replica.Hub.Subscribers":             "test hook: the subscriber count the hub tests wait on",
 
-	"model.Tree.Depth":        "accessor TestTreeDepthCap asserts the depth cap through",
-	"model.Tree.NumNodes":     "accessor TestTreeDepthCap asserts the tree's size through",
-	"model.GBDT.Prob":         "accessor TestGBDTBeatsGuessing checks Score, Prob and Predict agree through",
-	"formal.NewTreeExplainer": "constructor of the single-tree formal explainer its tests check by brute force",
+	"model.Tree.Depth":           "accessor TestTreeDepthCap asserts the depth cap through",
+	"model.Tree.NumNodes":        "accessor TestTreeDepthCap asserts the tree's size through",
+	"model.GBDT.Prob":            "accessor TestGBDTBeatsGuessing checks Score, Prob and Predict agree through",
+	"formal.NewTreeExplainer":    "constructor of the single-tree formal explainer its tests check by brute force",
+	"explain/ids.Rule.Precision": "accessor TestFitSizeLimited checks each fitted rule's training precision through",
+	"sat.Solver.Value":           "accessor the sat tests and FuzzSolver check each model against its clauses through",
 
-	"obs.NewGauge":             "metric API: a gauge in the Default registry, which the obs tests register",
-	"obs.NewGaugeFunc":         "metric API: a sampled gauge in the Default registry, which the obs tests register",
-	"obs.Histogram.Count":      "metric API: the observation count the obs tests read",
-	"obs.Registry.ScrapeDrops": "metric API: the count of failed ops responses; nothing reads it yet",
-	"obs.Registry.WriteProm":   "metric API: one registry's exposition, which the obs and hub tests read",
+	"obs.NewGauge":           "metric API: a gauge in the Default registry, which the obs tests register",
+	"obs.NewGaugeFunc":       "metric API: a sampled gauge in the Default registry, which the obs tests register",
+	"obs.Histogram.Count":    "metric API: the observation count the obs tests read",
+	"obs.Gauge.Value":        "metric API: the gauge value the obs tests read",
+	"obs.Registry.WriteProm": "metric API: one registry's exposition, which the obs and hub tests read",
 
-	"bitset.New":   "constructor the bitset tests build sets with; non-test code uses NewReserved",
-	"analysis.Run": "RunTimed without timings: the checker tests run the suite through it",
+	"bitset.New":              "constructor the bitset tests build sets with; non-test code uses NewReserved",
+	"analysis.Run":            "RunTimed without timings: the checker tests run the suite through it",
+	"analysis.Finding.String": "fmt.Stringer: cmd/rkvet prints each finding with fmt.Println",
 }
 
 // TestExportsHaveNonTestUsers keeps unused exports from growing back. It
 // finds the exported functions and methods under internal/ that no non-test
 // file of the module uses, and fails on one missing from unusedExports, and
-// on a listed one that is now used or gone. Exempt are: what the benchmark
-// module _perfbench names (pkg.Name for a function, .Name for a method);
-// methods whose name an interface of the module declares, or named Error;
-// methods of the types the root package aliases and of bitset.Set, which
-// its Context hands out, all public API; and exported methods of unexported
-// types, which exist to satisfy standard-library interfaces.
+// on a listed one that is now used or gone. Exempt are: the functions the
+// benchmark module _perfbench names as pkg.Name (not methods: a bare .Name
+// selector there would exempt every method of that name, in packages
+// _perfbench never imports too); methods whose name an interface of the
+// module declares, or named Error; methods of the types the root package
+// aliases and of bitset.Set, which its Context hands out, all public API;
+// and exported methods of unexported types, which exist to satisfy
+// standard-library interfaces.
 func TestExportsHaveNonTestUsers(t *testing.T) {
 	mod, err := loadModule()
 	if err != nil {
@@ -111,7 +116,7 @@ func unusedExportsOf(t *testing.T, mod *Module) map[string]bool {
 			publicTypes[scope.Lookup("Set").(*types.TypeName)] = true
 		}
 	}
-	funcs, methods := perfbenchNames(t, filepath.Join(mod.Dir, "_perfbench"))
+	funcs := perfbenchFuncs(t, filepath.Join(mod.Dir, "_perfbench"))
 	found := map[string]bool{}
 	for _, p := range mod.Pkgs {
 		rel, ok := strings.CutPrefix(p.ImportPath, internal)
@@ -140,7 +145,7 @@ func unusedExportsOf(t *testing.T, mod *Module) map[string]bool {
 					rt = ptr.Elem()
 				}
 				tn := rt.(*types.Named).Origin().Obj()
-				if !tn.Exported() || publicTypes[tn] || ifaceMethods[fn.Name()] || methods[fn.Name()] {
+				if !tn.Exported() || publicTypes[tn] || ifaceMethods[fn.Name()] {
 					continue
 				}
 				found[rel+"."+tn.Name()+"."+fn.Name()] = true
@@ -150,16 +155,16 @@ func unusedExportsOf(t *testing.T, mod *Module) map[string]bool {
 	return found
 }
 
-// perfbenchNames parses the benchmark module's sources, which Load skips,
-// and returns what they name: each pkg.Name selector on an imported package
-// as importpath.Name, and every selector's name.
-func perfbenchNames(t *testing.T, dir string) (funcs, methods map[string]bool) {
+// perfbenchFuncs parses the benchmark module's sources, which Load skips,
+// and returns each pkg.Name selector on an imported package they hold, as
+// importpath.Name.
+func perfbenchFuncs(t *testing.T, dir string) map[string]bool {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no benchmark sources in %s (err %v)", dir, err)
 	}
-	funcs, methods = map[string]bool{}, map[string]bool{}
+	funcs := map[string]bool{}
 	fset := token.NewFileSet()
 	for _, fn := range files {
 		f, err := parser.ParseFile(fset, fn, nil, parser.SkipObjectResolution)
@@ -180,12 +185,11 @@ func perfbenchNames(t *testing.T, dir string) (funcs, methods map[string]bool) {
 			if !ok {
 				return true
 			}
-			methods[sel.Sel.Name] = true
 			if id, ok := sel.X.(*ast.Ident); ok && imports[id.Name] != "" {
 				funcs[imports[id.Name]+"."+sel.Sel.Name] = true
 			}
 			return true
 		})
 	}
-	return funcs, methods
+	return funcs
 }

@@ -257,7 +257,7 @@ var srkAdultWarm = sync.OnceValues(func() (*srkAdultData, error) {
 	}
 	for pass := 0; pass < srkAdultWarmPasses; pass++ {
 		for _, li := range d.queries {
-			if _, err := core.SRKPar(ctx, li.X, li.Y, 1.0, 1); err != nil && err != core.ErrNoKey {
+			if _, err := solveServed(ctx, li.X, li.Y, 1.0); err != nil && err != core.ErrNoKey {
 				return nil, err
 			}
 		}
@@ -286,7 +286,7 @@ func benchSRKAdult(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		li := d.queries[i%len(d.queries)]
-		if _, err := core.SRKPar(d.ctx, li.X, li.Y, 1.0, 1); err != nil && err != core.ErrNoKey {
+		if _, err := solveServed(d.ctx, li.X, li.Y, 1.0); err != nil && err != core.ErrNoKey {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package benchsuite
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -22,6 +23,13 @@ import (
 // The XOR synthetic of the srk_par grid is the other regime: every feature
 // equally uninformative and scores clustered, so the survivor set shrinks
 // slowly and later rounds scan many words.
+
+// solveServed is one never-cancelled solve on the served engine, the solve
+// every served row (srk_lazy, srk_par, srk_adult) times.
+func solveServed(c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, error) {
+	key, _, err := core.SRKAnytime(context.Background(), c, x, y, alpha) //rkvet:ignore ctxflow the benchmark times the undeadlined served solve; there is no caller deadline to forward
+	return key, err
+}
 
 var (
 	lazyNs = []int{10_000, 100_000}
@@ -123,14 +131,14 @@ func benchStaircase(n int, lazy bool) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got, err := core.SRKPar(d.ctx, d.x, d.y, staircaseAlpha, 1); err != nil || !got.Equal(eager) {
+		if got, err := solveServed(d.ctx, d.x, d.y, staircaseAlpha); err != nil || !got.Equal(eager) {
 			b.Fatalf("served key %v (err %v) differs from eager %v", got, err, eager)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if lazy {
-				_, err = core.SRKPar(d.ctx, d.x, d.y, staircaseAlpha, 1)
+				_, err = solveServed(d.ctx, d.x, d.y, staircaseAlpha)
 			} else {
 				_, err = core.SRK(d.ctx, d.x, d.y, staircaseAlpha)
 			}
@@ -149,7 +157,7 @@ func benchSRKLazyLoan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		li := inference[i%len(inference)]
-		if _, err := core.SRKPar(ctx, li.X, li.Y, 1.0, 1); err != nil && err != core.ErrNoKey {
+		if _, err := solveServed(ctx, li.X, li.Y, 1.0); err != nil && err != core.ErrNoKey {
 			b.Fatal(err)
 		}
 	}

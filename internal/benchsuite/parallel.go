@@ -10,8 +10,8 @@ import (
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
-// The srk_par grid (DESIGN.md §11): one SRKPar solve over a large synthetic
-// context per size. SRKPar ignores its worker count, so the grid runs p=1
+// The srk_par grid (DESIGN.md §11): one served solve over a large synthetic
+// context per size. The served engine is sequential, so the grid runs p=1
 // only; the rows keep their .../p=1 names so baselines stay comparable.
 
 // parallelNs are the grid's context sizes.
@@ -94,7 +94,7 @@ func benchSRKParallel(n int) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			li := d.rows[i%len(d.rows)]
-			if _, err := core.SRKPar(d.ctx, li.X, li.Y, 1.0, 1); err != nil && err != core.ErrNoKey {
+			if _, err := solveServed(d.ctx, li.X, li.Y, 1.0); err != nil && err != core.ErrNoKey {
 				b.Fatal(err)
 			}
 		}

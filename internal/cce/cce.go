@@ -45,7 +45,8 @@ func NewBatch(schema *feature.Schema, inference []feature.Labeled, alpha float64
 // Explain computes the α-conformant relative key for an instance whose
 // prediction is known client-side.
 func (b *Batch) Explain(x feature.Instance, y feature.Label) (core.Key, error) {
-	return core.SRKPar(b.Ctx, x, y, b.Alpha, 1)
+	key, _, err := b.ExplainCtx(context.Background(), x, y) //rkvet:ignore ctxflow Explain is the sanctioned never-cancelled specialization of the batch explainer; no caller deadline exists to thread
+	return key, err
 }
 
 // ExplainCtx is Explain under a deadline: the solve is cancellable, and an
@@ -53,7 +54,7 @@ func (b *Batch) Explain(x feature.Instance, y feature.Label) (core.Key, error) {
 // instead of erroring — the deployment contract of a client-side service that
 // must answer every query within its latency budget.
 func (b *Batch) ExplainCtx(ctx context.Context, x feature.Instance, y feature.Label) (core.Key, bool, error) {
-	return core.SRKAnytimePar(ctx, b.Ctx, x, y, b.Alpha, 1)
+	return core.SRKAnytime(ctx, b.Ctx, x, y, b.Alpha)
 }
 
 // ExplainAll explains many instances concurrently across workers goroutines

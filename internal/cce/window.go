@@ -239,7 +239,7 @@ func (w *Window) Explain(x feature.Instance, y feature.Label) (core.Key, error) 
 func (w *Window) ExplainCtx(ctx context.Context, x feature.Instance, y feature.Label) (core.Key, bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	fresh, degraded, err := core.SRKAnytimePar(ctx, w.ctx.Context(), x, y, w.alpha, 1)
+	fresh, degraded, err := core.SRKAnytime(ctx, w.ctx.Context(), x, y, w.alpha)
 	if err != nil {
 		return nil, degraded, err
 	}

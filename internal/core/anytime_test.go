@@ -18,8 +18,8 @@ func expiredCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-// Differential: with a background context SRKAnytime must be byte-identical
-// to SRK (same greedy loop, dead checkpoint branch).
+// Differential: with a background context SRKAnytime (the served engine)
+// must be byte-identical to SRK (the eager loop) and never degrade.
 func TestSRKAnytimeMatchesSRKUncancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {

@@ -28,10 +28,10 @@ func decodeInstance(b byte) feature.Labeled {
 
 // FuzzContextRemoveAdd is the streaming-determinism oracle: a context
 // mutated by an arbitrary interleaving of AddSlot and Remove must be
-// indistinguishable — SRK and SRKPar key bytes, violation counts,
+// indistinguishable — SRK and SRKAnytime key bytes, violation counts,
 // disagreeing-set cardinality — from a context rebuilt from scratch over its
 // live rows. This is the invariant the sliding window (cce.Window) and the
-// service retention path stand on. SRKPar is the check on the count tables
+// service retention path stand on. SRKAnytime is the check on the count tables
 // and the pair-count tables, every one force-built on both contexts (on the
 // incremental one before its first mutation, so each add and removal keeps
 // them), and each cell is held to the index: the eager SRK reads neither, so
@@ -87,12 +87,12 @@ func FuzzContextRemoveAdd(f *testing.F) {
 			}
 			for i, c := range []*Context{ctx, rebuilt} {
 				name := []string{"incremental", "rebuilt"}[i]
-				k, err := SRKPar(c, target.X, target.Y, alpha, 1)
+				k, err := served(c, target.X, target.Y, alpha)
 				if errors.Is(err, ErrNoKey) != errors.Is(err1, ErrNoKey) || (err == nil) != (err1 == nil) {
-					t.Fatalf("α=%v: SRKPar on %s errs %v, SRK %v", alpha, name, err, err1)
+					t.Fatalf("α=%v: SRKAnytime on %s errs %v, SRK %v", alpha, name, err, err1)
 				}
 				if err == nil && !k.Equal(k1) {
-					t.Fatalf("α=%v: SRKPar on %s = %v, SRK %v", alpha, name, k, k1)
+					t.Fatalf("α=%v: SRKAnytime on %s = %v, SRK %v", alpha, name, k, k1)
 				}
 			}
 			if err1 != nil {

@@ -141,7 +141,7 @@ func Coverage(c *Context, x feature.Instance, y feature.Label, E Key) int {
 	return d.Count()
 }
 
-// CoveragePar is Coverage; par is ignored, as SRKPar's is.
+// CoveragePar is Coverage; par is ignored, as SRKAnytimePar's is.
 func CoveragePar(c *Context, x feature.Instance, y feature.Label, E Key, par int) int {
 	return Coverage(c, x, y, E)
 }
@@ -204,7 +204,7 @@ func Precision(c *Context, x feature.Instance, y feature.Label, E Key) float64 {
 	return PrecisionOf(Violations(c, x, y, E), c.Len())
 }
 
-// PrecisionPar is Precision; par is ignored, as SRKPar's is.
+// PrecisionPar is Precision; par is ignored, as SRKAnytimePar's is.
 func PrecisionPar(c *Context, x feature.Instance, y feature.Label, E Key, par int) float64 {
 	return Precision(c, x, y, E)
 }

@@ -214,3 +214,29 @@ func TestViolationsCoverageAllocFree(t *testing.T) {
 		t.Fatalf("ViolationsCoverage allocates %v times per call, want 0", allocs)
 	}
 }
+
+// TestDifferentialCountersParallel: CoveragePar and PrecisionPar must agree
+// with Coverage and Precision for arbitrary keys, whatever worker count they
+// are passed (it is ignored).
+func TestDifferentialCountersParallel(t *testing.T) {
+	rng := rand.New(rand.NewSource(229))
+	for trial := 0; trial < 60; trial++ {
+		c := randomContext(t, rng, 1+rng.Intn(400), 2+rng.Intn(6), 2+rng.Intn(3), 2)
+		row := c.Item(rng.Intn(c.Len()))
+		var feats []int
+		for a := 0; a < c.Schema.NumFeatures(); a++ {
+			if rng.Intn(2) == 0 {
+				feats = append(feats, a)
+			}
+		}
+		E := NewKey(feats...)
+		for _, p := range []int{1, 2, 3, 4, 8} {
+			if got, want := CoveragePar(c, row.X, row.Y, E, p), Coverage(c, row.X, row.Y, E); got != want {
+				t.Fatalf("trial %d P=%d: CoveragePar %d, sequential %d", trial, p, got, want)
+			}
+			if got, want := PrecisionPar(c, row.X, row.Y, E, p), Precision(c, row.X, row.Y, E); got != want { //rkvet:ignore floateq both sides are 1 - int/int over identical ints, bit-equal by construction
+				t.Fatalf("trial %d P=%d: PrecisionPar %v, sequential %v", trial, p, got, want)
+			}
+		}
+	}
+}

@@ -3,34 +3,88 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
-// Differential harness for DESIGN.md §11: the served engine (sparse.go) must
-// be byte-identical to the eager reference on every input — same key bytes,
-// same pick order, same error, same degraded flag — across alphas, ignored
-// worker counts, and adversarial tie structure. The eager loop (srkAnytime)
-// is the oracle; it reads neither the count tables, the pair-count tables
-// nor the word list, so a bug in any of them cannot hide by breaking both
-// sides the same way. Every suite runs on both of round two's paths
-// (roundTwoPaths): over the word list and from pair-count tables. The Lazy
-// names date from the CELF engine these suites were written for.
+// Differential harness for DESIGN.md §11: the served engine (sparse.go,
+// behind SRKAnytime) must be byte-identical to the eager reference on every
+// input — same key bytes, same pick order, same error, same degraded flag —
+// across alphas, deadlines, and adversarial tie structure. The eager loop
+// (srkEager, behind SRK) is the oracle; it reads neither the count tables,
+// the pair-count tables nor the word list, so a bug in any of them cannot
+// hide by breaking both sides the same way. A deadline's oracle is
+// anytimeRef: the eager loop's first picks completed by completeAnytime.
+// Every suite runs on both of round two's paths (roundTwoPaths): over the
+// word list and from pair-count tables. The Lazy names date from the CELF
+// engine these suites were written for.
+
+// served is one never-cancelled solve on the served engine.
+func served(c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, error) {
+	key, _, err := SRKAnytime(context.Background(), c, x, y, alpha)
+	return key, err
+}
+
+// anytimeRef is the reference answer of SRKAnytime under a context that
+// reports an error from its (k+1)-th Err call on, so the solve degrades at
+// the top of round k+1: the eager key when it takes at most k picks, else
+// the eager loop's first k picks completed by completeAnytime, degraded.
+// Without a key srkEager returns no picks, so k must then be 0 (an expired
+// context), where the completion runs from round zero.
+func anytimeRef(c *Context, x feature.Instance, y feature.Label, alpha float64, k int) (Key, bool, error) {
+	picks, err := srkEager(c, x, y, alpha)
+	switch {
+	case err == nil && len(picks) <= k:
+		return keyOf(picks), false, nil
+	case err != nil && !errors.Is(err, ErrNoKey):
+		return nil, false, err
+	}
+	d := getDisagreeing(c, y)
+	defer putScratch(d)
+	inE := make([]bool, c.Schema.NumFeatures())
+	for _, a := range picks[:k] {
+		inE[a] = true
+		d.And(c.Posting(a, x[a]))
+	}
+	done, err := completeAnytime(c, x, d, append([]int(nil), picks[:k]...), inE, Budget(alpha, c.Len()))
+	if err != nil {
+		return nil, true, err
+	}
+	return keyOf(done), true, nil
+}
+
+// expiresAfter is a context whose Err reports nil for its first k calls and
+// context.Canceled from then on. The served engine calls Err once at the top
+// of each round, so a solve under it degrades at the top of round k+1: a
+// mid-solve deadline no wall clock makes deterministic.
+type expiresAfter struct {
+	context.Context
+	k int
+}
+
+func (c *expiresAfter) Err() error {
+	if c.k == 0 {
+		return context.Canceled
+	}
+	c.k--
+	return nil
+}
 
 // lazyTestAlphas is the sweep the acceptance matrix calls for: 0.99 and 1
 // make budgets tight (many rounds over the word list), 0.8 makes them loose
 // (one or two rounds, empty-key successes on small contexts).
 var lazyTestAlphas = []float64{0.8, 0.9, 0.95, 0.99, 1}
 
-// TestDifferentialLazyEager sweeps random datasets × α × P ∈ {1,2,4,8},
-// comparing the served entry against the eager oracle. Odd trials use
-// tie-heavy datasets (binary features over few attributes: many rows collide
-// onto the same posting lists, so scores tie constantly and the pick is
-// decided by the freq/index tie-break — the exact code path that breaks if
-// the count-seeded round or the word-list rounds compare differently from
-// the eager scan).
+// TestDifferentialLazyEager sweeps random datasets × α, comparing the served
+// entry against the eager oracle. Odd trials use tie-heavy datasets (binary
+// features over few attributes: many rows collide onto the same posting
+// lists, so scores tie constantly and the pick is decided by the freq/index
+// tie-break — the exact code path that breaks if the count-seeded round or
+// the word-list rounds compare differently from the eager scan).
 func TestDifferentialLazyEager(t *testing.T) {
 	for _, path := range roundTwoPaths {
 		t.Run(path.name, func(t *testing.T) { differentialLazyEager(t, path.prepare) })
@@ -49,18 +103,16 @@ func differentialLazyEager(t *testing.T, prepare func(*Context)) {
 		prepare(c)
 		row := c.Item(rng.Intn(c.Len()))
 		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
-		want, wantDeg, wantErr := SRKAnytime(context.Background(), c, row.X, row.Y, alpha)
-		for _, p := range []int{1, 2, 4, 8} {
-			got, gotDeg, gotErr := SRKAnytimePar(context.Background(), c, row.X, row.Y, alpha, p)
-			if gotDeg != wantDeg {
-				t.Fatalf("trial %d P=%d α=%v: degraded %v, eager %v", trial, p, alpha, gotDeg, wantDeg)
-			}
-			if !errors.Is(gotErr, wantErr) && gotErr != wantErr {
-				t.Fatalf("trial %d P=%d α=%v: err %v, eager %v", trial, p, alpha, gotErr, wantErr)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("trial %d P=%d α=%v: key %v, eager %v", trial, p, alpha, got, want)
-			}
+		want, wantErr := SRK(c, row.X, row.Y, alpha)
+		got, gotDeg, gotErr := SRKAnytime(context.Background(), c, row.X, row.Y, alpha)
+		if gotDeg {
+			t.Fatalf("trial %d α=%v: a background context degraded the solve", trial, alpha)
+		}
+		if !errors.Is(gotErr, wantErr) {
+			t.Fatalf("trial %d α=%v: err %v, eager %v", trial, alpha, gotErr, wantErr)
+		}
+		if !got.Equal(want) || (got == nil) != (want == nil) {
+			t.Fatalf("trial %d α=%v: key %#v, eager %#v", trial, alpha, got, want)
 		}
 	}
 }
@@ -82,10 +134,10 @@ func differentialLazyPickOrder(t *testing.T, prepare func(*Context)) {
 		prepare(c)
 		row := c.Item(rng.Intn(c.Len()))
 		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
-		want, wantDeg, wantErr := srkAnytime(context.Background(), c, row.X, row.Y, alpha)
+		want, wantErr := srkEager(c, row.X, row.Y, alpha)
 		got, gotDeg, gotErr := srkAnytimeSparse(context.Background(), c, row.X, row.Y, alpha)
-		if gotDeg != wantDeg || (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("trial %d α=%v: (deg %v, err %v), eager (deg %v, err %v)", trial, alpha, gotDeg, gotErr, wantDeg, wantErr)
+		if gotDeg || (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("trial %d α=%v: (deg %v, err %v), eager err %v", trial, alpha, gotDeg, gotErr, wantErr)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d α=%v: picks %v, eager %v", trial, alpha, got, want)
@@ -141,29 +193,31 @@ func differentialSRKOrdered(t *testing.T, prepare func(*Context)) {
 	}
 }
 
-// TestLazyEmptyKeySuccess: when the empty key already satisfies α, the served
-// entries must return a non-nil empty Key — the service JSON layer renders
+// TestLazyEmptyKeySuccess: when the empty key already satisfies α, every
+// entry must return a non-nil empty Key — the service JSON layer renders
 // Key{} as [] and Key(nil) as null, and clients key off the difference.
+// SRKAnytimePar, SRKAnytime under an ignored worker count, answers the same.
 func TestLazyEmptyKeySuccess(t *testing.T) {
 	c := randomContext(t, rand.New(rand.NewSource(331)), 40, 3, 2, 2)
 	row := c.Item(0)
 	// α low enough that the initial disagreeing count fits the budget.
-	key, err := SRKPar(c, row.X, row.Y, 0.01, 1)
-	if err != nil {
-		t.Fatalf("SRKPar: %v", err)
-	}
-	if key == nil || len(key) != 0 {
-		t.Fatalf("empty-key success must be non-nil Key{}, got %#v", key)
-	}
-	key, _, err = SRKAnytimePar(context.Background(), c, row.X, row.Y, 0.01, 4)
+	key, err := SRK(c, row.X, row.Y, 0.01)
 	if err != nil || key == nil || len(key) != 0 {
-		t.Fatalf("SRKAnytimePar empty-key: key %#v err %v", key, err)
+		t.Fatalf("SRK empty-key: key %#v err %v", key, err)
+	}
+	key, deg, err := SRKAnytime(context.Background(), c, row.X, row.Y, 0.01)
+	if err != nil || deg || key == nil || len(key) != 0 {
+		t.Fatalf("SRKAnytime empty-key: key %#v deg %v err %v", key, deg, err)
+	}
+	key, deg, err = SRKAnytimePar(context.Background(), c, row.X, row.Y, 0.01, 4)
+	if err != nil || deg || key == nil || len(key) != 0 {
+		t.Fatalf("SRKAnytimePar empty-key: key %#v deg %v err %v", key, deg, err)
 	}
 }
 
-// TestLazyExpiredContext: an already-expired context must degrade through the
-// same completion pass as the eager solver, from round zero — the only
-// cancellation timing deterministic enough to diff exactly.
+// TestLazyExpiredContext: an already-expired context must degrade through
+// completeAnytime from round zero (anytimeRef with k = 0), keys and no-key
+// verdicts alike.
 func TestLazyExpiredContext(t *testing.T) {
 	for _, path := range roundTwoPaths {
 		t.Run(path.name, func(t *testing.T) { lazyExpiredContext(t, path.prepare) })
@@ -172,23 +226,63 @@ func TestLazyExpiredContext(t *testing.T) {
 
 func lazyExpiredContext(t *testing.T, prepare func(*Context)) {
 	rng := rand.New(rand.NewSource(337))
-	expired, cancel := context.WithCancel(context.Background())
-	cancel()
+	expired := expiredCtx(t)
 	for trial := 0; trial < 40; trial++ {
 		c := randomContext(t, rng, 10+rng.Intn(200), 2+rng.Intn(5), 2+rng.Intn(2), 2)
 		prepare(c)
 		row := c.Item(rng.Intn(c.Len()))
 		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
-		want, wantDeg, wantErr := SRKAnytime(expired, c, row.X, row.Y, alpha)
-		for _, p := range []int{1, 4} {
-			got, gotDeg, gotErr := SRKAnytimePar(expired, c, row.X, row.Y, alpha, p)
-			if gotDeg != wantDeg || (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("trial %d P=%d: (deg %v, err %v), eager (deg %v, err %v)", trial, p, gotDeg, gotErr, wantDeg, wantErr)
+		want, wantDeg, wantErr := anytimeRef(c, row.X, row.Y, alpha, 0)
+		got, gotDeg, gotErr := SRKAnytime(expired, c, row.X, row.Y, alpha)
+		if gotDeg != wantDeg || !errors.Is(gotErr, wantErr) {
+			t.Fatalf("trial %d: (deg %v, err %v), reference (deg %v, err %v)", trial, gotDeg, gotErr, wantDeg, wantErr)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("trial %d: degraded key %v, reference %v", trial, got, want)
+		}
+	}
+}
+
+// TestLazyDeadlineDifferential degrades the served solve at the top of each
+// round it runs: for every k from 0 to the eager key's size, a context that
+// expires after k checks (expiresAfter) must give anytimeRef's key, degraded
+// flag and error. From the second round on, the served engine rebuilds its
+// survivor set from picks it made over count tables, pair-count tables and
+// word lists, which an expired context (k = 0) never reaches.
+func TestLazyDeadlineDifferential(t *testing.T) {
+	for _, path := range roundTwoPaths {
+		t.Run(path.name, func(t *testing.T) { lazyDeadlineDifferential(t, path.prepare) })
+	}
+}
+
+func lazyDeadlineDifferential(t *testing.T, prepare func(*Context)) {
+	rng := rand.New(rand.NewSource(32101))
+	midSolve := 0
+	for trial := 0; trial < 80; trial++ {
+		var c *Context
+		if trial%2 == 1 {
+			c = randomContext(t, rng, 20+rng.Intn(400), 3+rng.Intn(4), 2, 2) // tie-heavy
+		} else {
+			c = randomContext(t, rng, 10+rng.Intn(300), 3+rng.Intn(6), 2+rng.Intn(2), 2+rng.Intn(2))
+		}
+		prepare(c)
+		row := c.Item(rng.Intn(c.Len()))
+		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
+		picks, _ := srkEager(c, row.X, row.Y, alpha)
+		for k := 0; k <= len(picks); k++ {
+			want, wantDeg, wantErr := anytimeRef(c, row.X, row.Y, alpha, k)
+			got, gotDeg, gotErr := SRKAnytime(&expiresAfter{Context: context.Background(), k: k}, c, row.X, row.Y, alpha)
+			if gotDeg != wantDeg || !errors.Is(gotErr, wantErr) || !got.Equal(want) {
+				t.Fatalf("trial %d α=%v k=%d of %v: (%v, deg %v, err %v), reference (%v, deg %v, err %v)",
+					trial, alpha, k, picks, got, gotDeg, gotErr, want, wantDeg, wantErr)
 			}
-			if !got.Equal(want) {
-				t.Fatalf("trial %d P=%d: degraded key %v, eager %v", trial, p, got, want)
+			if gotDeg && k > 0 {
+				midSolve++
 			}
 		}
+	}
+	if midSolve == 0 {
+		t.Fatal("no solve degraded after its first pick")
 	}
 }
 
@@ -223,14 +317,12 @@ func TestLazyFallbackDatasets(t *testing.T) {
 		for _, alpha := range lazyTestAlphas {
 			row := c.Item(0)
 			want, wantErr := SRK(c, row.X, row.Y, alpha)
-			for _, p := range []int{1, 4} {
-				got, gotErr := SRKPar(c, row.X, row.Y, alpha, p)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s α=%v P=%d: err %v, eager %v", path.name, alpha, p, gotErr, wantErr)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("%s α=%v P=%d: key %v, eager %v", path.name, alpha, p, got, want)
-				}
+			got, gotErr := served(c, row.X, row.Y, alpha)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%s α=%v: err %v, eager %v", path.name, alpha, gotErr, wantErr)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s α=%v: key %v, eager %v", path.name, alpha, got, want)
 			}
 		}
 	}
@@ -257,10 +349,10 @@ func lazyOutOfRangeLabel(t *testing.T, prepare func(*Context)) {
 		x := c.LiveItems()[0].X
 		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
 		for _, y := range []feature.Label{-1, feature.Label(len(c.Schema.Labels)), 99} {
-			want, wantDeg, wantErr := srkAnytime(context.Background(), c, x, y, alpha)
+			want, wantErr := srkEager(c, x, y, alpha)
 			got, gotDeg, gotErr := srkAnytimeSparse(context.Background(), c, x, y, alpha)
-			if gotDeg != wantDeg || !errors.Is(gotErr, wantErr) {
-				t.Fatalf("trial %d y=%d: (deg %v, err %v), eager (deg %v, err %v)", trial, y, gotDeg, gotErr, wantDeg, wantErr)
+			if gotDeg || !errors.Is(gotErr, wantErr) {
+				t.Fatalf("trial %d y=%d: (deg %v, err %v), eager err %v", trial, y, gotDeg, gotErr, wantErr)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("trial %d y=%d: picks %v, eager %v", trial, y, got, want)
@@ -305,11 +397,11 @@ func FuzzLazyGreedy(f *testing.F) {
 			}
 			path.prepare(c)
 
-			wantPicks, wantDeg, wantErr := srkAnytime(context.Background(), c, target.X, target.Y, alpha)
+			wantPicks, wantErr := srkEager(c, target.X, target.Y, alpha)
 			gotPicks, gotDeg, gotErr := srkAnytimeSparse(context.Background(), c, target.X, target.Y, alpha)
-			if gotDeg != wantDeg || (gotErr == nil) != (wantErr == nil) ||
+			if gotDeg || (gotErr == nil) != (wantErr == nil) ||
 				errors.Is(gotErr, ErrNoKey) != errors.Is(wantErr, ErrNoKey) {
-				t.Fatalf("%s α=%v: served (deg %v, err %v), eager (deg %v, err %v)", path.name, alpha, gotDeg, gotErr, wantDeg, wantErr)
+				t.Fatalf("%s α=%v: served (deg %v, err %v), eager err %v", path.name, alpha, gotDeg, gotErr, wantErr)
 			}
 			if len(gotPicks) != len(wantPicks) {
 				t.Fatalf("%s α=%v: served picks %v, eager %v", path.name, alpha, gotPicks, wantPicks)
@@ -321,14 +413,14 @@ func FuzzLazyGreedy(f *testing.F) {
 			}
 
 			// The public entries must agree too (sorted key + empty-key shape).
-			wantKey, _, wantErr2 := SRKAnytime(context.Background(), c, target.X, target.Y, alpha)
-			gotKey, gotErr2 := SRKPar(c, target.X, target.Y, alpha, 1)
+			wantKey, wantErr2 := SRK(c, target.X, target.Y, alpha)
+			gotKey, gotErr2 := served(c, target.X, target.Y, alpha)
 			if (gotErr2 == nil) != (wantErr2 == nil) {
-				t.Fatalf("%s α=%v: SRKPar err %v, SRKAnytime err %v", path.name, alpha, gotErr2, wantErr2)
+				t.Fatalf("%s α=%v: SRKAnytime err %v, SRK err %v", path.name, alpha, gotErr2, wantErr2)
 			}
 			if gotErr2 == nil {
 				if !gotKey.Equal(wantKey) {
-					t.Fatalf("%s α=%v: SRKPar key %v, eager %v", path.name, alpha, gotKey, wantKey)
+					t.Fatalf("%s α=%v: SRKAnytime key %v, SRK %v", path.name, alpha, gotKey, wantKey)
 				}
 				if (gotKey == nil) != (wantKey == nil) {
 					t.Fatalf("%s α=%v: key nilness diverges: served %#v, eager %#v", path.name, alpha, gotKey, wantKey)
@@ -336,4 +428,47 @@ func FuzzLazyGreedy(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLazyConcurrentSolves: many goroutines solving against one shared
+// read-only context — the deployment shape of request fan-out — must all get
+// the eager answer. Run under -race this also proves the pooled per-solve
+// state is shared by no two concurrent solves.
+func TestLazyConcurrentSolves(t *testing.T) {
+	rng := rand.New(rand.NewSource(239))
+	c := randomContext(t, rng, 500, 6, 3, 2)
+	type q struct {
+		x    feature.Instance
+		y    feature.Label
+		want Key
+	}
+	var qs []q
+	for i := 0; i < 16; i++ {
+		row := c.Item(rng.Intn(c.Len()))
+		want, err := SRK(c, row.X, row.Y, 0.9)
+		if err != nil {
+			continue
+		}
+		qs = append(qs, q{row.X, row.Y, want})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, query := range qs {
+				got, err := served(c, query.x, query.y, 0.9)
+				if err != nil || !got.Equal(query.want) {
+					errs <- fmt.Errorf("goroutine %d query %d: %v err %v, want %v", g, i, got, err, query.want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }

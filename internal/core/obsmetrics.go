@@ -32,7 +32,7 @@ var (
 	// counts here. The series keep the names of the lazy (CELF) engine they
 	// replaced.
 	lazyRounds = obs.NewCounter("rk_solver_lazy_rounds_total",
-		"SRK greedy picks made by the served engine (SRKPar/SRKAnytimePar).")
+		"SRK greedy picks made by the served engine (SRKAnytime).")
 	lazyEvals = obs.NewCounter("rk_solver_lazy_evals_total",
 		"Candidates the served engine scored over the survivor word list: rounds after the first, and the second only while its pair-count table is unbuilt.")
 )

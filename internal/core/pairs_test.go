@@ -206,7 +206,7 @@ func TestPairRentOrBuy(t *testing.T) {
 		if c.pairTable(a, v) != nil {
 			t.Fatalf("solve %d: table built at rent %d of %d", solve, before, cost)
 		}
-		got, err := SRKPar(c, q.X, q.Y, 0.99, 1)
+		got, err := served(c, q.X, q.Y, 0.99)
 		if err != nil || !got.Equal(want) {
 			t.Fatalf("solve %d: key %v err %v, eager %v", solve, got, err, want)
 		}
@@ -229,7 +229,7 @@ func TestPairRentOrBuy(t *testing.T) {
 	}
 	// The table serves from now on: no more rent.
 	rent := c.pairs.rent[e].Load()
-	if got, err := SRKPar(c, q.X, q.Y, 0.99, 1); err != nil || !got.Equal(want) || c.pairs.rent[e].Load() != rent {
+	if got, err := served(c, q.X, q.Y, 0.99); err != nil || !got.Equal(want) || c.pairs.rent[e].Load() != rent {
 		t.Fatalf("table solve: key %v err %v rent %d → %d, eager %v", got, err, rent, c.pairs.rent[e].Load(), want)
 	}
 	checkPairs(t, c, "rented")
@@ -267,10 +267,10 @@ func TestPairTablesCapped(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		q := rows[i%50]
 		alpha := []float64{1, 0.99, 0.9}[i%3]
-		want, wantDeg, wantErr := SRKAnytime(context.Background(), c, q.X, q.Y, alpha)
-		got, gotDeg, gotErr := SRKAnytimePar(context.Background(), c, q.X, q.Y, alpha, 1)
-		if gotDeg != wantDeg || !errors.Is(gotErr, wantErr) || !got.Equal(want) {
-			t.Fatalf("query %d α=%v: (%v, %v, %v), eager (%v, %v, %v)", i, alpha, got, gotDeg, gotErr, want, wantDeg, wantErr)
+		want, wantErr := SRK(c, q.X, q.Y, alpha)
+		got, gotDeg, gotErr := SRKAnytime(context.Background(), c, q.X, q.Y, alpha)
+		if gotDeg || !errors.Is(gotErr, wantErr) || !got.Equal(want) {
+			t.Fatalf("query %d α=%v: (%v, %v, %v), eager (%v, %v)", i, alpha, got, gotDeg, gotErr, want, wantErr)
 		}
 	}
 	if c.pairs != nil {
@@ -295,7 +295,7 @@ func TestParallelPairBuildsRaceSolves(t *testing.T) {
 	for i := 0; i < 48; i++ {
 		li := c.Item(rng.Intn(c.Len()))
 		alpha := []float64{0.95, 0.9, 0.97}[i%3]
-		want, _, err := SRKAnytime(context.Background(), c, li.X, li.Y, alpha)
+		want, err := SRK(c, li.X, li.Y, alpha)
 		qs = append(qs, query{li, alpha, want, err})
 	}
 	if n := builtPairs(c); n != 0 {
@@ -310,7 +310,7 @@ func TestParallelPairBuildsRaceSolves(t *testing.T) {
 			for rep := 0; rep < 6; rep++ {
 				for i := range qs {
 					q := qs[(i+g*7)%len(qs)]
-					got, deg, err := SRKAnytimePar(context.Background(), c, q.li.X, q.li.Y, q.alpha, 1)
+					got, deg, err := SRKAnytime(context.Background(), c, q.li.X, q.li.Y, q.alpha)
 					if deg || !errors.Is(err, q.err) || !got.Equal(q.want) {
 						errs <- fmt.Errorf("goroutine %d rep %d: key %v err %v, eager %v err %v", g, rep, got, err, q.want, q.err)
 						return

@@ -55,11 +55,11 @@ func sameKeys(t *testing.T, r *Retained, want []feature.Labeled, probes []featur
 		for _, alpha := range []float64{1.0, 0.7} {
 			kWant, errWant := SRK(rebuilt, q.X, q.Y, alpha)
 			kEager, errEager := SRK(r.Context(), q.X, q.Y, alpha)
-			kServed, errServed := SRKPar(r.Context(), q.X, q.Y, alpha, 1)
+			kServed, errServed := served(r.Context(), q.X, q.Y, alpha)
 			for name, got := range map[string]struct {
 				k   Key
 				err error
-			}{"SRK": {kEager, errEager}, "SRKPar": {kServed, errServed}} {
+			}{"SRK": {kEager, errEager}, "SRKAnytime": {kServed, errServed}} {
 				if errors.Is(got.err, ErrNoKey) != errors.Is(errWant, ErrNoKey) || (got.err == nil) != (errWant == nil) {
 					t.Fatalf("α=%v %s: err %v, rebuilt %v", alpha, name, got.err, errWant)
 				}

@@ -11,9 +11,10 @@ import (
 	"github.com/xai-db/relativekeys/internal/obs"
 )
 
-// The served SRK engine (DESIGN.md §11). It makes the eager loop's picks
-// (anytime.go) — same tie-break, same ErrNoKey verdicts, same degraded
-// completion — while touching far fewer words:
+// The served SRK engine (DESIGN.md §11), behind SRKAnytime. It makes the
+// eager loop's picks (srkEager, srk.go) — same tie-break, same ErrNoKey
+// verdicts — and degrades through the same completion pass (anytime.go),
+// while touching far fewer words:
 //
 //   - Round one reads no bitset. For the empty key every disagreeing row is a
 //     violator, so picking a leaves PostingCount(a, x[a]) minus the rows of
@@ -33,22 +34,6 @@ import (
 //
 // A pick's count is exact, so the solve stops as soon as it fits the budget,
 // without narrowing the list.
-
-// SRKPar is SRK on the served engine; par is ignored. Its keys are
-// byte-identical to SRK's on every input.
-func SRKPar(c *Context, x feature.Instance, y feature.Label, alpha float64, par int) (Key, error) {
-	key, _, err := SRKAnytimePar(context.Background(), c, x, y, alpha, par) //rkvet:ignore ctxflow SRKPar is the sanctioned never-cancelled specialization of the served solver
-	return key, err
-}
-
-// SRKAnytimePar is SRKAnytime on the served engine, and the entry cce.Batch,
-// cce.Window and service.Server solve with. par is ignored: the engine is
-// sequential, and the parameter stays for existing callers. Cancellation is
-// checked once per round and degrades through the eager loop's completion
-// pass, so keys, degraded flags and errors match SRKAnytime's exactly.
-func SRKAnytimePar(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64, par int) (Key, bool, error) {
-	return srkAnytimeInstrumented(ctx, c, x, y, alpha, true)
-}
 
 // sparseState is the pooled per-solve scratch of the served engine, so a
 // streaming deployment allocates nothing per solve in steady state.
@@ -84,7 +69,7 @@ func getSparseState(n, nw int) *sparseState {
 
 func putSparseState(st *sparseState) { sparseStates.Put(st) }
 
-// srkAnytimeSparse is the uninstrumented served engine. Like srkAnytime it
+// srkAnytimeSparse is the uninstrumented served engine. Like srkEager it
 // returns picks in pick order, and a successful empty key is a nil slice.
 func srkAnytimeSparse(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64) ([]int, bool, error) {
 	if err := ValidateAlpha(alpha); err != nil {
@@ -155,8 +140,8 @@ func srkAnytimeSparse(ctx context.Context, c *Context, x feature.Instance, y fea
 }
 
 // complete is the deadline path: it rebuilds the survivor bitset from the
-// picks so far and finishes with the eager loop's completion pass, so a
-// degraded key is the one SRKAnytime would return.
+// picks so far and finishes with completeAnytime, so a degraded key is the
+// eager loop's first picks completed by that pass.
 func (st *sparseState) complete(ctx context.Context, c *Context, x feature.Instance, y feature.Label, budget int) ([]int, bool, error) {
 	cstart := time.Now()
 	csp := obs.StartSpan(ctx, "srk.complete")
@@ -172,7 +157,7 @@ func (st *sparseState) complete(ctx context.Context, c *Context, x feature.Insta
 }
 
 // copyPicks detaches a pick list from the pooled state before it escapes to
-// the caller. nil stays nil: the empty-key success shape srkAnytime uses.
+// the caller. nil stays nil: the empty-key success shape srkEager uses.
 func copyPicks(picks []int) []int {
 	if len(picks) == 0 {
 		return nil

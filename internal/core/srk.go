@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
@@ -15,13 +13,16 @@ import (
 // With posting-list bitsets each candidate evaluation is one AndCard pass, so
 // the whole run is O(n²·|I|/64) words in the worst case.
 //
-// SRK is the never-cancelled specialization of SRKAnytime: the shared greedy
-// loop lives there, and a background context keeps the checkpoint branch
-// dead, so the two are byte-identical on every input (asserted by the
-// differential test in anytime_test.go).
+// SRK runs the eager loop (srkEager), the reference SRKAnytime's served
+// engine is held to; its keys are byte-identical to SRKAnytime's under a
+// context that never expires (asserted by the differential suites in
+// lazy_test.go).
 func SRK(c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, error) {
-	key, _, err := SRKAnytime(context.Background(), c, x, y, alpha) //rkvet:ignore ctxflow SRK is the sanctioned never-cancelled specialization; no caller deadline exists to thread
-	return key, err
+	picks, err := srkEager(c, x, y, alpha)
+	if err != nil {
+		return nil, err
+	}
+	return keyOf(picks), nil
 }
 
 // SRKOrdered is SRK returning features in the order the greedy step picked
@@ -29,14 +30,83 @@ func SRK(c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, e
 // pick order ranks the features of a relative key, giving a lightweight
 // importance ordering without the cost of importance-score methods.
 //
-// It is the eager engine's pick-ordered return surfaced directly — the same
-// srkAnytime loop behind SRK/SRKAnytime, not a second copy of the greedy
-// step — so the ordering can never drift from the key the other entry points
-// compute (asserted against SRK and the served engine in srk_test.go and
-// lazy_test.go).
+// It is the eager loop's pick order surfaced directly, not a second copy of
+// the greedy step, so the ordering can never drift from SRK's key (asserted
+// against SRK and the served engine in srk_test.go and lazy_test.go).
 func SRKOrdered(c *Context, x feature.Instance, y feature.Label, alpha float64) ([]int, error) {
-	picks, _, err := srkAnytime(context.Background(), c, x, y, alpha) //rkvet:ignore ctxflow SRKOrdered is a never-cancelled specialization like SRK; the pick order must not depend on a deadline
-	return picks, err
+	return srkEager(c, x, y, alpha)
+}
+
+// srkEager is Algorithm 1's greedy loop as written: every round scores all
+// remaining candidates over the whole survivor bitset. It is the reference
+// the served engine (sparse.go) is differentially tested against, and reads
+// none of that engine's count tables, pair-count tables or word lists. The
+// returned slice holds the picked features in pick order, not sorted; a
+// successful empty key is a nil slice.
+func srkEager(c *Context, x feature.Instance, y feature.Label, alpha float64) ([]int, error) {
+	if err := ValidateAlpha(alpha); err != nil {
+		return nil, err
+	}
+	if err := c.Schema.Validate(x); err != nil {
+		return nil, err
+	}
+	n := c.Schema.NumFeatures()
+	budget := Budget(alpha, c.Len())
+
+	// D = instances matching x on E with a different prediction; E starts
+	// empty, so D starts as every disagreeing instance. The survivor set is
+	// pooled, as every solver's scratch is (pool.go).
+	d := getDisagreeing(c, y)
+	defer putScratch(d)
+	left := d.Count()
+	if left <= budget {
+		return nil, nil // the empty key already satisfies α
+	}
+
+	var picks []int
+	inE := make([]bool, n)
+	for left > budget {
+		// Pick the feature leaving the fewest violators; Algorithm 1 leaves
+		// ties unspecified, and we break them toward the feature whose value
+		// is most frequent in the context — equally conformant but far more
+		// general explanations (higher recall, §7.1 measure (c)).
+		bestAttr, bestCard, bestFreq := -1, -1, -1
+		for a := 0; a < n; a++ {
+			if inE[a] {
+				continue
+			}
+			card := d.AndCard(c.Posting(a, x[a]))
+			if bestCard < 0 || card < bestCard {
+				bestAttr, bestCard, bestFreq = a, card, c.PostingCount(a, x[a])
+			} else if card == bestCard {
+				if freq := c.PostingCount(a, x[a]); freq > bestFreq {
+					bestAttr, bestFreq = a, freq
+				}
+			}
+		}
+		// Every feature is used, or no candidate removes a violator while D
+		// is over budget: adding features cannot help, so no key exists.
+		if bestAttr < 0 || bestCard == left {
+			return nil, ErrNoKey
+		}
+		inE[bestAttr] = true
+		picks = append(picks, bestAttr)
+		d.And(c.Posting(bestAttr, x[bestAttr]))
+		left = bestCard
+	}
+	return picks, nil
+}
+
+// keyOf turns a successful solve's picks into a Key: sorted, and non-nil
+// even when empty, since callers (and the service JSON layer) distinguish
+// "the empty key satisfies α" from "no key". It sorts picks in place.
+func keyOf(picks []int) Key {
+	if len(picks) == 0 {
+		return Key{}
+	}
+	key := Key(picks)
+	sortKey(key)
+	return key
 }
 
 // SRKRandomOrder is the ablation variant of SRK that adds features of x in a

@@ -109,12 +109,12 @@ func TestSRKMatchesNaive(t *testing.T) {
 		alpha := []float64{1.0, 0.95, 0.9}[rng.Intn(3)]
 		k1, err1 := SRK(c, row.X, row.Y, alpha)
 		k2, err2 := SRKNaive(c, row.X, row.Y, alpha)
-		k3, err3 := SRKPar(c, row.X, row.Y, alpha, 1)
+		k3, err3 := served(c, row.X, row.Y, alpha)
 		if (err1 == nil) != (err2 == nil) || (err1 == nil) != (err3 == nil) {
-			t.Fatalf("removal trial %d: err mismatch SRK %v, naive %v, SRKPar %v", trial, err1, err2, err3)
+			t.Fatalf("removal trial %d: err mismatch SRK %v, naive %v, SRKAnytime %v", trial, err1, err2, err3)
 		}
 		if err1 == nil && (!k1.Equal(k2) || !k1.Equal(k3)) {
-			t.Fatalf("removal trial %d: SRK=%v naive=%v SRKPar=%v", trial, k1, k2, k3)
+			t.Fatalf("removal trial %d: SRK=%v naive=%v SRKAnytime=%v", trial, k1, k2, k3)
 		}
 	}
 }

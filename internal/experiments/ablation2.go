@@ -94,11 +94,7 @@ func ablationParallel(e *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := cce.NewBatch(p.DS.Schema, nil, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	b.Ctx = p.Ctx
+	b := cce.Batch{Ctx: p.Ctx, Alpha: 1}
 	items := p.Ctx.Items()
 	if len(items) > 2000 {
 		items = items[:2000]

@@ -199,13 +199,6 @@ type dynResult struct {
 	ctxs     []*core.Context
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // fig4f: recall of CCE vs the per-phase reference under a dynamic model.
 func fig4f(e *Env) (*Table, error) {
 	t := &Table{

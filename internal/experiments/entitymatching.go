@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/xai-db/relativekeys/internal/cce"
 	"github.com/xai-db/relativekeys/internal/core"
 	"github.com/xai-db/relativekeys/internal/em"
 	"github.com/xai-db/relativekeys/internal/explain"
@@ -110,7 +109,7 @@ func (p *EMPipeline) Run(method string) (*MethodRun, error) {
 	if r, ok := p.runs[method]; ok {
 		return r, nil
 	}
-	ccer, err := p.cceRun()
+	ccer, err := cceRun(p.runs, p.Ctx, p.Sample)
 	if err != nil {
 		return nil, err
 	}
@@ -165,35 +164,6 @@ func (p *EMPipeline) Run(method string) (*MethodRun, error) {
 		return nil, err
 	}
 	p.runs[method] = run
-	return run, nil
-}
-
-func (p *EMPipeline) cceRun() (*MethodRun, error) {
-	if r, ok := p.runs["CCE"]; ok {
-		return r, nil
-	}
-	b, err := cce.NewBatch(p.DS.Schema, nil, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	b.Ctx = p.Ctx
-	run, err := timedRun("CCE", 0, len(p.Sample), func() ([]metrics.Explained, error) {
-		var out []metrics.Explained
-		for _, li := range p.Sample {
-			key, err := b.Explain(li.X, li.Y)
-			if err == core.ErrNoKey {
-				key = core.NewKey()
-			} else if err != nil {
-				return nil, err
-			}
-			out = append(out, metrics.Explained{X: li.X, Y: li.Y, Key: key})
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.runs["CCE"] = run
 	return run, nil
 }
 

@@ -161,7 +161,7 @@ func (p *Pipeline) Run(method string) (*MethodRun, error) {
 	if r, ok := p.runs[method]; ok {
 		return r, nil
 	}
-	ccer, err := p.cceRun()
+	ccer, err := cceRun(p.runs, p.Ctx, p.Sample)
 	if err != nil {
 		return nil, err
 	}
@@ -203,22 +203,18 @@ func (p *Pipeline) Run(method string) (*MethodRun, error) {
 	return run, nil
 }
 
-// cceRun explains the sample with SRK (α=1, the default of §7.1).
-func (p *Pipeline) cceRun() (*MethodRun, error) {
-	if r, ok := p.runs["CCE"]; ok {
+// cceRun returns the CCE run cached in runs, on first use explaining sample
+// over the inference context c with a batch at α=1 (the default of §7.1).
+// The batch wraps the context the pipeline indexed, so CCE has no setup to
+// time.
+func cceRun(runs map[string]*MethodRun, c *core.Context, sample []feature.Labeled) (*MethodRun, error) {
+	if r, ok := runs["CCE"]; ok {
 		return r, nil
 	}
-	b, err := cce.NewBatch(p.DS.Schema, nil, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	// The batch reuses the inference context the pipeline indexed, so CCE
-	// has no setup to amortize: wrapping the context is a few microseconds,
-	// and timing it once would let one preemption read as solve time.
-	b.Ctx = p.Ctx
-	run, err := timedRun("CCE", 0, len(p.Sample), func() ([]metrics.Explained, error) {
+	b := cce.Batch{Ctx: c, Alpha: 1}
+	run, err := timedRun("CCE", 0, len(sample), func() ([]metrics.Explained, error) {
 		var out []metrics.Explained
-		for _, li := range p.Sample {
+		for _, li := range sample {
 			key, err := b.Explain(li.X, li.Y)
 			if err == core.ErrNoKey {
 				key = core.NewKey() // conflict rows keep an empty key
@@ -232,7 +228,7 @@ func (p *Pipeline) cceRun() (*MethodRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.runs["CCE"] = run
+	runs["CCE"] = run
 	return run, nil
 }
 

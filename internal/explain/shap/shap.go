@@ -170,10 +170,3 @@ func (e *Explainer) Explain(x feature.Instance) (explain.Explanation, error) {
 	}
 	return explain.Explanation{Scores: scores}, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -25,13 +25,11 @@ type satOracle struct {
 	trees  []*model.Tree
 	sem    ensembleSemantics
 
-	// featVar[a][v] is the one-hot SAT variable for feature a = value v.
-	featVar [][]int
-
 	// per target class c, a solver whose formula is satisfiable iff some
 	// instance is predicted differently from c; built lazily.
 	solvers map[feature.Label]*sat.Solver
-	// featVarOf[c][a][v] mirrors featVar per solver.
+	// featVars[c][a][v] is the one-hot SAT variable of solvers[c] for
+	// feature a = value v.
 	featVars map[feature.Label][][]int
 }
 

@@ -40,13 +40,13 @@ func BenchmarkCounterIncParallel(b *testing.B) {
 	})
 }
 
-func BenchmarkGaugeSet(b *testing.B) {
+func BenchmarkGaugeAdd(b *testing.B) {
 	r := NewRegistry()
 	g := r.NewGauge("rk_bench_gauge", "bench")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Set(int64(i))
+		g.Add(1)
 	}
 }
 

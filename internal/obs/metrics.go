@@ -143,14 +143,6 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 // NewGauge registers a gauge in the Default registry.
 func NewGauge(name, help string) *Gauge { return Default.NewGauge(name, help) }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
 // Inc adds 1.
 func (g *Gauge) Inc() { g.Add(1) }
 

@@ -29,7 +29,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/xai-db/relativekeys/internal/sortedkeys"
 )
@@ -58,10 +57,6 @@ func (d desc) metricHelp() string { return d.help }
 type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]collector // guarded by mu
-
-	// scrapeDrops counts scrapes whose response write failed (client gone
-	// mid-scrape); kept out of the registry itself to avoid self-registration.
-	scrapeDrops atomic.Int64
 }
 
 // NewRegistry returns an empty registry. Most code uses the package-level
@@ -74,6 +69,12 @@ func NewRegistry() *Registry {
 // register into; every service.Server's /metrics serves it beside the
 // server's own registry.
 var Default = NewRegistry()
+
+// opsWriteFailures counts the ops responses, Handler's scrapes and the trace
+// handler's dumps, whose body write failed: the client went away mid-body,
+// and the connection is unusable, so the handler has no one left to tell.
+var opsWriteFailures = NewCounter("rk_ops_write_failures_total",
+	"Ops responses (/metrics scrapes, /debug/traces dumps) whose body write failed.")
 
 // register adds a family, panicking on an invalid or duplicate name: metric
 // registration happens in package var blocks, so a duplicate is a programming
@@ -133,16 +134,10 @@ func Handler(regs ...*Registry) http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := writeProm(w, regs); err != nil {
-			// The response write failed mid-scrape: the client is gone and
-			// the connection is unusable, so count it and move on.
-			Default.scrapeDrops.Add(1)
+			opsWriteFailures.Inc()
 		}
 	})
 }
-
-// ScrapeDrops reports how many ops responses (metrics scrapes, trace dumps)
-// failed writing. Handler and the trace handler count into Default's.
-func (r *Registry) ScrapeDrops() int64 { return r.scrapeDrops.Load() }
 
 // writeProm renders the families of regs as one exposition, sorted by name
 // (a stable sort, so equal names keep registry order). The whole scrape is

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -67,7 +69,7 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 		t.Fatalf("nil counter value = %d", c.Value())
 	}
 	var g *Gauge
-	g.Set(3)
+	g.Add(3)
 	g.Inc()
 	g.Dec()
 	if g.Value() != 0 {
@@ -195,7 +197,7 @@ func TestExpositionGolden(t *testing.T) {
 	c := r.NewCounter("rk_golden_requests_total", "Requests served.")
 	c.Add(42)
 	g := r.NewGauge("rk_golden_inflight", "In-flight requests.")
-	g.Set(3)
+	g.Add(3)
 	r.NewGaugeFunc("rk_golden_context_rows", "Live context rows.", func() float64 { return 1234 })
 	cv := r.NewCounterVec("rk_golden_by_code_total", "Requests by endpoint and code.", "endpoint", "code")
 	cv.With("/explain", "200").Add(7)
@@ -477,7 +479,7 @@ func (e errString) Error() string { return string(e) }
 func TestHandlerSortsAcrossRegistries(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.NewCounter("rk_sort_b_total", "b in a").Add(2)
-	a.NewGauge("rk_sort_d", "d").Set(4)
+	a.NewGauge("rk_sort_d", "d").Add(4)
 	b.NewCounter("rk_sort_a_total", "a").Inc()
 	b.NewGaugeFunc("rk_sort_c", "c", func() float64 { return 3 })
 	b.NewCounter("rk_sort_b_total", "b in b").Add(5)
@@ -510,5 +512,45 @@ rk_sort_d 4
 `
 	if got := buf.String(); got != want {
 		t.Fatalf("scrape of two registries:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// failingWriter is a ResponseWriter whose body writes fail, as a client that
+// hangs up mid-response leaves one.
+type failingWriter struct{ h http.Header }
+
+func (w *failingWriter) Header() http.Header {
+	if w.h == nil {
+		w.h = http.Header{}
+	}
+	return w.h
+}
+func (w *failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+func (w *failingWriter) WriteHeader(int)           {}
+
+// TestOpsWriteFailuresCounted: a /metrics scrape and a /debug/traces dump
+// whose body write fails each count once in rk_ops_write_failures_total, a
+// Default series every server's scrape serves.
+func TestOpsWriteFailuresCounted(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounter("rk_write_failure_total", "c").Inc()
+	tr := NewTracer(1, 4)
+	tr.Start("explain").Finish()
+	for _, tc := range []struct {
+		path string
+		h    http.Handler
+	}{{"/metrics", Handler(r)}, {"/debug/traces", tr.Handler()}} {
+		before := opsWriteFailures.Value()
+		tc.h.ServeHTTP(&failingWriter{}, httptest.NewRequest(http.MethodGet, tc.path, nil))
+		if got := opsWriteFailures.Value() - before; got != 1 {
+			t.Fatalf("%s: a failed write moved rk_ops_write_failures_total by %d, want 1", tc.path, got)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Default.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "# TYPE rk_ops_write_failures_total counter") {
+		t.Fatal("rk_ops_write_failures_total missing from Default's exposition")
 	}
 }

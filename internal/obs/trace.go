@@ -220,8 +220,7 @@ func (t *Tracer) Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		if err := t.DumpJSON(w); err != nil {
-			// Mid-body write failure: the client is gone; nothing to answer.
-			Default.scrapeDrops.Add(1)
+			opsWriteFailures.Inc()
 		}
 	})
 }

@@ -51,7 +51,7 @@ func FuzzSolver(f *testing.F) {
 				t.Fatalf("AddClause: %v", err)
 			}
 		}
-		sat := s.Solve()
+		sat := s.SolveAssume()
 		if rootUnsat && sat {
 			t.Fatal("root-level UNSAT formula declared SAT")
 		}

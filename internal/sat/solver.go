@@ -360,9 +360,6 @@ func (s *Solver) pickBranch() int {
 	return best
 }
 
-// Solve determines satisfiability of the clause set.
-func (s *Solver) Solve() bool { return s.SolveAssume() }
-
 // SolveAssume solves under the given assumption literals; the solver state is
 // reusable afterwards (assumptions are retracted).
 func (s *Solver) SolveAssume(assumps ...Lit) bool {

@@ -50,20 +50,20 @@ func solverFor(t testing.TB, n int, cnf [][]Lit) (*Solver, bool) {
 
 func TestTrivialCases(t *testing.T) {
 	s := NewSolver()
-	if !s.Solve() {
+	if !s.SolveAssume() {
 		t.Fatal("empty formula must be SAT")
 	}
 	v := s.NewVar()
 	if err := s.AddClause(Lit(v)); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Solve() || !s.Value(v) {
+	if !s.SolveAssume() || !s.Value(v) {
 		t.Fatal("unit clause must force the variable true")
 	}
 	if err := s.AddClause(Lit(-v)); err != ErrUnsatRoot {
 		t.Fatalf("want ErrUnsatRoot, got %v", err)
 	}
-	if s.Solve() {
+	if s.SolveAssume() {
 		t.Fatal("contradictory units must be UNSAT")
 	}
 }
@@ -72,13 +72,13 @@ func TestSmallFormulas(t *testing.T) {
 	// (x1 ∨ x2) ∧ (¬x1 ∨ x2) ∧ (x1 ∨ ¬x2) ∧ (¬x1 ∨ ¬x2) — classic UNSAT.
 	cnf := [][]Lit{{1, 2}, {-1, 2}, {1, -2}, {-1, -2}}
 	s, ok := solverFor(t, 2, cnf)
-	if ok && s.Solve() {
+	if ok && s.SolveAssume() {
 		t.Fatal("2-var contradiction must be UNSAT")
 	}
 	// XOR chain, SAT.
 	cnf = [][]Lit{{1, 2}, {-1, -2}, {2, 3}, {-2, -3}}
 	s, ok = solverFor(t, 3, cnf)
-	if !ok || !s.Solve() {
+	if !ok || !s.SolveAssume() {
 		t.Fatal("XOR chain must be SAT")
 	}
 	if s.Value(2) == s.Value(1) || s.Value(3) == s.Value(2) {
@@ -107,7 +107,7 @@ func TestPigeonholeUnsat(t *testing.T) {
 			}
 		}
 	}
-	if s.Solve() {
+	if s.SolveAssume() {
 		t.Fatal("pigeonhole 4→3 must be UNSAT")
 	}
 }
@@ -134,7 +134,7 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 		}
 		want := bruteForce(n, cnf)
 		s, ok := solverFor(t, n, cnf)
-		got := ok && s.Solve()
+		got := ok && s.SolveAssume()
 		if got != want {
 			t.Fatalf("trial %d: solver=%v brute=%v (n=%d m=%d cnf=%v)", trial, got, want, n, m, cnf)
 		}
@@ -169,7 +169,7 @@ func TestAssumptions(t *testing.T) {
 	if !s.SolveAssume(-1) {
 		t.Fatal("assuming ¬x1 must be SAT")
 	}
-	if !s.Solve() {
+	if !s.SolveAssume() {
 		t.Fatal("formula itself is SAT")
 	}
 }
@@ -230,7 +230,7 @@ func TestAddClauseValidation(t *testing.T) {
 	if err := s.AddClause(1, -1); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Solve() {
+	if !s.SolveAssume() {
 		t.Fatal("tautology-only formula must be SAT")
 	}
 }
@@ -244,7 +244,7 @@ func TestExactlyOne(t *testing.T) {
 	if err := s.AddExactlyOne(lits...); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Solve() {
+	if !s.SolveAssume() {
 		t.Fatal("exactly-one must be SAT")
 	}
 	count := 0

@@ -66,13 +66,14 @@ func TestExplainCacheDifferential(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"eager", Config{Schema: schema, Alpha: 1.0, Solve: SolveFunc(core.SRKAnytime)}},
-		// The default engine; Parallelism is ignored, and the lazy_p* names
-		// date from the retired lazy engine.
-		{"lazy_p1", Config{Schema: schema, Alpha: 1.0, Parallelism: 1}},
-		{"lazy_p2", Config{Schema: schema, Alpha: 1.0, Parallelism: 2}},
-		{"lazy_p4", Config{Schema: schema, Alpha: 1.0, Parallelism: 4}},
-		{"lazy_p2_retain4", Config{Schema: schema, Alpha: 1.0, Parallelism: 2, Retain: 4}},
+		// The eager reference, core.SRK, which takes no deadline.
+		{"eager", Config{Schema: schema, Alpha: 1.0, Solve: func(_ context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
+			key, err := core.SRK(c, x, y, alpha)
+			return key, false, err
+		}}},
+		// The default engine, core.SRKAnytime.
+		{"served", Config{Schema: schema, Alpha: 1.0}},
+		{"served_retain4", Config{Schema: schema, Alpha: 1.0, Retain: 4}},
 	}
 	requests := []ExplainRequest{
 		{Values: map[string]string{"Income": "3-4K", "Credit": "poor", "Area": "Urban"}, Prediction: "Denied"},
@@ -390,7 +391,7 @@ func TestChaosCache(t *testing.T) {
 				}
 			}
 		}
-		return core.SRKAnytimePar(ctx, c, x, y, alpha, 2)
+		return core.SRKAnytime(ctx, c, x, y, alpha)
 	}
 	srv, err := NewServer(Config{
 		Schema:          schema,

@@ -75,11 +75,11 @@ type Config struct {
 	// recovery and snapshot install in one batch; without it they arrive one
 	// at a time.
 	Monitor DriftObserver
-	// Solve overrides the explain solver. nil = core.SRKAnytimePar, the
-	// served engine (DESIGN.md §11), which returns byte-identical keys to the
-	// eager reference while scanning only the survivors' nonzero words after
-	// the first pick. Tests set it to core.SRKAnytime to run the eager path,
-	// or to a fault-injecting or timing wrapper.
+	// Solve overrides the explain solver. nil = core.SRKAnytime, the served
+	// engine (DESIGN.md §11), which returns byte-identical keys to the eager
+	// reference (core.SRK) while scanning only the survivors' nonzero words
+	// after the first pick. Tests set it to a wrapper of core.SRK to run the
+	// eager path, or to a fault-injecting or timing wrapper.
 	Solve SolveFunc
 
 	// Parallelism is ignored: the served engine solves each explain
@@ -227,9 +227,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.metrics = newServerMetrics(s)
 	if s.solve == nil {
-		s.solve = func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
-			return core.SRKAnytimePar(ctx, c, x, y, alpha, 1)
-		}
+		s.solve = core.SRKAnytime
 	}
 	if !cfg.CacheOff {
 		s.cache = newExplainCache(cfg.CacheEntries, cfg.CacheBytes)
